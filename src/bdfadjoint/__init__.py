@@ -9,8 +9,8 @@ adjoint in a weak (dual, Riemann--Stieltjes) sense.
 
 from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
                       assemble_weak_adjoint, gradient_wrt_initial, rs_pair)
-from .analysis import (ConvergenceTable, KktResidualReport, dual_norm_bound,
-                       fit_order, pointwise_error, verify_kkt)
+from .analysis import (ConvergenceTable, KktResidualReport, coefficient_defects,
+                       dual_norm_bound, fit_order, pointwise_error, verify_kkt)
 from .bdf import (BdfCoefficients, DenseOutput, IntegrationTape, NewtonResult,
                   SolverError, TimeGrid, compute_coefficients, dense_eval,
                   integrate_adaptive, integrate_nonadaptive, newton_bdf_step,
@@ -39,6 +39,7 @@ __all__ = [
     "adjoint_sweep",
     "assemble_weak_adjoint",
     "catenary_problem",
+    "coefficient_defects",
     "compute_coefficients",
     "dense_eval",
     "dual_norm_bound",

@@ -15,38 +15,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint
-from .bdf import IntegrationTape
+from .bdf import IntegrationTape, coefficient_band, step_residuals
 
 __all__ = [
-    "KKT_ASSEMBLE_LIMIT",
+    "COEFFICIENT_TOL",
     "KktResidualReport",
     "ConvergenceTable",
+    "coefficient_defects",
     "verify_kkt",
     "pointwise_error",
     "dual_norm_bound",
     "fit_order",
 ]
 
-# above d*N = 20000 the block matrices are not materialized; residuals are
-# accumulated step-wise instead (identical values)
-KKT_ASSEMBLE_LIMIT = 20000
+COEFFICIENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class KktResidualReport:
-    """Residuals of the discretized optimality system evaluated at (Y, lambda, l)."""
+    """Residuals of the discretized optimality system evaluated at (Y, lambda, l),
+    each worst one located by the step n of its row and that step's time t_n.
+    Step n (1..N) produces y_n; adjoint step 0 is the y_0 (gradient) row."""
 
     nominal_residual: float
     adjoint_residual: float
     initial_residual: float
     nominal_threshold: float
     adjoint_threshold: float
+    nominal_worst_step: int
+    nominal_worst_time: float
+    adjoint_worst_step: int
+    adjoint_worst_time: float
 
     def __post_init__(self):
-        for name in ("nominal_residual", "adjoint_residual", "initial_residual"):
-            v = getattr(self, name)
+        for name, step in (("nominal", self.nominal_worst_step),
+                           ("adjoint", self.adjoint_worst_step), ("initial", 0)):
+            v = getattr(self, f"{name}_residual")
             if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+                raise ValueError(f"{name}_residual must be finite and "
+                                 f"non-negative, got {v} at step {step}")
 
     @property
     def passed(self) -> bool:
@@ -54,65 +61,23 @@ class KktResidualReport:
                 and self.adjoint_residual <= self.adjoint_threshold)
 
 
-def _band_matrix(tape):
-    """The N x N lower-triangular band matrix A of step coefficients."""
-    n = tape.n_steps
-    a = np.zeros((n, n))
-    for step in range(n):
-        alphas = tape.coefficients[step].alphas
-        for i in range(min(tape.grid.orders[step], step) + 1):
-            a[step, step - i] = alphas[i]
-    return a
-
-
-def _nominal_residual_vec(problem, tape):
-    """Per-step residual blocks of the forward system (start vector included)."""
-    n = tape.n_steps
-    d = tape.dimension
-    out = np.empty((n, d))
-    nodes = tape.grid.nodes
-    h = tape.grid.stepsizes
-    for step in range(n):
-        k = tape.grid.orders[step]
-        alphas = tape.coefficients[step].alphas
-        acc = alphas[0] * tape.states[step + 1]
-        for i in range(1, k + 1):
-            acc = acc + alphas[i] * tape.states[step + 1 - i]
-        out[step] = acc - h[step] * problem.rhs(nodes[step + 1], tape.states[step + 1])
-    return out
-
-
-def _adjoint_residual_vec(problem, tape, adjoints):
-    """Row residuals of the transposed (backward) system plus the y_0 row."""
-    n = tape.n_steps
-    d = tape.dimension
-    nodes = tape.grid.nodes
-    h = tape.grid.stepsizes
-    lam = adjoints.lambdas
-    rows = np.zeros((n, d))
-    for step in range(n):
-        alphas = tape.coefficients[step].alphas
-        for i in range(min(tape.grid.orders[step], step) + 1):
-            rows[step - i] += alphas[i] * lam[step]
-    for j in range(1, n + 1):
-        fy = problem.jacobian(nodes[j], tape.states[j])
-        rows[j - 1] -= h[j - 1] * (fy.T @ lam[j - 1])
-    rows[n - 1] -= problem.criterion_gradient(tape.states[n])
-    grad_row = adjoints.gradient.copy()
-    for step in range(n):
-        if tape.grid.orders[step] >= step + 1:
-            grad_row += tape.coefficients[step].alphas[step + 1] * lam[step]
-    return rows, grad_row
+def _worst_row(rows):
+    """(index, max-abs) of the row with the largest entry; NaN rows win."""
+    row_max = np.max(np.abs(rows), axis=1)
+    i = int(np.argmax(row_max))
+    return i, float(row_max[i])
 
 
 def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> KktResidualReport:
-    """Evaluate the assembled optimality-system residuals at the recorded data.
+    """Evaluate the optimality-system residuals at the recorded data.
 
-    nominal_residual: max-norm of (A (x) I) Y + start-vector - stepsize-scaled
-    f-vector.  adjoint_residual: max-norm of the transposed system evaluated
-    at (lambda, l), including the initial-state row.  The block matrices are
-    materialized only when d*N <= KKT_ASSEMBLE_LIMIT; beyond that the same
-    residuals are accumulated without forming A.
+    With the coefficient band (A, c) of :func:`coefficient_band` and the
+    row-major states Y and multipliers L (both N x d), the Kronecker
+    operators act as (A (x) I) vec(Y) = vec(A Y), so no block matrix is
+    formed.  nominal_residual is the max-norm of A Y + c y_0 - h F.
+    adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
+    together with the y_0 row l + c^T L; the Jacobians enter only through
+    these per-step products.
     """
     n = tape.n_steps
     d = tape.dimension
@@ -120,55 +85,47 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
         raise ValueError(
             f"adjoints have shape {adjoints.lambdas.shape}, tape expects {(n, d)}"
         )
+    a, start = band = coefficient_band(tape)
+    nodes = tape.grid.nodes
+    lam = adjoints.lambdas
+    nominal_row, nominal = _worst_row(step_residuals(problem, tape, band))
 
-    if d * n <= KKT_ASSEMBLE_LIMIT:
-        a = _band_matrix(tape)
-        eye = np.eye(d)
-        big = np.kron(a, eye)
-        y_flat = tape.states[1:].reshape(-1)
-        start = np.zeros(n * d)
-        f_vec = np.empty(n * d)
-        nodes = tape.grid.nodes
-        h = tape.grid.stepsizes
-        for step in range(n):
-            if tape.grid.orders[step] >= step + 1:
-                start[step * d:(step + 1) * d] = (
-                    tape.coefficients[step].alphas[step + 1] * tape.states[0]
-                )
-            f_vec[step * d:(step + 1) * d] = h[step] * problem.rhs(
-                nodes[step + 1], tape.states[step + 1])
-        nominal = float(np.max(np.abs(big @ y_flat + start - f_vec)))
+    jt_lam = np.array([problem.jacobian(t, y).T @ l
+                       for t, y, l in zip(nodes[1:], tape.states[1:], lam)])
+    adj_rows = a.T @ lam - tape.grid.stepsizes[:, None] * jt_lam
+    adj_rows[-1] -= problem.criterion_gradient(tape.states[n])
+    grad_row = adjoints.gradient + start @ lam
+    adjoint_step, adjoint_res = _worst_row(np.vstack([grad_row, adj_rows]))
 
-        blocks = np.zeros((n * d, n * d))
-        for j in range(1, n + 1):
-            fy = problem.jacobian(nodes[j], tape.states[j])
-            blocks[(j - 1) * d:j * d, (j - 1) * d:j * d] = h[j - 1] * fy.T
-        rhs = np.zeros(n * d)
-        rhs[(n - 1) * d:] = problem.criterion_gradient(tape.states[n])
-        lam_flat = adjoints.lambdas.reshape(-1)
-        adj_rows = (np.kron(a.T, eye) - blocks) @ lam_flat - rhs
-        grad_row = adjoints.gradient.copy()
-        for step in range(n):
-            if tape.grid.orders[step] >= step + 1:
-                grad_row += tape.coefficients[step].alphas[step + 1] * adjoints.lambdas[step]
-        adjoint_res = float(max(np.max(np.abs(adj_rows)), np.max(np.abs(grad_row))))
-    else:
-        nominal = float(np.max(np.abs(_nominal_residual_vec(problem, tape))))
-        rows, grad_row = _adjoint_residual_vec(problem, tape, adjoints)
-        adjoint_res = float(max(np.max(np.abs(rows)), np.max(np.abs(grad_row))))
-
-    lam_scale = float(np.max(np.abs(adjoints.lambdas))) if n else 0.0
     return KktResidualReport(
         nominal_residual=nominal,
         adjoint_residual=adjoint_res,
-        initial_residual=float(np.max(np.abs(tape.states[0] - _initial_state(problem)))),
+        initial_residual=float(np.max(np.abs(tape.states[0] - problem.initial_state))),
         nominal_threshold=10.0 * float(np.max(tape.newton_tolerances)),
-        adjoint_threshold=1e-9 * (1.0 + lam_scale),
+        adjoint_threshold=1e-9 * (1.0 + float(np.max(np.abs(lam)))),
+        nominal_worst_step=nominal_row + 1,
+        nominal_worst_time=float(nodes[nominal_row + 1]),
+        adjoint_worst_step=adjoint_step,
+        adjoint_worst_time=float(nodes[adjoint_step]),
     )
 
 
-def _initial_state(problem):
-    return np.asarray(problem.initial_state, dtype=float)
+def coefficient_defects(alphas, stencils) -> np.ndarray:
+    """Scaled zero-sum and identity-interpolant defects of BDF coefficient rows.
+
+    `alphas` and `stencils` are (M, K+1) arrays laid out as in
+    :func:`stencil_table`: alpha_0..alpha_k and t_{n+1}..t_{n+1-k}, newest
+    first, zero past each row's order.  Exact coefficients satisfy
+    sum_i alpha_i = 0 and sum_i alpha_i t_i = h = t_{n+1} - t_n.  The first
+    defect is scaled by max|alpha_i|, the second by sum_i |alpha_i t_i|, the
+    rounding bound of its dot product; the larger of the two is returned per
+    row, to be compared with COEFFICIENT_TOL.
+    """
+    h = stencils[:, 0] - stencils[:, 1]
+    terms = alphas * stencils
+    zero_sum = np.abs(alphas.sum(axis=1)) / np.max(np.abs(alphas), axis=1)
+    ident = np.abs(terms.sum(axis=1) - h) / np.abs(terms).sum(axis=1)
+    return np.maximum(zero_sum, ident)
 
 
 def pointwise_error(weak_adjoint: WeakAdjoint, reference, t) -> float:

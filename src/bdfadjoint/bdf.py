@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 __all__ = [
@@ -35,6 +36,9 @@ __all__ = [
     "integrate_adaptive",
     "dense_eval",
     "replay_integration",
+    "stencil_table",
+    "coefficient_band",
+    "step_residuals",
     "tape_residuals",
 ]
 
@@ -46,6 +50,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 2.5
 SAFETY = 0.9
 EPS = np.finfo(float).eps
+_LAGS = np.arange(MAX_ORDER + 1)   # stencil offsets i of alpha_i
 
 
 class SolverError(RuntimeError):
@@ -215,20 +220,44 @@ class IntegrationTape:
         return self.states[-1]
 
 
+def stencil_table(tape):
+    """(alphas, nodes), each (N, MAX_ORDER + 1): row n holds alpha_0..alpha_k
+    and t_{n+1}..t_{n+1-k} of step n, newest first, zero past its order k."""
+    alphas = np.zeros((tape.n_steps, MAX_ORDER + 1))
+    for n, c in enumerate(tape.coefficients):
+        alphas[n, :c.alphas.size] = c.alphas
+    idx = np.arange(1, tape.n_steps + 1)[:, None] - _LAGS
+    inside = _LAGS <= tape.grid.orders[:, None]
+    return alphas, np.where(inside, tape.grid.nodes[np.maximum(idx, 0)], 0.0)
+
+
+def coefficient_band(tape):
+    """(A, c) such that step n reads (A Y)_n + c_n y_0 = h_n f(t_{n+1}, y_{n+1})
+    for the row-major states Y = states[1:].  A is the N x N lower-triangular
+    CSR band with alpha_i^(n) at (n, n - i); c is nonzero only in the
+    self-start rows, whose stencil reaches y_0."""
+    alphas, _ = stencil_table(tape)
+    rows = np.broadcast_to(np.arange(tape.n_steps)[:, None], alphas.shape)
+    cols = rows - _LAGS
+    inside = (alphas != 0.0) & (cols >= 0)
+    band = sparse.csr_matrix((alphas[inside], (rows[inside], cols[inside])),
+                             shape=(tape.n_steps, tape.n_steps))
+    return band, np.where(cols == -1, alphas, 0.0).sum(axis=1)
+
+
+def step_residuals(problem, tape, band) -> np.ndarray:
+    """(N, d) residuals A Y + c y_0 - h F of the recorded steps, where
+    band = coefficient_band(tape) and F stacks f(t_{n+1}, y_{n+1})."""
+    a, start = band
+    ys = tape.states
+    f = np.array([problem.rhs(t, y) for t, y in zip(tape.grid.nodes[1:], ys[1:])])
+    return a @ ys[1:] + start[:, None] * ys[0] - tape.grid.stepsizes[:, None] * f
+
+
 def tape_residuals(problem, tape) -> np.ndarray:
     """Max-norm BDF residual of every recorded step (should sit below tolerance)."""
-    nodes = tape.grid.nodes
-    h = tape.grid.stepsizes
-    out = np.empty(tape.n_steps)
-    for n in range(tape.n_steps):
-        k = tape.grid.orders[n]
-        alphas = tape.coefficients[n].alphas
-        acc = alphas[0] * tape.states[n + 1]
-        for i in range(1, k + 1):
-            acc = acc + alphas[i] * tape.states[n + 1 - i]
-        r = acc - h[n] * problem.rhs(nodes[n + 1], tape.states[n + 1])
-        out[n] = np.max(np.abs(r))
-    return out
+    rows = step_residuals(problem, tape, coefficient_band(tape))
+    return np.max(np.abs(rows), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import adjoint_sweep, assemble_weak_adjoint
-from .analysis import ConvergenceTable, fit_order, pointwise_error, verify_kkt
+from .analysis import (COEFFICIENT_TOL, ConvergenceTable, coefficient_defects,
+                       fit_order, pointwise_error, verify_kkt)
 from .bdf import (MAX_ORDER, SolverError, integrate_adaptive,
-                  integrate_nonadaptive, tape_residuals)
+                  integrate_nonadaptive, stencil_table, tape_residuals)
 from .problems import get_problem
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
                         save_kkt_report, save_tape, write_adjoint_csv,
@@ -203,7 +204,8 @@ def cmd_adjoint(ns) -> int:
     if problem.dimension != tape.dimension:
         raise _UsageError("tape dimension does not match the problem")
     resid = tape_residuals(problem, tape)
-    if np.any(resid > 10.0 * tape.newton_tolerances):
+    # written so that a NaN residual fails too
+    if not np.all(resid <= 10.0 * tape.newton_tolerances):
         raise _UsageError("tape failed residual validation against its problem")
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)
@@ -305,27 +307,22 @@ def cmd_verify(ns) -> int:
         raise _UsageError("adjoint file does not match the tape dimensions")
 
     problem, _ = _problem_for_tape(tape, settings)
-    report = verify_kkt(problem, tape, adjoints)
-
-    coeff_ok = True
-    for n in range(tape.n_steps):
-        alphas = tape.coefficients[n].alphas
-        stencil = tape.grid.nodes[n + 1 - tape.grid.orders[n]:n + 2]
-        h = tape.grid.stepsizes[n]
-        zero_sum = abs(alphas.sum())
-        ident = abs(alphas @ stencil[::-1] - h)
-        if (zero_sum > 1e-12 * np.max(np.abs(alphas))
-                or ident > 1e-12 * abs(h) * max(np.max(np.abs(stencil)), 1.0)):
-            coeff_ok = False
-            break
+    try:
+        report = verify_kkt(problem, tape, adjoints)
+    except ValueError as exc:   # a residual is NaN or infinite
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return EXIT_VERIFY
+    coeff_ok = bool(np.all(coefficient_defects(*stencil_table(tape)) <= COEFFICIENT_TOL))
 
     out = settings.get("out", default="kkt.json")
     save_kkt_report(report, out)
     init_ok = report.initial_residual <= 1e-12 * (1.0 + np.max(np.abs(tape.states[0])))
     print(f"nominal_residual={report.nominal_residual!r} "
-          f"(threshold {report.nominal_threshold!r})")
+          f"(threshold {report.nominal_threshold!r}) worst at step "
+          f"{report.nominal_worst_step}, t={report.nominal_worst_time!r}")
     print(f"adjoint_residual={report.adjoint_residual!r} "
-          f"(threshold {report.adjoint_threshold!r})")
+          f"(threshold {report.adjoint_threshold!r}) worst at step "
+          f"{report.adjoint_worst_step}, t={report.adjoint_worst_time!r}")
     print(f"initial_residual={report.initial_residual!r}")
     print(f"coefficient invariants: {'ok' if coeff_ok else 'VIOLATED'}")
     print(f"report written to {out}")

@@ -190,6 +190,12 @@ def kkt_report_to_dict(report: KktResidualReport) -> dict:
             "nominal": report.nominal_threshold,
             "adjoint": report.adjoint_threshold,
         },
+        "worst": {
+            "nominal": {"step": report.nominal_worst_step,
+                        "t": report.nominal_worst_time},
+            "adjoint": {"step": report.adjoint_worst_step,
+                        "t": report.adjoint_worst_time},
+        },
         "passed": report.passed,
     }
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from bdfadjoint import (ConvergenceTable, adjoint_sweep, assemble_weak_adjoint,
-                        compute_coefficients, dual_norm_bound, fit_order,
+                        coefficient_defects, compute_coefficients,
+                        dual_norm_bound, fit_order,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
                         pointwise_error, replay_integration, verify_kkt)
 
@@ -191,18 +192,15 @@ def test_criterion_8_kkt_equivalence(sweep, adaptive_runs, acceptance_log):
 
 def test_criterion_9_coefficient_properties(acceptance_log):
     rng = np.random.default_rng(12345)
-    worst = 0.0
-    for _ in range(1000):
+    alphas = np.zeros((1000, 7))
+    stencils = np.zeros((1000, 7))
+    for row in range(1000):
         order = int(rng.integers(1, 7))
         gaps = rng.uniform(1e-3, 10.0, size=order + 1)
         nodes = np.cumsum(gaps) - gaps[0] + rng.uniform(-10.0, 10.0)
-        alphas = compute_coefficients(nodes, order).alphas
-        h = nodes[-1] - nodes[-2]
-        scale = np.max(np.abs(alphas))
-        zero_sum = abs(alphas.sum()) / scale
-        ident = abs(alphas @ nodes[::-1] - h) / max(
-            abs(h), abs(h) * np.max(np.abs(nodes)))
-        worst = max(worst, zero_sum, ident)
+        alphas[row, :order + 1] = compute_coefficients(nodes, order).alphas
+        stencils[row, :order + 1] = nodes[::-1]
+    worst = float(np.max(coefficient_defects(alphas, stencils)))
     bdf1 = compute_coefficients(np.array([0.0, 1.0]), 1).alphas
     bdf2 = compute_coefficients(np.array([0.0, 1.0, 2.0]), 2).alphas
     closed = max(np.max(np.abs(bdf1 - [1.0, -1.0])),

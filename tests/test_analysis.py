@@ -2,21 +2,27 @@
 Tests for the verification and convergence-analysis utilities.
 
 verify_kkt is checked against corruption (a perturbed multiplier or state
-must push the matching residual above threshold), and its matrix-free code
-path must agree with the materialized one.  fit_order is checked on
+must push the matching residual above threshold and be located inside the
+perturbed entry's stencil), and its sparse-band evaluation must agree with a
+dense np.kron assembly of the same system.  The coefficient-invariant check
+must flag a 1e-10 relative change to any alpha.  fit_order is checked on
 synthetic data with known slope; dual_norm_bound on a hand-computable
 constant-multiplier case.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-import bdfadjoint.analysis as analysis
-from bdfadjoint import (AnalyticReference, ConvergenceTable, DiscreteAdjoints,
-                        KktResidualReport, TimeGrid, WeakAdjoint,
-                        adjoint_sweep, assemble_weak_adjoint, dual_norm_bound,
-                        fit_order, get_problem, integrate_adaptive,
-                        integrate_nonadaptive, verify_kkt)
+from bdfadjoint import (AnalyticReference, BdfCoefficients, ConvergenceTable,
+                        DiscreteAdjoints, KktResidualReport, TimeGrid,
+                        WeakAdjoint, adjoint_sweep, assemble_weak_adjoint,
+                        dual_norm_bound, fit_order, get_problem,
+                        integrate_adaptive, integrate_nonadaptive, verify_kkt)
+from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
+from bdfadjoint.bdf import stencil_table
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -24,6 +30,44 @@ CATENARY, CATENARY_REF = get_problem("catenary")
 def _tape_and_adjoints(h=0.125):
     tape = integrate_nonadaptive(CATENARY, 2, h)
     return tape, adjoint_sweep(CATENARY, tape)
+
+
+def _dense_kkt_oracle(problem, tape, adjoints):
+    """The Kronecker-assembled system: (nominal rows, adjoint rows with the
+    y_0 row first), each (rows, d)."""
+    n, d = tape.n_steps, tape.dimension
+    nodes, h, ys = tape.grid.nodes, tape.grid.stepsizes, tape.states
+    a = np.zeros((n, n))
+    start = np.zeros(n)
+    for step in range(n):
+        alphas = tape.coefficients[step].alphas
+        for i in range(min(tape.grid.orders[step], step) + 1):
+            a[step, step - i] = alphas[i]
+        if tape.grid.orders[step] >= step + 1:
+            start[step] = alphas[step + 1]
+    eye = np.eye(d)
+    f_vec = np.concatenate([h[j - 1] * problem.rhs(nodes[j], ys[j])
+                            for j in range(1, n + 1)])
+    nominal = np.kron(a, eye) @ ys[1:].reshape(-1) + np.kron(start, ys[0]) - f_vec
+    blocks = np.zeros((n * d, n * d))
+    for j in range(1, n + 1):
+        blocks[(j - 1) * d:j * d, (j - 1) * d:j * d] = (
+            h[j - 1] * problem.jacobian(nodes[j], ys[j]).T)
+    rhs = np.zeros(n * d)
+    rhs[(n - 1) * d:] = problem.criterion_gradient(ys[n])
+    lam = adjoints.lambdas
+    adjoint = (np.kron(a.T, eye) - blocks) @ lam.reshape(-1) - rhs
+    grad_row = adjoints.gradient + start @ lam
+    return nominal.reshape(n, d), np.vstack([grad_row, adjoint.reshape(n, d)])
+
+
+def _oracle_cases():
+    """Adaptive tapes up to order 6 and a k=4 tape whose self-start ramp
+    has nonzero y_0 coefficients."""
+    tapes = [integrate_adaptive(CATENARY, rtol) for rtol in (1e-6, 1e-9)]
+    tapes.append(integrate_nonadaptive(CATENARY, 4, 0.125))
+    assert max(t.grid.orders.max() for t in tapes) == 6
+    return [(tape, adjoint_sweep(CATENARY, tape)) for tape in tapes]
 
 
 class TestVerifyKkt:
@@ -43,11 +87,13 @@ class TestVerifyKkt:
     def test_detects_corrupted_multiplier(self):
         tape, adj = _tape_and_adjoints()
         bad = adj.lambdas.copy()
-        bad[5, 1] += 1e-3
+        bad[5, 1] += 1e-3      # multiplier of step 6, stencil t_{6-k}..t_6
         report = verify_kkt(CATENARY, tape, DiscreteAdjoints(
             lambdas=bad, gradient=adj.gradient))
         assert report.adjoint_residual > report.adjoint_threshold
         assert not report.passed
+        assert 6 - tape.grid.orders[5] <= report.adjoint_worst_step <= 6
+        assert report.adjoint_worst_time == tape.grid.nodes[report.adjoint_worst_step]
 
     def test_detects_corrupted_gradient(self):
         tape, adj = _tape_and_adjoints()
@@ -59,32 +105,96 @@ class TestVerifyKkt:
         tape, adj = _tape_and_adjoints()
         states = tape.states.copy()
         states[7] += 1e-5
-        import dataclasses
         bad_tape = dataclasses.replace(tape, states=states)
         report = verify_kkt(CATENARY, bad_tape, adj)
         assert report.nominal_residual > report.nominal_threshold
+        # y_7 enters the steps n whose stencil t_{n-k}..t_n holds t_7
+        steps = [n for n in range(1, tape.n_steps + 1)
+                 if n - tape.grid.orders[n - 1] <= 7 <= n]
+        assert report.nominal_worst_step in steps
+        assert report.nominal_worst_time == tape.grid.nodes[report.nominal_worst_step]
 
-    def test_matrix_free_path_agrees(self, monkeypatch):
+    def test_agrees_with_dense_oracle(self):
+        rng = np.random.default_rng(7)
+        for tape, adj in _oracle_cases():
+            report = verify_kkt(CATENARY, tape, adj)
+            nominal, adjoint = _dense_kkt_oracle(CATENARY, tape, adj)
+            # residuals at rounding level: agree to the rounding of O(10) terms
+            assert report.nominal_residual == pytest.approx(
+                np.max(np.abs(nominal)), abs=1e-13)
+            assert report.adjoint_residual == pytest.approx(
+                np.max(np.abs(adjoint)), abs=1e-13)
+            # perturbed everywhere, every row is large and the maxima and
+            # their steps must match
+            bad_tape = dataclasses.replace(
+                tape, states=tape.states + 1e-5 * rng.standard_normal(tape.states.shape))
+            bad_adj = DiscreteAdjoints(
+                lambdas=adj.lambdas + 1e-5 * rng.standard_normal(adj.lambdas.shape),
+                gradient=adj.gradient)
+            report = verify_kkt(CATENARY, bad_tape, bad_adj)
+            nominal, adjoint = _dense_kkt_oracle(CATENARY, bad_tape, bad_adj)
+            nom_rows = np.max(np.abs(nominal), axis=1)
+            adj_rows = np.max(np.abs(adjoint), axis=1)
+            assert report.nominal_residual == pytest.approx(nom_rows.max(), rel=1e-8)
+            assert report.adjoint_residual == pytest.approx(adj_rows.max(), rel=1e-8)
+            assert report.nominal_worst_step == np.argmax(nom_rows) + 1
+            assert report.adjoint_worst_step == np.argmax(adj_rows)
+
+    def test_memory_stays_linear_in_steps(self):
+        """N=4097: the dense Kronecker assembly needed about 2.2 GB."""
+        tape, adj = _tape_and_adjoints(h=2.0 ** -11)
+        assert tape.n_steps == 4097
+        tracemalloc.start()
+        try:
+            report = verify_kkt(CATENARY, tape, adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 20e6
+
+    def test_non_finite_residual_names_step(self):
         tape, adj = _tape_and_adjoints()
-        dense = verify_kkt(CATENARY, tape, adj)
-        monkeypatch.setattr(analysis, "KKT_ASSEMBLE_LIMIT", 1)
-        free = verify_kkt(CATENARY, tape, adj)
-        assert free.nominal_residual == pytest.approx(dense.nominal_residual,
-                                                      rel=1e-9, abs=1e-15)
-        assert free.adjoint_residual == pytest.approx(dense.adjoint_residual,
-                                                      rel=1e-9, abs=1e-15)
+        bad = adj.lambdas.copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(ValueError, match="adjoint_residual .* at step"):
+            verify_kkt(CATENARY, tape, DiscreteAdjoints(
+                lambdas=bad, gradient=adj.gradient))
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
             KktResidualReport(nominal_residual=-1.0, adjoint_residual=0.0,
                               initial_residual=0.0, nominal_threshold=1.0,
-                              adjoint_threshold=1.0)
+                              adjoint_threshold=1.0, nominal_worst_step=1,
+                              nominal_worst_time=0.0, adjoint_worst_step=0,
+                              adjoint_worst_time=0.0)
 
     def test_shape_mismatch_rejected(self):
         tape, adj = _tape_and_adjoints()
         with pytest.raises(ValueError):
             verify_kkt(CATENARY, tape, DiscreteAdjoints(
                 lambdas=adj.lambdas[:-1], gradient=adj.gradient))
+
+
+class TestCoefficientDefects:
+    def test_exact_tape_within_tolerance(self):
+        for tape, _ in _oracle_cases():
+            assert np.all(coefficient_defects(*stencil_table(tape)) <= COEFFICIENT_TOL)
+
+    def test_detects_relative_change_to_any_alpha(self):
+        tape = integrate_nonadaptive(CATENARY, 6, 0.125)
+        step = tape.n_steps - 1
+        alphas = tape.coefficients[step].alphas
+        assert alphas.size == 7
+        for i in range(alphas.size):
+            changed = alphas.copy()
+            changed[i] *= 1.0 + 1e-10
+            coeffs = list(tape.coefficients)
+            coeffs[step] = BdfCoefficients(order=6, alphas=changed)
+            bad = dataclasses.replace(tape, coefficients=tuple(coeffs))
+            defects = coefficient_defects(*stencil_table(bad))
+            assert defects[step] > COEFFICIENT_TOL
+            assert np.all(np.delete(defects, step) <= COEFFICIENT_TOL)
 
 
 class TestFitOrder:

@@ -7,11 +7,13 @@ tests see exactly what a shell user would.
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from bdfadjoint import BdfCoefficients, cli
 from bdfadjoint.cli import main
 
 
@@ -147,6 +149,18 @@ class TestAdjointCommand:
                    "--out", str(tmp_path / "a.json")])
         assert rc == 1
 
+    def test_nan_state_refused(self, tmp_path, capsys):
+        _, tape = _integrate(tmp_path)
+        doc = json.loads(tape.read_text())
+        doc["states"][10][0] = float("nan")
+        tape.write_text(json.dumps(doc))
+        out = tmp_path / "a.json"
+        rc = main(["adjoint", "--tape", str(tape), "--out", str(out)])
+        assert rc == 1
+        assert "residual validation" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
+
 
 class TestVerifyCommand:
     def _chain(self, tmp_path):
@@ -173,6 +187,60 @@ class TestVerifyCommand:
                    "--out", str(tmp_path / "kkt.json")])
         assert rc == 3
         assert "adjoint_residual" in capsys.readouterr().err
+
+    def test_report_names_worst_steps(self, tmp_path, capsys):
+        tape, adj = self._chain(tmp_path)
+        doc = json.loads(adj.read_text())
+        doc["lambdas"][4][1] += 1e-3    # multiplier of step 5
+        adj.write_text(json.dumps(doc))
+        report = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(report)])
+        assert rc == 3
+        worst = json.loads(report.read_text())["worst"]
+        nodes = json.loads(tape.read_text())["nodes"]
+        assert 3 <= worst["adjoint"]["step"] <= 5
+        assert worst["adjoint"]["t"] == nodes[worst["adjoint"]["step"]]
+        assert 1 <= worst["nominal"]["step"] <= len(nodes) - 1
+        assert f"worst at step {worst['adjoint']['step']}," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["tape", "adjoint"])
+    def test_nan_input_is_verification_failure(self, tmp_path, capsys, target):
+        tape, adj = self._chain(tmp_path)
+        capsys.readouterr()
+        if target == "tape":
+            doc = json.loads(tape.read_text())
+            doc["states"][10][0] = float("nan")
+            tape.write_text(json.dumps(doc))
+        else:
+            doc = json.loads(adj.read_text())
+            doc["lambdas"][10][0] = float("nan")
+            adj.write_text(json.dumps(doc))
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(tmp_path / "kkt.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed:")
+        assert err.count("\n") == 1
+
+    def test_perturbed_alpha_violates_invariants(self, tmp_path, capsys,
+                                                 monkeypatch):
+        tape, adj = self._chain(tmp_path)
+        load = cli.load_tape
+
+        def load_perturbed(path):
+            loaded = load(path)
+            coeffs = list(loaded.coefficients)
+            alphas = coeffs[20].alphas.copy()
+            alphas[2] *= 1.0 + 1e-10
+            coeffs[20] = BdfCoefficients(order=coeffs[20].order, alphas=alphas)
+            return dataclasses.replace(loaded, coefficients=tuple(coeffs))
+
+        monkeypatch.setattr(cli, "load_tape", load_perturbed)
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(tmp_path / "kkt.json")])
+        assert rc == 3
+        assert "coefficient invariants: VIOLATED" in capsys.readouterr().out
 
     def test_mismatched_pair_is_usage_error(self, tmp_path):
         tape, _ = self._chain(tmp_path)

@@ -111,8 +111,10 @@ def test_invariants_property(order, seed):
     h = nodes[-1] - nodes[-2]
     scale = np.max(np.abs(alphas))
     assert abs(alphas.sum()) <= 1e-12 * scale
-    assert abs(alphas @ nodes[::-1] - h) <= 1e-12 * max(
-        abs(h), abs(h) * np.max(np.abs(nodes)))
+    # clustered nodes give alphas near 1e5: the dot product rounds relative
+    # to sum |alpha_i t_i|, not to |h| max|t|
+    terms = alphas * nodes[::-1]
+    assert abs(terms.sum() - h) <= 1e-12 * np.sum(np.abs(terms))
 
 
 class TestValidation:
