@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import IntegrationTape, SolverError
+from .bdf import MAX_ORDER, IntegrationTape, SolverError
 
 __all__ = [
     "DiscreteAdjoints",
@@ -75,7 +75,7 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
 
     for j in range(n_steps, 0, -1):
         step = j - 1
-        alphas = tape.coefficients[step].alphas
+        alphas = tape.grid.alphas[step]
         fy = problem.jacobian(nodes[j], tape.states[j])
         mat = alphas[0] * eye - h[step] * fy.T
         try:
@@ -89,24 +89,25 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
         for i in range(1, tape.grid.orders[step] + 1):
             rhs[j - i] -= alphas[i] * lam
 
-    adjoints = DiscreteAdjoints(lambdas=lambdas[1:], gradient=np.zeros(d))
-    gradient = gradient_wrt_initial(tape, adjoints)
-    return DiscreteAdjoints(lambdas=lambdas[1:], gradient=gradient)
+    return DiscreteAdjoints(lambdas=lambdas[1:],
+                            gradient=gradient_wrt_initial(tape, lambdas[1:]))
 
 
-def gradient_wrt_initial(tape: IntegrationTape, adjoints: DiscreteAdjoints) -> np.ndarray:
-    """Exact derivative of J(y_N) with respect to the initial state.
+def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:
+    """Exact derivative of J(y_N) with respect to the initial state, from the
+    (N, d) multipliers lambda_1..lambda_N.
 
     l = - sum over the steps whose stencil reaches back to y_0 (exactly the
-    self-start steps with k_n = n+1) of alpha_{n+1}^(n) * lambda_{n+1}.
+    self-start steps with k_n = n+1) of alpha_{n+1}^(n) * lambda_{n+1},
+    summed in ascending n.
     """
-    if adjoints.lambdas.shape != (tape.n_steps, tape.dimension):
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.shape != (tape.n_steps, tape.dimension):
         raise ValueError("adjoints do not match the tape")
     grad = np.zeros(tape.dimension)
-    for n in range(tape.n_steps):
-        k = tape.grid.orders[n]
-        if k >= n + 1:
-            grad -= tape.coefficients[n].alphas[n + 1] * adjoints.lambdas[n]
+    for n in range(min(tape.n_steps, MAX_ORDER)):
+        if tape.grid.orders[n] >= n + 1:
+            grad -= tape.grid.alphas[n, n + 1] * lambdas[n]
     return grad
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import DiscreteAdjoints, WeakAdjoint
+from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
 from .bdf import IntegrationTape, coefficient_band, step_residuals
 
 __all__ = [
@@ -76,8 +76,9 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
     operators act as (A (x) I) vec(Y) = vec(A Y), so no block matrix is
     formed.  nominal_residual is the max-norm of A Y + c y_0 - h F.
     adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
-    together with the y_0 row l + c^T L; the Jacobians enter only through
-    these per-step products.
+    together with the y_0 row l + c^T L, evaluated as the stored gradient l
+    minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
+    per-step products.
     """
     n = tape.n_steps
     d = tape.dimension
@@ -85,16 +86,16 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
         raise ValueError(
             f"adjoints have shape {adjoints.lambdas.shape}, tape expects {(n, d)}"
         )
-    a, start = band = coefficient_band(tape)
+    band = coefficient_band(tape)
     nodes = tape.grid.nodes
     lam = adjoints.lambdas
     nominal_row, nominal = _worst_row(step_residuals(problem, tape, band))
 
     jt_lam = np.array([problem.jacobian(t, y).T @ l
                        for t, y, l in zip(nodes[1:], tape.states[1:], lam)])
-    adj_rows = a.T @ lam - tape.grid.stepsizes[:, None] * jt_lam
+    adj_rows = band[0].T @ lam - tape.grid.stepsizes[:, None] * jt_lam
     adj_rows[-1] -= problem.criterion_gradient(tape.states[n])
-    grad_row = adjoints.gradient + start @ lam
+    grad_row = adjoints.gradient - gradient_wrt_initial(tape, lam)
     adjoint_step, adjoint_res = _worst_row(np.vstack([grad_row, adj_rows]))
 
     return KktResidualReport(

@@ -9,13 +9,15 @@ Lagrange basis over the step's stencil.  Each implicit step is solved by a
 Newton iteration with matrix alpha_0 * I - h_n * f_y.  Completed runs are
 recorded on an immutable :class:`IntegrationTape` that carries everything a
 backward (adjoint) sweep or an exact re-run needs: nodes, stepsizes, orders,
-states, per-step coefficients and Newton statistics.
+states and Newton statistics.  The coefficients are not stored: they are a
+function of the grid, derived once by :attr:`TimeGrid.alphas`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,7 +27,6 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 __all__ = [
     "MAX_ORDER",
     "SolverError",
-    "BdfCoefficients",
     "TimeGrid",
     "IntegrationTape",
     "NewtonResult",
@@ -58,7 +59,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Lagrange basis helpers (shared by coefficients, predictor and dense output)
+# Lagrange basis helpers (predictor and dense output) and the coefficients
 # ---------------------------------------------------------------------------
 
 def _lagrange_values(nodes, x):
@@ -78,47 +79,15 @@ def _lagrange_values(nodes, x):
     return vals
 
 
-def _lagrange_derivatives(nodes, x):
-    """Derivatives Ldot_i(x), via the product-rule sum over the basis factors."""
-    nodes = np.asarray(nodes, dtype=float)
-    m = nodes.size
-    ders = np.empty(m)
-    for i in range(m):
-        den = 1.0
-        for j in range(m):
-            if j != i:
-                den *= nodes[i] - nodes[j]
-        total = 0.0
-        for ell in range(m):
-            if ell == i:
-                continue
-            term = 1.0
-            for j in range(m):
-                if j == i or j == ell:
-                    continue
-                term *= x - nodes[j]
-            total += term
-        ders[i] = total / den
-    return ders
-
-
-@dataclass(frozen=True)
-class BdfCoefficients:
-    """BDF step coefficients alpha_0..alpha_k for one step of order k."""
-
-    order: int
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
-
-
-def compute_coefficients(nodes, order: int) -> BdfCoefficients:
-    """BDF coefficients for the stencil t_{n+1-k}..t_{n+1} (ascending).
+def compute_coefficients(nodes, order: int) -> np.ndarray:
+    """BDF coefficients alpha_0..alpha_k (newest node first) for the stencil
+    t_{n+1-k}..t_{n+1} (ascending).
 
     alpha_i = h_n * Ldot_i(t_{n+1}) where L_i interpolates at t_{n+1-i} and
-    h_n = t_{n+1} - t_n.  The returned alphas are ordered alpha_0..alpha_k,
-    i.e. newest node first.
+    h_n = t_{n+1} - t_n.  At x = t_{n+1}, every product-rule term of Ldot_i
+    that keeps the factor (x - t_{n+1}) vanishes.  For i >= 1 one term is
+    left, and Ldot_0 is a sum of k terms, so the cost is O(k^2).  Factors are
+    multiplied in ascending node order, as in the full product-rule sum.
     """
     nodes = np.asarray(nodes, dtype=float)
     if not isinstance(order, (int, np.integer)):
@@ -130,13 +99,33 @@ def compute_coefficients(nodes, order: int) -> BdfCoefficients:
         raise ValueError(
             f"stencil for order {order} needs {order + 1} nodes, got {nodes.shape}"
         )
-    if np.any(np.diff(nodes) <= 0.0):
+    t = nodes.tolist()
+    if any(b <= a for a, b in zip(t, t[1:])):
         raise ValueError("stencil nodes must be strictly increasing")
-    h = nodes[-1] - nodes[-2]
-    # _lagrange_derivatives orders basis functions by ascending node; alpha_i
-    # belongs to t_{n+1-i}, so reverse.
-    alphas = h * _lagrange_derivatives(nodes, nodes[-1])[::-1]
-    return BdfCoefficients(order=order, alphas=alphas)
+    x = t[-1]
+    gaps = [x - tj for tj in t[:-1]]     # x - t_j for j < k; zero at j = k
+    ders = []                            # Ldot_j(x), ascending node t_j
+    for i in range(order):
+        num = den = 1.0
+        for j, tj in enumerate(t):
+            if j != i:
+                den *= t[i] - tj
+                if j < order:
+                    num *= gaps[j]
+        ders.append(num / den)
+    total = 0.0
+    for ell in range(order):
+        term = 1.0
+        for j in range(order):
+            if j != ell:
+                term *= gaps[j]
+        total += term
+    den = 1.0
+    for gap in gaps:
+        den *= gap
+    ders.append(total / den)
+    h = x - t[-2]
+    return np.array([h * der for der in reversed(ders)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +165,16 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.nodes.size - 1
 
+    @cached_property
+    def alphas(self) -> np.ndarray:
+        """(N, MAX_ORDER + 1) read-only table, derived on first use: row n
+        holds alpha_0..alpha_k of step n, newest first, zero past order k."""
+        table = np.zeros((self.n_steps, MAX_ORDER + 1))
+        for n, k in enumerate(self.orders.tolist()):
+            table[n, :k + 1] = compute_coefficients(self.nodes[n + 1 - k:n + 2], k)
+        table.flags.writeable = False
+        return table
+
 
 @dataclass(frozen=True)
 class IntegrationTape:
@@ -187,7 +186,6 @@ class IntegrationTape:
     mode: str
     grid: TimeGrid
     states: np.ndarray                       # (N+1, d)
-    coefficients: tuple                      # N BdfCoefficients
     newton_iterations: np.ndarray            # (N,)
     newton_residuals: np.ndarray             # (N,)
     newton_tolerances: np.ndarray            # (N,)
@@ -201,15 +199,16 @@ class IntegrationTape:
             raise ValueError(
                 f"states have shape {states.shape}, expected {(n + 1, self.dimension)}"
             )
-        if len(self.coefficients) != n:
-            raise ValueError("need exactly one coefficient set per step")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "newton_iterations",
-                           np.asarray(self.newton_iterations, dtype=int))
-        object.__setattr__(self, "newton_residuals",
-                           np.asarray(self.newton_residuals, dtype=float))
-        object.__setattr__(self, "newton_tolerances",
-                           np.asarray(self.newton_tolerances, dtype=float))
+        per_step = {"newton_iterations": int, "newton_residuals": float,
+                    "newton_tolerances": float}
+        if self.error_estimates is not None:
+            per_step["error_estimates"] = float
+        for name, dtype in per_step.items():
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.shape != (n,):
+                raise ValueError(f"{name} has shape {value.shape}, expected ({n},)")
+            object.__setattr__(self, name, value)
 
     @property
     def n_steps(self) -> int:
@@ -223,12 +222,9 @@ class IntegrationTape:
 def stencil_table(tape):
     """(alphas, nodes), each (N, MAX_ORDER + 1): row n holds alpha_0..alpha_k
     and t_{n+1}..t_{n+1-k} of step n, newest first, zero past its order k."""
-    alphas = np.zeros((tape.n_steps, MAX_ORDER + 1))
-    for n, c in enumerate(tape.coefficients):
-        alphas[n, :c.alphas.size] = c.alphas
     idx = np.arange(1, tape.n_steps + 1)[:, None] - _LAGS
     inside = _LAGS <= tape.grid.orders[:, None]
-    return alphas, np.where(inside, tape.grid.nodes[np.maximum(idx, 0)], 0.0)
+    return tape.grid.alphas, np.where(inside, tape.grid.nodes[np.maximum(idx, 0)], 0.0)
 
 
 def coefficient_band(tape):
@@ -236,7 +232,7 @@ def coefficient_band(tape):
     for the row-major states Y = states[1:].  A is the N x N lower-triangular
     CSR band with alpha_i^(n) at (n, n - i); c is nonzero only in the
     self-start rows, whose stencil reaches y_0."""
-    alphas, _ = stencil_table(tape)
+    alphas = tape.grid.alphas
     rows = np.broadcast_to(np.arange(tape.n_steps)[:, None], alphas.shape)
     cols = rows - _LAGS
     inside = (alphas != 0.0) & (cols >= 0)
@@ -363,16 +359,16 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     )
 
 
-def newton_bdf_step(problem, history, coefficients: BdfCoefficients, t_next,
-                    h, predictor, tol: float = NEWTON_TOL_NONADAPTIVE) -> NewtonResult:
+def newton_bdf_step(problem, history, alphas, t_next, h, predictor,
+                    tol: float = NEWTON_TOL_NONADAPTIVE) -> NewtonResult:
     """One implicit BDF step, solved to the given absolute residual tolerance.
 
     Parameters
     ----------
     history : sequence of arrays
         The k prior states, newest first: y_n, y_{n-1}, ..., y_{n+1-k}.
-    coefficients : BdfCoefficients
-        Coefficients of the step (see :func:`compute_coefficients`).
+    alphas : array
+        alpha_0..alpha_k of the step (see :func:`compute_coefficients`).
     predictor : array
         Start iterate for the Newton iteration.
 
@@ -382,14 +378,14 @@ def newton_bdf_step(problem, history, coefficients: BdfCoefficients, t_next,
     max-norm residual.  Non-convergence and singular iteration matrices
     raise SolverError.
     """
-    if len(history) < coefficients.order:
+    alphas = np.asarray(alphas, dtype=float)
+    order = alphas.size - 1
+    if len(history) < order:
         raise ValueError(
-            f"order {coefficients.order} needs {coefficients.order} prior states, "
-            f"got {len(history)}"
+            f"order {order} needs {order} prior states, got {len(history)}"
         )
     try:
-        return _newton_iterate(problem, float(t_next), float(h),
-                               coefficients.alphas, history,
+        return _newton_iterate(problem, float(t_next), float(h), alphas, history,
                                np.asarray(predictor, dtype=float),
                                float(tol), _FactorCache())
     except _StepFailure as exc:
@@ -512,7 +508,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     d = problem.dimension
     states = np.empty((n_steps + 1, d))
     states[0] = problem.initial_state
-    coeffs = []
     iters = np.zeros(n_steps, dtype=int)
     resid = np.zeros(n_steps)
     tols = np.full(n_steps, NEWTON_TOL_NONADAPTIVE)
@@ -521,13 +516,12 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     for n in range(n_steps):
         kn = orders[n]
         stencil = nodes[n + 1 - kn:n + 2]
-        c = compute_coefficients(stencil, int(kn))
-        coeffs.append(c)
+        alphas = compute_coefficients(stencil, int(kn))
         predictor = _predict(nodes, states, orders, n, nodes[n + 1])
         history = [states[n - i] for i in range(kn)]
         try:
             res = _newton_iterate(problem, nodes[n + 1], nodes[n + 1] - nodes[n],
-                                  c.alphas, history, predictor,
+                                  alphas, history, predictor,
                                   NEWTON_TOL_NONADAPTIVE, cache)
         except _StepFailure as exc:
             raise SolverError(f"step {n} failed: {exc}") from exc
@@ -543,7 +537,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         mode="nonadaptive",
         grid=grid,
         states=states,
-        coefficients=tuple(coeffs),
         newton_iterations=iters,
         newton_residuals=resid,
         newton_tolerances=tols,
@@ -590,7 +583,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     nodes = [t0]
     states = [np.array(problem.initial_state, dtype=float)]
     orders = []
-    coeffs = []
     iters = []
     resid = []
     tols = []
@@ -612,13 +604,13 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         h_eff = t_new - t
 
         stencil = np.append(nodes[n + 1 - k:n + 1], t_new)
-        c = compute_coefficients(stencil, k)
+        alphas = compute_coefficients(stencil, k)
         predictor = _predict(nodes, states, orders, n, t_new)
         tol_newton = _adaptive_newton_tol(rtol, h_eff,
                                           np.linalg.norm(predictor, 2))
         history = [states[n - i] for i in range(k)]
         try:
-            res = _newton_iterate(problem, t_new, h_eff, c.alphas, history,
+            res = _newton_iterate(problem, t_new, h_eff, alphas, history,
                                   predictor, tol_newton, cache)
         except _StepFailure:
             h = h_eff / 2.0
@@ -646,7 +638,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         nodes.append(t_new)
         states.append(res.y)
         orders.append(k)
-        coeffs.append(c)
         iters.append(res.iterations)
         resid.append(res.residual)
         tols.append(tol_newton)
@@ -696,7 +687,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         mode="adaptive",
         grid=grid,
         states=np.array(states),
-        coefficients=tuple(coeffs),
         newton_iterations=np.array(iters, dtype=int),
         newton_residuals=np.array(resid),
         newton_tolerances=np.array(tols),
@@ -769,7 +759,7 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
     eye = np.eye(d)
     for n in range(tape.n_steps):
         k = orders[n]
-        alphas = tape.coefficients[n].alphas
+        alphas = tape.grid.alphas[n]
         t_new = nodes[n + 1]
         h = t_new - nodes[n]
         y = _predict(nodes, states, orders, n, t_new)

@@ -97,32 +97,26 @@ class _Settings:
             raise _UsageError(f"config key {key}: {exc}") from exc
 
 
+# Problem parameters by registry name, with the cast of their config-file
+# strings; the defaults of the ones not given live in the registry.
+_PARAM_CASTS = {
+    "catenary": {"p": float, "A": float, "tf": float},
+    "linear": {"a": _parse_matrix, "y0": _parse_vector, "t0": float,
+               "tf": float, "c": _parse_vector},
+}
+
+
 def _build_problem(settings):
     name = settings.get("problem", default="catenary")
-    tf = settings.get("tf", cast=float)
-    if name == "catenary":
-        params = {
-            "p": settings.get("p", default=3.0, cast=float),
-            "A": settings.get("A", default=-3.0, cast=float),
-            "tf": 2.0 if tf is None else tf,
-        }
-    elif name == "linear":
-        params = {
-            "a": settings.get("a", default=[[0.0, 1.0], [0.0, 0.0]], cast=_parse_matrix),
-            "y0": settings.get("y0", default=[1.0, 1.0], cast=_parse_vector),
-            "t0": settings.get("t0", default=0.0, cast=float),
-            "tf": 1.0 if tf is None else tf,
-        }
-        c = settings.get("c", cast=_parse_vector)
-        if c is not None:
-            params["c"] = c
-    else:
-        raise _UsageError(f"unknown problem {name!r} (available: catenary, linear)")
+    params = {}
+    for key, cast in _PARAM_CASTS.get(name, {}).items():
+        value = settings.get(key, cast=cast)
+        if value is not None:
+            params[key] = value
     try:
-        problem, reference = get_problem(name, **params)
+        return get_problem(name, **params)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    return problem, reference
 
 
 def _integration_setup(settings):

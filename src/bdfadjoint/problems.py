@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 __all__ = [
@@ -274,6 +273,8 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         return expm(a.T * (t_f - t)) @ c
 
     def weak_adjoint(t):
+        from scipy.integrate import quad   # slow import, needed only here
+
         out = np.empty(d)
         for j in range(d):
             val, _ = quad(lambda tau: classical_adjoint(tau)[j], t_s, t,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint
 from .analysis import ConvergenceTable, KktResidualReport
-from .bdf import IntegrationTape, TimeGrid, compute_coefficients
+from .bdf import IntegrationTape, TimeGrid
 
 __all__ = [
     "FORMAT_VERSION",
@@ -85,32 +85,23 @@ def save_tape(tape: IntegrationTape, path) -> None:
 
 
 def load_tape(path) -> IntegrationTape:
-    """Rebuild a tape from JSON; per-step coefficients are recomputed from the
-    nodes and orders (bit-identical, since the nodes round-trip exactly)."""
+    """Rebuild a tape from JSON.  The coefficients are derived from the nodes
+    and orders on first use (bit-identical, since the nodes round-trip
+    exactly)."""
     doc = _load_checked(path, TAPE_FORMAT)
-    grid = TimeGrid(nodes=np.array(doc["nodes"], dtype=float),
-                    orders=np.array(doc["orders"], dtype=int))
-    if grid.n_steps == 0:
-        raise ValueError(f"{path}: empty tape")
-    coeffs = tuple(
-        compute_coefficients(grid.nodes[n + 1 - grid.orders[n]:n + 2],
-                             int(grid.orders[n]))
-        for n in range(grid.n_steps)
-    )
     newton = doc["newton"]
-    est = doc.get("error_estimates")
+    # TimeGrid and IntegrationTape convert and shape-check the lists
     return IntegrationTape(
         problem_name=doc["problem"]["name"],
         problem_params=doc["problem"]["params"],
         dimension=int(doc["problem"]["dimension"]),
         mode=doc["mode"],
-        grid=grid,
-        states=np.array(doc["states"], dtype=float),
-        coefficients=coeffs,
-        newton_iterations=np.array(newton["iterations"], dtype=int),
-        newton_residuals=np.array(newton["residuals"], dtype=float),
-        newton_tolerances=np.array(newton["tolerances"], dtype=float),
-        error_estimates=None if est is None else np.array(est, dtype=float),
+        grid=TimeGrid(nodes=doc["nodes"], orders=doc["orders"]),
+        states=doc["states"],
+        newton_iterations=newton["iterations"],
+        newton_residuals=newton["residuals"],
+        newton_tolerances=newton["tolerances"],
+        error_estimates=doc.get("error_estimates"),
         driver_params=doc.get("driver_params", {}),
     )
 

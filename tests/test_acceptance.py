@@ -198,11 +198,11 @@ def test_criterion_9_coefficient_properties(acceptance_log):
         order = int(rng.integers(1, 7))
         gaps = rng.uniform(1e-3, 10.0, size=order + 1)
         nodes = np.cumsum(gaps) - gaps[0] + rng.uniform(-10.0, 10.0)
-        alphas[row, :order + 1] = compute_coefficients(nodes, order).alphas
+        alphas[row, :order + 1] = compute_coefficients(nodes, order)
         stencils[row, :order + 1] = nodes[::-1]
     worst = float(np.max(coefficient_defects(alphas, stencils)))
-    bdf1 = compute_coefficients(np.array([0.0, 1.0]), 1).alphas
-    bdf2 = compute_coefficients(np.array([0.0, 1.0, 2.0]), 2).alphas
+    bdf1 = compute_coefficients(np.array([0.0, 1.0]), 1)
+    bdf2 = compute_coefficients(np.array([0.0, 1.0, 2.0]), 2)
     closed = max(np.max(np.abs(bdf1 - [1.0, -1.0])),
                  np.max(np.abs(bdf2 - [1.5, -2.0, 0.5])))
     ok = worst <= 1e-12 and closed <= 1e-14

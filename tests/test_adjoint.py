@@ -103,7 +103,7 @@ class TestExactDerivative:
     def test_standalone_gradient_matches_sweep(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.125)
         adj = adjoint_sweep(CATENARY, tape)
-        np.testing.assert_array_equal(gradient_wrt_initial(tape, adj),
+        np.testing.assert_array_equal(gradient_wrt_initial(tape, adj.lambdas),
                                       adj.gradient)
 
 
@@ -156,4 +156,4 @@ class TestValidation:
         other = integrate_nonadaptive(CATENARY, 2, 0.125)
         adj_other = adjoint_sweep(CATENARY, other)
         with pytest.raises(ValueError):
-            gradient_wrt_initial(tape, adj_other)
+            gradient_wrt_initial(tape, adj_other.lambdas)

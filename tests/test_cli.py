@@ -7,13 +7,17 @@ tests see exactly what a shell user would.
 """
 
 import csv
-import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bdfadjoint import BdfCoefficients, cli
+from bdfadjoint import bdf, get_problem, load_tape
+from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
 from bdfadjoint.cli import main
 
 
@@ -78,6 +82,45 @@ class TestIntegrate:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--frobnicate", "1"])
         assert rc == 1
+
+    def test_catenary_defaults_come_from_registry(self, tmp_path):
+        """No problem flags: the same tape bytes as the registry's defaults
+        spelled out as flags."""
+        params = get_problem("catenary")[0].params
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        run = ["integrate", "--order", "2", "--h", "0.125"]
+        assert main([*run, "--out", str(implicit)]) == 0
+        spelled = [f"--{key}={value!r}" for key, value in params.items()]
+        assert main([*run, "--problem", "catenary", *spelled,
+                     "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+    def test_linear_defaults_come_from_registry(self, tmp_path):
+        """A config naming only the problem writes the same tape bytes as one
+        spelling out every registry default."""
+        def fmt(values):
+            return " ".join(repr(float(v)) for v in np.ravel(values))
+
+        params = get_problem("linear")[0].params
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        run = ["integrate", "--order", "2", "--h", "0.125"]
+        cfg = _write_config(tmp_path, "problem = linear")
+        assert main([*run, "--config", str(cfg), "--out", str(implicit)]) == 0
+        lines = ["a = " + "; ".join(fmt(row) for row in params["a"]),
+                 *(f"{key} = {fmt(params[key])}" for key in ("y0", "t0", "tf", "c"))]
+        cfg = _write_config(tmp_path, "problem = linear", *lines)
+        assert main([*run, "--config", str(cfg), "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+    def test_import_leaves_quadrature_unloaded(self):
+        """scipy.integrate serves only the linear reference's weak adjoint,
+        so importing the CLI must not pay for it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys, bdfadjoint.cli; "
+                "assert 'scipy.integrate' not in sys.modules, 'loaded'")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -148,6 +191,32 @@ class TestAdjointCommand:
         rc = main(["adjoint", "--tape", str(tape), "--problem", "linear",
                    "--out", str(tmp_path / "a.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("field", ["tolerances", "iterations", "residuals",
+                                       "error_estimates"])
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_malformed_per_step_record_refused(self, tmp_path, capsys, field,
+                                               stage):
+        """A per-step array of the wrong length is a usage error at load, not
+        a traceback or a pass."""
+        _, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        doc = json.loads(tape.read_text())
+        if field == "error_estimates":
+            doc[field] = [1e-9, 1e-9]
+        else:
+            doc["newton"][field] = doc["newton"][field][:-3]
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
+                "verify": ["verify", "--tape", str(tape), "--adjoint-file",
+                           str(adj), "--out", str(out)]}[stage]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load tape:") and field in err
+        assert not out.exists()
 
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
@@ -225,18 +294,21 @@ class TestVerifyCommand:
 
     def test_perturbed_alpha_violates_invariants(self, tmp_path, capsys,
                                                  monkeypatch):
+        """Row 20 of the grid's derived alpha table, as verify derives it
+        from the loaded nodes, is off by a relative 1e-10 in alpha_2."""
         tape, adj = self._chain(tmp_path)
-        load = cli.load_tape
+        t_21 = json.loads(tape.read_text())["nodes"][21]
+        exact = bdf.compute_coefficients
 
-        def load_perturbed(path):
-            loaded = load(path)
-            coeffs = list(loaded.coefficients)
-            alphas = coeffs[20].alphas.copy()
-            alphas[2] *= 1.0 + 1e-10
-            coeffs[20] = BdfCoefficients(order=coeffs[20].order, alphas=alphas)
-            return dataclasses.replace(loaded, coefficients=tuple(coeffs))
+        def perturbed(nodes, order):
+            alphas = exact(nodes, order)
+            if nodes[-1] == t_21:
+                alphas[2] *= 1.0 + 1e-10
+            return alphas
 
-        monkeypatch.setattr(cli, "load_tape", load_perturbed)
+        monkeypatch.setattr(bdf, "compute_coefficients", perturbed)
+        defects = coefficient_defects(*bdf.stencil_table(load_tape(tape)))
+        assert np.flatnonzero(defects > COEFFICIENT_TOL).tolist() == [20]
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(tmp_path / "kkt.json")])
         assert rc == 3

@@ -32,7 +32,7 @@ class TestUniformTables:
         """Uniform-grid coefficients match the classical BDF tables."""
         nodes = np.arange(order + 1, dtype=float)
         coeffs = compute_coefficients(nodes, order)
-        np.testing.assert_allclose(coeffs.alphas, UNIFORM_TABLES[order],
+        np.testing.assert_allclose(coeffs, UNIFORM_TABLES[order],
                                    rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("order", sorted(UNIFORM_TABLES))
@@ -40,7 +40,7 @@ class TestUniformTables:
         """Scaling all nodes by s leaves the alphas unchanged (h-normalized)."""
         nodes = 0.37 * np.arange(order + 1, dtype=float) + 1.2
         coeffs = compute_coefficients(nodes, order)
-        np.testing.assert_allclose(coeffs.alphas, UNIFORM_TABLES[order],
+        np.testing.assert_allclose(coeffs, UNIFORM_TABLES[order],
                                    rtol=1e-13, atol=1e-13)
 
 
@@ -48,13 +48,13 @@ class TestNonuniform:
     def test_two_step_stencil_0_1_3(self):
         """Hand-derived alphas for k=2 on nodes {0, 1, 3} (h = 2)."""
         coeffs = compute_coefficients(np.array([0.0, 1.0, 3.0]), 2)
-        np.testing.assert_allclose(coeffs.alphas, [5 / 3, -3.0, 4 / 3],
+        np.testing.assert_allclose(coeffs, [5 / 3, -3.0, 4 / 3],
                                    rtol=0, atol=1e-14)
 
     def test_reduces_to_backward_euler(self):
         """Order 1 on any stencil is plain backward Euler: [1, -1]."""
         coeffs = compute_coefficients(np.array([0.3, 1.9]), 1)
-        np.testing.assert_allclose(coeffs.alphas, [1.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(coeffs, [1.0, -1.0], atol=1e-15)
 
 
 class TestInvariants:
@@ -67,14 +67,14 @@ class TestInvariants:
     @pytest.mark.parametrize("order", range(1, 7))
     def test_zero_sum(self, order):
         nodes = self._random_nodes(order)
-        alphas = compute_coefficients(nodes, order).alphas
+        alphas = compute_coefficients(nodes, order)
         assert abs(alphas.sum()) <= 1e-12 * np.max(np.abs(alphas))
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_identity_interpolant(self, order):
         """sum_i alpha_i * t_{n+1-i} = h_n (exactness on y(t) = t)."""
         nodes = self._random_nodes(order)
-        alphas = compute_coefficients(nodes, order).alphas
+        alphas = compute_coefficients(nodes, order)
         h = nodes[-1] - nodes[-2]
         lhs = alphas @ nodes[::-1]
         assert abs(lhs - h) <= 1e-12 * max(abs(h), abs(h) * np.max(np.abs(nodes)))
@@ -82,13 +82,13 @@ class TestInvariants:
     @pytest.mark.parametrize("order", range(1, 7))
     def test_leading_coefficient_positive(self, order):
         nodes = self._random_nodes(order)
-        assert compute_coefficients(nodes, order).alphas[0] > 0.0
+        assert compute_coefficients(nodes, order)[0] > 0.0
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_polynomial_exactness(self, order):
         """The formula differentiates polynomials up to degree k exactly."""
         nodes = self._random_nodes(order)
-        alphas = compute_coefficients(nodes, order).alphas
+        alphas = compute_coefficients(nodes, order)
         h = nodes[-1] - nodes[-2]
         for deg in range(order + 1):
             lhs = alphas @ (nodes[::-1] ** deg)
@@ -107,7 +107,7 @@ def test_invariants_property(order, seed):
     rng = np.random.default_rng(seed)
     gaps = rng.uniform(1e-3, 10.0, size=order + 1)
     nodes = np.cumsum(gaps) - gaps[0] + rng.uniform(-100, 100)
-    alphas = compute_coefficients(nodes, order).alphas
+    alphas = compute_coefficients(nodes, order)
     h = nodes[-1] - nodes[-2]
     scale = np.max(np.abs(alphas))
     assert abs(alphas.sum()) <= 1e-12 * scale
@@ -115,6 +115,54 @@ def test_invariants_property(order, seed):
     # to sum |alpha_i t_i|, not to |h| max|t|
     terms = alphas * nodes[::-1]
     assert abs(terms.sum() - h) <= 1e-12 * np.sum(np.abs(terms))
+
+
+def _product_rule_alphas(nodes):
+    """Oracle: alpha_i = h * Ldot_i(t_{n+1}) by the full product-rule sum,
+    O(k^3), every factor multiplied in ascending node order."""
+    m = nodes.size
+    x = nodes[-1]
+    ders = np.empty(m)
+    for i in range(m):
+        den = 1.0
+        for j in range(m):
+            if j != i:
+                den *= nodes[i] - nodes[j]
+        total = 0.0
+        for ell in range(m):
+            if ell == i:
+                continue
+            term = 1.0
+            for j in range(m):
+                if j == i or j == ell:
+                    continue
+                term *= x - nodes[j]
+            total += term
+        ders[i] = total / den
+    return (nodes[-1] - nodes[-2]) * ders[::-1]
+
+
+def test_matches_product_rule_oracle_bitwise():
+    """The O(k^2) kernel returns the oracle's alphas bit for bit: spread,
+    clustered (alphas beyond 1e5) and far-offset stencils of orders 1-6."""
+    rng = np.random.default_rng(2024)
+    large = 0
+    for trial in range(1800):
+        order = trial % 6 + 1
+        kind = trial // 6 % 3
+        if kind == 0:
+            gaps = rng.uniform(1e-3, 10.0, size=order + 1)
+        elif kind == 1:
+            gaps = rng.uniform(1e-6, 1e-5, size=order + 1)
+            gaps[rng.integers(order + 1)] *= 1e4
+        else:
+            gaps = rng.uniform(0.1, 2.0, size=order + 1)
+        offset = rng.uniform(-1e4, 1e4) if kind == 2 else rng.uniform(-100, 100)
+        nodes = np.cumsum(gaps) - gaps[0] + offset
+        alphas = compute_coefficients(nodes, order)
+        np.testing.assert_array_equal(alphas, _product_rule_alphas(nodes))
+        large += np.max(np.abs(alphas)) > 1e4
+    assert large >= 50    # the clustered draws reach large alphas
 
 
 class TestValidation:

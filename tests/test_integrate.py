@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from bdfadjoint import (SolverError, compute_coefficients, get_problem,
-                        integrate_nonadaptive, linear_test_problem,
-                        newton_bdf_step)
+                        integrate_adaptive, integrate_nonadaptive,
+                        linear_test_problem, newton_bdf_step)
+from bdfadjoint.bdf import MAX_ORDER
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -133,16 +134,24 @@ class TestTapeRecord:
         assert tape.driver_params == {"order": 2, "h": 0.25}
         np.testing.assert_array_equal(tape.states[0], CATENARY.initial_state)
         assert np.all(tape.newton_residuals <= tape.newton_tolerances)
-        assert len(tape.coefficients) == tape.n_steps
+        assert tape.grid.alphas.shape == (tape.n_steps, MAX_ORDER + 1)
         assert tape.newton_iterations.shape == (tape.n_steps,)
 
     def test_recorded_coefficients_match_grid(self):
-        tape = integrate_nonadaptive(CATENARY, 3, 0.25)
-        for n in range(tape.n_steps):
-            k = tape.grid.orders[n]
-            expect = compute_coefficients(tape.grid.nodes[n + 1 - k:n + 2], k)
-            np.testing.assert_array_equal(tape.coefficients[n].alphas,
-                                          expect.alphas)
+        """The grid's derived table holds each step's kernel output, newest
+        first and zero past the step's order; it is derived once, read-only."""
+        for tape in (integrate_nonadaptive(CATENARY, 3, 0.25),
+                     integrate_adaptive(CATENARY, 1e-9)):
+            table = tape.grid.alphas
+            for n in range(tape.n_steps):
+                k = tape.grid.orders[n]
+                expect = compute_coefficients(tape.grid.nodes[n + 1 - k:n + 2], k)
+                np.testing.assert_array_equal(table[n, :k + 1], expect)
+                assert not np.any(table[n, k + 1:])
+            assert tape.grid.alphas is table
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+        assert tape.grid.orders.max() == MAX_ORDER
 
 
 class TestValidation:

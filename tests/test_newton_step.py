@@ -57,7 +57,7 @@ class TestTwoStep:
         problem = _scalar_problem(a)
         y0, y1 = 1.0, 1.0 / (1.0 - h * a)
         coeffs = compute_coefficients(np.array([0.0, h, 2 * h]), 2)
-        al = coeffs.alphas
+        al = coeffs
         res = newton_bdf_step(problem, [np.array([y1]), np.array([y0])],
                               coeffs, 2 * h, h, predictor=np.array([y1]))
         expect = -(al[1] * y1 + al[2] * y0) / (al[0] - h * a)
@@ -72,7 +72,7 @@ class TestTwoStep:
         history = [ref.nominal(h), ref.nominal(0.0)]
         res = newton_bdf_step(problem, history, coeffs, 2 * h, h,
                               predictor=ref.nominal(2 * h))
-        al = coeffs.alphas
+        al = coeffs
         r = (al[0] * res.y + al[1] * history[0] + al[2] * history[1]
              - h * problem.rhs(2 * h, res.y))
         assert np.max(np.abs(r)) <= 1e-12

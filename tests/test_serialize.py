@@ -12,7 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint, get_problem,
+from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
+                        compute_coefficients, get_problem,
                         integrate_adaptive, integrate_nonadaptive,
                         load_adjoint_results, load_tape, save_adjoint_results,
                         save_kkt_report, save_tape, verify_kkt)
@@ -43,15 +44,19 @@ class TestTapeRoundTrip:
         assert back.driver_params == tape.driver_params
 
     def test_coefficients_recomputed(self, tape, tmp_path):
-        """Coefficients are derived data: recomputed on load, not stored."""
+        """Coefficients are derived data: not stored, and the loaded grid's
+        table is the kernel's output on the loaded nodes."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         raw = json.loads(path.read_text())
         assert "coefficients" not in raw
         assert "alphas" not in json.dumps(raw)
-        back = load_tape(path)
-        for c_old, c_new in zip(tape.coefficients, back.coefficients):
-            np.testing.assert_array_equal(c_old.alphas, c_new.alphas)
+        grid = load_tape(path).grid
+        for n, k in enumerate(grid.orders):
+            np.testing.assert_array_equal(
+                grid.alphas[n, :k + 1],
+                compute_coefficients(grid.nodes[n + 1 - k:n + 2], k))
+        np.testing.assert_array_equal(grid.alphas, tape.grid.alphas)
 
     def test_adaptive_round_trip(self, tmp_path):
         tape = integrate_adaptive(CATENARY, 1e-6)
