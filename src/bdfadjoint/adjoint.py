@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import MAX_ORDER, IntegrationTape, SolverError
+from .bdf import MAX_ORDER, IntegrationTape, SolverError, _iteration_matrix
 
 __all__ = [
     "DiscreteAdjoints",
@@ -67,7 +67,6 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     d = tape.dimension
     nodes = tape.grid.nodes
     h = tape.grid.stepsizes
-    eye = np.eye(d)
 
     rhs = np.zeros((n_steps + 1, d))
     rhs[n_steps] = problem.criterion_gradient(tape.states[n_steps])
@@ -76,8 +75,7 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     for j in range(n_steps, 0, -1):
         step = j - 1
         alphas = tape.grid.alphas[step]
-        fy = problem.jacobian(nodes[j], tape.states[j])
-        mat = alphas[0] * eye - h[step] * fy.T
+        mat = _iteration_matrix(problem, nodes[j], tape.states[j], h[step], alphas[0]).T
         try:
             lam = np.linalg.solve(mat, rhs[j])
         except np.linalg.LinAlgError as exc:
@@ -127,7 +125,7 @@ class WeakAdjoint:
     def __post_init__(self):
         times = np.asarray(self.jump_times, dtype=float)
         sizes = np.asarray(self.jump_sizes, dtype=float)
-        if times.ndim != 1 or sizes.shape[0] != times.size:
+        if times.ndim != 1 or sizes.ndim != 2 or sizes.shape[0] != times.size:
             raise ValueError("need one jump vector per jump time")
         if times.size == 0 or times[0] <= self.t_start or np.any(np.diff(times) <= 0):
             raise ValueError("jump times must be strictly increasing after t_start")

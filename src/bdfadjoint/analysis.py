@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
-from .bdf import IntegrationTape, coefficient_band, step_residuals
+from .bdf import IntegrationTape, coefficient_band, stencil_table, step_residuals
 
 __all__ = [
     "COEFFICIENT_TOL",
@@ -35,13 +35,17 @@ COEFFICIENT_TOL = 1e-12
 class KktResidualReport:
     """Residuals of the discretized optimality system evaluated at (Y, lambda, l),
     each worst one located by the step n of its row and that step's time t_n.
-    Step n (1..N) produces y_n; adjoint step 0 is the y_0 (gradient) row."""
+    Step n (1..N) produces y_n; adjoint step 0 is the y_0 (gradient) row.
+    coefficient_defect is the worst scaled invariant defect of the grid's
+    coefficients (see :func:`coefficient_defects`), held to COEFFICIENT_TOL."""
 
     nominal_residual: float
     adjoint_residual: float
     initial_residual: float
+    coefficient_defect: float
     nominal_threshold: float
     adjoint_threshold: float
+    initial_threshold: float
     nominal_worst_step: int
     nominal_worst_time: float
     adjoint_worst_step: int
@@ -56,9 +60,18 @@ class KktResidualReport:
                                  f"non-negative, got {v} at step {step}")
 
     @property
+    def checks(self) -> dict:
+        """Outcome of each check, in the order they are reported."""
+        return {
+            "nominal": self.nominal_residual <= self.nominal_threshold,
+            "adjoint": self.adjoint_residual <= self.adjoint_threshold,
+            "initial": self.initial_residual <= self.initial_threshold,
+            "coefficients": self.coefficient_defect <= COEFFICIENT_TOL,
+        }
+
+    @property
     def passed(self) -> bool:
-        return (self.nominal_residual <= self.nominal_threshold
-                and self.adjoint_residual <= self.adjoint_threshold)
+        return all(self.checks.values())
 
 
 def _worst_row(rows):
@@ -78,7 +91,8 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
     adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
     together with the y_0 row l + c^T L, evaluated as the stored gradient l
     minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
-    per-step products.
+    per-step products.  initial_residual compares y_0 with the problem's
+    initial state, to 1e-12 (1 + max|y_0|).
     """
     n = tape.n_steps
     d = tape.dimension
@@ -102,8 +116,10 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
         nominal_residual=nominal,
         adjoint_residual=adjoint_res,
         initial_residual=float(np.max(np.abs(tape.states[0] - problem.initial_state))),
+        coefficient_defect=float(np.max(coefficient_defects(*stencil_table(tape)))),
         nominal_threshold=10.0 * float(np.max(tape.newton_tolerances)),
         adjoint_threshold=1e-9 * (1.0 + float(np.max(np.abs(lam)))),
+        initial_threshold=1e-12 * (1.0 + float(np.max(np.abs(tape.states[0])))),
         nominal_worst_step=nominal_row + 1,
         nominal_worst_time=float(nodes[nominal_row + 1]),
         adjoint_worst_step=adjoint_step,

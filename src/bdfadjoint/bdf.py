@@ -8,9 +8,9 @@ where alpha_i^(n) = h_n * Ldot_i^(n)(t_{n+1}) comes from differentiating the
 Lagrange basis over the step's stencil.  Each implicit step is solved by a
 Newton iteration with matrix alpha_0 * I - h_n * f_y.  Completed runs are
 recorded on an immutable :class:`IntegrationTape` that carries everything a
-backward (adjoint) sweep or an exact re-run needs: nodes, stepsizes, orders,
-states and Newton statistics.  The coefficients are not stored: they are a
-function of the grid, derived once by :attr:`TimeGrid.alphas`.
+backward (adjoint) sweep or an exact re-run needs: nodes, orders, states and
+Newton statistics.  Stepsizes and coefficients are not stored: they are
+functions of the grid, the latter derived once by :attr:`TimeGrid.alphas`.
 """
 
 from __future__ import annotations
@@ -59,25 +59,8 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Lagrange basis helpers (predictor and dense output) and the coefficients
+# The coefficients
 # ---------------------------------------------------------------------------
-
-def _lagrange_values(nodes, x):
-    """Values L_i(x) of the Lagrange basis over `nodes`, i = 0..len(nodes)-1."""
-    nodes = np.asarray(nodes, dtype=float)
-    m = nodes.size
-    vals = np.empty(m)
-    for i in range(m):
-        num = 1.0
-        den = 1.0
-        for j in range(m):
-            if j == i:
-                continue
-            num *= x - nodes[j]
-            den *= nodes[i] - nodes[j]
-        vals[i] = num / den
-    return vals
-
 
 def compute_coefficients(nodes, order: int) -> np.ndarray:
     """BDF coefficients alpha_0..alpha_k (newest node first) for the stencil
@@ -266,25 +249,43 @@ class NewtonResult(NamedTuple):
     residual: float
 
 
+def _history_sum(alphas, history):
+    """sum_{i >= 1} alpha_i y_{n+1-i} in ascending i; history is y_n, y_{n-1}, ..."""
+    back = np.zeros(np.shape(history[0]))
+    for i in range(1, len(alphas)):
+        back = back + alphas[i] * history[i - 1]
+    return back
+
+
+def _step_residual(problem, t, h, alphas, back, y):
+    """BDF step residual alpha_0 y + back - h f(t, y), back from _history_sum."""
+    return alphas[0] * y + back - h * problem.rhs(t, y)
+
+
+def _iteration_matrix(problem, t, y, h, alpha0):
+    """Newton matrix alpha_0 I - h f_y(t, y); the adjoint uses its transpose."""
+    # Not -h*f_y with alpha_0 added to the diagonal afterwards: that would
+    # turn off-diagonal +0.0 into -0.0.
+    return alpha0 * np.eye(problem.dimension) - h * problem.jacobian(t, y)
+
+
 class _FactorCache:
     """LU factorization of alpha_0*I - h*f_y, reused across steps while valid."""
 
     def __init__(self):
         self.lu = None
         self.h = None
-        self.order = None
         self.alpha0 = None
 
-    def matches(self, h, order, alpha0):
-        # The iteration matrix is alpha0*I - h*f_y, so a stencil change that
-        # moves alpha0 (e.g. startup ramp -> uniform run) invalidates the LU
-        # even at fixed (h, order).
-        return (self.lu is not None and self.order == order
-                and self.h is not None and abs(self.h - h) <= 4.0 * EPS * abs(h)
+    def matches(self, h, alpha0):
+        # The iteration matrix depends on the stencil only through alpha0, so
+        # a stencil change that moves alpha0 (e.g. startup ramp -> uniform
+        # run) invalidates the LU even at fixed h.
+        return (self.lu is not None and abs(self.h - h) <= 4.0 * EPS * abs(h)
                 and abs(self.alpha0 - alpha0) <= 4.0 * EPS * abs(alpha0))
 
-    def refactor(self, problem, t_new, y, h, alpha0, order):
-        m = alpha0 * np.eye(problem.dimension) - h * problem.jacobian(t_new, y)
+    def refactor(self, problem, t_new, y, h, alpha0):
+        m = _iteration_matrix(problem, t_new, y, h, alpha0)
         with warnings.catch_warnings():
             # exact singularity is detected below and raised as a failure
             warnings.simplefilter("ignore", LinAlgWarning)
@@ -294,7 +295,6 @@ class _FactorCache:
             raise _StepFailure(f"singular Newton iteration matrix at t={t_new}")
         self.lu = (lu, piv)
         self.h = h
-        self.order = order
         self.alpha0 = alpha0
 
 
@@ -308,29 +308,23 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
 
     `history` lists prior states newest first (y_n, y_{n-1}, ...), pairing
     with alphas[1:].  The iteration matrix is refactored only when
-    (h, order, alpha_0) changed since the cached factorization or the
+    (h, alpha_0) changed since the cached factorization or the
     contraction rate exceeds RATE_REFACTOR; convergence is tested on the
     max-norm residual.  If the budget runs out -- typically because a matrix
     reused over many steps has drifted -- the matrix is refactored at the
     current iterate and the iteration gets one more budget before failing.
     """
-    back = np.zeros(problem.dimension)
-    for i in range(1, len(alphas)):
-        back = back + alphas[i] * history[i - 1]
-
-    def residual(y):
-        return alphas[0] * y + back - h * problem.rhs(t_new, y)
-
+    back = _history_sum(alphas, history)
     y = np.array(predictor, dtype=float)
-    r = residual(y)
+    r = _step_residual(problem, t_new, h, alphas, back, y)
     rnorm = np.max(np.abs(r))
     if not np.isfinite(rnorm):
         raise _StepFailure(f"non-finite residual at t={t_new}")
     if rnorm <= tol:
         return NewtonResult(y, 0, float(rnorm))
 
-    if not cache.matches(h, len(alphas) - 1, alphas[0]):
-        cache.refactor(problem, t_new, y, h, alphas[0], len(alphas) - 1)
+    if not cache.matches(h, alphas[0]):
+        cache.refactor(problem, t_new, y, h, alphas[0])
 
     total = 0
     for attempt in range(2):
@@ -341,7 +335,7 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
             if not np.all(np.isfinite(delta)):
                 raise _StepFailure(f"Newton update diverged at t={t_new}")
             y = y + delta
-            r = residual(y)
+            r = _step_residual(problem, t_new, h, alphas, back, y)
             rnorm = np.max(np.abs(r))
             if not np.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
@@ -349,10 +343,10 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
                 return NewtonResult(y, total, float(rnorm))
             step_norm = np.max(np.abs(delta))
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
-                cache.refactor(problem, t_new, y, h, alphas[0], len(alphas) - 1)
+                cache.refactor(problem, t_new, y, h, alphas[0])
             prev_step_norm = step_norm
         if attempt == 0:
-            cache.refactor(problem, t_new, y, h, alphas[0], len(alphas) - 1)
+            cache.refactor(problem, t_new, y, h, alphas[0])
     raise _StepFailure(
         f"Newton did not converge within {total} iterations at t={t_new} "
         f"(residual {rnorm:.3e}, tolerance {tol:.3e})"
@@ -397,15 +391,21 @@ def newton_bdf_step(problem, history, alphas, t_next, h, predictor,
 # ---------------------------------------------------------------------------
 
 def _predict(nodes, states, orders, n, t_new):
-    """Extrapolate the previous interval's interpolation polynomial to t_new."""
+    """Value at t_new of the Lagrange polynomial through step n-1's stencil:
+    the predictor of step n extrapolates it, dense output interpolates."""
     if n == 0:
         return np.array(states[0], dtype=float)
-    k_prev = orders[n - 1]
-    stencil = nodes[n - k_prev:n + 1]
-    weights = _lagrange_values(stencil, t_new)
-    acc = weights[0] * states[n - k_prev]
-    for j in range(1, k_prev + 1):
-        acc = acc + weights[j] * states[n - k_prev + j]
+    first = n - orders[n - 1]
+    stencil = nodes[first:n + 1]
+    acc = None
+    for i, ti in enumerate(stencil):
+        num = den = 1.0
+        for j, tj in enumerate(stencil):
+            if j != i:
+                num *= t_new - tj
+                den *= ti - tj
+        term = num / den * states[first + i]
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -503,8 +503,9 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     nodes = problem.initial_time + h * fracs
     nodes[-1] = problem.final_time
     nodes = np.concatenate(([problem.initial_time], nodes))
+    grid = TimeGrid(nodes=nodes, orders=orders)
 
-    n_steps = orders.size
+    n_steps = grid.n_steps
     d = problem.dimension
     states = np.empty((n_steps + 1, d))
     states[0] = problem.initial_state
@@ -514,14 +515,11 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     cache = _FactorCache()
 
     for n in range(n_steps):
-        kn = orders[n]
-        stencil = nodes[n + 1 - kn:n + 2]
-        alphas = compute_coefficients(stencil, int(kn))
+        alphas = grid.alphas[n, :orders[n] + 1]
         predictor = _predict(nodes, states, orders, n, nodes[n + 1])
-        history = [states[n - i] for i in range(kn)]
         try:
             res = _newton_iterate(problem, nodes[n + 1], nodes[n + 1] - nodes[n],
-                                  alphas, history, predictor,
+                                  alphas, states[n::-1], predictor,
                                   NEWTON_TOL_NONADAPTIVE, cache)
         except _StepFailure as exc:
             raise SolverError(f"step {n} failed: {exc}") from exc
@@ -529,7 +527,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         iters[n] = res.iterations
         resid[n] = res.residual
 
-    grid = TimeGrid(nodes=nodes, orders=orders)
     return IntegrationTape(
         problem_name=problem.name,
         problem_params=dict(problem.params),
@@ -608,9 +605,8 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         predictor = _predict(nodes, states, orders, n, t_new)
         tol_newton = _adaptive_newton_tol(rtol, h_eff,
                                           np.linalg.norm(predictor, 2))
-        history = [states[n - i] for i in range(k)]
         try:
-            res = _newton_iterate(problem, t_new, h_eff, alphas, history,
+            res = _newton_iterate(problem, t_new, h_eff, alphas, states[n::-1],
                                   predictor, tol_newton, cache)
         except _StepFailure:
             h = h_eff / 2.0
@@ -721,14 +717,8 @@ class DenseOutput:
         idx = int(np.searchsorted(nodes, t, side="left"))
         if nodes[idx] == t:
             return tape.states[idx].copy()
-        n = idx - 1  # t lies in (t_n, t_{n+1})
-        k = tape.grid.orders[n]
-        stencil = nodes[n + 1 - k:n + 2]
-        weights = _lagrange_values(stencil, t)
-        acc = weights[-1] * tape.states[n + 1]
-        for i in range(1, k + 1):
-            acc = acc + weights[-1 - i] * tape.states[n + 1 - i]
-        return acc
+        # t lies in (t_{idx-1}, t_idx), the interval of step idx-1
+        return _predict(nodes, tape.states, tape.grid.orders, idx, t)
 
 
 def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
@@ -752,23 +742,18 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
     """
     nodes = tape.grid.nodes
     orders = tape.grid.orders
-    d = tape.dimension
     y0 = tape.states[0] if y_start is None else np.asarray(y_start, dtype=float)
-    states = np.empty((tape.n_steps + 1, d))
+    states = np.empty((tape.n_steps + 1, tape.dimension))
     states[0] = y0
-    eye = np.eye(d)
     for n in range(tape.n_steps):
-        k = orders[n]
-        alphas = tape.grid.alphas[n]
+        alphas = tape.grid.alphas[n, :orders[n] + 1]
         t_new = nodes[n + 1]
         h = t_new - nodes[n]
         y = _predict(nodes, states, orders, n, t_new)
-        back = np.zeros(d)
-        for i in range(1, k + 1):
-            back = back + alphas[i] * states[n + 1 - i]
+        back = _history_sum(alphas, states[n::-1])
         for _ in range(int(tape.newton_iterations[n])):
-            r = alphas[0] * y + back - h * problem.rhs(t_new, y)
-            m = alphas[0] * eye - h * problem.jacobian(t_new, y)
+            r = _step_residual(problem, t_new, h, alphas, back, y)
+            m = _iteration_matrix(problem, t_new, y, h, alphas[0])
             try:
                 delta = np.linalg.solve(m, -r)
             except np.linalg.LinAlgError as exc:

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint
-from .analysis import ConvergenceTable, KktResidualReport
+from .analysis import COEFFICIENT_TOL, ConvergenceTable, KktResidualReport
 from .bdf import IntegrationTape, TimeGrid
 
 __all__ = [
@@ -66,7 +66,6 @@ def tape_to_dict(tape: IntegrationTape) -> dict:
         "mode": tape.mode,
         "driver_params": tape.driver_params,
         "nodes": tape.grid.nodes.tolist(),
-        "stepsizes": tape.grid.stepsizes.tolist(),
         "orders": tape.grid.orders.tolist(),
         "states": tape.states.tolist(),
         "newton": {
@@ -131,9 +130,10 @@ def save_adjoint_results(tape, adjoints, weak, path) -> None:
 
 
 def load_adjoint_results(path) -> dict:
-    """Returns {"problem": dict, "nodes": ndarray, "adjoints": DiscreteAdjoints,
-    "weak": WeakAdjoint}."""
+    """Returns {"problem": {"name", "params"}, "nodes": ndarray,
+    "adjoints": DiscreteAdjoints, "weak": WeakAdjoint}."""
     doc = _load_checked(path, ADJOINT_FORMAT)
+    problem = doc["problem"]
     nodes = np.array(doc["nodes"], dtype=float)
     adjoints = DiscreteAdjoints(
         lambdas=np.array(doc["lambdas"], dtype=float),
@@ -145,7 +145,7 @@ def load_adjoint_results(path) -> dict:
         jump_sizes=np.array(doc["jumps"]["sizes"], dtype=float),
     )
     return {
-        "problem": doc["problem"],
+        "problem": {"name": problem["name"], "params": problem["params"]},
         "nodes": nodes,
         "adjoints": adjoints,
         "weak": weak,
@@ -177,9 +177,12 @@ def kkt_report_to_dict(report: KktResidualReport) -> dict:
         "nominal_residual": report.nominal_residual,
         "adjoint_residual": report.adjoint_residual,
         "initial_residual": report.initial_residual,
+        "coefficient_defect": report.coefficient_defect,
         "thresholds": {
             "nominal": report.nominal_threshold,
             "adjoint": report.adjoint_threshold,
+            "initial": report.initial_threshold,
+            "coefficient": COEFFICIENT_TOL,
         },
         "worst": {
             "nominal": {"step": report.nominal_worst_step,

@@ -9,12 +9,14 @@ cases pin down the terminal solve, the scatter indexing and the
 initial-condition assembly separately.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bdfadjoint import (adjoint_sweep, get_problem, gradient_wrt_initial,
                         integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem, replay_integration)
+                        linear_test_problem, replay_integration, tape_residuals)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -99,6 +101,21 @@ class TestExactDerivative:
             jm = replay_integration(CATENARY, tape, y_start=y0 - e)[-1][0]
             fd[j] = (jp - jm) / (2 * eps)
         np.testing.assert_allclose(adj.gradient, fd, rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("mode, value", [("k", k) for k in range(1, 7)]
+                             + [("rtol", r) for r in (1e-4, 1e-7, 1e-10)])
+    def test_unperturbed_replay_reproduces_tape(self, mode, value):
+        """Replaying a tape from its own y_0 solves every step as the driver
+        did: residuals within the bound adjoint checks, states within 1e-9."""
+        if mode == "k":
+            tape = integrate_nonadaptive(CATENARY, value, 2.0 ** -5)
+        else:
+            tape = integrate_adaptive(CATENARY, value)
+        states = replay_integration(CATENARY, tape)
+        replayed = dataclasses.replace(tape, states=states)
+        assert np.all(tape_residuals(CATENARY, replayed)
+                      <= 10.0 * tape.newton_tolerances)
+        assert np.max(np.abs(states - tape.states)) <= 1e-9
 
     def test_standalone_gradient_matches_sweep(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.125)

@@ -162,12 +162,24 @@ class TestVerifyKkt:
                 lambdas=bad, gradient=adj.gradient))
 
     def test_report_validation(self):
+        fields = dict(nominal_residual=0.0, adjoint_residual=0.0,
+                      initial_residual=0.0, coefficient_defect=0.0,
+                      nominal_threshold=1.0, adjoint_threshold=1.0,
+                      initial_threshold=1.0, nominal_worst_step=1,
+                      nominal_worst_time=0.0, adjoint_worst_step=0,
+                      adjoint_worst_time=0.0)
+        assert KktResidualReport(**fields).passed
         with pytest.raises(ValueError):
-            KktResidualReport(nominal_residual=-1.0, adjoint_residual=0.0,
-                              initial_residual=0.0, nominal_threshold=1.0,
-                              adjoint_threshold=1.0, nominal_worst_step=1,
-                              nominal_worst_time=0.0, adjoint_worst_step=0,
-                              adjoint_worst_time=0.0)
+            KktResidualReport(**{**fields, "nominal_residual": -1.0})
+        # each check alone decides the verdict
+        for check, field, value in (("nominal", "nominal_residual", 2.0),
+                                    ("adjoint", "adjoint_residual", 2.0),
+                                    ("initial", "initial_residual", 2.0),
+                                    ("coefficients", "coefficient_defect",
+                                     2.0 * COEFFICIENT_TOL)):
+            report = KktResidualReport(**{**fields, field: value})
+            assert not report.passed
+            assert [k for k, ok in report.checks.items() if not ok] == [check]
 
     def test_shape_mismatch_rejected(self):
         tape, adj = _tape_and_adjoints()

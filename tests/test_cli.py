@@ -6,19 +6,30 @@ Exit-code contract: 0 success, 1 usage/config errors, 2 solver failures,
 tests see exactly what a shell user would.
 """
 
+import contextlib
+import copy
 import csv
+import dataclasses
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdfadjoint import bdf, get_problem, load_tape
+from bdfadjoint import (bdf, get_problem, integrate_nonadaptive, load_tape,
+                        save_tape)
 from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
 from bdfadjoint.cli import main
+
+CATENARY, _ = get_problem("catenary")
 
 
 def _integrate(tmp_path, *extra):
@@ -218,6 +229,29 @@ class TestAdjointCommand:
         assert err.startswith("error: cannot load tape:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("newton", []), ("problem", []),
+                                            ("nodes", {"a": 1})])
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_malformed_document_refused(self, tmp_path, capsys, key, value,
+                                        stage):
+        """A tape whose parts have the wrong JSON type is a usage error at
+        load, not a traceback."""
+        _, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        doc = json.loads(tape.read_text())
+        doc[key] = value
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
+                "verify": ["verify", "--tape", str(tape), "--adjoint-file",
+                           str(adj), "--out", str(out)]}[stage]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
         doc = json.loads(tape.read_text())
@@ -314,6 +348,59 @@ class TestVerifyCommand:
         assert rc == 3
         assert "coefficient invariants: VIOLATED" in capsys.readouterr().out
 
+    def test_inconsistent_initial_state_fails_report(self, tmp_path, capsys):
+        """A tape integrated from y_0 + 1e-6 is consistent with itself, so
+        adjoint accepts it; verify refuses it, and kkt.json says so too."""
+        shifted = dataclasses.replace(
+            CATENARY, initial_state=CATENARY.initial_state + 1e-6)
+        tape = tmp_path / "tape.json"
+        save_tape(integrate_nonadaptive(shifted, 2, 0.125), tape)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(report)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "verification failed: initial_residual above threshold\n")
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is False
+        assert doc["initial_residual"] > doc["thresholds"]["initial"]
+
+    @pytest.mark.parametrize("value", [[], "catenary", {"name": "catenary"}])
+    def test_malformed_adjoint_problem_refused(self, tmp_path, capsys, value):
+        tape, adj = self._chain(tmp_path)
+        doc = json.loads(adj.read_text())
+        doc["problem"] = value
+        adj.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load adjoint results:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gradient", [[1.0], [1.0, 2.0, 3.0]])
+    def test_gradient_of_wrong_length_refused(self, tmp_path, capsys, gradient):
+        """A gradient of 1 entry would broadcast and one of 3 would not;
+        both are refused as not matching the tape."""
+        tape, adj = self._chain(tmp_path)
+        doc = json.loads(adj.read_text())
+        doc["gradient"] = gradient
+        adj.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: adjoint file does not match the tape dimensions\n")
+        assert not out.exists()
+
     def test_mismatched_pair_is_usage_error(self, tmp_path):
         tape, _ = self._chain(tmp_path)
         other_tape = tmp_path / "other.json"
@@ -329,6 +416,71 @@ class TestVerifyCommand:
     def test_requires_both_files(self, tmp_path):
         tape, _ = self._chain(tmp_path)
         assert main(["verify", "--tape", str(tape)]) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_documents():
+    """A small valid tape and adjoint document (catenary, k=2, h=1/4)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tape, adj = Path(tmp) / "tape.json", Path(tmp) / "adjoint.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["integrate", "--order", "2", "--h", "0.25",
+                         "--out", str(tape)]) == 0
+            assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        return {"tape": json.loads(tape.read_text()),
+                "adjoint": json.loads(adj.read_text())}
+
+
+def _json_paths(value, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Python's json writes and reads NaN and Infinity, so they are included.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_get_documented_exit_codes(data):
+    """One value of the tape or adjoint document, at a random path, replaced
+    by a random JSON value: adjoint and verify return 0/1/2/3 and raise
+    nothing."""
+    docs = dict(_fuzz_documents())
+    which = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(_json_paths(docs[which]))))
+    docs[which] = _replaced(docs[which], path, data.draw(_JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: Path(tmp) / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            files[name].write_text(json.dumps(doc))
+        for argv in (["adjoint", "--tape", str(files["tape"]),
+                      "--out", str(Path(tmp) / "out.json")],
+                     ["verify", "--tape", str(files["tape"]), "--adjoint-file",
+                      str(files["adjoint"]), "--out", str(Path(tmp) / "kkt.json")]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+            assert rc in (0, 1, 2, 3)
 
 
 class TestConvergeCommand:

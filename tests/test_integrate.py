@@ -154,6 +154,17 @@ class TestTapeRecord:
         assert tape.grid.orders.max() == MAX_ORDER
 
 
+    def test_nonadaptive_driver_derives_table_once(self):
+        """The fixed-step driver steps on its planned grid, so the tape comes
+        with the grid's table already derived; each row is the kernel's."""
+        tape = integrate_nonadaptive(CATENARY, 4, 0.125)
+        assert "alphas" in vars(tape.grid)
+        for n, k in enumerate(tape.grid.orders):
+            np.testing.assert_array_equal(
+                tape.grid.alphas[n, :k + 1],
+                compute_coefficients(tape.grid.nodes[n + 1 - k:n + 2], k))
+
+
 class TestValidation:
     def test_rejects_noninteger_step_count(self):
         with pytest.raises(ValueError):

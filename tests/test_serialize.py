@@ -17,7 +17,7 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         integrate_adaptive, integrate_nonadaptive,
                         load_adjoint_results, load_tape, save_adjoint_results,
                         save_kkt_report, save_tape, verify_kkt)
-from bdfadjoint.analysis import ConvergenceTable
+from bdfadjoint.analysis import COEFFICIENT_TOL, ConvergenceTable
 from bdfadjoint.serialize import write_adjoint_csv, write_convergence_csv
 
 CATENARY, _ = get_problem("catenary")
@@ -57,6 +57,20 @@ class TestTapeRoundTrip:
                 grid.alphas[n, :k + 1],
                 compute_coefficients(grid.nodes[n + 1 - k:n + 2], k))
         np.testing.assert_array_equal(grid.alphas, tape.grid.alphas)
+
+    def test_stepsizes_derived_not_stored(self, tape, tmp_path):
+        """Stepsizes are np.diff(nodes): not written, and a version-1 tape
+        that still carries them (the earlier layout) loads unchanged."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        doc = json.loads(path.read_text())
+        assert "stepsizes" not in doc
+        doc["stepsizes"] = tape.grid.stepsizes.tolist()
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2))
+        back = load_tape(path)
+        np.testing.assert_array_equal(back.grid.nodes, tape.grid.nodes)
+        np.testing.assert_array_equal(back.grid.stepsizes, tape.grid.stepsizes)
+        np.testing.assert_array_equal(back.states, tape.states)
 
     def test_adaptive_round_trip(self, tmp_path):
         tape = integrate_adaptive(CATENARY, 1e-6)
@@ -131,6 +145,9 @@ class TestAdjointRoundTrip:
         assert doc["format"] == "bdf-kkt"
         assert doc["nominal_residual"] == report.nominal_residual
         assert doc["thresholds"]["adjoint"] == report.adjoint_threshold
+        assert doc["thresholds"]["initial"] == report.initial_threshold
+        assert doc["thresholds"]["coefficient"] == COEFFICIENT_TOL
+        assert doc["coefficient_defect"] == report.coefficient_defect
         assert doc["passed"] is True
 
 
