@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import MAX_ORDER, IntegrationTape, SolverError, _iteration_matrix
+from .bdf import (MAX_ORDER, IntegrationTape, SolverError, _iteration_matrix,
+                  _lu_factors, lu_solve)
 
 __all__ = [
     "DiscreteAdjoints",
@@ -56,12 +57,15 @@ class DiscreteAdjoints:
 def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     """Backward sweep over a completed tape.
 
-    Each lambda_j solves a d x d system with matrix
-    alpha_0^(j-1) I - h_{j-1} f_y^T(t_j, y_j) (dense LU, no factorization
-    reuse) and then scatters -alpha_i^(j-1) lambda_j into the right-hand
-    sides of the earlier rows its step stencil touches; the contribution
-    reaching y_0 accumulates the gradient.  A singular step matrix means the
-    stability condition of the scheme is violated.
+    Each lambda_j solves a d x d system with the transpose of the step
+    matrix alpha_0^(j-1) I - h_{j-1} f_y(t_j, y_j) and then scatters
+    -alpha_i^(j-1) lambda_j into the right-hand sides of the earlier rows its
+    step stencil touches; the contribution reaching y_0 accumulates the
+    gradient.  A step matrix bit-equal to the one of the step after it (a
+    linear autonomous problem on a run of equal steps) is factored once, on
+    its first repeat, and solved through those factors with trans=1; any
+    other is solved directly.  A singular step matrix means the stability
+    condition of the scheme is violated.
     """
     n_steps = tape.n_steps
     d = tape.dimension
@@ -71,24 +75,35 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     rhs = np.zeros((n_steps + 1, d))
     rhs[n_steps] = problem.criterion_gradient(tape.states[n_steps])
     lambdas = np.zeros((n_steps + 1, d))
+    prev = lu = None
 
     for j in range(n_steps, 0, -1):
         step = j - 1
         alphas = tape.grid.alphas[step]
-        mat = _iteration_matrix(problem, nodes[j], tape.states[j], h[step], alphas[0]).T
-        try:
-            lam = np.linalg.solve(mat, rhs[j])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"singular adjoint matrix at t={nodes[j]} "
-                "(stability condition violated)"
-            ) from exc
+        mat = _iteration_matrix(problem, nodes[j], tape.states[j], h[step], alphas[0])
+        if prev is not None and np.array_equal(mat, prev):
+            if lu is None:
+                lu = _lu_factors(mat)
+                if lu is None:
+                    raise _singular(nodes[j])
+            lam = lu_solve(lu, rhs[j], trans=1)
+        else:
+            lu = None
+            try:
+                lam = np.linalg.solve(mat.T, rhs[j])
+            except np.linalg.LinAlgError as exc:
+                raise _singular(nodes[j]) from exc
+        prev = mat
         lambdas[j] = lam
         for i in range(1, tape.grid.orders[step] + 1):
             rhs[j - i] -= alphas[i] * lam
 
     return DiscreteAdjoints(lambdas=lambdas[1:],
                             gradient=gradient_wrt_initial(tape, lambdas[1:]))
+
+
+def _singular(t):
+    return SolverError(f"singular adjoint matrix at t={t} (stability condition violated)")
 
 
 def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:

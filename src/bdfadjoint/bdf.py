@@ -269,6 +269,19 @@ def _iteration_matrix(problem, t, y, h, alpha0):
     return alpha0 * np.eye(problem.dimension) - h * problem.jacobian(t, y)
 
 
+def _lu_factors(m):
+    """LU factors of m for lu_solve, or None when m is singular to working
+    precision (a pivot at most 1e3 eps of the largest) or not finite."""
+    with warnings.catch_warnings():
+        # exact singularity is detected below and reported by the caller
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(m)
+    diag = np.abs(np.diag(lu))
+    if not np.all(np.isfinite(lu)) or np.any(diag <= 1e3 * EPS * max(np.max(diag), 1.0)):
+        return None
+    return lu, piv
+
+
 class _FactorCache:
     """LU factorization of alpha_0*I - h*f_y, reused across steps while valid."""
 
@@ -285,15 +298,10 @@ class _FactorCache:
                 and abs(self.alpha0 - alpha0) <= 4.0 * EPS * abs(alpha0))
 
     def refactor(self, problem, t_new, y, h, alpha0):
-        m = _iteration_matrix(problem, t_new, y, h, alpha0)
-        with warnings.catch_warnings():
-            # exact singularity is detected below and raised as a failure
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(m)
-        diag = np.abs(np.diag(lu))
-        if not np.all(np.isfinite(lu)) or np.any(diag <= 1e3 * EPS * max(np.max(diag), 1.0)):
+        lu = _lu_factors(_iteration_matrix(problem, t_new, y, h, alpha0))
+        if lu is None:
             raise _StepFailure(f"singular Newton iteration matrix at t={t_new}")
-        self.lu = (lu, piv)
+        self.lu = lu
         self.h = h
         self.alpha0 = alpha0
 

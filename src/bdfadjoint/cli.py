@@ -305,6 +305,12 @@ def cmd_verify(ns) -> int:
     except ValueError as exc:   # a residual is NaN or infinite
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_VERIFY
+    # Multipliers that fail a check are reported below (exit 3); a jump table
+    # that is not h * lambda of multipliers that pass is a malformed file.
+    if report.passed and not np.array_equal(
+            record["weak"].jump_sizes,
+            assemble_weak_adjoint(tape, adjoints).jump_sizes):
+        raise _UsageError("adjoint file's jump table does not match its multipliers")
 
     out = settings.get("out", default="kkt.json")
     save_kkt_report(report, out)

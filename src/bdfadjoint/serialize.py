@@ -1,10 +1,10 @@
 """JSON/CSV serialization for tapes, adjoint results and verification reports.
 
-All documents are versioned and deterministic: keys are sorted, floats use
-shortest round-trip decimal formatting (Python's repr), and nothing
-time- or environment-dependent is written.  Identical inputs therefore
-produce byte-identical files, and loading reproduces the exact binary
-floating-point values.
+All documents are versioned and deterministic: single-line JSON with sorted
+keys, floats in shortest round-trip decimal formatting (Python's repr), and
+nothing time- or environment-dependent is written.  Identical inputs
+therefore produce byte-identical files, and loading reproduces the exact
+binary floating-point values.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ KKT_FORMAT = "bdf-kkt"
 
 
 def _dump(doc, path):
+    # json.dumps without indent runs the C encoder; the document is one line
+    text = json.dumps(doc, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_checked(path, expected_format):
@@ -118,10 +119,7 @@ def adjoint_results_to_dict(tape, adjoints: DiscreteAdjoints,
         "nodes": tape.grid.nodes.tolist(),
         "lambdas": adjoints.lambdas.tolist(),
         "gradient": adjoints.gradient.tolist(),
-        "jumps": {
-            "times": weak.jump_times.tolist(),
-            "sizes": weak.jump_sizes.tolist(),
-        },
+        "jumps": {"sizes": weak.jump_sizes.tolist()},
     }
 
 
@@ -131,7 +129,9 @@ def save_adjoint_results(tape, adjoints, weak, path) -> None:
 
 def load_adjoint_results(path) -> dict:
     """Returns {"problem": {"name", "params"}, "nodes": ndarray,
-    "adjoints": DiscreteAdjoints, "weak": WeakAdjoint}."""
+    "adjoints": DiscreteAdjoints, "weak": WeakAdjoint}.  The jump times are
+    nodes[1:]: not stored, and a version-1 file that still carries
+    `jumps.times` (the earlier layout) loads with them ignored."""
     doc = _load_checked(path, ADJOINT_FORMAT)
     problem = doc["problem"]
     nodes = np.array(doc["nodes"], dtype=float)
@@ -141,7 +141,7 @@ def load_adjoint_results(path) -> dict:
     )
     weak = WeakAdjoint(
         t_start=float(nodes[0]),
-        jump_times=np.array(doc["jumps"]["times"], dtype=float),
+        jump_times=nodes[1:],
         jump_sizes=np.array(doc["jumps"]["sizes"], dtype=float),
     )
     return {
@@ -158,16 +158,13 @@ def write_adjoint_csv(tape, adjoints, weak, path) -> None:
     header = (["t"]
               + [f"lambda_{j + 1}" for j in range(d)]
               + [f"Lambda_{j + 1}" for j in range(d)])
-    cum = np.cumsum(weak.jump_sizes, axis=0)
+    # csv writes floats with repr, so the cells round-trip exactly
+    rows = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
+                            np.cumsum(weak.jump_sizes, axis=0)]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for n in range(tape.n_steps):
-            t = tape.grid.nodes[n + 1]
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in adjoints.lambdas[n]]
-            row += [repr(float(v)) for v in cum[n]]
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def kkt_report_to_dict(report: KktResidualReport) -> dict:

@@ -10,13 +10,15 @@ initial-condition assembly separately.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from bdfadjoint import (adjoint_sweep, get_problem, gradient_wrt_initial,
-                        integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem, replay_integration, tape_residuals)
+from bdfadjoint import (SolverError, adjoint_sweep, bdf, get_problem,
+                        gradient_wrt_initial, integrate_adaptive,
+                        integrate_nonadaptive, linear_test_problem,
+                        replay_integration, tape_residuals)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -174,3 +176,97 @@ class TestValidation:
         adj_other = adjoint_sweep(CATENARY, other)
         with pytest.raises(ValueError):
             gradient_wrt_initial(tape, adj_other.lambdas)
+
+
+def _solve_every_step(problem, tape):
+    """Reference sweep: one direct solve with the transposed step matrix at
+    every step, no factorization reuse.  Returns (lambdas, gradient)."""
+    n_steps, d = tape.n_steps, tape.dimension
+    nodes, h = tape.grid.nodes, tape.grid.stepsizes
+    rhs = np.zeros((n_steps + 1, d))
+    rhs[n_steps] = problem.criterion_gradient(tape.states[n_steps])
+    lambdas = np.zeros((n_steps + 1, d))
+    for j in range(n_steps, 0, -1):
+        alphas = tape.grid.alphas[j - 1]
+        mat = (alphas[0] * np.eye(d)
+               - h[j - 1] * problem.jacobian(nodes[j], tape.states[j]))
+        lambdas[j] = np.linalg.solve(mat.T, rhs[j])
+        for i in range(1, tape.grid.orders[j - 1] + 1):
+            rhs[j - i] -= alphas[i] * lambdas[j]
+    return lambdas[1:], gradient_wrt_initial(tape, lambdas[1:])
+
+
+@pytest.fixture
+def lu_factor_calls(monkeypatch):
+    """Counts the LU factorizations made through bdf."""
+    calls = []
+    factor = bdf.lu_factor
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.shape)
+        return factor(m, *args, **kwargs)
+
+    monkeypatch.setattr(bdf, "lu_factor", counting)
+    return calls
+
+
+class TestFactorReuse:
+    """A step matrix bit-equal to the previous step's is factored once and
+    solved through its transposed LU; every other one is solved directly."""
+
+    def _heat(self, d=50):
+        dx = 1.0 / (d + 1)
+        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
+                               + np.diag(np.ones(d - 1), 1)
+                               + np.diag(np.ones(d - 1), -1))
+        x = dx * np.arange(1, d + 1)
+        problem, _ = linear_test_problem(a=a, y_s=np.sin(np.pi * x), t_s=0.0,
+                                         t_f=1.0, c=np.full(d, dx))
+        return problem
+
+    def test_one_factorization_per_run_of_repeats(self, lu_factor_calls):
+        """k=2 on a uniform grid: the two h/2 start steps and the uniform
+        main steps are the runs of equal matrices; the ramp step is alone."""
+        problem = self._heat()
+        tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
+        # a linear autonomous step matrix is fixed by (h, alpha_0)
+        key = zip(tape.grid.stepsizes, tape.grid.alphas[:, 0])
+        runs = sum(1 for _, steps in itertools.groupby(key) if len(list(steps)) > 1)
+        assert runs == 2
+        lu_factor_calls.clear()   # those of the forward pass
+        adj = adjoint_sweep(problem, tape)
+        assert lu_factor_calls == [(50, 50)] * runs
+        lambdas, gradient = _solve_every_step(problem, tape)
+        scale = np.max(np.abs(lambdas))
+        assert np.max(np.abs(adj.lambdas - lambdas)) <= 1e-12 * scale
+        np.testing.assert_allclose(adj.gradient, gradient, rtol=1e-12)
+
+    @pytest.mark.parametrize("driver", ["nonadaptive", "adaptive"])
+    def test_changing_matrices_solved_directly(self, driver, lu_factor_calls):
+        """The catenary Jacobian moves with the state, so no matrix repeats:
+        no factorization, and the multipliers of the direct solves."""
+        tape = (integrate_nonadaptive(CATENARY, 2, 0.125) if driver == "nonadaptive"
+                else integrate_adaptive(CATENARY, 1e-6))
+        lu_factor_calls.clear()   # those of the forward pass
+        adj = adjoint_sweep(CATENARY, tape)
+        assert lu_factor_calls == []
+        lambdas, gradient = _solve_every_step(CATENARY, tape)
+        np.testing.assert_array_equal(adj.lambdas, lambdas)
+        np.testing.assert_array_equal(adj.gradient, gradient)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-15])
+    def test_singular_repeated_matrix_raises(self, delta, lu_factor_calls):
+        """I - h f_y = [[1, 1], [1, 1 + delta]] on every BDF1 step: exactly
+        singular (delta = 0) fails the first direct solve; singular to
+        working precision (delta = 1e-15) passes it and fails the factor
+        check on the first repeat."""
+        h = 0.125
+        problem, _ = linear_test_problem(a=[[-1.0, 0.0], [0.0, -1.0]],
+                                         y_s=[1.0, 1.0], t_s=0.0, t_f=1.0)
+        tape = integrate_nonadaptive(problem, 1, h)
+        jac = np.array([[0.0, -1.0], [-1.0, -delta]]) / h
+        singular = dataclasses.replace(problem, jacobian=lambda t, y: jac.copy())
+        lu_factor_calls.clear()
+        with pytest.raises(SolverError, match="singular adjoint matrix"):
+            adjoint_sweep(singular, tape)
+        assert len(lu_factor_calls) == (1 if delta else 0)

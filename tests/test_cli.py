@@ -291,6 +291,22 @@ class TestVerifyCommand:
         assert rc == 3
         assert "adjoint_residual" in capsys.readouterr().err
 
+    def test_tampered_jump_table_refused(self, tmp_path, capsys):
+        """Multipliers that pass every check with a jump table that is not
+        h * lambda: the file is refused and no report is written."""
+        tape, adj = self._chain(tmp_path)
+        doc = json.loads(adj.read_text())
+        doc["jumps"]["sizes"][3][1] *= 2.0
+        adj.write_text(json.dumps(doc))
+        capsys.readouterr()
+        report = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: adjoint file's jump table does not match its multipliers\n")
+        assert not report.exists()
+
     def test_report_names_worst_steps(self, tmp_path, capsys):
         tape, adj = self._chain(tmp_path)
         doc = json.loads(adj.read_text())

@@ -18,7 +18,8 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         load_adjoint_results, load_tape, save_adjoint_results,
                         save_kkt_report, save_tape, verify_kkt)
 from bdfadjoint.analysis import COEFFICIENT_TOL, ConvergenceTable
-from bdfadjoint.serialize import write_adjoint_csv, write_convergence_csv
+from bdfadjoint.serialize import (_dump, tape_to_dict, write_adjoint_csv,
+                                  write_convergence_csv)
 
 CATENARY, _ = get_problem("catenary")
 
@@ -87,6 +88,19 @@ class TestTapeRoundTrip:
         save_tape(tape, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_single_line_same_document_as_indented(self, tape, tmp_path):
+        """One line of sorted-key JSON that parses to the document the earlier
+        indent=2 layout held; a tape in that layout still loads."""
+        doc = tape_to_dict(tape)
+        path = tmp_path / "tape.json"
+        _dump(doc, path)
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert json.loads(text) == json.loads(indented)
+        path.write_text(indented)
+        np.testing.assert_array_equal(load_tape(path).states, tape.states)
+
 
 class TestRejection:
     def test_wrong_format_field(self, tape, tmp_path):
@@ -136,6 +150,21 @@ class TestAdjointRoundTrip:
         np.testing.assert_array_equal(back["weak"].jump_sizes, weak.jump_sizes)
         np.testing.assert_array_equal(back["nodes"], tape.grid.nodes)
 
+    def test_jump_times_derived_not_stored(self, tape, tmp_path):
+        """Jump times are nodes[1:]: not written, and a version-1 file that
+        still carries them (the earlier layout) loads with them ignored."""
+        adj = adjoint_sweep(CATENARY, tape)
+        weak = assemble_weak_adjoint(tape, adj)
+        path = tmp_path / "adjoint.json"
+        save_adjoint_results(tape, adj, weak, path)
+        doc = json.loads(path.read_text())
+        assert list(doc["jumps"]) == ["sizes"]
+        doc["jumps"]["times"] = (tape.grid.nodes[1:] + 1.0).tolist()
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2))
+        back = load_adjoint_results(path)["weak"]
+        np.testing.assert_array_equal(back.jump_times, tape.grid.nodes[1:])
+        np.testing.assert_array_equal(back.jump_sizes, weak.jump_sizes)
+
     def test_kkt_report(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
         report = verify_kkt(CATENARY, tape, adj)
@@ -170,6 +199,27 @@ class TestCsv:
             [float(rows[1][3]), float(rows[1][4])], weak(t1), rtol=1e-15)
         # floats round-trip exactly through repr
         assert float(rows[-1][1]) == adj.lambdas[-1][0]
+
+    @pytest.mark.parametrize("problem", ["catenary", "linear"])
+    def test_adjoint_csv_bytes_match_row_writer(self, problem, tmp_path):
+        """Byte for byte the file of a per-row writer with repr cells."""
+        prob, _ = get_problem(problem)
+        tape = integrate_nonadaptive(prob, 3, 0.0625)
+        adj = adjoint_sweep(prob, tape)
+        weak = assemble_weak_adjoint(tape, adj)
+        path = tmp_path / "adjoint.csv"
+        write_adjoint_csv(tape, adj, weak, path)
+
+        expected = tmp_path / "expected.csv"
+        cum = np.cumsum(weak.jump_sizes, axis=0)
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "lambda_1", "lambda_2", "Lambda_1", "Lambda_2"])
+            for n in range(tape.n_steps):
+                writer.writerow([repr(float(tape.grid.nodes[n + 1]))]
+                                + [repr(float(v)) for v in adj.lambdas[n]]
+                                + [repr(float(v)) for v in cum[n]])
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_convergence_csv_layout(self, tmp_path):
         hs = np.array([0.25, 0.125, 0.0625])

@@ -1,5 +1,5 @@
 """SHA-256 of every output file and of the stdout of each benchmark workload's
-CLI stages, so that a change which should leave outputs byte-identical can be
+CLI stages, so that a change which should leave outputs unchanged can be
 checked against its parent.
 
     python3 tools/output_digests.py --seed S
@@ -8,10 +8,12 @@ For each workload of ``benchmarks/workloads.py`` the inputs for seed S are
 built in a temporary directory, and the stages run in this process through
 ``bdfadjoint.cli.main``, from the ``src/`` next to this script.  One line is
 printed per output file and per stage: ``<workload> <name> <sha256>``, where a
-stage's line also carries its exit code.  The temporary directory's path is
-replaced by ``<workdir>`` in the stdout before hashing, so the lines of two
-checkouts can be compared with ``diff``.  Nothing under ``benchmarks/`` is
-written.
+stage's line also carries its exit code.  A JSON output is hashed by its
+parsed content, re-encoded as ``json.dumps(json.loads(text), sort_keys=True)``,
+so that a change to the layout alone compares equal; CSV files and stdout are
+hashed as bytes.  The temporary directory's path is replaced by
+``<workdir>`` in the stdout before hashing, so the lines of two checkouts can
+be compared with ``diff``.  Nothing under ``benchmarks/`` is written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -41,6 +44,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _file_digest(path):
+    if not path.is_file():
+        return "missing"
+    if path.suffix == ".json":
+        return _sha256(json.dumps(json.loads(path.read_text()), sort_keys=True).encode())
+    return _sha256(path.read_bytes())
+
+
 def workload_digests(name, seed):
     """[(name, digest)] of one workload: each stage's exit code and stdout,
     then each output file."""
@@ -54,8 +65,7 @@ def workload_digests(name, seed):
             stdout = out.getvalue().replace(tmp, "<workdir>")
             lines.append((f"{stage}.stdout(exit {rc})", _sha256(stdout.encode())))
         for path in wl.outputs:
-            digest = _sha256(path.read_bytes()) if path.is_file() else "missing"
-            lines.append((path.name, digest))
+            lines.append((path.name, _file_digest(path)))
     return lines
 
 
