@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdf import (MAX_ORDER, IntegrationTape, SolverError, _iteration_matrix,
-                  _lu_factors, lu_solve)
+                  lu_factor, lu_solve)
 
 __all__ = [
     "DiscreteAdjoints",
@@ -61,11 +61,11 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     matrix alpha_0^(j-1) I - h_{j-1} f_y(t_j, y_j) and then scatters
     -alpha_i^(j-1) lambda_j into the right-hand sides of the earlier rows its
     step stencil touches; the contribution reaching y_0 accumulates the
-    gradient.  A step matrix bit-equal to the one of the step after it (a
-    linear autonomous problem on a run of equal steps) is factored once, on
-    its first repeat, and solved through those factors with trans=1; any
-    other is solved directly.  A singular step matrix means the stability
-    condition of the scheme is violated.
+    gradient.  The factors of bdf.lu_factor are kept while h, alpha_0 and
+    f_y(t_j, y_j) stay bit-equal to the next step's (a linear autonomous
+    problem on a run of equal steps).  A singular step matrix means the
+    stability condition of the scheme is violated; it is refused, as is a
+    non-finite one.
     """
     n_steps = tape.n_steps
     d = tape.dimension
@@ -75,35 +75,24 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     rhs = np.zeros((n_steps + 1, d))
     rhs[n_steps] = problem.criterion_gradient(tape.states[n_steps])
     lambdas = np.zeros((n_steps + 1, d))
-    prev = lu = None
+    key = key_jac = factors = None
 
     for j in range(n_steps, 0, -1):
         step = j - 1
         alphas = tape.grid.alphas[step]
-        mat = _iteration_matrix(problem, nodes[j], tape.states[j], h[step], alphas[0])
-        if prev is not None and np.array_equal(mat, prev):
-            if lu is None:
-                lu = _lu_factors(mat)
-                if lu is None:
-                    raise _singular(nodes[j])
-            lam = lu_solve(lu, rhs[j], trans=1)
-        else:
-            lu = None
-            try:
-                lam = np.linalg.solve(mat.T, rhs[j])
-            except np.linalg.LinAlgError as exc:
-                raise _singular(nodes[j]) from exc
-        prev = mat
-        lambdas[j] = lam
+        jac = problem.jacobian(nodes[j], tape.states[j])
+        if (h[step], alphas[0]) != key or not np.array_equal(jac, key_jac):
+            # factors of the transpose itself, so one plain solve serves
+            factors = lu_factor(_iteration_matrix(jac, h[step], alphas[0]).T)
+            if factors is None:
+                raise SolverError(f"singular or non-finite adjoint matrix at t={nodes[j]}")
+            key, key_jac = (h[step], alphas[0]), jac
+        lambdas[j] = lu_solve(factors, rhs[j])
         for i in range(1, tape.grid.orders[step] + 1):
-            rhs[j - i] -= alphas[i] * lam
+            rhs[j - i] -= alphas[i] * lambdas[j]
 
     return DiscreteAdjoints(lambdas=lambdas[1:],
                             gradient=gradient_wrt_initial(tape, lambdas[1:]))
-
-
-def _singular(t):
-    return SolverError(f"singular adjoint matrix at t={t} (stability condition violated)")
 
 
 def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:

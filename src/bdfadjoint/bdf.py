@@ -9,20 +9,20 @@ Lagrange basis over the step's stencil.  Each implicit step is solved by a
 Newton iteration with matrix alpha_0 * I - h_n * f_y.  Completed runs are
 recorded on an immutable :class:`IntegrationTape` that carries everything a
 backward (adjoint) sweep or an exact re-run needs: nodes, orders, states and
-Newton statistics.  Stepsizes and coefficients are not stored: they are
-functions of the grid, the latter derived once by :attr:`TimeGrid.alphas`.
+Newton statistics.  Stepsizes, coefficients and Newton tolerances are not
+stored but derived: the coefficients by :attr:`TimeGrid.alphas`, the
+tolerances by :attr:`IntegrationTape.newton_tolerances`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = [
     "MAX_ORDER",
@@ -171,7 +171,6 @@ class IntegrationTape:
     states: np.ndarray                       # (N+1, d)
     newton_iterations: np.ndarray            # (N,)
     newton_residuals: np.ndarray             # (N,)
-    newton_tolerances: np.ndarray            # (N,)
     error_estimates: Optional[np.ndarray] = None   # (N,), adaptive runs only
     driver_params: dict = field(default_factory=dict)
 
@@ -183,8 +182,7 @@ class IntegrationTape:
                 f"states have shape {states.shape}, expected {(n + 1, self.dimension)}"
             )
         object.__setattr__(self, "states", states)
-        per_step = {"newton_iterations": int, "newton_residuals": float,
-                    "newton_tolerances": float}
+        per_step = {"newton_iterations": int, "newton_residuals": float}
         if self.error_estimates is not None:
             per_step["error_estimates"] = float
         for name, dtype in per_step.items():
@@ -200,6 +198,21 @@ class IntegrationTape:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    @cached_property
+    def newton_tolerances(self) -> np.ndarray:
+        """(N,) Newton tolerances, derived on first use by the driver's rule,
+        bit-equal to the ones it solved to: not stored, so not loosened."""
+        if self.mode == "nonadaptive":
+            return np.full(self.n_steps, NEWTON_TOL_NONADAPTIVE)
+        if self.mode != "adaptive":
+            raise ValueError(f"unknown integration mode {self.mode!r}")
+        rtol = float(self.driver_params["rtol"])
+        nodes = self.grid.nodes
+        predictors = (_predict(nodes, self.states, self.grid.orders, n, nodes[n + 1])
+                      for n in range(self.n_steps))
+        return np.array([_adaptive_newton_tol(rtol, h, p)
+                         for h, p in zip(self.grid.stepsizes, predictors)])
 
 
 def stencil_table(tape):
@@ -262,24 +275,28 @@ def _step_residual(problem, t, h, alphas, back, y):
     return alphas[0] * y + back - h * problem.rhs(t, y)
 
 
-def _iteration_matrix(problem, t, y, h, alpha0):
-    """Newton matrix alpha_0 I - h f_y(t, y); the adjoint uses its transpose."""
+def _iteration_matrix(jac, h, alpha0):
+    """Newton matrix alpha_0 I - h jac for jac = f_y; the adjoint uses its transpose."""
     # Not -h*f_y with alpha_0 added to the diagonal afterwards: that would
     # turn off-diagonal +0.0 into -0.0.
-    return alpha0 * np.eye(problem.dimension) - h * problem.jacobian(t, y)
+    return alpha0 * np.eye(len(jac)) - h * jac
 
 
-def _lu_factors(m):
+def lu_factor(m):
     """LU factors of m for lu_solve, or None when m is singular to working
     precision (a pivot at most 1e3 eps of the largest) or not finite."""
-    with warnings.catch_warnings():
-        # exact singularity is detected below and reported by the caller
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m)
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.any(diag <= 1e3 * EPS * max(np.max(diag), 1.0)):
+    # LAPACK directly: SciPy's wrappers cost over ten times the d = 2
+    # factorization, and exact singularity is caught by the pivot test.
+    lu, piv, _ = dgetrf(m)
+    diag = np.abs(lu.diagonal())
+    if not np.isfinite(lu).all() or diag.min() <= 1e3 * EPS * max(diag.max(), 1.0):
         return None
     return lu, piv
+
+
+def lu_solve(factors, b):
+    """Solution x of m x = b, with factors = lu_factor(m)."""
+    return dgetrs(*factors, b)[0]
 
 
 class _FactorCache:
@@ -298,9 +315,13 @@ class _FactorCache:
                 and abs(self.alpha0 - alpha0) <= 4.0 * EPS * abs(alpha0))
 
     def refactor(self, problem, t_new, y, h, alpha0):
-        lu = _lu_factors(_iteration_matrix(problem, t_new, y, h, alpha0))
+        jac = problem.jacobian(t_new, y)
+        if not np.isfinite(jac).all():
+            # fatal, not a step failure: a smaller step does not mend f_y
+            raise SolverError(f"non-finite Jacobian at t={t_new}")
+        lu = lu_factor(_iteration_matrix(jac, h, alpha0))
         if lu is None:
-            raise _StepFailure(f"singular Newton iteration matrix at t={t_new}")
+            raise _StepFailure(f"singular or non-finite Newton iteration matrix at t={t_new}")
         self.lu = lu
         self.h = h
         self.alpha0 = alpha0
@@ -377,8 +398,8 @@ def newton_bdf_step(problem, history, alphas, t_next, h, predictor,
     Returns
     -------
     NewtonResult with the new state, the iteration count and the final
-    max-norm residual.  Non-convergence and singular iteration matrices
-    raise SolverError.
+    max-norm residual.  Non-convergence, singular iteration matrices and
+    non-finite Jacobians raise SolverError.
     """
     alphas = np.asarray(alphas, dtype=float)
     order = alphas.size - 1
@@ -519,7 +540,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     states[0] = problem.initial_state
     iters = np.zeros(n_steps, dtype=int)
     resid = np.zeros(n_steps)
-    tols = np.full(n_steps, NEWTON_TOL_NONADAPTIVE)
     cache = _FactorCache()
 
     for n in range(n_steps):
@@ -544,7 +564,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         states=states,
         newton_iterations=iters,
         newton_residuals=resid,
-        newton_tolerances=tols,
         error_estimates=None,
         driver_params={"order": k, "h": h},
     )
@@ -554,10 +573,10 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
 # Adaptive driver
 # ---------------------------------------------------------------------------
 
-def _adaptive_newton_tol(rtol, h, y_scale):
+def _adaptive_newton_tol(rtol, h, predictor):
     tol = 1e-2 * min(rtol, h * h)
     # floor keeps clamped (very small) final steps solvable in float64
-    return max(tol, 1e2 * EPS) * (1.0 + y_scale)
+    return max(tol, 1e2 * EPS) * (1.0 + np.linalg.norm(predictor, 2))
 
 
 def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> IntegrationTape:
@@ -590,7 +609,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     orders = []
     iters = []
     resid = []
-    tols = []
     estimates = []
 
     k = 1
@@ -611,8 +629,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         stencil = np.append(nodes[n + 1 - k:n + 1], t_new)
         alphas = compute_coefficients(stencil, k)
         predictor = _predict(nodes, states, orders, n, t_new)
-        tol_newton = _adaptive_newton_tol(rtol, h_eff,
-                                          np.linalg.norm(predictor, 2))
+        tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
         try:
             res = _newton_iterate(problem, t_new, h_eff, alphas, states[n::-1],
                                   predictor, tol_newton, cache)
@@ -644,7 +661,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         orders.append(k)
         iters.append(res.iterations)
         resid.append(res.residual)
-        tols.append(tol_newton)
         estimates.append(err)
         t = t_new
         n += 1
@@ -693,7 +709,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         states=np.array(states),
         newton_iterations=np.array(iters, dtype=int),
         newton_residuals=np.array(resid),
-        newton_tolerances=np.array(tols),
         error_estimates=np.array(estimates),
         driver_params={"rtol": rtol, "atol": atol},
     )
@@ -742,11 +757,12 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
     """Re-run the forward scheme with grid, orders and iteration counts frozen.
 
     Each step performs exactly the recorded number of Newton iterations —
-    no convergence tests, no factorization reuse (the matrix is rebuilt at
-    every iterate) — starting from the same extrapolation predictor.  With
-    all adaptive components pinned, the state-to-state map is smooth in the
-    initial state, which makes it the right object for finite-difference
-    derivative checks.  Returns the full (N+1, d) state array.
+    no convergence tests, no factorization reuse (the matrix is rebuilt and
+    factored at every iterate) — starting from the same extrapolation
+    predictor.  With all adaptive components pinned, the state-to-state map
+    is smooth in the initial state, which makes it the right object for
+    finite-difference derivative checks.  Returns the full (N+1, d) state
+    array.
     """
     nodes = tape.grid.nodes
     orders = tape.grid.orders
@@ -761,11 +777,10 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
         back = _history_sum(alphas, states[n::-1])
         for _ in range(int(tape.newton_iterations[n])):
             r = _step_residual(problem, t_new, h, alphas, back, y)
-            m = _iteration_matrix(problem, t_new, y, h, alphas[0])
-            try:
-                delta = np.linalg.solve(m, -r)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular iteration matrix in replay at t={t_new}") from exc
+            factors = lu_factor(_iteration_matrix(problem.jacobian(t_new, y), h, alphas[0]))
+            if factors is None:
+                raise SolverError(f"singular or non-finite replay matrix at t={t_new}")
+            delta = lu_solve(factors, -r)
             if not np.all(np.isfinite(delta)):
                 raise SolverError(f"replay diverged at t={t_new}")
             y = y + delta

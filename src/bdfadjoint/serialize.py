@@ -85,13 +85,14 @@ def save_tape(tape: IntegrationTape, path) -> None:
 
 
 def load_tape(path) -> IntegrationTape:
-    """Rebuild a tape from JSON.  The coefficients are derived from the nodes
-    and orders on first use (bit-identical, since the nodes round-trip
-    exactly)."""
+    """Rebuild a tape from JSON.  The coefficients and the Newton tolerances
+    are derived on first use (bit-identical, since the nodes and states
+    round-trip exactly); stored tolerances that differ from the derived ones
+    raise ValueError."""
     doc = _load_checked(path, TAPE_FORMAT)
     newton = doc["newton"]
     # TimeGrid and IntegrationTape convert and shape-check the lists
-    return IntegrationTape(
+    tape = IntegrationTape(
         problem_name=doc["problem"]["name"],
         problem_params=doc["problem"]["params"],
         dimension=int(doc["problem"]["dimension"]),
@@ -100,10 +101,13 @@ def load_tape(path) -> IntegrationTape:
         states=doc["states"],
         newton_iterations=newton["iterations"],
         newton_residuals=newton["residuals"],
-        newton_tolerances=newton["tolerances"],
         error_estimates=doc.get("error_estimates"),
         driver_params=doc.get("driver_params", {}),
     )
+    # checked, not trusted: adjoint and verify scale their residual checks by them
+    if not np.array_equal(newton["tolerances"], tape.newton_tolerances):
+        raise ValueError("stored Newton tolerances differ from the driver's rule")
+    return tape
 
 
 def adjoint_results_to_dict(tape, adjoints: DiscreteAdjoints,

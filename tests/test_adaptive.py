@@ -12,8 +12,9 @@ underflow instead of looping.
 import numpy as np
 import pytest
 
-from bdfadjoint import (OdeProblem, SolverError, get_problem,
-                        integrate_adaptive, linear_test_problem)
+from bdfadjoint import (OdeProblem, SolverError, bdf, get_problem,
+                        integrate_adaptive, linear_test_problem, load_tape,
+                        save_tape)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 MAX_GROWTH = 2.5
@@ -63,6 +64,26 @@ class TestBasicRun:
         assert tape.driver_params == {"rtol": 1e-4, "atol": 1e-10}
         assert tape.newton_tolerances.shape == (tape.n_steps,)
         assert np.all(tape.newton_residuals <= tape.newton_tolerances)
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-7, 1e-11])
+    def test_derived_tolerances_are_the_drivers(self, rtol, monkeypatch,
+                                                tmp_path):
+        """The tape derives each step's Newton tolerance bit-equal to the one
+        the driver solved that step to, also after a JSON round trip."""
+        used = {}
+        newton = bdf._newton_iterate
+
+        def recording(problem, t_new, h, alphas, history, predictor, tol, cache):
+            used[t_new] = tol   # the accepted attempt is the last at t_new
+            return newton(problem, t_new, h, alphas, history, predictor, tol, cache)
+
+        monkeypatch.setattr(bdf, "_newton_iterate", recording)
+        tape = integrate_adaptive(CATENARY, rtol)
+        expected = [used[t] for t in tape.grid.nodes[1:]]
+        np.testing.assert_array_equal(tape.newton_tolerances, expected)
+        save_tape(tape, tmp_path / "tape.json")
+        np.testing.assert_array_equal(
+            load_tape(tmp_path / "tape.json").newton_tolerances, expected)
 
 
 class TestAccuracy:

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bdfadjoint.adjoint as adjoint_module
 from bdfadjoint import (SolverError, adjoint_sweep, bdf, get_problem,
                         gradient_wrt_initial, integrate_adaptive,
                         integrate_nonadaptive, linear_test_problem,
@@ -202,17 +203,20 @@ def lu_factor_calls(monkeypatch):
     calls = []
     factor = bdf.lu_factor
 
-    def counting(m, *args, **kwargs):
+    def counting(m):
         calls.append(m.shape)
-        return factor(m, *args, **kwargs)
+        return factor(m)
 
+    # every binding of the one factor function: bdf's and the sweep's import
     monkeypatch.setattr(bdf, "lu_factor", counting)
+    monkeypatch.setattr(adjoint_module, "lu_factor", counting)
     return calls
 
 
 class TestFactorReuse:
-    """A step matrix bit-equal to the previous step's is factored once and
-    solved through its transposed LU; every other one is solved directly."""
+    """Every step matrix is factored through bdf.lu_factor; the sweep keeps
+    the factors while h, alpha_0 and f_y stay bit-equal, so each run of
+    consecutive equal matrices, a lone step included, is factored once."""
 
     def _heat(self, d=50):
         dx = 1.0 / (d + 1)
@@ -225,48 +229,58 @@ class TestFactorReuse:
         return problem
 
     def test_one_factorization_per_run_of_repeats(self, lu_factor_calls):
-        """k=2 on a uniform grid: the two h/2 start steps and the uniform
-        main steps are the runs of equal matrices; the ramp step is alone."""
+        """k=2 on a uniform grid: the two h/2 start steps, the ramp step and
+        the uniform main steps are the runs of equal matrices.  Reused
+        factors solve as a fresh solve at every step does, bit for bit."""
         problem = self._heat()
         tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
         # a linear autonomous step matrix is fixed by (h, alpha_0)
         key = zip(tape.grid.stepsizes, tape.grid.alphas[:, 0])
-        runs = sum(1 for _, steps in itertools.groupby(key) if len(list(steps)) > 1)
-        assert runs == 2
+        runs = sum(1 for _ in itertools.groupby(key))
+        assert runs == 3
         lu_factor_calls.clear()   # those of the forward pass
         adj = adjoint_sweep(problem, tape)
         assert lu_factor_calls == [(50, 50)] * runs
         lambdas, gradient = _solve_every_step(problem, tape)
-        scale = np.max(np.abs(lambdas))
-        assert np.max(np.abs(adj.lambdas - lambdas)) <= 1e-12 * scale
-        np.testing.assert_allclose(adj.gradient, gradient, rtol=1e-12)
+        np.testing.assert_array_equal(adj.lambdas, lambdas)
+        np.testing.assert_array_equal(adj.gradient, gradient)
 
     @pytest.mark.parametrize("driver", ["nonadaptive", "adaptive"])
     def test_changing_matrices_solved_directly(self, driver, lu_factor_calls):
         """The catenary Jacobian moves with the state, so no matrix repeats:
-        no factorization, and the multipliers of the direct solves."""
+        one factorization per step, and the multipliers of the direct solves."""
         tape = (integrate_nonadaptive(CATENARY, 2, 0.125) if driver == "nonadaptive"
                 else integrate_adaptive(CATENARY, 1e-6))
         lu_factor_calls.clear()   # those of the forward pass
         adj = adjoint_sweep(CATENARY, tape)
-        assert lu_factor_calls == []
+        assert lu_factor_calls == [(2, 2)] * tape.n_steps
         lambdas, gradient = _solve_every_step(CATENARY, tape)
         np.testing.assert_array_equal(adj.lambdas, lambdas)
         np.testing.assert_array_equal(adj.gradient, gradient)
 
+    def test_replay_factors_every_iterate(self, lu_factor_calls):
+        """Replay reuses no factors: one factorization per recorded Newton
+        iteration."""
+        tape = integrate_adaptive(CATENARY, 1e-6)
+        lu_factor_calls.clear()   # those of the forward pass
+        replay_integration(CATENARY, tape)
+        assert len(lu_factor_calls) == tape.newton_iterations.sum() > 0
+
     @pytest.mark.parametrize("delta", [0.0, 1e-15])
     def test_singular_repeated_matrix_raises(self, delta, lu_factor_calls):
-        """I - h f_y = [[1, 1], [1, 1 + delta]] on every BDF1 step: exactly
-        singular (delta = 0) fails the first direct solve; singular to
-        working precision (delta = 1e-15) passes it and fails the factor
-        check on the first repeat."""
+        """I - h f_y = [[1, 1], [1, 1 + delta]] on every BDF1 step, exactly
+        singular (delta = 0) or singular to working precision (1e-15): the
+        first factorization refuses it, on an 8-step tape and on a 1-step
+        tape alike."""
         h = 0.125
-        problem, _ = linear_test_problem(a=[[-1.0, 0.0], [0.0, -1.0]],
-                                         y_s=[1.0, 1.0], t_s=0.0, t_f=1.0)
-        tape = integrate_nonadaptive(problem, 1, h)
         jac = np.array([[0.0, -1.0], [-1.0, -delta]]) / h
-        singular = dataclasses.replace(problem, jacobian=lambda t, y: jac.copy())
-        lu_factor_calls.clear()
-        with pytest.raises(SolverError, match="singular adjoint matrix"):
-            adjoint_sweep(singular, tape)
-        assert len(lu_factor_calls) == (1 if delta else 0)
+        for t_f in (1.0, h):
+            problem, _ = linear_test_problem(a=[[-1.0, 0.0], [0.0, -1.0]],
+                                             y_s=[1.0, 1.0], t_s=0.0, t_f=t_f)
+            tape = integrate_nonadaptive(problem, 1, h)
+            singular = dataclasses.replace(problem, jacobian=lambda t, y: jac.copy())
+            lu_factor_calls.clear()
+            with pytest.raises(SolverError,
+                               match="singular or non-finite adjoint matrix"):
+                adjoint_sweep(singular, tape)
+            assert lu_factor_calls == [(2, 2)]

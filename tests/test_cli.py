@@ -252,6 +252,53 @@ class TestAdjointCommand:
         assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_near_singular_step_matrix_is_solver_failure(self, tmp_path, capsys):
+        """I - h f_y = [[1, 1], [1, 1 + 1e-15]] on a one-step linear tape:
+        integrate needs no Newton iteration, and adjoint refuses the matrix,
+        singular to working precision, with exit 2 and no output."""
+        cfg = _write_config(tmp_path, "problem = linear", "a = 0 -8; -8 -8e-15",
+                            "y0 = 0 0", "tf = 0.125", "c = 1 0")
+        tape, out = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--config", str(cfg), "--order", "1",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        assert "newton iterations total=0 " in capsys.readouterr().out
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 2
+        assert "singular or non-finite adjoint matrix" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("mode, edit", [("nonadaptive", "loosen"),
+                                            ("adaptive", "loosen"),
+                                            ("adaptive", "drop_driver_params")])
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_tolerances_derived_not_trusted(self, tmp_path, capsys, mode, edit,
+                                            stage):
+        """Every stored Newton tolerance raised to 1.0 with states[5][1]
+        moved by 0.1, or an adaptive tape without its driver parameters: the
+        tolerances cannot be derived as stored, so the tape is refused."""
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        run = (["--order", "2", "--h", "0.125"] if mode == "nonadaptive"
+               else ["--mode", "adaptive", "--rtol", "1e-6"])
+        assert main(["integrate", *run, "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        doc = json.loads(tape.read_text())
+        if edit == "loosen":
+            doc["newton"]["tolerances"] = [1.0] * len(doc["newton"]["tolerances"])
+            doc["states"][5][1] += 0.1
+        else:
+            del doc["driver_params"]
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
+                "verify": ["verify", "--tape", str(tape), "--adjoint-file",
+                           str(adj), "--out", str(out)]}[stage]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
+        assert ("Newton tolerances differ" if edit == "loosen" else "rtol") in err
+        assert not out.exists()
+
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
         doc = json.loads(tape.read_text())

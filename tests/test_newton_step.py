@@ -7,11 +7,16 @@ y' = a*y gives y1 = y0 / (1 - h*a), and a two-step BDF gives
 (alpha0 - h*a) y2 = -(alpha1 y1 + alpha2 y0).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bdfadjoint import (SolverError, compute_coefficients, linear_test_problem,
-                        newton_bdf_step)
+from bdfadjoint import (SolverError, adjoint_sweep, compute_coefficients,
+                        get_problem, integrate_adaptive, integrate_nonadaptive,
+                        linear_test_problem, newton_bdf_step)
+
+CATENARY, _ = get_problem("catenary")
 
 
 def _scalar_problem(a):
@@ -119,3 +124,28 @@ class TestFailures:
         with pytest.raises(SolverError):
             newton_bdf_step(cubic, [np.array([1.0])], coeffs, 1.0, 1.0,
                             predictor=np.array([1e8]))
+
+
+class TestNonFiniteJacobian:
+    """A catenary whose f_y is NaN for t > 1: Newton, both drivers and the
+    adjoint sweep report a solver failure, not a ValueError or NaN
+    multipliers."""
+
+    @pytest.mark.parametrize("stage", ["newton", "nonadaptive", "adaptive",
+                                       "sweep"])
+    def test_solver_failure(self, stage):
+        problem = dataclasses.replace(
+            CATENARY, jacobian=lambda t, y: (CATENARY.jacobian(t, y) if t <= 1.0
+                                             else np.full((2, 2), np.nan)))
+        y = CATENARY.initial_state
+        runs = {
+            "newton": lambda: newton_bdf_step(
+                problem, [y], compute_coefficients(np.array([1.0, 1.25]), 1),
+                1.25, 0.25, predictor=y),
+            "nonadaptive": lambda: integrate_nonadaptive(problem, 2, 1.0 / 16),
+            "adaptive": lambda: integrate_adaptive(problem, 1e-6),
+            "sweep": lambda: adjoint_sweep(
+                problem, integrate_nonadaptive(CATENARY, 2, 1.0 / 16)),
+        }
+        with pytest.raises(SolverError, match="non-finite"):
+            runs[stage]()
