@@ -286,10 +286,11 @@ def lu_factor(m):
     """LU factors of m for lu_solve, or None when m is singular to working
     precision (a pivot at most 1e3 eps of the largest) or not finite."""
     # LAPACK directly: SciPy's wrappers cost over ten times the d = 2
-    # factorization, and exact singularity is caught by the pivot test.
+    # factorization, and exact singularity is caught by the pivot test, which
+    # runs on Python floats because NumPy's min and max cost more than dgetrf.
     lu, piv, _ = dgetrf(m)
-    diag = np.abs(lu.diagonal())
-    if not np.isfinite(lu).all() or diag.min() <= 1e3 * EPS * max(diag.max(), 1.0):
+    diag = np.abs(lu.diagonal()).tolist()
+    if not np.isfinite(lu).all() or min(diag) <= 1e3 * EPS * max(max(diag), 1.0):
         return None
     return lu, piv
 
@@ -416,8 +417,22 @@ def newton_bdf_step(problem, history, alphas, t_next, h, predictor,
 
 
 # ---------------------------------------------------------------------------
-# Predictor and divided differences
+# The stencil interpolant: predictor, dense output and error estimate
 # ---------------------------------------------------------------------------
+
+def _interpolate(ts, ys, t):
+    """Value at t of the Lagrange polynomial through the points (ts[i], ys[i])."""
+    acc = None
+    for i, ti in enumerate(ts):
+        num = den = 1.0
+        for j, tj in enumerate(ts):
+            if j != i:
+                num *= t - tj
+                den *= ti - tj
+        term = num / den * ys[i]
+        acc = term if acc is None else acc + term
+    return acc
+
 
 def _predict(nodes, states, orders, n, t_new):
     """Value at t_new of the Lagrange polynomial through step n-1's stencil:
@@ -425,47 +440,25 @@ def _predict(nodes, states, orders, n, t_new):
     if n == 0:
         return np.array(states[0], dtype=float)
     first = n - orders[n - 1]
-    stencil = nodes[first:n + 1]
-    acc = None
-    for i, ti in enumerate(stencil):
-        num = den = 1.0
-        for j, tj in enumerate(stencil):
-            if j != i:
-                num *= t_new - tj
-                den *= ti - tj
-        term = num / den * states[first + i]
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _divided_difference(ts, ys):
-    """Divided difference over the points (ts[0], ys[0]), ...; ys are vectors."""
-    table = [np.array(y, dtype=float) for y in ys]
-    m = len(table)
-    for level in range(1, m):
-        for i in range(m - level):
-            table[i] = (table[i] - table[i + 1]) / (ts[i] - ts[i + level])
-    return table[0]
+    return _interpolate(nodes[first:n + 1], states[first:n + 1], t_new)
 
 
 def _error_estimate(nodes, states, t_new, y_new, q):
-    """Local error estimate for order q after accepting (t_new, y_new).
+    """Local error estimate for order q of the step to (t_new, y_new) from
+    the prior points (nodes, states): the corrector minus the polynomial
+    through the q+1 trailing points, scaled by h_new / (t_new - t_{n-q}).
 
-    Built from the divided difference over the q+2 trailing points; on a
-    uniform grid this equals h^(q+1) * ||y^(q+1)|| / (q+1), the standard
-    order-q error constant applied to the predictor-corrector difference.
+    That is dd * h_new^2 * prod_{j=1..q-1} (t_new - t_{n-j}), where dd is the
+    divided difference over the q+2 points; on a uniform grid it equals
+    h^(q+1) * ||y^(q+1)|| / (q+1), the order-q error constant.
     """
     n_hist = len(states)
     if q + 1 > n_hist:
         raise ValueError(f"order-{q} estimate needs {q + 1} prior points, have {n_hist}")
-    ts = [t_new] + [nodes[n_hist - 1 - j] for j in range(q + 1)]
-    ys = [y_new] + [states[n_hist - 1 - j] for j in range(q + 1)]
-    dd = _divided_difference(ts, ys)
-    h_new = t_new - nodes[n_hist - 1]
-    scale = h_new
-    for j in range(1, q):
-        scale *= t_new - nodes[n_hist - 1 - j]
-    return float(np.linalg.norm(dd * (scale * h_new), 2))
+    first = n_hist - 1 - q
+    y_poly = _interpolate(nodes[first:], states[first:], t_new)
+    h_new = t_new - nodes[-1]
+    return float(np.linalg.norm(y_new - y_poly, 2) * h_new / (t_new - nodes[first]))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +508,7 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {k}")
     k = int(k)
     h = float(h)
-    if h <= 0.0:
+    if not h > 0.0:   # NaN fails too
         raise ValueError(f"stepsize must be positive, got {h}")
     span = problem.final_time - problem.initial_time
     n_main = span / h
@@ -583,16 +576,16 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     """Integrate with adaptive order and stepsize from t_s to t_f (hit exactly).
 
     Every accepted step satisfies ||est||_2 <= rtol * ||y||_2 + atol, where
-    est is the divided-difference local error estimate (explicit-Euler
-    comparison on the very first step).  The order moves within
-    {k-1, k, k+1}, picking the candidate that allows the largest next step;
-    increases are deferred until k+1 steps were taken at the current order.
-    Stepsize changes are limited to [0.2, 2.5] per step with safety 0.9.
-    Stepsize underflow aborts.
+    est is the corrector-predictor difference scaled to a local error (see
+    _error_estimate; explicit-Euler comparison on the very first step).  The
+    order moves within {k-1, k, k+1}, picking the candidate that allows the
+    largest next step; increases are deferred until k+1 steps were taken at
+    the current order.  Stepsize changes are limited to [0.2, 2.5] per step
+    with safety 0.9.  Stepsize underflow aborts.
     """
     rtol = float(rtol)
     atol = float(atol)
-    if rtol <= 0.0 or atol <= 0.0:
+    if not (rtol > 0.0 and atol > 0.0):   # NaN fails too
         raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
 
     t0 = problem.initial_time
@@ -656,20 +649,14 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
             steps_at_order = 0
             continue
 
-        nodes.append(t_new)
-        states.append(res.y)
-        orders.append(k)
-        iters.append(res.iterations)
-        resid.append(res.residual)
-        estimates.append(err)
-        t = t_new
-        n += 1
         steps_at_order += 1
         rejects_in_a_row = 0
 
         # Order/stepsize selection for the next step: among k-1, k, k+1 pick
         # the order whose estimate allows the largest stepsize (ties favor
         # the lower order; increases deferred until k+1 steps at current k).
+        # The accepted step is appended afterwards, so every estimate reads
+        # the same prior points.
         best_k = k
         best_h = None
         candidates = [k]
@@ -680,12 +667,10 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         for q in sorted(candidates):
             if q == k:
                 est_q = err
+            elif q + 1 > len(states):   # needs q+1 prior points
+                continue
             else:
-                # needs q+1 prior points besides the newest state
-                if q + 1 > len(states) - 1:
-                    continue
-                est_q = _error_estimate(nodes[:-1], states[:-1], t_new,
-                                        states[-1], q)
+                est_q = _error_estimate(nodes, states, t_new, res.y, q)
             if est_q > 0.0:
                 factor = SAFETY * (tol_acc / est_q) ** (1.0 / (q + 1))
             else:
@@ -694,6 +679,15 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
             if best_h is None or h_q > best_h * (1.0 + 1e-10):
                 best_h = h_q
                 best_k = q
+
+        nodes.append(t_new)
+        states.append(res.y)
+        orders.append(k)
+        iters.append(res.iterations)
+        resid.append(res.residual)
+        estimates.append(err)
+        t = t_new
+        n += 1
         if best_k != k:
             steps_at_order = 0
             k = best_k

@@ -119,7 +119,7 @@ def _build_problem(settings):
 
 
 def _integration_setup(settings):
-    """Validated (mode, kwargs) for a single run — before any computation."""
+    """(mode, driver, kwargs) of a single run; the driver checks the values."""
     mode = settings.get("mode", default="nonadaptive")
     if mode not in ("nonadaptive", "adaptive"):
         raise _UsageError(f"mode must be 'nonadaptive' or 'adaptive', got {mode!r}")
@@ -128,33 +128,21 @@ def _integration_setup(settings):
         h = settings.get("h", cast=float)
         if order is None or h is None:
             raise _UsageError("nonadaptive mode requires --order and --h")
-        if h <= 0.0:
-            raise _UsageError(f"stepsize must be positive, got {h}")
-        if not 1 <= order <= MAX_ORDER:
-            raise _UsageError(f"order must be in [1, {MAX_ORDER}], got {order}")
-        return mode, {"k": order, "h": h}
+        return mode, integrate_nonadaptive, {"k": order, "h": h}
     rtol = settings.get("rtol", cast=float)
     atol = settings.get("atol", default=1e-12, cast=float)
     if rtol is None:
         raise _UsageError("adaptive mode requires --rtol")
-    if rtol <= 0.0 or atol <= 0.0:
-        raise _UsageError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
-    return mode, {"rtol": rtol, "atol": atol}
-
-
-def _run_integration(problem, mode, kwargs):
-    if mode == "nonadaptive":
-        return integrate_nonadaptive(problem, **kwargs)
-    return integrate_adaptive(problem, **kwargs)
+    return mode, integrate_adaptive, {"rtol": rtol, "atol": atol}
 
 
 def cmd_integrate(ns) -> int:
     settings = _Settings(ns)
     problem, _ = _build_problem(settings)
-    mode, kwargs = _integration_setup(settings)
+    mode, driver, kwargs = _integration_setup(settings)
     out = settings.get("out", default="tape.json")
     try:
-        tape = _run_integration(problem, mode, kwargs)
+        tape = driver(problem, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     save_tape(tape, out)
@@ -240,11 +228,13 @@ def cmd_converge(ns) -> int:
         values = settings.get_list("rtol")
         atol = settings.get("atol", default=1e-12, cast=float)
         parameter = "rtol"
+        if not atol > 0.0:   # NaN fails too
+            raise _UsageError(f"tolerances must be positive, got atol={atol}")
     else:
         raise _UsageError(f"mode must be 'nonadaptive' or 'adaptive', got {mode!r}")
     if len(values) < 2:
         raise _UsageError(f"need at least 2 sweep values for --{parameter}")
-    if any(v <= 0 for v in values):
+    if not all(v > 0.0 for v in values):   # NaN fails too
         raise _UsageError("sweep values must be positive")
     values = sorted(values, reverse=True)
 

@@ -86,6 +86,44 @@ class TestBasicRun:
             load_tape(tmp_path / "tape.json").newton_tolerances, expected)
 
 
+class TestErrorEstimate:
+    """The estimate is the corrector minus the stencil interpolant through
+    the q+1 trailing points, scaled by h_new / (t_new - t_{n-q})."""
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_leading_divided_difference_of_a_monomial(self, q):
+        """y = v t^(q+1): the divided difference over the q+2 points is v,
+        so the estimate is ||v|| h_new^2 prod_{j=1..q-1} (t_new - t_{n-j})."""
+        rng = np.random.default_rng(q)
+        nodes = np.cumsum(rng.uniform(0.05, 0.3, size=q + 3))   # nonuniform
+        v = np.array([0.7, -1.3])
+        states = [v * t ** (q + 1) for t in nodes]
+        t_new = nodes[-1] + 0.2
+        h_new = t_new - nodes[-1]
+        expected = np.linalg.norm(v) * h_new ** 2 * np.prod(
+            [t_new - nodes[-1 - j] for j in range(1, q)])
+        est = bdf._error_estimate(nodes, states, t_new, v * t_new ** (q + 1), q)
+        assert est == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+    def test_unchanged_order_is_scaled_predictor_difference(self, rtol):
+        """Where step n keeps step n-1's order k, the recorded estimate is
+        ||y_{n+1} - predictor|| h_n / (t_{n+1} - t_{n-k}), bit for bit."""
+        tape = integrate_adaptive(CATENARY, rtol)
+        nodes, states, orders = tape.grid.nodes, tape.states, tape.grid.orders
+        kept = [n for n in range(1, tape.n_steps) if orders[n] == orders[n - 1]]
+        assert kept
+        for n in kept:
+            k, t_new = orders[n], nodes[n + 1]
+            predictor = bdf._predict(nodes, states, orders, n, t_new)
+            expected = float(np.linalg.norm(states[n + 1] - predictor, 2)
+                             * (t_new - nodes[n]) / (t_new - nodes[n - k]))
+            est = bdf._error_estimate(nodes[:n + 1], states[:n + 1], t_new,
+                                      states[n + 1], k)
+            assert est == expected
+            assert tape.error_estimates[n] == expected
+
+
 class TestAccuracy:
     def test_tighter_tolerance_smaller_error(self):
         y_exact = CATENARY_REF.nominal(2.0)
@@ -132,3 +170,8 @@ class TestFailureModes:
             integrate_adaptive(CATENARY, 0.0)
         with pytest.raises(ValueError):
             integrate_adaptive(CATENARY, 1e-6, -1e-12)
+        # NaN is refused up front: a NaN step would be halved forever
+        with pytest.raises(ValueError):
+            integrate_adaptive(CATENARY, 1e-6, float("nan"))
+        with pytest.raises(ValueError):
+            integrate_adaptive(CATENARY, float("nan"))

@@ -90,6 +90,20 @@ class TestIntegrate:
                    "--out", str(tmp_path / "t.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--mode", "adaptive", "--rtol", "1e-6", "--atol", "nan"],
+        ["--mode", "adaptive", "--rtol", "nan"],
+        ["--mode", "adaptive", "--rtol", "0"],
+        ["--order", "2", "--h", "-1"],
+        ["--order", "7", "--h", "0.25"],
+    ], ids=["atol-nan", "rtol-nan", "rtol-0", "h-negative", "order-7"])
+    def test_bad_driver_value_is_usage_error(self, tmp_path, args):
+        """The drivers' own checks refuse these, with exit 1 and no tape."""
+        tape = tmp_path / "t.json"
+        rc = main(["integrate", *args, "--out", str(tape)])
+        assert rc == 1
+        assert not tape.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--frobnicate", "1"])
         assert rc == 1
@@ -577,6 +591,19 @@ class TestConvergeCommand:
         rc = main(["converge", "--order", "2", "--h", "0.25",
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "adaptive", "--rtol", "1e-4,1e-6", "--atol", "-1"],
+        ["--mode", "adaptive", "--rtol", "1e-4,1e-6", "--atol", "nan"],
+        ["--order", "2", "--h", "0.25,nan"],
+        ["--mode", "adaptive", "--rtol", "1e-4,nan"],
+    ], ids=["atol-negative", "atol-nan", "h-nan", "rtol-nan"])
+    def test_bad_sweep_input_is_usage_error(self, tmp_path, args):
+        """Refused before any run: not a solver failure, not a NaN row."""
+        out = tmp_path / "c.csv"
+        rc = main(["converge", *args, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
 
     def test_probe_outside_interval(self, tmp_path):
         rc = main(["converge", "--order", "2", "--h", "0.25,0.125",

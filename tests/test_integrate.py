@@ -182,6 +182,8 @@ class TestValidation:
             integrate_nonadaptive(CATENARY, 7, 0.25)
         with pytest.raises(ValueError):
             integrate_nonadaptive(CATENARY, 2, -0.25)
+        with pytest.raises(ValueError, match="stepsize must be positive"):
+            integrate_nonadaptive(CATENARY, 2, float("nan"))
 
     def test_singular_step_raises_solver_error(self):
         """1 - h*a = 0: the Newton matrix is exactly singular."""

@@ -11,10 +11,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf
 
 from bdfadjoint import (SolverError, adjoint_sweep, compute_coefficients,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
                         linear_test_problem, newton_bdf_step)
+from bdfadjoint.bdf import EPS, lu_factor, lu_solve
 
 CATENARY, _ = get_problem("catenary")
 
@@ -124,6 +126,42 @@ class TestFailures:
         with pytest.raises(SolverError):
             newton_bdf_step(cubic, [np.array([1.0])], coeffs, 1.0, 1.0,
                             predictor=np.array([1e8]))
+
+
+class TestLuFactor:
+    def test_refuses_exactly_the_singular_or_non_finite(self):
+        """lu_factor returns None exactly when the LU has a non-finite entry
+        or a pivot at most 1e3 eps of max(largest pivot, 1), on random,
+        near-singular, badly scaled and NaN/inf matrices; otherwise its
+        factors solve with a small backward error."""
+        rng = np.random.default_rng(7)
+        refused = 0
+        for trial in range(2000):
+            d = int(rng.integers(1, 6))
+            m = rng.standard_normal((d, d))
+            kind = trial % 4
+            if kind == 1:   # last row a multiple of the first, plus noise
+                noise = rng.choice([0.0, 1e-17, 1e-15, 1e-13, 1e-10])
+                m[-1] = rng.standard_normal() * m[0] + noise * rng.standard_normal(d)
+            elif kind == 2:
+                m[rng.integers(d), rng.integers(d)] = rng.choice(
+                    [np.nan, np.inf, -np.inf])
+            elif kind == 3:
+                m *= 10.0 ** rng.integers(-20, 20)
+            lu = dgetrf(m)[0]
+            pivots = np.abs(np.diagonal(lu))
+            singular = (not np.isfinite(lu).all()
+                        or pivots.min() <= 1e3 * EPS * max(pivots.max(), 1.0))
+            factors = lu_factor(m)
+            assert (factors is None) == singular
+            if factors is None:
+                refused += 1
+            else:
+                b = rng.standard_normal(d)
+                x = lu_solve(factors, b)   # small backward error
+                assert np.linalg.norm(m @ x - b) <= 1e-12 * (
+                    np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(b))
+        assert 500 < refused < 2000
 
 
 class TestNonFiniteJacobian:
