@@ -11,8 +11,8 @@ from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
                       assemble_weak_adjoint, gradient_wrt_initial, rs_pair)
 from .analysis import (ConvergenceTable, KktResidualReport, coefficient_defects,
                        dual_norm_bound, fit_order, pointwise_error, verify_kkt)
-from .bdf import (DenseOutput, IntegrationTape, NewtonResult, SolverError,
-                  TimeGrid, compute_coefficients, dense_eval, integrate_adaptive,
+from .bdf import (IntegrationTape, NewtonResult, SolverError, TimeGrid,
+                  compute_coefficients, dense_eval, integrate_adaptive,
                   integrate_nonadaptive, newton_bdf_step, replay_integration,
                   tape_residuals)
 from .problems import (AnalyticReference, OdeProblem, catenary_problem,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticReference",
     "ConvergenceTable",
-    "DenseOutput",
     "DiscreteAdjoints",
     "IntegrationTape",
     "KktResidualReport",

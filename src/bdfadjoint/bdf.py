@@ -30,7 +30,6 @@ __all__ = [
     "TimeGrid",
     "IntegrationTape",
     "NewtonResult",
-    "DenseOutput",
     "compute_coefficients",
     "newton_bdf_step",
     "integrate_nonadaptive",
@@ -712,35 +711,24 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
 # Dense output
 # ---------------------------------------------------------------------------
 
-class DenseOutput:
-    """Piecewise interpolation through a tape's states (continuous trajectory).
+def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
+    """Evaluate the tape's interpolated trajectory at time t.
 
     On the interval (t_n, t_{n+1}] the evaluation uses the step's own
     stencil polynomial sum_i L_i(t) * y_{n+1-i} of degree k_n; at grid nodes
     the stored states are returned exactly.
     """
-
-    def __init__(self, tape: IntegrationTape):
-        self.tape = tape
-
-    def __call__(self, t: float) -> np.ndarray:
-        tape = self.tape
-        nodes = tape.grid.nodes
-        t = float(t)
-        if t < nodes[0] or t > nodes[-1]:
-            raise ValueError(
-                f"t={t} outside the integration interval [{nodes[0]}, {nodes[-1]}]"
-            )
-        idx = int(np.searchsorted(nodes, t, side="left"))
-        if nodes[idx] == t:
-            return tape.states[idx].copy()
-        # t lies in (t_{idx-1}, t_idx), the interval of step idx-1
-        return _predict(nodes, tape.states, tape.grid.orders, idx, t)
-
-
-def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
-    """Evaluate the tape's interpolated trajectory at time t."""
-    return DenseOutput(tape)(t)
+    nodes = tape.grid.nodes
+    t = float(t)
+    if t < nodes[0] or t > nodes[-1]:
+        raise ValueError(
+            f"t={t} outside the integration interval [{nodes[0]}, {nodes[-1]}]"
+        )
+    idx = int(np.searchsorted(nodes, t, side="left"))
+    if nodes[idx] == t:
+        return tape.states[idx].copy()
+    # t lies in (t_{idx-1}, t_idx), the interval of step idx-1
+    return _predict(nodes, tape.states, tape.grid.orders, idx, t)
 
 
 # ---------------------------------------------------------------------------

@@ -178,17 +178,18 @@ def _problem_for_tape(tape, settings=None):
                 f"tape was recorded for problem {tape.problem_name!r}, "
                 f"not {declared!r}")
     try:
-        return get_problem(tape.problem_name, **tape.problem_params)
+        problem, reference = get_problem(tape.problem_name, **tape.problem_params)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"cannot rebuild tape problem: {exc}") from exc
+    if problem.dimension != tape.dimension:
+        raise _UsageError("tape dimension does not match the problem")
+    return problem, reference
 
 
 def cmd_adjoint(ns) -> int:
     settings = _Settings(ns)
     tape = _load_input(settings, "tape", load_tape, "tape")
     problem, _ = _problem_for_tape(tape, settings)
-    if problem.dimension != tape.dimension:
-        raise _UsageError("tape dimension does not match the problem")
     resid = tape_residuals(problem, tape)
     # written so that a NaN residual fails too
     if not np.all(resid <= 10.0 * tape.newton_tolerances):

@@ -85,7 +85,7 @@ class OdeProblem:
 
 @dataclass(frozen=True)
 class AnalyticReference:
-    """Closed-form (or oracle-grade) reference solutions for a test problem.
+    """Closed-form reference solutions for a test problem.
 
     All three callables take a time t and return an array of shape (d,).
     ``weak_adjoint`` is normalized to vanish at the initial time.
@@ -203,11 +203,16 @@ def catenary_problem(p: float, A: float, t_f: float):
 def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     """Linear-dynamics oracle problem y' = a @ y with criterion J(y) = c @ y.
 
-    The nominal solution is the matrix exponential flow
-    y(t) = expm(a (t - t_s)) @ y_s, the classical adjoint is the closed form
-    lambda(t) = expm(a^T (t_f - t)) @ c, and the weak adjoint is produced by
-    adaptive quadrature of lambda to absolute/relative tolerance 1e-12
-    (only lambda has a closed form for general a).
+    All three references are matrix exponentials.  The nominal solution is
+    the flow y(t) = expm(a (t - t_s)) @ y_s, the classical adjoint is
+    lambda(t) = expm(a^T (t_f - t)) @ c, and the weak adjoint is
+
+        Lambda(t) = expm(a^T (t_f - t)) @ Phi(t - t_s),
+        Phi(s) = integral_0^s expm(a^T u) c du,
+
+    where Phi(s) is the top d entries of the last column of
+    expm([[a^T, c], [0, 0]] s) (Van Loan, IEEE TAC 1978).  The product form
+    makes Lambda(t_s) exactly zero and holds for singular a.
 
     Parameters
     ----------
@@ -218,7 +223,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     t_s, t_f : float
         Integration interval.
     c : array_like, optional
-        Criterion vector; defaults to the first unit vector.
+        Criterion vector of length d; defaults to the first unit vector.
 
     Returns
     -------
@@ -234,6 +239,8 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         c[0] = 1.0
     else:
         c = np.atleast_1d(np.asarray(c, dtype=float))
+        if c.shape != (d,):
+            raise ValueError(f"criterion vector has shape {c.shape}, expected ({d},)")
 
     def rhs(t, y):
         return a @ y
@@ -273,14 +280,11 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         return expm(a.T * (t_f - t)) @ c
 
     def weak_adjoint(t):
-        from scipy.integrate import quad   # slow import, needed only here
-
-        out = np.empty(d)
-        for j in range(d):
-            val, _ = quad(lambda tau: classical_adjoint(tau)[j], t_s, t,
-                          epsabs=1e-12, epsrel=1e-12, limit=200)
-            out[j] = val
-        return out
+        augmented = np.zeros((d + 1, d + 1))
+        augmented[:d, :d] = a.T
+        augmented[:d, d] = c
+        phi = expm(augmented * (t - t_s))[:d, d]
+        return expm(a.T * (t_f - t)) @ phi
 
     reference = AnalyticReference(nominal, classical_adjoint, weak_adjoint)
     return problem, reference

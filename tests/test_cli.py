@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -138,8 +139,8 @@ class TestIntegrate:
         assert implicit.read_bytes() == explicit.read_bytes()
 
     def test_import_leaves_quadrature_unloaded(self):
-        """scipy.integrate serves only the linear reference's weak adjoint,
-        so importing the CLI must not pay for it."""
+        """Nothing in the package needs scipy.integrate, so importing the
+        CLI must not pay for it."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -495,6 +496,58 @@ class TestVerifyCommand:
         assert main(["verify", "--tape", str(tape)]) == 1
 
 
+class TestProblemShapes:
+    """Problem parameters whose shapes disagree are refused with exit 1 by
+    every command that builds the problem."""
+
+    @pytest.mark.parametrize("stage", ["integrate", "adjoint", "converge"])
+    def test_criterion_of_wrong_length_refused(self, tmp_path, capsys, stage):
+        system = ("a = -1 0; 0 -2", "y0 = 1 1")
+        out = tmp_path / "out"
+        if stage == "adjoint":
+            tape = tmp_path / "tape.json"
+            cfg = _write_config(tmp_path, "problem = linear", *system, "c = 1 0")
+            assert main(["integrate", "--config", str(cfg), "--order", "1",
+                         "--h", "0.25", "--out", str(tape)]) == 0
+            doc = json.loads(tape.read_text())
+            doc["problem"]["params"]["c"] = [1.0, 0.0, 0.0]
+            tape.write_text(json.dumps(doc))
+            args = ["adjoint", "--tape", str(tape)]
+        else:
+            cfg = _write_config(tmp_path, "problem = linear", *system,
+                                "c = 1 0 0")
+            h = "0.25" if stage == "integrate" else "0.25,0.125"
+            args = [stage, "--config", str(cfg), "--order", "1", "--h", h]
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        assert "criterion vector has shape (3,), expected (2,)" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_problem_of_other_dimension_refused(self, tmp_path, capsys, stage):
+        """Tape and adjoint file whose problem params rebuild a 3-dimensional
+        problem over 2-wide states."""
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--problem", "linear", "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        params = {"a": (-np.eye(3)).tolist(), "y0": [1.0, 1.0, 1.0],
+                  "t0": 0.0, "tf": 1.0, "c": [1.0, 0.0, 0.0]}
+        for path in (tape, adj):
+            doc = json.loads(path.read_text())
+            doc["problem"]["params"] = params
+            path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
+                ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: tape dimension does not match the problem\n")
+        assert not out.exists()
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_documents():
     """A small valid tape and adjoint document (catenary, k=2, h=1/4)."""
@@ -604,6 +657,30 @@ class TestConvergeCommand:
         rc = main(["converge", *args, "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    def test_heat_config_weak_adjoint_second_order(self, tmp_path, capsys):
+        """The linear reference's weak adjoint is cheap enough at d = 100 for
+        a k = 2 sweep on a heat matrix, whose error at t_f falls at order 2."""
+        d = 100
+        dx = 1.0 / (d + 1)
+        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
+                               + np.diag(np.ones(d - 1), 1)
+                               + np.diag(np.ones(d - 1), -1))
+        y0 = np.sin(np.pi * dx * np.arange(1, d + 1))
+
+        def fmt(values):
+            return " ".join(repr(float(v)) for v in values)
+
+        cfg = _write_config(tmp_path, "problem = linear", "tf = 0.5",
+                            "a = " + "; ".join(fmt(row) for row in a),
+                            "y0 = " + fmt(y0), "c = " + fmt(np.full(d, dx)))
+        rc = main(["converge", "--config", str(cfg), "--order", "2",
+                   "--h", "0.03125,0.015625,0.0078125,0.00390625",
+                   "--probe", "0.25", "--out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        fitted = re.search(r"fitted order \(tf\): (\S+)",
+                           capsys.readouterr().out)
+        assert 1.9 <= float(fitted.group(1)) <= 2.1
 
     def test_probe_outside_interval(self, tmp_path):
         rc = main(["converge", "--order", "2", "--h", "0.25,0.125",

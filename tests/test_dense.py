@@ -9,9 +9,8 @@ interpolation error of the same order as the integration error elsewhere.
 import numpy as np
 import pytest
 
-from bdfadjoint import (DenseOutput, dense_eval, get_problem,
-                        integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem)
+from bdfadjoint import (dense_eval, get_problem, integrate_adaptive,
+                        integrate_nonadaptive, linear_test_problem)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -19,14 +18,8 @@ CATENARY, CATENARY_REF = get_problem("catenary")
 class TestNodes:
     def test_exact_at_every_node(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.125)
-        dense = DenseOutput(tape)
         for idx, t in enumerate(tape.grid.nodes):
-            np.testing.assert_array_equal(dense(t), tape.states[idx])
-
-    def test_wrapper_matches_class(self):
-        tape = integrate_nonadaptive(CATENARY, 2, 0.25)
-        t = 1.37
-        np.testing.assert_array_equal(dense_eval(tape, t), DenseOutput(tape)(t))
+            np.testing.assert_array_equal(dense_eval(tape, t), tape.states[idx])
 
 
 class TestInterpolation:
@@ -35,9 +28,8 @@ class TestInterpolation:
         problem, ref = linear_test_problem(a=[[0.0, 1.0], [0.0, 0.0]],
                                            y_s=[1.0, 1.0], t_s=0.0, t_f=1.0)
         tape = integrate_nonadaptive(problem, 2, 0.125)
-        dense = DenseOutput(tape)
         for t in np.linspace(0.01, 0.99, 13):
-            np.testing.assert_allclose(dense(t), ref.nominal(t),
+            np.testing.assert_allclose(dense_eval(tape, t), ref.nominal(t),
                                        rtol=1e-12, atol=1e-12)
 
     def test_midpoint_error_scales_with_integration_error(self):
@@ -45,32 +37,30 @@ class TestInterpolation:
         errs = []
         for h in (2.0 ** -5, 2.0 ** -6):
             tape = integrate_nonadaptive(CATENARY, 2, h)
-            dense = DenseOutput(tape)
             mids = 0.5 * (tape.grid.nodes[3:-1] + tape.grid.nodes[4:])
-            errs.append(max(np.linalg.norm(dense(t) - CATENARY_REF.nominal(t))
+            errs.append(max(np.linalg.norm(dense_eval(tape, t)
+                                           - CATENARY_REF.nominal(t))
                             for t in mids))
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] > 2.5  # ~4 for a second-order method
 
     def test_adaptive_tape_dense_output(self):
         tape = integrate_adaptive(CATENARY, 1e-8)
-        dense = DenseOutput(tape)
         for t in (0.1, 0.77, 1.5, 1.999):
-            np.testing.assert_allclose(dense(t), CATENARY_REF.nominal(t),
+            np.testing.assert_allclose(dense_eval(tape, t),
+                                       CATENARY_REF.nominal(t),
                                        rtol=1e-5, atol=1e-6)
 
 
 class TestDomain:
     def test_outside_interval_raises(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.25)
-        dense = DenseOutput(tape)
         with pytest.raises(ValueError):
-            dense(-0.1)
+            dense_eval(tape, -0.1)
         with pytest.raises(ValueError):
-            dense(2.0 + 1e-9)
+            dense_eval(tape, 2.0 + 1e-9)
 
     def test_endpoints_included(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.25)
-        dense = DenseOutput(tape)
-        np.testing.assert_array_equal(dense(0.0), tape.states[0])
-        np.testing.assert_array_equal(dense(2.0), tape.states[-1])
+        np.testing.assert_array_equal(dense_eval(tape, 0.0), tape.states[0])
+        np.testing.assert_array_equal(dense_eval(tape, 2.0), tape.states[-1])

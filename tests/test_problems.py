@@ -120,6 +120,42 @@ class TestLinear:
         np.testing.assert_allclose(got, (np.exp(a * 0.5) - np.exp(a)) / (-a),
                                    rtol=1e-9)
 
+    def test_weak_adjoint_matches_quadrature(self):
+        """Non-normal, singular a: the closed form agrees with quadrature of
+        lambda, and vanishes exactly at t_s."""
+        a = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -2.0]]
+        t_s, t_f = 0.25, 1.5
+        _, ref = linear_test_problem(a, y_s=[1.0, 1.0, 1.0], t_s=t_s,
+                                     t_f=t_f, c=[1.0, -1.0, 2.0])
+        assert ref.weak_adjoint(t_s).tolist() == [0.0, 0.0, 0.0]
+        for t in (0.9, t_f):
+            expect = [quad(lambda s, j=j: ref.classical_adjoint(s)[j], t_s, t,
+                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                      for j in range(3)]
+            np.testing.assert_allclose(ref.weak_adjoint(t), expect,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_weak_adjoint_identity_on_heat_matrix(self):
+        """Integrating lambda' = -a^T lambda over [t_s, t_f] gives
+        a^T Lambda(t_f) = lambda(t_s) - c, here at d = 200."""
+        d, nu, t_f = 200, 0.1, 0.5
+        dx = 1.0 / (d + 1)
+        a = (nu / dx ** 2) * (np.diag(np.full(d, -2.0))
+                              + np.diag(np.ones(d - 1), 1)
+                              + np.diag(np.ones(d - 1), -1))
+        c = np.full(d, dx)
+        x = dx * np.arange(1, d + 1)
+        _, ref = linear_test_problem(a, y_s=np.sin(np.pi * x), t_s=0.0,
+                                     t_f=t_f, c=c)
+        expect = ref.classical_adjoint(0.0) - c
+        got = a.T @ ref.weak_adjoint(t_f)
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+    def test_rejects_criterion_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"criterion vector has shape \(3,\)"):
+            linear_test_problem(a=[[-1.0, 0.0], [0.0, -2.0]], y_s=[1.0, 1.0],
+                                t_s=0.0, t_f=1.0, c=[1.0, 0.0, 0.0])
+
     def test_rhs_and_jacobian(self):
         problem, _ = linear_test_problem(
             a=[[0.0, 1.0], [-2.0, 0.0]], y_s=[1.0, 0.0], t_s=0.0, t_f=1.0)
