@@ -63,7 +63,9 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     step stencil touches; the contribution reaching y_0 accumulates the
     gradient.  The factors of bdf.lu_factor are kept while h, alpha_0 and
     f_y(t_j, y_j) stay bit-equal to the next step's (a linear autonomous
-    problem on a run of equal steps).  A singular step matrix means the
+    problem on a run of equal steps).  For a problem that states a band
+    (kl, ku), the transposed matrix is built, factored and solved in band
+    storage with bandwidths (ku, kl).  A singular step matrix means the
     stability condition of the scheme is violated; it is refused, as is a
     non-finite one.
     """
@@ -76,14 +78,17 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     rhs[n_steps] = problem.criterion_gradient(tape.states[n_steps])
     lambdas = np.zeros((n_steps + 1, d))
     key = key_jac = factors = None
+    band = None if problem.band is None else problem.band[::-1]   # of f_y^T
 
     for j in range(n_steps, 0, -1):
         step = j - 1
         alphas = tape.grid.alphas[step]
         jac = problem.jacobian(nodes[j], tape.states[j])
-        if (h[step], alphas[0]) != key or not np.array_equal(jac, key_jac):
+        # a problem that returns the same read-only f_y needs no O(d^2) compare
+        if (h[step], alphas[0]) != key or (jac is not key_jac
+                                           and not np.array_equal(jac, key_jac)):
             # factors of the transpose itself, so one plain solve serves
-            factors = lu_factor(_iteration_matrix(jac, h[step], alphas[0]).T)
+            factors = lu_factor(_iteration_matrix(jac.T, h[step], alphas[0], band), band)
             if factors is None:
                 raise SolverError(f"singular or non-finite adjoint matrix at t={nodes[j]}")
             key, key_jac = (h[step], alphas[0]), jac

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 __all__ = [
     "MAX_ORDER",
@@ -274,29 +274,51 @@ def _step_residual(problem, t, h, alphas, back, y):
     return alphas[0] * y + back - h * problem.rhs(t, y)
 
 
-def _iteration_matrix(jac, h, alpha0):
-    """Newton matrix alpha_0 I - h jac for jac = f_y; the adjoint uses its transpose."""
-    # Not -h*f_y with alpha_0 added to the diagonal afterwards: that would
-    # turn off-diagonal +0.0 into -0.0.
-    return alpha0 * np.eye(len(jac)) - h * jac
+def _iteration_matrix(jac, h, alpha0, band=None):
+    """Newton matrix alpha_0 I - h jac for jac = f_y (the adjoint passes
+    f_y^T): dense for band None, else in LAPACK band storage for the
+    bandwidths band = (kl, ku) of jac, read from its kl + ku + 1 diagonals."""
+    # Entrywise alpha_0 - h J_ii and 0.0 - h J_ij, not -h*f_y with alpha_0
+    # added to the diagonal afterwards: that would turn off-diagonal +0.0
+    # into -0.0.
+    if band is None:
+        return alpha0 * np.eye(len(jac)) - h * jac
+    kl, ku = band
+    d = len(jac)
+    # entry (i, i + k) goes to ab[kl + ku - k, i + k]; the first kl rows
+    # stay zero for dgbtrf's fill-in
+    ab = np.zeros((2 * kl + ku + 1, d))
+    for k in range(-kl, ku + 1):
+        ab[kl + ku - k, max(k, 0):d + min(k, 0)] = \
+            (alpha0 if k == 0 else 0.0) - h * jac.diagonal(k)
+    return ab
 
 
-def lu_factor(m):
-    """LU factors of m for lu_solve, or None when m is singular to working
-    precision (a pivot at most 1e3 eps of the largest) or not finite."""
+def lu_factor(m, band=None):
+    """LU factors of m = _iteration_matrix(..., band) for lu_solve, or None
+    when m is singular to working precision (a pivot at most 1e3 eps of the
+    largest) or not finite."""
     # LAPACK directly: SciPy's wrappers cost over ten times the d = 2
     # factorization, and exact singularity is caught by the pivot test, which
     # runs on Python floats because NumPy's min and max cost more than dgetrf.
-    lu, piv, _ = dgetrf(m)
-    diag = np.abs(lu.diagonal()).tolist()
+    if band is None:
+        lu, piv, _ = dgetrf(m)
+        pivots = lu.diagonal()
+    else:
+        lu, piv, _ = dgbtrf(m, *band)
+        pivots = lu[sum(band)]   # U's diagonal row
+    diag = np.abs(pivots).tolist()
     if not np.isfinite(lu).all() or min(diag) <= 1e3 * EPS * max(max(diag), 1.0):
         return None
-    return lu, piv
+    return lu, piv, band
 
 
 def lu_solve(factors, b):
-    """Solution x of m x = b, with factors = lu_factor(m)."""
-    return dgetrs(*factors, b)[0]
+    """Solution x of m x = b, with factors = lu_factor(m, band)."""
+    lu, piv, band = factors
+    if band is None:
+        return dgetrs(lu, piv, b)[0]
+    return dgbtrs(lu, *band, b, piv)[0]
 
 
 class _FactorCache:
@@ -319,7 +341,7 @@ class _FactorCache:
         if not np.isfinite(jac).all():
             # fatal, not a step failure: a smaller step does not mend f_y
             raise SolverError(f"non-finite Jacobian at t={t_new}")
-        lu = lu_factor(_iteration_matrix(jac, h, alpha0))
+        lu = lu_factor(_iteration_matrix(jac, h, alpha0, problem.band), problem.band)
         if lu is None:
             raise _StepFailure(f"singular or non-finite Newton iteration matrix at t={t_new}")
         self.lu = lu
@@ -759,7 +781,8 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
         back = _history_sum(alphas, states[n::-1])
         for _ in range(int(tape.newton_iterations[n])):
             r = _step_residual(problem, t_new, h, alphas, back, y)
-            factors = lu_factor(_iteration_matrix(problem.jacobian(t_new, y), h, alphas[0]))
+            factors = lu_factor(_iteration_matrix(problem.jacobian(t_new, y), h,
+                                                  alphas[0], problem.band), problem.band)
             if factors is None:
                 raise SolverError(f"singular or non-finite replay matrix at t={t_new}")
             delta = lu_solve(factors, -r)

@@ -15,7 +15,7 @@ normalized so that Lambda(t_s) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -54,6 +54,13 @@ class OdeProblem:
         Registry name used by the CLI and by tape serialization.
     params : dict
         Constructor parameters sufficient to rebuild the problem.
+    band : (kl, ku) or None
+        Lower and upper bandwidth of f_y, stated by the problem: every entry
+        (i, j) of f_y with i - j > kl or j - i > ku is zero.  The step
+        solvers then build, factor and solve alpha_0 I - h f_y in LAPACK band
+        storage and never read the entries outside the band, so a band
+        narrower than f_y's true one solves the wrong matrix (the KKT
+        certificate of ``verify`` catches that).  None means dense.
     """
 
     dimension: int
@@ -66,6 +73,7 @@ class OdeProblem:
     initial_state: np.ndarray
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    band: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -81,6 +89,13 @@ class OdeProblem:
                 f"initial_state has shape {y0.shape}, expected ({self.dimension},)"
             )
         object.__setattr__(self, "initial_state", y0)
+        if self.band is not None:
+            band = tuple(self.band)
+            if len(band) != 2 or not all(isinstance(w, (int, np.integer))
+                                         and 0 <= w < self.dimension for w in band):
+                raise ValueError(f"band {self.band} is not two integers in "
+                                 f"[0, {self.dimension - 1}]")
+            object.__setattr__(self, "band", tuple(int(w) for w in band))
 
 
 @dataclass(frozen=True)
@@ -214,6 +229,11 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     expm([[a^T, c], [0, 0]] s) (Van Loan, IEEE TAC 1978).  The product form
     makes Lambda(t_s) exactly zero and holds for singular a.
 
+    The problem states the bandwidths (kl, ku) of the nonzeros of a as its
+    band when band storage, 2 kl + ku + 1 rows, is smaller than the d rows
+    of the dense matrix; otherwise it states none.  The Jacobian is a
+    itself, read-only.
+
     Parameters
     ----------
     a : array_like
@@ -229,10 +249,14 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     -------
     (OdeProblem, AnalyticReference)
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = np.array(a, dtype=float, ndmin=2)   # a copy, so freezing it is ours
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError(f"system matrix must be square, got shape {a.shape}")
+    a.flags.writeable = False
+    rows, cols = np.nonzero(a)
+    kl, ku = (int(np.max(w, initial=0)) for w in (rows - cols, cols - rows))
+    band = (kl, ku) if 2 * kl + ku + 1 < d else None
     y_s = np.atleast_1d(np.asarray(y_s, dtype=float))
     if c is None:
         c = np.zeros(d)
@@ -246,7 +270,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         return a @ y
 
     def jacobian(t, y):
-        return a.copy()
+        return a
 
     def criterion(y):
         return float(c @ y)
@@ -271,6 +295,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
             "tf": float(t_f),
             "c": c.tolist(),
         },
+        band=band,
     )
 
     def nominal(t):

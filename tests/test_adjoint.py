@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import bdfadjoint.adjoint as adjoint_module
 from bdfadjoint import (SolverError, adjoint_sweep, bdf, get_problem,
@@ -179,9 +180,21 @@ class TestValidation:
             gradient_wrt_initial(tape, adj_other.lambdas)
 
 
+def _band_storage(mat, kl, ku):
+    """LAPACK band storage of mat with bandwidths (kl, ku), written entry by
+    entry: (i, j) goes to row kl + ku + i - j, the kl fill-in rows are zero."""
+    d = len(mat)
+    ab = np.zeros((2 * kl + ku + 1, d))
+    for i, j in itertools.product(range(d), repeat=2):
+        if -ku <= i - j <= kl:
+            ab[kl + ku + i - j, j] = mat[i, j]
+    return ab
+
+
 def _solve_every_step(problem, tape):
-    """Reference sweep: one direct solve with the transposed step matrix at
-    every step, no factorization reuse.  Returns (lambdas, gradient)."""
+    """Reference sweep: one fresh solve with the transposed step matrix at
+    every step, no factorization reuse: np.linalg.solve on the dense route,
+    a fresh dgbtrf/dgbtrs on the band route.  Returns (lambdas, gradient)."""
     n_steps, d = tape.n_steps, tape.dimension
     nodes, h = tape.grid.nodes, tape.grid.stepsizes
     rhs = np.zeros((n_steps + 1, d))
@@ -191,21 +204,41 @@ def _solve_every_step(problem, tape):
         alphas = tape.grid.alphas[j - 1]
         mat = (alphas[0] * np.eye(d)
                - h[j - 1] * problem.jacobian(nodes[j], tape.states[j]))
-        lambdas[j] = np.linalg.solve(mat.T, rhs[j])
+        if problem.band is None:
+            lambdas[j] = np.linalg.solve(mat.T, rhs[j])
+        else:
+            ku, kl = problem.band   # of the transpose
+            lu, piv, info = dgbtrf(_band_storage(mat.T, kl, ku), kl, ku)
+            assert info == 0
+            lambdas[j] = dgbtrs(lu, kl, ku, rhs[j], piv)[0]
         for i in range(1, tape.grid.orders[j - 1] + 1):
             rhs[j - i] -= alphas[i] * lambdas[j]
     return lambdas[1:], gradient_wrt_initial(tape, lambdas[1:])
 
 
+def _heat(d=50):
+    """Tridiagonal method-of-lines heat matrix as a linear problem, which
+    states the band (1, 1)."""
+    dx = 1.0 / (d + 1)
+    a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
+                           + np.diag(np.ones(d - 1), 1)
+                           + np.diag(np.ones(d - 1), -1))
+    x = dx * np.arange(1, d + 1)
+    problem, _ = linear_test_problem(a=a, y_s=np.sin(np.pi * x), t_s=0.0,
+                                     t_f=1.0, c=np.full(d, dx))
+    return problem
+
+
 @pytest.fixture
 def lu_factor_calls(monkeypatch):
-    """Counts the LU factorizations made through bdf."""
+    """Counts the LU factorizations made through bdf, by the shape of the
+    matrix passed: (d, d) dense, (2 kl + ku + 1, d) in band storage."""
     calls = []
     factor = bdf.lu_factor
 
-    def counting(m):
+    def counting(m, band=None):
         calls.append(m.shape)
-        return factor(m)
+        return factor(m, band)
 
     # every binding of the one factor function: bdf's and the sweep's import
     monkeypatch.setattr(bdf, "lu_factor", counting)
@@ -218,21 +251,12 @@ class TestFactorReuse:
     the factors while h, alpha_0 and f_y stay bit-equal, so each run of
     consecutive equal matrices, a lone step included, is factored once."""
 
-    def _heat(self, d=50):
-        dx = 1.0 / (d + 1)
-        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
-                               + np.diag(np.ones(d - 1), 1)
-                               + np.diag(np.ones(d - 1), -1))
-        x = dx * np.arange(1, d + 1)
-        problem, _ = linear_test_problem(a=a, y_s=np.sin(np.pi * x), t_s=0.0,
-                                         t_f=1.0, c=np.full(d, dx))
-        return problem
-
     def test_one_factorization_per_run_of_repeats(self, lu_factor_calls):
         """k=2 on a uniform grid: the two h/2 start steps, the ramp step and
-        the uniform main steps are the runs of equal matrices.  Reused
-        factors solve as a fresh solve at every step does, bit for bit."""
-        problem = self._heat()
+        the uniform main steps are the runs of equal matrices.  On the dense
+        route, reused factors solve as a fresh solve at every step does, bit
+        for bit."""
+        problem = dataclasses.replace(_heat(), band=None)
         tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
         # a linear autonomous step matrix is fixed by (h, alpha_0)
         key = zip(tape.grid.stepsizes, tape.grid.alphas[:, 0])
@@ -241,6 +265,23 @@ class TestFactorReuse:
         lu_factor_calls.clear()   # those of the forward pass
         adj = adjoint_sweep(problem, tape)
         assert lu_factor_calls == [(50, 50)] * runs
+        lambdas, gradient = _solve_every_step(problem, tape)
+        np.testing.assert_array_equal(adj.lambdas, lambdas)
+        np.testing.assert_array_equal(adj.gradient, gradient)
+
+    def test_band_route_one_factorization_per_run_of_repeats(self, lu_factor_calls):
+        """The same runs on the band route: one factorization of the 4 x 50
+        band storage per run, and reused factors solve as a fresh band
+        factorization at every step does, bit for bit."""
+        problem = _heat()
+        assert problem.band == (1, 1)
+        tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
+        key = zip(tape.grid.stepsizes, tape.grid.alphas[:, 0])
+        runs = sum(1 for _ in itertools.groupby(key))
+        assert runs == 3
+        lu_factor_calls.clear()   # those of the forward pass
+        adj = adjoint_sweep(problem, tape)
+        assert lu_factor_calls == [(4, 50)] * runs
         lambdas, gradient = _solve_every_step(problem, tape)
         np.testing.assert_array_equal(adj.lambdas, lambdas)
         np.testing.assert_array_equal(adj.gradient, gradient)
@@ -278,9 +319,78 @@ class TestFactorReuse:
             problem, _ = linear_test_problem(a=[[-1.0, 0.0], [0.0, -1.0]],
                                              y_s=[1.0, 1.0], t_s=0.0, t_f=t_f)
             tape = integrate_nonadaptive(problem, 1, h)
-            singular = dataclasses.replace(problem, jacobian=lambda t, y: jac.copy())
+            # a diagonal 2 x 2 a states the band (0, 0), which this f_y breaks
+            singular = dataclasses.replace(problem, jacobian=lambda t, y: jac.copy(),
+                                           band=None)
             lu_factor_calls.clear()
             with pytest.raises(SolverError,
                                match="singular or non-finite adjoint matrix"):
                 adjoint_sweep(singular, tape)
             assert lu_factor_calls == [(2, 2)]
+
+
+class TestBandRoute:
+    """A problem that states a band (kl, ku) has its step matrices built,
+    factored and solved in LAPACK band storage by Newton, replay and the
+    sweep; the dense route is the same problem with band=None."""
+
+    def test_band_storage_holds_the_dense_entries(self):
+        """Bit for bit, the sign of every zero included: 0.0 - h J_ij off the
+        diagonal, alpha_0 - h J_ii on it, and zero outside the matrix."""
+        rng = np.random.default_rng(3)
+        d, kl, ku = 7, 2, 1
+        i, j = np.indices((d, d))
+        inside = (i - j <= kl) & (j - i <= ku)
+        jac = np.where(inside, rng.standard_normal((d, d)), 0.0)
+        jac[3, 1], jac[2, 3], jac[4, 4] = -0.0, 0.0, -0.0
+        h, alpha0 = 0.3, 1.5
+        dense = bdf._iteration_matrix(jac, h, alpha0)
+        ab = bdf._iteration_matrix(jac, h, alpha0, (kl, ku))
+        assert ab.tobytes() == _band_storage(dense, kl, ku).tobytes()
+        b = rng.standard_normal(d)
+        x = bdf.lu_solve(bdf.lu_factor(ab, (kl, ku)), b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-13)
+
+    @pytest.mark.parametrize("driver", ["nonadaptive", "adaptive"])
+    def test_band_and_dense_routes_agree(self, driver):
+        """d = 50 heat, k = 2 fixed and adaptive rtol 1e-6: the same grid,
+        and lambda and the gradient within 1e-12 relative."""
+        band = _heat()
+        dense = dataclasses.replace(band, band=None)
+        runs = {}
+        for route, problem in (("band", band), ("dense", dense)):
+            tape = (integrate_nonadaptive(problem, 2, 1.0 / 16) if driver == "nonadaptive"
+                    else integrate_adaptive(problem, 1e-6))
+            runs[route] = tape, adjoint_sweep(problem, tape)
+        (tape_b, adj_b), (tape_d, adj_d) = runs["band"], runs["dense"]
+        np.testing.assert_array_equal(tape_b.grid.nodes, tape_d.grid.nodes)
+        scale = np.max(np.abs(adj_d.lambdas))
+        assert np.max(np.abs(adj_b.lambdas - adj_d.lambdas)) <= 1e-12 * scale
+        assert (np.linalg.norm(adj_b.gradient - adj_d.gradient)
+                <= 1e-12 * np.linalg.norm(adj_d.gradient))
+
+    @pytest.mark.parametrize("route", ["newton", "replay", "sweep"])
+    @pytest.mark.parametrize("kind", ["singular", "nan"])
+    def test_bad_band_matrix_raises(self, route, kind):
+        """BDF1 with I - h f_y = tridiag with rows 0 and 1 equal (singular),
+        or with a NaN on its diagonal: every route refuses it."""
+        problem = _heat(d=8)
+        h = 0.125
+        mat = np.eye(8)
+        mat[0, 1] = mat[1, 0] = 1.0
+        if kind == "nan":
+            mat[5, 5] = np.nan
+        jac = (np.eye(8) - mat) / h
+        bad = dataclasses.replace(problem, jacobian=lambda t, y: jac)
+        assert bad.band == (1, 1)
+        if route == "newton":
+            with pytest.raises(SolverError):
+                integrate_nonadaptive(bad, 1, h)
+            return
+        tape = integrate_nonadaptive(problem, 1, h)
+        assert tape.newton_iterations.min() > 0
+        with pytest.raises(SolverError, match="singular or non-finite"):
+            if route == "replay":
+                replay_integration(bad, tape)
+            else:
+                adjoint_sweep(bad, tape)

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from bdfadjoint import (bdf, get_problem, integrate_nonadaptive, load_tape,
                         save_tape)
 from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
+import bdfadjoint.cli as cli_module
 from bdfadjoint.cli import main
 
 CATENARY, _ = get_problem("catenary")
@@ -156,6 +157,37 @@ def _write_config(tmp_path, *lines):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[problem]\n" + "\n".join(lines) + "\n")
     return cfg
+
+
+def _heat_config(tmp_path, d, tf=0.5):
+    """Config of the tridiagonal d-point heat matrix as the linear problem."""
+    dx = 1.0 / (d + 1)
+    a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
+                           + np.diag(np.ones(d - 1), 1)
+                           + np.diag(np.ones(d - 1), -1))
+    y0 = np.sin(np.pi * dx * np.arange(1, d + 1))
+
+    def fmt(values):
+        return " ".join(repr(float(v)) for v in values)
+
+    return _write_config(tmp_path, "problem = linear", f"tf = {tf!r}",
+                         "a = " + "; ".join(fmt(row) for row in a),
+                         "y0 = " + fmt(y0), "c = " + fmt(np.full(d, dx)))
+
+
+@pytest.fixture
+def patched_problems(monkeypatch):
+    """Routes the CLI's registry lookups through edit(problem, reference),
+    which returns the pair to use; edit = None restores the registry."""
+    lookup = cli_module.get_problem
+
+    def install(edit):
+        if edit is None:
+            monkeypatch.setattr(cli_module, "get_problem", lookup)
+        else:
+            monkeypatch.setattr(cli_module, "get_problem",
+                                lambda name, **params: edit(*lookup(name, **params)))
+    return install
 
 
 class TestConfig:
@@ -384,6 +416,26 @@ class TestVerifyCommand:
         assert worst["adjoint"]["t"] == nodes[worst["adjoint"]["step"]]
         assert 1 <= worst["nominal"]["step"] <= len(nodes) - 1
         assert f"worst at step {worst['adjoint']['step']}," in capsys.readouterr().out
+
+    def test_band_narrower_than_jacobian_fails(self, tmp_path, capsys,
+                                               patched_problems):
+        """An adjoint run whose problem states the band (0, 0) for a
+        tridiagonal f_y solves the wrong step matrices; verify forms the full
+        f_y^T lambda products, so the KKT certificate refuses its
+        multipliers."""
+        cfg = _heat_config(tmp_path, 8)
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--config", str(cfg), "--order", "2",
+                     "--h", "0.0625", "--out", str(tape)]) == 0
+        patched_problems(lambda problem, reference: (
+            dataclasses.replace(problem, band=(0, 0)), reference))
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        patched_problems(None)
+        capsys.readouterr()
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(tmp_path / "kkt.json")])
+        assert rc == 3
+        assert "adjoint_residual" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["tape", "adjoint"])
     def test_nan_input_is_verification_failure(self, tmp_path, capsys, target):
@@ -661,19 +713,7 @@ class TestConvergeCommand:
     def test_heat_config_weak_adjoint_second_order(self, tmp_path, capsys):
         """The linear reference's weak adjoint is cheap enough at d = 100 for
         a k = 2 sweep on a heat matrix, whose error at t_f falls at order 2."""
-        d = 100
-        dx = 1.0 / (d + 1)
-        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
-                               + np.diag(np.ones(d - 1), 1)
-                               + np.diag(np.ones(d - 1), -1))
-        y0 = np.sin(np.pi * dx * np.arange(1, d + 1))
-
-        def fmt(values):
-            return " ".join(repr(float(v)) for v in values)
-
-        cfg = _write_config(tmp_path, "problem = linear", "tf = 0.5",
-                            "a = " + "; ".join(fmt(row) for row in a),
-                            "y0 = " + fmt(y0), "c = " + fmt(np.full(d, dx)))
+        cfg = _heat_config(tmp_path, 100)
         rc = main(["converge", "--config", str(cfg), "--order", "2",
                    "--h", "0.03125,0.015625,0.0078125,0.00390625",
                    "--probe", "0.25", "--out", str(tmp_path / "c.csv")])
@@ -681,6 +721,25 @@ class TestConvergeCommand:
         fitted = re.search(r"fitted order \(tf\): (\S+)",
                            capsys.readouterr().out)
         assert 1.9 <= float(fitted.group(1)) <= 2.1
+
+    @pytest.mark.parametrize("hs", ["0.25,0.125", "0.25,0.125,0.0625,0.03125"])
+    def test_reference_evaluated_once_per_time(self, tmp_path, hs,
+                                               patched_problems):
+        """len(probes) + 1 weak-adjoint evaluations, whatever the sweep
+        length: the reference does not change between sweep points."""
+        times = []
+
+        def counted(problem, reference):
+            def weak_adjoint(t):
+                times.append(t)
+                return reference.weak_adjoint(t)
+            return problem, dataclasses.replace(reference, weak_adjoint=weak_adjoint)
+
+        patched_problems(counted)
+        rc = main(["converge", "--order", "2", "--h", hs, "--probe", "0.5",
+                   "--probe", "1.25", "--out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert sorted(times) == [0.5, 1.25, 2.0]
 
     def test_probe_outside_interval(self, tmp_path):
         rc = main(["converge", "--order", "2", "--h", "0.25,0.125",

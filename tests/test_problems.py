@@ -156,6 +156,41 @@ class TestLinear:
             linear_test_problem(a=[[-1.0, 0.0], [0.0, -2.0]], y_s=[1.0, 1.0],
                                 t_s=0.0, t_f=1.0, c=[1.0, 0.0, 0.0])
 
+    def test_tridiagonal_a_states_band(self):
+        """The Jacobian is a itself, read-only; the caller's array is copied,
+        not frozen."""
+        d = 6
+        a = (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+             + np.diag(np.ones(d - 1), -1))
+        problem, _ = linear_test_problem(a, y_s=np.ones(d), t_s=0.0, t_f=1.0)
+        assert problem.band == (1, 1)
+        jac = problem.jacobian(0.0, np.ones(d))
+        assert jac is problem.jacobian(0.5, np.zeros(d))
+        assert not jac.flags.writeable
+        np.testing.assert_array_equal(jac, a)
+        assert a.flags.writeable
+
+    @pytest.mark.parametrize("d, offsets, band", [
+        (10, (-2, 0), (2, 0)),      # lower bandwidths first
+        (10, (0, 3), (0, 3)),
+        (5, (-1, 0, 1), (1, 1)),    # 4 band rows < 5
+        (4, (-1, 0, 1), None),      # 4 band rows, not fewer than d = 4
+        (2, (0,), (0, 0)),
+        (1, (0,), None),
+    ])
+    def test_band_stated_only_when_smaller(self, d, offsets, band):
+        """(kl, ku) read off the nonzeros of a, stated when its band storage
+        of 2 kl + ku + 1 rows is smaller than the d rows of a."""
+        a = sum(np.diag(np.ones(d - abs(k)), k) for k in offsets)
+        problem, _ = linear_test_problem(a, y_s=np.ones(d), t_s=0.0, t_f=1.0)
+        assert problem.band == band
+
+    def test_dense_and_default_a_state_no_band(self):
+        a = np.random.default_rng(1).standard_normal((6, 6))
+        problem, _ = linear_test_problem(a, y_s=np.ones(6), t_s=0.0, t_f=1.0)
+        assert problem.band is None
+        assert get_problem("linear")[0].band is None   # a = [[0, 1], [0, 0]]
+
     def test_rhs_and_jacobian(self):
         problem, _ = linear_test_problem(
             a=[[0.0, 1.0], [-2.0, 0.0]], y_s=[1.0, 0.0], t_s=0.0, t_f=1.0)
@@ -185,6 +220,15 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="catenary"):
             get_problem("lorenz")
+
+    @pytest.mark.parametrize("band", [(-1, 0), (0, 2), (2, 2), (0.5, 0), (1, 0, 0)])
+    def test_bad_band_refused(self, band):
+        with pytest.raises(ValueError, match="band"):
+            OdeProblem(name="bad", dimension=2, initial_time=0.0,
+                       final_time=1.0, initial_state=np.zeros(2),
+                       rhs=lambda t, y: y, jacobian=lambda t, y: np.eye(2),
+                       criterion=lambda y: 0.0,
+                       criterion_gradient=lambda y: y, band=band)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
