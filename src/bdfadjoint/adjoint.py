@@ -67,7 +67,8 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     (kl, ku), the transposed matrix is built, factored and solved in band
     storage with bandwidths (ku, kl).  A singular step matrix means the
     stability condition of the scheme is violated; it is refused, as is a
-    non-finite one.
+    non-finite one, and so are multipliers or a gradient that are not
+    finite (a non-finite criterion gradient, or overflow).
     """
     n_steps = tape.n_steps
     d = tape.dimension
@@ -96,8 +97,10 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
         for i in range(1, tape.grid.orders[step] + 1):
             rhs[j - i] -= alphas[i] * lambdas[j]
 
-    return DiscreteAdjoints(lambdas=lambdas[1:],
-                            gradient=gradient_wrt_initial(tape, lambdas[1:]))
+    gradient = gradient_wrt_initial(tape, lambdas[1:])
+    if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(gradient))):
+        raise SolverError("non-finite adjoint multipliers or gradient")
+    return DiscreteAdjoints(lambdas=lambdas[1:], gradient=gradient)
 
 
 def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:

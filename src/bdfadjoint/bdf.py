@@ -606,8 +606,9 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     """
     rtol = float(rtol)
     atol = float(atol)
-    if not (rtol > 0.0 and atol > 0.0):   # NaN fails too
-        raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
+    if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):   # NaN fails too
+        raise ValueError(
+            f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
 
     t0 = problem.initial_time
     tf = problem.final_time

@@ -198,7 +198,10 @@ def cmd_adjoint(ns) -> int:
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)
     out = settings.get("out", default="adjoint.json")
-    save_adjoint_results(tape, adjoints, weak, out)
+    try:   # the tape's params are written back as read, big integers too
+        save_adjoint_results(tape, adjoints, weak, out)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     csv_path = str(Path(out).with_suffix(".csv"))
     write_adjoint_csv(tape, adjoints, weak, csv_path)
     grad = ", ".join(repr(float(v)) for v in adjoints.gradient)
@@ -230,14 +233,14 @@ def cmd_converge(ns) -> int:
         values = settings.get_list("rtol")
         atol = settings.get("atol", default=1e-12, cast=float)
         parameter = "rtol"
-        if not atol > 0.0:   # NaN fails too
-            raise _UsageError(f"tolerances must be positive, got atol={atol}")
+        if not 0.0 < atol < np.inf:   # NaN fails too
+            raise _UsageError(f"tolerances must be positive and finite, got atol={atol}")
     else:
         raise _UsageError(f"mode must be 'nonadaptive' or 'adaptive', got {mode!r}")
     if len(values) < 2:
         raise _UsageError(f"need at least 2 sweep values for --{parameter}")
-    if not all(v > 0.0 for v in values):   # NaN fails too
-        raise _UsageError("sweep values must be positive")
+    if not all(0.0 < v < np.inf for v in values):   # NaN fails too
+        raise _UsageError("sweep values must be positive and finite")
     values = sorted(values, reverse=True)
     # the same at every sweep point, so evaluated once per time
     exact = {t: reference.weak_adjoint(t) for t in [problem.final_time] + probes}

@@ -1,10 +1,12 @@
 """JSON/CSV serialization for tapes, adjoint results and verification reports.
 
 All documents are versioned and deterministic: single-line JSON with sorted
-keys, floats in shortest round-trip decimal formatting (Python's repr), and
-nothing time- or environment-dependent is written.  Identical inputs
-therefore produce byte-identical files, and loading reproduces the exact
-binary floating-point values.
+keys, and nothing time- or environment-dependent is written.  orjson writes
+every JSON document and every adjoint CSV row, each float as the shortest
+decimal that round-trips (the digits of Python's repr, in orjson's notation:
+0.00001 for 1e-05, 1e16 for 1e+16).  Identical inputs therefore produce
+byte-identical files, and loading, through the standard json module and
+float(), reproduces the exact binary floating-point values.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import json
 
 import numpy as np
+import orjson
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint
 from .analysis import COEFFICIENT_TOL, ConvergenceTable, KktResidualReport
@@ -36,10 +39,16 @@ KKT_FORMAT = "bdf-kkt"
 
 
 def _dump(doc, path):
-    # json.dumps without indent runs the C encoder; the document is one line
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write doc as one line of sorted-key JSON.  A value orjson cannot
+    encode (an integer beyond 64 bits) raises ValueError before the file is
+    opened."""
+    try:
+        data = orjson.dumps(
+            doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError as exc:
+        raise ValueError(f"cannot encode {path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _load_checked(path, expected_format):
@@ -162,13 +171,12 @@ def write_adjoint_csv(tape, adjoints, weak, path) -> None:
     header = (["t"]
               + [f"lambda_{j + 1}" for j in range(d)]
               + [f"Lambda_{j + 1}" for j in range(d)])
-    # csv writes floats with repr, so the cells round-trip exactly
     rows = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
                             np.cumsum(weak.jump_sizes, axis=0)]).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    # a row's JSON array without its brackets is its CSV line; \r\n as csv writes
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.writelines(orjson.dumps(row)[1:-1] + b"\r\n" for row in rows)
 
 
 def kkt_report_to_dict(report: KktResidualReport) -> dict:

@@ -175,3 +175,8 @@ class TestFailureModes:
             integrate_adaptive(CATENARY, 1e-6, float("nan"))
         with pytest.raises(ValueError):
             integrate_adaptive(CATENARY, float("nan"))
+        # infinity too: the tape would store it in driver_params
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adaptive(CATENARY, 1e-6, float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adaptive(CATENARY, float("inf"))

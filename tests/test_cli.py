@@ -96,9 +96,12 @@ class TestIntegrate:
         ["--mode", "adaptive", "--rtol", "1e-6", "--atol", "nan"],
         ["--mode", "adaptive", "--rtol", "nan"],
         ["--mode", "adaptive", "--rtol", "0"],
+        ["--mode", "adaptive", "--rtol", "1e-6", "--atol", "inf"],
+        ["--mode", "adaptive", "--rtol", "inf"],
         ["--order", "2", "--h", "-1"],
         ["--order", "7", "--h", "0.25"],
-    ], ids=["atol-nan", "rtol-nan", "rtol-0", "h-negative", "order-7"])
+    ], ids=["atol-nan", "rtol-nan", "rtol-0", "atol-inf", "rtol-inf",
+            "h-negative", "order-7"])
     def test_bad_driver_value_is_usage_error(self, tmp_path, args):
         """The drivers' own checks refuse these, with exit 1 and no tape."""
         tape = tmp_path / "t.json"
@@ -345,6 +348,43 @@ class TestAdjointCommand:
         assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
         assert ("Newton tolerances differ" if edit == "loosen" else "rtol") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("c0", [float("inf"), float("nan")])
+    def test_nonfinite_multipliers_are_solver_failure(self, tmp_path, capsys,
+                                                      c0):
+        """A linear tape whose criterion vector c is [c0, 0]: the states
+        pass validation, the multipliers are not finite, and adjoint refuses
+        them with exit 2 and no output, not a NaN gradient with exit 0."""
+        tape = tmp_path / "tape.json"
+        assert main(["integrate", "--problem", "linear", "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        doc = json.loads(tape.read_text())
+        doc["problem"]["params"]["c"] = [c0, 0.0]
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 2
+        assert "non-finite adjoint multipliers" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
+
+    def test_unencodable_params_refused(self, tmp_path, capsys):
+        """A linear tape whose c holds the integer 2**70: the adjoint file,
+        which copies the params, cannot be encoded, so adjoint exits 1 with
+        one line of error and writes neither file."""
+        tape = tmp_path / "tape.json"
+        assert main(["integrate", "--problem", "linear", "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        doc = json.loads(tape.read_text())
+        doc["problem"]["params"]["c"] = [2 ** 70, 0]
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot encode") and err.count("\n") == 1
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
 
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
@@ -702,7 +742,10 @@ class TestConvergeCommand:
         ["--mode", "adaptive", "--rtol", "1e-4,1e-6", "--atol", "nan"],
         ["--order", "2", "--h", "0.25,nan"],
         ["--mode", "adaptive", "--rtol", "1e-4,nan"],
-    ], ids=["atol-negative", "atol-nan", "h-nan", "rtol-nan"])
+        ["--mode", "adaptive", "--rtol", "1e-4,1e-6", "--atol", "inf"],
+        ["--mode", "adaptive", "--rtol", "inf,1e-6"],
+    ], ids=["atol-negative", "atol-nan", "h-nan", "rtol-nan", "atol-inf",
+            "rtol-inf"])
     def test_bad_sweep_input_is_usage_error(self, tmp_path, args):
         """Refused before any run: not a solver failure, not a NaN row."""
         out = tmp_path / "c.csv"

@@ -1,13 +1,16 @@
 """
 Tests for the on-disk formats: versioned JSON documents and CSV exports.
 
-Round trips must be lossless (floats are written as shortest repr, which
-round-trips binary64 exactly), repeated saves must be byte-identical, and
-foreign or future-versioned files must be rejected with clear errors.
+Round trips must be lossless (floats are written as the shortest decimal
+that round-trips binary64 exactly: repr's digits in orjson's notation),
+repeated saves must be byte-identical, and foreign or future-versioned files
+must be rejected with clear errors.
 """
 
 import csv
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ import pytest
 from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         compute_coefficients, get_problem,
                         integrate_adaptive, integrate_nonadaptive,
-                        load_adjoint_results, load_tape, save_adjoint_results,
-                        save_kkt_report, save_tape, verify_kkt)
+                        linear_test_problem, load_adjoint_results, load_tape,
+                        save_adjoint_results, save_kkt_report, save_tape,
+                        verify_kkt)
 from bdfadjoint.analysis import COEFFICIENT_TOL, ConvergenceTable
 from bdfadjoint.serialize import (_dump, tape_to_dict, write_adjoint_csv,
                                   write_convergence_csv)
@@ -102,7 +106,106 @@ class TestTapeRoundTrip:
         np.testing.assert_array_equal(load_tape(path).states, tape.states)
 
 
+def _significant_digits(text):
+    """The digits of a decimal float literal without its sign, point,
+    exponent and leading or trailing zeros: '0.00001' and '1e-05' give '1'."""
+    mantissa = re.split("[eE]", text.lstrip("-"))[0].replace(".", "")
+    return mantissa.strip("0") or "0"
+
+
+def _float_corpus():
+    """Signed zeros, subnormals, the smallest normal, values where the
+    notations of repr and orjson differ, 2**70 as a float, and seeded random
+    finite bit patterns of magnitude below 1e300 (so that a cumulative sum of
+    them stays finite)."""
+    fixed = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+             2.2250738585072014e-308, 1e-5, -1.234e-5, 1e-4, 1e-7, 0.1, 1 / 3,
+             1.0, -1.5, 1e15, 1e16, 1e17, 2.0 ** 70, 1e22]
+    bits = np.random.default_rng(7).integers(0, 2 ** 64, size=2000,
+                                             dtype=np.uint64)
+    rand = bits.view(np.float64)
+    return np.concatenate([fixed, rand[np.abs(rand) < 1e300]])
+
+
+def _assert_cells_exact(cells, values):
+    """Each cell parses back through float() to its value bit for bit, and
+    carries repr's significant digits, so it is the shortest round-trip
+    decimal whatever its notation."""
+    values = np.asarray(values, dtype=float).ravel()
+    back = np.array([float(cell) for cell in cells])
+    np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
+    for cell, value in zip(cells, values.tolist()):
+        assert _significant_digits(cell) == _significant_digits(repr(value)), cell
+
+
+class TestFloatEncoding:
+    def test_json_document_round_trips(self, tmp_path):
+        corpus = _float_corpus()
+        path = tmp_path / "doc.json"
+        _dump({"values": corpus.tolist()}, path)
+        text = path.read_text()
+        back = np.array(json.loads(text)["values"])
+        np.testing.assert_array_equal(back.view(np.uint64), corpus.view(np.uint64))
+        cells = [cell.strip() for cell
+                 in text[text.index("[") + 1:text.rindex("]")].split(",")]
+        _assert_cells_exact(cells, corpus)
+
+    def test_adjoint_csv_cells_round_trip(self, tmp_path):
+        """The corpus in the t and lambda columns, and its reverse as the jump
+        sizes whose cumulative sum fills the Lambda column."""
+        corpus = _float_corpus()
+        tape = SimpleNamespace(
+            dimension=1, grid=SimpleNamespace(nodes=np.concatenate([[0.0], corpus])))
+        adj = SimpleNamespace(lambdas=corpus[:, None])
+        weak = SimpleNamespace(jump_sizes=corpus[::-1, None])
+        path = tmp_path / "adjoint.csv"
+        write_adjoint_csv(tape, adj, weak, path)
+        raw = path.read_bytes()
+        assert raw.count(b"\r\n") == 1 + corpus.size and raw.endswith(b"\r\n")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "lambda_1", "Lambda_1"]
+        cells = np.array(rows[1:])
+        lambda_cum = np.cumsum(corpus[::-1])
+        assert np.all(np.isfinite(lambda_cum))
+        _assert_cells_exact(cells[:, 0], corpus)
+        _assert_cells_exact(cells[:, 1], corpus)
+        _assert_cells_exact(cells[:, 2], lambda_cum)
+
+    def test_adjoint_csv_heat_cells_round_trip(self, tmp_path):
+        """d = 100 heat, k = 2, h = 2**-6: about 7% of the Lambda cells are
+        below 1e-4 in magnitude, where repr switches to exponent notation
+        (1.23e-05) and orjson 3.8 does not (0.0000123); every cell still
+        parses back bit for bit."""
+        d = 100
+        dx = 1.0 / (d + 1)
+        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
+                               + np.diag(np.ones(d - 1), 1)
+                               + np.diag(np.ones(d - 1), -1))
+        prob, _ = linear_test_problem(a=a, y_s=np.sin(np.pi * dx * np.arange(1, d + 1)),
+                                      t_s=0.0, t_f=0.5, c=np.full(d, dx))
+        tape = integrate_nonadaptive(prob, 2, 2.0 ** -6)
+        adj = adjoint_sweep(prob, tape)
+        weak = assemble_weak_adjoint(tape, adj)
+        path = tmp_path / "adjoint.csv"
+        write_adjoint_csv(tape, adj, weak, path)
+        with open(path, newline="") as fh:
+            cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+        values = np.column_stack([tape.grid.nodes[1:], adj.lambdas,
+                                  np.cumsum(weak.jump_sizes, axis=0)])
+        assert np.any((values != 0.0) & (np.abs(values) < 1e-4))
+        _assert_cells_exact(cells, values)
+
+
 class TestRejection:
+    def test_unencodable_document_writes_nothing(self, tmp_path):
+        """An integer beyond 64 bits is refused with ValueError before the
+        file is opened."""
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError, match="cannot encode"):
+            _dump({"params": {"c": [2 ** 70, 0]}}, path)
+        assert not path.exists()
+
     def test_wrong_format_field(self, tape, tmp_path):
         path = tmp_path / "tape.json"
         save_tape(tape, path)
@@ -197,12 +300,16 @@ class TestCsv:
             [float(rows[1][1]), float(rows[1][2])], adj.lambdas[0], rtol=1e-15)
         np.testing.assert_allclose(
             [float(rows[1][3]), float(rows[1][4])], weak(t1), rtol=1e-15)
-        # floats round-trip exactly through repr
+        # floats round-trip exactly
         assert float(rows[-1][1]) == adj.lambdas[-1][0]
 
     @pytest.mark.parametrize("problem", ["catenary", "linear"])
     def test_adjoint_csv_bytes_match_row_writer(self, problem, tmp_path):
-        """Byte for byte the file of a per-row writer with repr cells."""
+        """Byte for byte the file of a per-row csv writer with repr cells.
+        Every value here prints the same in repr's notation and orjson's
+        (no magnitude below 1e-4 or from 1e16 up), so the bytes agree;
+        test_adjoint_csv_heat_cells_round_trip covers cells where they
+        differ."""
         prob, _ = get_problem(problem)
         tape = integrate_nonadaptive(prob, 3, 0.0625)
         adj = adjoint_sweep(prob, tape)
