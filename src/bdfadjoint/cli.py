@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_vector(text):
-    return [float(x) for x in text.replace(",", " ").split()]
+    return list(map(float, text.replace(",", " ").split()))
 
 
 def _parse_matrix(text):
@@ -146,7 +146,7 @@ def cmd_integrate(ns) -> int:
         tape = driver(problem, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    save_tape(tape, out)
+    _write(save_tape, tape, out)
     orders = tape.grid.orders
     print(f"problem={problem.name} mode={mode} steps N={tape.n_steps} "
           f"nodes={tape.grid.nodes.size}")
@@ -155,6 +155,15 @@ def cmd_integrate(ns) -> int:
           f"max residual={tape.newton_residuals.max():.3e}")
     print(f"tape written to {out}")
     return EXIT_OK
+
+
+def _write(save, *args):
+    """save(*args), whose last argument is the output path; a path that
+    cannot be opened for writing, a directory among them, is a usage error."""
+    try:
+        save(*args)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args[-1]}: {exc.strerror or exc}") from exc
 
 
 def _load_input(settings, key, load, what):
@@ -180,7 +189,7 @@ def _problem_for_tape(tape, settings=None):
                 f"not {declared!r}")
     try:
         problem, reference = get_problem(tape.problem_name, **tape.problem_params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(f"cannot rebuild tape problem: {exc}") from exc
     if problem.dimension != tape.dimension:
         raise _UsageError("tape dimension does not match the problem")
@@ -198,12 +207,15 @@ def cmd_adjoint(ns) -> int:
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)
     out = settings.get("out", default="adjoint.json")
-    try:   # the tape's params are written back as read, big integers too
-        save_adjoint_results(tape, adjoints, weak, out)
+    # The tape's params are written back as read.  Only a tape the json
+    # fallback read (a NaN token elsewhere in it) can hold an integer beyond
+    # 64 bits there, which _dump refuses with ValueError.
+    try:
+        _write(save_adjoint_results, tape, adjoints, weak, out)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     csv_path = str(Path(out).with_suffix(".csv"))
-    write_adjoint_csv(tape, adjoints, weak, csv_path)
+    _write(write_adjoint_csv, tape, adjoints, weak, csv_path)
     grad = ", ".join(repr(float(v)) for v in adjoints.gradient)
     lam_n = ", ".join(repr(float(v)) for v in adjoints.lambdas[-1])
     print(f"adjoint sweep over N={tape.n_steps} steps")
@@ -272,7 +284,7 @@ def cmd_converge(ns) -> int:
     table = ConvergenceTable(parameter=parameter, values=np.array(values),
                              errors={k: np.array(v) for k, v in errors.items()})
     out = settings.get("out", default="convergence.csv")
-    write_convergence_csv(table, out)
+    _write(write_convergence_csv, table, out)
     for name in names:
         try:
             print(f"fitted order ({name}): {fit_order(table, name):.3f}")
@@ -311,7 +323,7 @@ def cmd_verify(ns) -> int:
         raise _UsageError("adjoint file's jump table does not match its multipliers")
 
     out = settings.get("out", default="kkt.json")
-    save_kkt_report(report, out)
+    _write(save_kkt_report, report, out)
     checks = report.checks
     print(f"nominal_residual={report.nominal_residual!r} "
           f"(threshold {report.nominal_threshold!r}) worst at step "

@@ -5,8 +5,11 @@ keys, and nothing time- or environment-dependent is written.  orjson writes
 every JSON document and every adjoint CSV row, each float as the shortest
 decimal that round-trips (the digits of Python's repr, in orjson's notation:
 0.00001 for 1e-05, 1e16 for 1e+16).  Identical inputs therefore produce
-byte-identical files, and loading, through the standard json module and
-float(), reproduces the exact binary floating-point values.
+byte-identical files.  orjson also reads every document and reproduces the
+exact binary floating-point values; it returns an integer beyond 64 bits as
+the equal float.  A document orjson refuses (NaN or Infinity tokens, a number
+beyond binary64, a lone surrogate) cannot be written by this package, so only
+a hand-edited one reaches the standard json module, which reads it.
 """
 
 from __future__ import annotations
@@ -52,8 +55,13 @@ def _dump(doc, path):
 
 
 def _load_checked(path, expected_format):
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        # NaN tokens of a hand-edited file: json reads them, verify refuses them
+        doc = json.loads(data.decode())
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"{path}: not a {expected_format} document")
     if doc.get("version") != FORMAT_VERSION:

@@ -368,15 +368,40 @@ class TestAdjointCommand:
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
 
-    def test_unencodable_params_refused(self, tmp_path, capsys):
-        """A linear tape whose c holds the integer 2**70: the adjoint file,
-        which copies the params, cannot be encoded, so adjoint exits 1 with
-        one line of error and writes neither file."""
+    def test_params_beyond_64_bits_read_as_floats(self, tmp_path, capsys):
+        """A linear tape whose c holds the integer 2**70: the reader returns
+        it as the float 2.0**70, the value the problem computes with, so
+        adjoint exits 0 with the gradient and multipliers of a tape whose c
+        is [2.0**70, 0.0], bit for bit."""
+        tape = tmp_path / "tape.json"
+        assert main(["integrate", "--problem", "linear", "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        doc = json.loads(tape.read_text())
+        results = {}
+        for name, c in (("int", [2 ** 70, 0]), ("float", [2.0 ** 70, 0.0])):
+            doc["problem"]["params"]["c"] = c
+            edited, out = tmp_path / f"{name}.json", tmp_path / f"adj_{name}.json"
+            edited.write_text(json.dumps(doc))
+            assert main(["adjoint", "--tape", str(edited), "--out", str(out)]) == 0
+            results[name] = json.loads(out.read_text())
+        for key in ("gradient", "lambdas"):
+            got = np.array(results["int"][key])
+            want = np.array(results["float"][key])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert results["int"]["problem"]["params"]["c"] == [2.0 ** 70, 0]
+
+    def test_unencodable_fallback_params_refused(self, tmp_path, capsys):
+        """c holds the integer 2**70 in a tape that the json fallback reads
+        (a NaN token among the Newton residuals), so the integer stays an
+        integer: the adjoint file, which copies the params, cannot be
+        encoded, and adjoint exits 1 with one line of error and writes
+        neither file."""
         tape = tmp_path / "tape.json"
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
         doc = json.loads(tape.read_text())
         doc["problem"]["params"]["c"] = [2 ** 70, 0]
+        doc["newton"]["residuals"][3] = float("nan")
         tape.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "adjoint.json"
@@ -385,6 +410,56 @@ class TestAdjointCommand:
         assert err.startswith("error: cannot encode") and err.count("\n") == 1
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_overflowing_param_refused(self, tmp_path, capsys, stage):
+        """c holds the integer 10**400, beyond binary64: the json fallback
+        reads it as an integer, and rebuilding the problem from it is one
+        line of usage error, not an OverflowError traceback."""
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--problem", "linear", "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        for path in (tape, adj):
+            doc = json.loads(path.read_text())
+            doc["problem"]["params"]["c"] = [10 ** 400, 0]
+            path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
+                ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot rebuild tape problem:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["plain", "nan-token"])
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_truncated_tape_refused(self, tmp_path, capsys, stage, nan):
+        """A tape cut off halfway, or right after a NaN token in its states:
+        neither orjson nor the json fallback reads it, so it is one line of
+        usage error at load."""
+        _, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        if nan:
+            doc = json.loads(tape.read_text())
+            doc["states"][10][0] = float("nan")
+            text = json.dumps(doc)
+            tape.write_text(text[:text.index("NaN") + 3])
+        else:
+            text = tape.read_text()
+            tape.write_text(text[:len(text) // 2])
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
+                "verify": ["verify", "--tape", str(tape), "--adjoint-file",
+                           str(adj), "--out", str(out)]}[stage]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
@@ -638,6 +713,42 @@ class TestProblemShapes:
         assert capsys.readouterr().err == (
             "error: tape dimension does not match the problem\n")
         assert not out.exists()
+
+
+class TestOutputPath:
+    """An --out that cannot be opened for writing, in a missing directory or
+    naming a directory, is one line of usage error in every command that
+    writes, and nothing is written."""
+
+    def _args(self, tmp_path, stage):
+        if stage in ("integrate", "converge"):
+            return [stage, "--order", "2",
+                    "--h", "0.25" if stage == "integrate" else "0.25,0.125"]
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--order", "2", "--h", "0.25",
+                     "--out", str(tape)]) == 0
+        if stage == "adjoint":
+            return ["adjoint", "--tape", str(tape)]
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        return ["verify", "--tape", str(tape), "--adjoint-file", str(adj)]
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("stage", ["integrate", "adjoint", "verify",
+                                       "converge"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, stage, kind):
+        args = self._args(tmp_path, stage)
+        if kind == "missing-dir":
+            out, reason = tmp_path / "nodir" / "out.json", "No such file or directory"
+        else:
+            out, reason = tmp_path / "outdir", "Is a directory"
+            out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @functools.lru_cache(maxsize=None)

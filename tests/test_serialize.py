@@ -9,11 +9,17 @@ must be rejected with clear errors.
 
 import csv
 import json
+import math
 import re
+import struct
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         compute_coefficients, get_problem,
@@ -21,9 +27,11 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         linear_test_problem, load_adjoint_results, load_tape,
                         save_adjoint_results, save_kkt_report, save_tape,
                         verify_kkt)
+from bdfadjoint.adjoint import DiscreteAdjoints, WeakAdjoint
 from bdfadjoint.analysis import COEFFICIENT_TOL, ConvergenceTable
-from bdfadjoint.serialize import (_dump, tape_to_dict, write_adjoint_csv,
-                                  write_convergence_csv)
+from bdfadjoint.bdf import IntegrationTape, TimeGrid
+from bdfadjoint.serialize import (_dump, _load_checked, tape_to_dict,
+                                  write_adjoint_csv, write_convergence_csv)
 
 CATENARY, _ = get_problem("catenary")
 
@@ -138,6 +146,11 @@ def _assert_cells_exact(cells, values):
         assert _significant_digits(cell) == _significant_digits(repr(value)), cell
 
 
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestFloatEncoding:
     def test_json_document_round_trips(self, tmp_path):
         corpus = _float_corpus()
@@ -195,6 +208,123 @@ class TestFloatEncoding:
                                   np.cumsum(weak.jump_sizes, axis=0)])
         assert np.any((values != 0.0) & (np.abs(values) < 1e-4))
         _assert_cells_exact(cells, values)
+
+
+    def test_tape_round_trips_bit_exact(self, tmp_path):
+        """The corpus as nodes (sorted and distinct), states, Newton
+        residuals, error estimates and a problem parameter: load_tape
+        returns what save_tape was given, bit for bit."""
+        corpus = _float_corpus()
+        nodes = np.unique(corpus)
+        n = nodes.size - 1
+        tape = IntegrationTape(
+            problem_name="linear", problem_params={"c": corpus.tolist()},
+            dimension=2, mode="nonadaptive",
+            grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
+            states=np.resize(corpus, (n + 1, 2)),
+            newton_iterations=np.ones(n, dtype=int),
+            newton_residuals=np.resize(corpus[::-1], n),
+            error_estimates=np.resize(corpus, n))
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        back = load_tape(path)
+        _assert_bits_equal(back.grid.nodes, nodes)
+        for name in ("states", "newton_residuals", "error_estimates"):
+            _assert_bits_equal(getattr(back, name), getattr(tape, name))
+        _assert_bits_equal(back.problem_params["c"], corpus)
+
+    def test_adjoint_results_round_trip_bit_exact(self, tmp_path):
+        """The corpus as nodes, multipliers, gradient, jump sizes and a
+        problem parameter: load_adjoint_results returns what
+        save_adjoint_results was given, bit for bit."""
+        corpus = _float_corpus()
+        nodes = np.unique(corpus)
+        n = nodes.size - 1
+        tape = SimpleNamespace(problem_name="linear",
+                               problem_params={"c": corpus.tolist()},
+                               dimension=2, grid=SimpleNamespace(nodes=nodes))
+        adj = DiscreteAdjoints(lambdas=np.resize(corpus, (n, 2)), gradient=corpus)
+        weak = WeakAdjoint(t_start=nodes[0], jump_times=nodes[1:],
+                           jump_sizes=np.resize(corpus[::-1], (n, 2)))
+        path = tmp_path / "adjoint.json"
+        save_adjoint_results(tape, adj, weak, path)
+        back = load_adjoint_results(path)
+        _assert_bits_equal(back["nodes"], nodes)
+        _assert_bits_equal(back["adjoints"].lambdas, adj.lambdas)
+        _assert_bits_equal(back["adjoints"].gradient, corpus)
+        _assert_bits_equal(back["weak"].jump_sizes, weak.jump_sizes)
+        _assert_bits_equal(back["problem"]["params"]["c"], corpus)
+
+
+def _canonical(value, big_ints_as_floats):
+    """value with each float as its bit pattern, so that -0.0 differs from
+    0.0 and a NaN equals itself; with big_ints_as_floats, an integer beyond
+    64 bits (outside [-2**63, 2**64)) counts as the float it equals."""
+    if isinstance(value, list):
+        return [_canonical(v, big_ints_as_floats) for v in value]
+    if isinstance(value, dict):
+        return {k: _canonical(v, big_ints_as_floats) for k, v in value.items()}
+    if (big_ints_as_floats and type(value) is int
+            and not -2 ** 63 <= value < 2 ** 64):
+        value = float(value)
+    if isinstance(value, float):
+        return ("float", struct.unpack("<Q", struct.pack("<d", value))[0])
+    return (type(value).__name__, value)
+
+
+def _orjson_refuses(value):
+    """NaN, +-Infinity, an integer that overflows binary64, or a lone
+    surrogate in a string or key: what only the json fallback reads."""
+    if isinstance(value, list):
+        return any(_orjson_refuses(v) for v in value)
+    if isinstance(value, dict):
+        return any(_orjson_refuses(k) or _orjson_refuses(v)
+                   for k, v in value.items())
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, str):
+        return any("\ud800" <= ch <= "\udfff" for ch in value)
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return True
+    return False
+
+
+_EDGE_INTEGERS = [2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 63,
+                  -2 ** 63 - 1, 2 ** 70, -2 ** 70, 10 ** 308, 10 ** 400]
+# json writes NaN and Infinity tokens and escapes lone surrogates
+_READER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.sampled_from(_EDGE_INTEGERS) | st.text(max_size=8)
+    | st.sampled_from(["\ud800", "a\udfff", "\ud83d\ude00"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_READER_VALUES, ascii_only=st.booleans())
+def test_reader_matches_json(value, ascii_only):
+    """A random JSON value inside a document: the package reader returns
+    what json.loads returns, floats compared by bits, except that an
+    integer beyond 64 bits comes back as the equal float from a document
+    that has no token only json reads."""
+    doc = {"format": "bdf-tape", "version": 1, "value": value}
+    text = json.dumps(doc, ensure_ascii=ascii_only)
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:   # a lone surrogate has no UTF-8 form
+        text = json.dumps(doc)
+        data = text.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(data)
+        got = _load_checked(path, "bdf-tape")["value"]
+    want = json.loads(text)["value"]
+    assert (_canonical(got, False)
+            == _canonical(want, not _orjson_refuses(want)))
 
 
 class TestRejection:
