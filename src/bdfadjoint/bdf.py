@@ -16,6 +16,7 @@ tolerances by :attr:`IntegrationTape.newton_tolerances`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -84,6 +85,12 @@ def compute_coefficients(nodes, order: int) -> np.ndarray:
     t = nodes.tolist()
     if any(b <= a for a, b in zip(t, t[1:])):
         raise ValueError("stencil nodes must be strictly increasing")
+    return _coefficients(t, order)
+
+
+def _coefficients(t, order):
+    """compute_coefficients unchecked: t holds the order + 1 nodes of one stencil as
+    floats, or of m stencils as arrays (giving (order + 1, m)), bit-equal either way."""
     x = t[-1]
     gaps = [x - tj for tj in t[:-1]]     # x - t_j for j < k; zero at j = k
     ders = []                            # Ldot_j(x), ascending node t_j
@@ -152,8 +159,10 @@ class TimeGrid:
         """(N, MAX_ORDER + 1) read-only table, derived on first use: row n
         holds alpha_0..alpha_k of step n, newest first, zero past order k."""
         table = np.zeros((self.n_steps, MAX_ORDER + 1))
-        for n, k in enumerate(self.orders.tolist()):
-            table[n, :k + 1] = compute_coefficients(self.nodes[n + 1 - k:n + 2], k)
+        for k in np.unique(self.orders).tolist():   # one kernel call per order
+            steps = np.flatnonzero(self.orders == k)
+            columns = [self.nodes[steps + 1 - k + j] for j in range(k + 1)]
+            table[steps, :k + 1] = _coefficients(columns, k).T
         table.flags.writeable = False
         return table
 
@@ -368,7 +377,7 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     back = _history_sum(alphas, history)
     y = np.array(predictor, dtype=float)
     r = _step_residual(problem, t_new, h, alphas, back, y)
-    rnorm = np.max(np.abs(r))
+    rnorm = abs(r).max()
     if not np.isfinite(rnorm):
         raise _StepFailure(f"non-finite residual at t={t_new}")
     if rnorm <= tol:
@@ -383,16 +392,16 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
         for _ in range(NEWTON_MAXITER):
             total += 1
             delta = lu_solve(cache.lu, -r)
-            if not np.all(np.isfinite(delta)):
+            if not np.isfinite(delta).all():
                 raise _StepFailure(f"Newton update diverged at t={t_new}")
             y = y + delta
             r = _step_residual(problem, t_new, h, alphas, back, y)
-            rnorm = np.max(np.abs(r))
+            rnorm = abs(r).max()
             if not np.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
             if rnorm <= tol:
                 return NewtonResult(y, total, float(rnorm))
-            step_norm = np.max(np.abs(delta))
+            step_norm = abs(delta).max()
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
                 cache.refactor(problem, t_new, y, h, alphas[0])
             prev_step_norm = step_norm
@@ -443,6 +452,8 @@ def newton_bdf_step(problem, history, alphas, t_next, h, predictor,
 
 def _interpolate(ts, ys, t):
     """Value at t of the Lagrange polynomial through the points (ts[i], ys[i])."""
+    # node arithmetic on Python floats: IEEE-equal to NumPy scalars, and faster
+    t, ts = float(t), [float(ti) for ti in ts]
     acc = None
     for i, ti in enumerate(ts):
         num = den = 1.0
@@ -477,9 +488,9 @@ def _error_estimate(nodes, states, t_new, y_new, q):
     if q + 1 > n_hist:
         raise ValueError(f"order-{q} estimate needs {q + 1} prior points, have {n_hist}")
     first = n_hist - 1 - q
-    y_poly = _interpolate(nodes[first:], states[first:], t_new)
+    diff = y_new - _interpolate(nodes[first:], states[first:], t_new)
     h_new = t_new - nodes[-1]
-    return float(np.linalg.norm(y_new - y_poly, 2) * h_new / (t_new - nodes[first]))
+    return math.sqrt(diff.dot(diff)) * h_new / (t_new - nodes[first])
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +600,9 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
 
 def _adaptive_newton_tol(rtol, h, predictor):
     tol = 1e-2 * min(rtol, h * h)
-    # floor keeps clamped (very small) final steps solvable in float64
-    return max(tol, 1e2 * EPS) * (1.0 + np.linalg.norm(predictor, 2))
+    # floor keeps clamped (very small) final steps solvable in float64.  The
+    # step loops' 2-norms are math.sqrt(v.dot(v)), np.linalg.norm's own route.
+    return max(tol, 1e2 * EPS) * (1.0 + math.sqrt(predictor.dot(predictor)))
 
 
 def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> IntegrationTape:
@@ -641,8 +653,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         t_new = tf if t + h >= tf else t + h
         h_eff = t_new - t
 
-        stencil = np.append(nodes[n + 1 - k:n + 1], t_new)
-        alphas = compute_coefficients(stencil, k)
+        alphas = compute_coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
         predictor = _predict(nodes, states, orders, n, t_new)
         tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
         try:
@@ -657,10 +668,10 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
 
         if n == 0:
             est_vec = 0.5 * (res.y - states[0] - h_eff * f0)
-            err = float(np.linalg.norm(est_vec, 2))
+            err = math.sqrt(est_vec.dot(est_vec))
         else:
             err = _error_estimate(nodes, states, t_new, res.y, k)
-        tol_acc = rtol * np.linalg.norm(res.y, 2) + atol
+        tol_acc = rtol * math.sqrt(res.y.dot(res.y)) + atol
 
         if not np.isfinite(err) or err > tol_acc:
             factor = SAFETY * (tol_acc / err) ** (1.0 / (k + 1)) if err > 0 else 1.0

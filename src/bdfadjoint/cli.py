@@ -215,7 +215,11 @@ def cmd_adjoint(ns) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     csv_path = str(Path(out).with_suffix(".csv"))
-    _write(write_adjoint_csv, tape, adjoints, weak, csv_path)
+    try:
+        _write(write_adjoint_csv, tape, adjoints, weak, csv_path)
+    except _UsageError:
+        Path(out).unlink()   # both outputs or neither
+        raise
     grad = ", ".join(repr(float(v)) for v in adjoints.gradient)
     lam_n = ", ".join(repr(float(v)) for v in adjoints.lambdas[-1])
     print(f"adjoint sweep over N={tape.n_steps} steps")

@@ -577,15 +577,17 @@ class TestVerifyCommand:
         from the loaded nodes, is off by a relative 1e-10 in alpha_2."""
         tape, adj = self._chain(tmp_path)
         t_21 = json.loads(tape.read_text())["nodes"][21]
-        exact = bdf.compute_coefficients
+        exact = bdf._coefficients
 
-        def perturbed(nodes, order):
-            alphas = exact(nodes, order)
-            if nodes[-1] == t_21:
-                alphas[2] *= 1.0 + 1e-10
+        def perturbed(t, order):
+            alphas = exact(t, order)
+            # the table is derived per order: t[-1] holds the newest node of
+            # every step of this order, alphas[i] their alpha_i
+            if order >= 2:
+                alphas[2] *= np.where(np.asarray(t[-1]) == t_21, 1.0 + 1e-10, 1.0)
             return alphas
 
-        monkeypatch.setattr(bdf, "compute_coefficients", perturbed)
+        monkeypatch.setattr(bdf, "_coefficients", perturbed)
         defects = coefficient_defects(*bdf.stencil_table(load_tape(tape)))
         assert np.flatnonzero(defects > COEFFICIENT_TOL).tolist() == [20]
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
@@ -747,6 +749,20 @@ class TestOutputPath:
         assert main([*args, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_adjoint_unwritable_csv_leaves_no_json(self, tmp_path, capsys):
+        """adjoint writes both of its outputs or neither: a directory in the
+        CSV's place fails it after the JSON was written, which is removed."""
+        args = self._args(tmp_path, "adjoint")
+        out, csv_path = tmp_path / "q.json", tmp_path / "q.csv"
+        csv_path.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {csv_path}: Is a directory\n"
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
 

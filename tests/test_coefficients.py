@@ -3,7 +3,9 @@ Tests for the variable-stepsize BDF coefficient computation.
 
 Every expected value is a closed-form hand derivation: the constant-step
 tables follow from differentiating the Lagrange basis on 0..k, and the
-nonuniform k=2 set was derived on the stencil {0, 1, 3} by hand.
+nonuniform k=2 set was derived on the stencil {0, 1, 3} by hand.  The grid's
+table, derived for all steps of one order at once, is checked bit for bit
+against the one-stencil kernel.
 """
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdfadjoint import compute_coefficients
+from bdfadjoint import (TimeGrid, compute_coefficients, get_problem,
+                        integrate_adaptive, integrate_nonadaptive)
+from bdfadjoint.bdf import MAX_ORDER
 
 RNG = np.random.default_rng(0)
 
@@ -179,3 +183,44 @@ class TestValidation:
             compute_coefficients(np.arange(8.0), 7)
         with pytest.raises(ValueError):
             compute_coefficients(np.array([0.0]), 0)
+
+
+class TestGridTable:
+    """TimeGrid.alphas runs the kernel once per order on arrays of stencil
+    nodes; every row must equal compute_coefficients on that step's own
+    stencil bit for bit, and be zero past the step's order."""
+
+    @staticmethod
+    def _assert_rows_are_stencil_kernels(grid):
+        for n, k in enumerate(grid.orders.tolist()):
+            np.testing.assert_array_equal(
+                grid.alphas[n, :k + 1],
+                compute_coefficients(grid.nodes[n + 1 - k:n + 2], k))
+            assert not np.any(grid.alphas[n, k + 1:])
+
+    def test_adaptive_catenary_tapes(self):
+        catenary, _ = get_problem("catenary")
+        orders = set()
+        for rtol in (1e-4, 1e-11):
+            grid = integrate_adaptive(catenary, rtol).grid
+            self._assert_rows_are_stencil_kernels(grid)
+            orders.update(grid.orders.tolist())
+        assert orders == set(range(1, MAX_ORDER + 1))
+
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+    def test_nonadaptive_ramps(self, order):
+        catenary, _ = get_problem("catenary")
+        self._assert_rows_are_stencil_kernels(
+            integrate_nonadaptive(catenary, order, 0.125).grid)
+
+    def test_random_grids_and_orders(self):
+        """200 seeded grids: gaps spread over six decades, offsets up to
+        1e4, each step at a random admissible order."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n_steps = int(rng.integers(1, 40))
+            gaps = rng.uniform(0.5, 1.0, n_steps) * 10.0 ** rng.uniform(-6, 0, n_steps)
+            nodes = rng.uniform(-1e4, 1e4) + np.concatenate(([0.0], np.cumsum(gaps)))
+            highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
+            orders = rng.integers(1, highest + 1)
+            self._assert_rows_are_stencil_kernels(TimeGrid(nodes=nodes, orders=orders))

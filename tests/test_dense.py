@@ -9,7 +9,7 @@ interpolation error of the same order as the integration error elsewhere.
 import numpy as np
 import pytest
 
-from bdfadjoint import (dense_eval, get_problem, integrate_adaptive,
+from bdfadjoint import (bdf, dense_eval, get_problem, integrate_adaptive,
                         integrate_nonadaptive, linear_test_problem)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
@@ -50,6 +50,35 @@ class TestInterpolation:
             np.testing.assert_allclose(dense_eval(tape, t),
                                        CATENARY_REF.nominal(t),
                                        rtol=1e-5, atol=1e-6)
+
+
+def _interpolate_on_numpy_scalars(ts, ys, t):
+    """Oracle: the Lagrange sum of bdf._interpolate, with its node arithmetic
+    done on NumPy float64 scalars."""
+    acc = None
+    for i, ti in enumerate(ts):
+        num = den = np.float64(1.0)
+        for j, tj in enumerate(ts):
+            if j != i:
+                num *= t - tj
+                den *= ti - tj
+        term = num / den * ys[i]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def test_interpolant_bit_equal_for_array_and_float_nodes():
+    """bdf._interpolate gives the same bits for nodes passed as an array, as
+    Python floats or as NumPy scalars, and as the oracle on NumPy scalars."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m = int(rng.integers(1, bdf.MAX_ORDER + 2))
+        ts = rng.uniform(-50, 50) + np.cumsum(rng.uniform(1e-4, 1.0, m))
+        ys = rng.standard_normal((m, 3))
+        t = np.float64(ts[-1] + rng.uniform(-2.0, 1.0))
+        expect = _interpolate_on_numpy_scalars(ts, ys, t)
+        for nodes, at in ((ts, t), (ts.tolist(), float(t)), (list(ts), t)):
+            np.testing.assert_array_equal(bdf._interpolate(nodes, ys, at), expect)
 
 
 class TestDomain:
