@@ -85,9 +85,9 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
         step = j - 1
         alphas = tape.grid.alphas[step]
         jac = problem.jacobian(nodes[j], tape.states[j])
-        # a problem that returns the same read-only f_y needs no O(d^2) compare
+        # the same read-only f_y needs no O(d^2) compare; bytes tell -0.0 from 0.0
         if (h[step], alphas[0]) != key or (jac is not key_jac
-                                           and not np.array_equal(jac, key_jac)):
+                                           and jac.tobytes() != key_jac.tobytes()):
             # factors of the transpose itself, so one plain solve serves
             factors = lu_factor(_iteration_matrix(jac.T, h[step], alphas[0], band), band)
             if factors is None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
-from .bdf import IntegrationTape, coefficient_band, stencil_table, step_residuals
+from .bdf import (IntegrationTape, band_product, coefficient_band, stencil_table,
+                  step_residuals)
 
 __all__ = [
     "COEFFICIENT_TOL",
@@ -107,7 +108,8 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
 
     jt_lam = np.array([problem.jacobian(t, y).T @ l
                        for t, y, l in zip(nodes[1:], tape.states[1:], lam)])
-    adj_rows = band[0].T @ lam - tape.grid.stepsizes[:, None] * jt_lam
+    adj_rows = (band_product(band[0], lam, transpose=True)
+                - tape.grid.stepsizes[:, None] * jt_lam)
     adj_rows[-1] -= problem.criterion_gradient(tape.states[n])
     grad_row = adjoints.gradient - gradient_wrt_initial(tape, lam)
     adjoint_step, adjoint_res = _worst_row(np.vstack([grad_row, adj_rows]))

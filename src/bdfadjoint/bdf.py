@@ -16,14 +16,32 @@ tolerances by :attr:`IntegrationTape.newton_tolerances`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+import scipy   # first, so that a wheel's _distributor_init sets up its library paths
+
+
+def _load_lapack():
+    """dgbtrf, dgbtrs, dgetrf, dgetrs: the f2py wrappers of SciPy's compiled LAPACK
+    extension that scipy.linalg.lapack re-exports, without the quarter second of
+    start-up that importing scipy.linalg costs."""
+    paths = [os.path.join(p, "linalg") for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", paths)
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack in {paths} (SciPy {scipy.__version__})")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgbtrf, module.dgbtrs, module.dgetrf, module.dgetrs
+
+
+dgbtrf, dgbtrs, dgetrf, dgetrs = _load_lapack()
 
 __all__ = [
     "MAX_ORDER",
@@ -39,6 +57,7 @@ __all__ = [
     "replay_integration",
     "stencil_table",
     "coefficient_band",
+    "band_product",
     "step_residuals",
     "tape_residuals",
 ]
@@ -137,12 +156,12 @@ class TimeGrid:
             raise ValueError("need exactly one order per step")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
-        for n, k in enumerate(orders):
-            if not 1 <= k <= min(n + 1, MAX_ORDER):
-                raise ValueError(
-                    f"step {n} has order {k}, admissible range is "
-                    f"[1, {min(n + 1, MAX_ORDER)}]"
-                )
+        highest = np.minimum(np.arange(1, orders.size + 1), MAX_ORDER)
+        bad = np.flatnonzero((orders < 1) | (orders > highest))
+        if bad.size:
+            n = bad[0]
+            raise ValueError(f"step {n} has order {orders[n]}, admissible range is "
+                             f"[1, {highest[n]}]")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "orders", orders)
 
@@ -233,16 +252,29 @@ def stencil_table(tape):
 
 def coefficient_band(tape):
     """(A, c) such that step n reads (A Y)_n + c_n y_0 = h_n f(t_{n+1}, y_{n+1})
-    for the row-major states Y = states[1:].  A is the N x N lower-triangular
-    CSR band with alpha_i^(n) at (n, n - i); c is nonzero only in the
-    self-start rows, whose stencil reaches y_0."""
+    for the row-major states Y = states[1:].  A, the N x N band with alpha_i^(n)
+    at (n, n - i), is held as its (N, MAX_ORDER + 1) table of alphas, zero before
+    y_1; c is nonzero only in the self-start rows, whose stencil reaches y_0."""
     alphas = tape.grid.alphas
-    rows = np.broadcast_to(np.arange(tape.n_steps)[:, None], alphas.shape)
-    cols = rows - _LAGS
-    inside = (alphas != 0.0) & (cols >= 0)
-    band = sparse.csr_matrix((alphas[inside], (rows[inside], cols[inside])),
-                             shape=(tape.n_steps, tape.n_steps))
-    return band, np.where(cols == -1, alphas, 0.0).sum(axis=1)
+    cols = np.arange(tape.n_steps)[:, None] - _LAGS
+    return np.where(cols >= 0, alphas, 0.0), np.where(cols == -1, alphas, 0.0).sum(axis=1)
+
+
+def band_product(a, x, transpose=False):
+    """A x, or A^T x, for the band table a of coefficient_band and (N, d) x, as a
+    CSR band computes it: zero entries skipped, no floating-point warning, lags
+    summed highest first (a row's columns) or from 0 up (CSC columns of A^T)."""
+    out, n = np.zeros_like(x), len(x)
+    lags = np.flatnonzero(a.any(axis=0)).tolist()   # an all-zero lag adds nothing
+    with np.errstate(all="ignore"):   # the CSR kernel warned of nothing, 0 * inf included
+        for i in (lags if transpose else lags[::-1]):
+            alpha = a[i:, i]
+            dst, src = (out[:n - i], x[i:]) if transpose else (out[i:], x[:n - i])
+            prod = alpha[:, None] * src
+            # a zero entry adds +0.0, as if skipped: a sum that starts at +0.0 is never -0.0
+            prod[alpha == 0.0] = 0.0
+            dst += prod
+    return out
 
 
 def step_residuals(problem, tape, band) -> np.ndarray:
@@ -251,7 +283,8 @@ def step_residuals(problem, tape, band) -> np.ndarray:
     a, start = band
     ys = tape.states
     f = np.array([problem.rhs(t, y) for t, y in zip(tape.grid.nodes[1:], ys[1:])])
-    return a @ ys[1:] + start[:, None] * ys[0] - tape.grid.stepsizes[:, None] * f
+    return (band_product(a, ys[1:]) + start[:, None] * ys[0]
+            - tape.grid.stepsizes[:, None] * f)
 
 
 def tape_residuals(problem, tape) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "OdeProblem",
@@ -298,13 +297,17 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         band=band,
     )
 
+    # expm is imported on evaluation, so that only converge loads scipy.linalg
     def nominal(t):
+        from scipy.linalg import expm
         return expm(a * (t - t_s)) @ y_s
 
     def classical_adjoint(t):
+        from scipy.linalg import expm
         return expm(a.T * (t_f - t)) @ c
 
     def weak_adjoint(t):
+        from scipy.linalg import expm
         augmented = np.zeros((d + 1, d + 1))
         augmented[:d, :d] = a.T
         augmented[:d, d] = c

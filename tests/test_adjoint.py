@@ -299,6 +299,31 @@ class TestFactorReuse:
         np.testing.assert_array_equal(adj.lambdas, lambdas)
         np.testing.assert_array_equal(adj.gradient, gradient)
 
+    def test_reuse_needs_bit_equal_jacobians(self, lu_factor_calls):
+        """A problem that returns a fresh copy of f_y keeps the factors of
+        each run of equal steps; one whose copies differ in the sign of a
+        zero entry at every call is refactored at every step.  Both give the
+        multipliers of fresh solves."""
+        problem = dataclasses.replace(_heat(8), band=None)
+        tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
+        a = problem.jacobian(0.0, None)
+        calls = itertools.count()
+
+        def flipping(t, y):
+            jac = a.copy()
+            jac[0, -1] = -0.0 if next(calls) % 2 else 0.0
+            return jac
+
+        for jacobian, factors in ((lambda t, y: a.copy(), 3),
+                                  (flipping, tape.n_steps)):
+            variant = dataclasses.replace(problem, jacobian=jacobian)
+            lu_factor_calls.clear()
+            adj = adjoint_sweep(variant, tape)
+            assert lu_factor_calls == [(8, 8)] * factors
+            lambdas, gradient = _solve_every_step(problem, tape)
+            np.testing.assert_array_equal(adj.lambdas, lambdas)
+            np.testing.assert_array_equal(adj.gradient, gradient)
+
     def test_replay_factors_every_iterate(self, lu_factor_calls):
         """Replay reuses no factors: one factorization per recorded Newton
         iteration."""

@@ -3,8 +3,9 @@ Tests for the verification and convergence-analysis utilities.
 
 verify_kkt is checked against corruption (a perturbed multiplier or state
 must push the matching residual above threshold and be located inside the
-perturbed entry's stencil), and its sparse-band evaluation must agree with a
-dense np.kron assembly of the same system.  The coefficient-invariant check
+perturbed entry's stencil), and its coefficient-band evaluation must agree
+with a dense np.kron assembly of the same system; the band products are
+bit-equal to a scipy.sparse CSR band.  The coefficient-invariant check
 must flag a 1e-10 relative change to any alpha.  fit_order is checked on
 synthetic data with known slope; dual_norm_bound on a hand-computable
 constant-multiplier case.
@@ -12,17 +13,20 @@ constant-multiplier case.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from bdfadjoint import (AnalyticReference, ConvergenceTable,
-                        DiscreteAdjoints, KktResidualReport, TimeGrid,
-                        WeakAdjoint, adjoint_sweep, assemble_weak_adjoint,
-                        dual_norm_bound, fit_order, get_problem,
+                        DiscreteAdjoints, IntegrationTape, KktResidualReport,
+                        TimeGrid, WeakAdjoint, adjoint_sweep,
+                        assemble_weak_adjoint, dual_norm_bound, fit_order, get_problem,
                         integrate_adaptive, integrate_nonadaptive, verify_kkt)
 from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
-from bdfadjoint.bdf import stencil_table
+from bdfadjoint.bdf import (MAX_ORDER, band_product, coefficient_band,
+                            stencil_table)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -68,6 +72,92 @@ def _oracle_cases():
     tapes.append(integrate_nonadaptive(CATENARY, 4, 0.125))
     assert max(t.grid.orders.max() for t in tapes) == 6
     return [(tape, adjoint_sweep(CATENARY, tape)) for tape in tapes]
+
+
+def _csr_band(a):
+    """The band table a of coefficient_band as the scipy.sparse CSR matrix
+    with a[n, i] at (n, n - i), zero entries left out."""
+    rows, lags = np.nonzero(a)
+    return sparse.csr_matrix((a[rows, lags], (rows, rows - lags)),
+                             shape=(len(a), len(a)))
+
+
+def _with_signed_zeros(rng, shape):
+    """Normal samples with about a third of the entries +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    zeros = rng.random(shape) < 1.0 / 3.0
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return x
+
+
+class TestBandProduct:
+    """band_product is bit-equal to the CSR band and its CSC transpose,
+    which sum the lags highest first and from 0 up respectively."""
+
+    @staticmethod
+    def _assert_bit_equal(a, x):
+        band = _csr_band(a)
+        for got, want in ((band_product(a, x), band @ x),
+                          (band_product(a, x, transpose=True), band.T @ x)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_tapes_up_to_order_six(self):
+        """Adaptive catenary tapes and a k=4 self-start ramp, on their
+        states, multipliers and signed-zero data."""
+        rng = np.random.default_rng(11)
+        for tape, adj in _oracle_cases():
+            a, start = coefficient_band(tape)
+            assert not np.any(a[np.arange(tape.n_steps)[:, None]
+                                < np.arange(MAX_ORDER + 1)])   # before y_1
+            for x in (tape.states[1:], adj.lambdas,
+                      _with_signed_zeros(rng, adj.lambdas.shape)):
+                self._assert_bit_equal(a, x)
+
+    def test_self_start_column(self):
+        """c holds the y_0 coefficient of exactly the steps whose stencil
+        reaches y_0."""
+        tape = integrate_nonadaptive(CATENARY, 6, 0.125)
+        _, start = coefficient_band(tape)
+        reach = np.arange(tape.n_steps) + 1 == tape.grid.orders
+        np.testing.assert_array_equal(
+            start[reach], tape.grid.alphas[reach, np.flatnonzero(reach) + 1])
+        assert not np.any(start[~reach])
+
+    def test_random_grids(self):
+        """Random grids of 1 to 40 steps at random admissible orders, on
+        data with signed zeros, one column or several."""
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_steps = int(rng.integers(1, 41))
+            gaps = rng.uniform(0.5, 1.0, n_steps) * 10.0 ** rng.uniform(-6, 0, n_steps)
+            nodes = rng.uniform(-1e4, 1e4) + np.concatenate(([0.0], np.cumsum(gaps)))
+            highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
+            grid = TimeGrid(nodes=nodes, orders=rng.integers(1, highest + 1))
+            a, _ = coefficient_band(IntegrationTape(
+                problem_name="catenary", problem_params={}, dimension=1,
+                mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
+                newton_iterations=np.zeros(n_steps, dtype=int),
+                newton_residuals=np.zeros(n_steps)))
+            self._assert_bit_equal(a, _with_signed_zeros(
+                rng, (n_steps, int(rng.integers(1, 4)))))
+
+    def test_zero_entries_skip_non_finite_data(self):
+        """As in the CSR band, an entry past a step's order never meets the
+        data, so an inf or NaN reaches only the rows it has a coefficient
+        in, and no warning is raised.  Adaptive tapes change order, so zero
+        entries sit inside the lags in use."""
+        for tape, _ in _oracle_cases():
+            a, _ = coefficient_band(tape)
+            band = _csr_band(a)
+            x = np.ones((tape.n_steps, 2))
+            x[::5, 0] = np.inf
+            x[3::7, 1] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = band_product(a, x), band_product(a, x, transpose=True)
+            np.testing.assert_array_equal(got[0], band @ x)
+            np.testing.assert_array_equal(got[1], band.T @ x)
 
 
 class TestVerifyKkt:

@@ -145,15 +145,77 @@ class TestIntegrate:
     def test_import_leaves_quadrature_unloaded(self):
         """Nothing in the package needs scipy.integrate, so importing the
         CLI must not pay for it."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        code = ("import sys, bdfadjoint.cli; "
-                "assert 'scipy.integrate' not in sys.modules, 'loaded'")
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        _fresh_python("import sys, bdfadjoint.cli; "
+                      "assert 'scipy.integrate' not in sys.modules, 'loaded'")
+
+    def test_stages_leave_linalg_and_sparse_unloaded(self, tmp_path):
+        """integrate -> adjoint -> verify of the catenary and of a banded
+        linear problem, in one fresh interpreter, import none of
+        scipy.linalg, scipy.sparse and scipy.integrate: the step solvers
+        bind LAPACK from SciPy's extension and the KKT band is NumPy."""
+        heat = _heat_config(tmp_path, 8)
+        runs = []
+        for name, problem in (("catenary", ["--problem", "catenary"]),
+                              ("heat", ["--config", str(heat)])):
+            tape, adj = tmp_path / f"{name}.json", tmp_path / f"{name}-adj.json"
+            runs += [["integrate", *problem, "--order", "2", "--h", "0.125",
+                      "--out", str(tape)],
+                     ["adjoint", "--tape", str(tape), "--out", str(adj)],
+                     ["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                      "--out", str(tmp_path / f"{name}-kkt.json")]]
+        _fresh_python(_STAGES_THEN_CHECK, json.dumps(runs),
+                      "scipy.linalg,scipy.sparse,scipy.integrate")
+        params = load_tape(tmp_path / "heat.json").problem_params
+        assert get_problem("linear", **params)[0].band == (1, 1)
+
+    def test_converge_on_linear_loads_its_reference(self, tmp_path):
+        """converge evaluates the linear reference's matrix exponentials, so
+        it is the one stage that imports scipy.linalg, and it still runs."""
+        argv = ["converge", "--config", str(_heat_config(tmp_path, 8)),
+                "--order", "2", "--h", "0.25,0.125",
+                "--out", str(tmp_path / "convergence.csv")]
+        _fresh_python(_STAGES_THEN_CHECK, json.dumps([argv]), "")
+
+    def test_scipy_linalg_imports_after_bdf(self):
+        """Loading SciPy's LAPACK extension first leaves scipy.linalg
+        importable afterwards, with the very routines bdf binds and an expm
+        bit-equal to this process's."""
+        from scipy.linalg import expm
+        m = np.array([[-1.5, 2.0, 0.0], [0.25, -3.0, 1e-3], [0.0, 4.0, -0.5]])
+        out = _fresh_python(
+            "import sys, numpy as np; from bdfadjoint import bdf; "
+            "assert 'scipy.linalg' not in sys.modules; "
+            "from scipy.linalg import expm, lapack; "
+            "assert all(getattr(lapack, f) is getattr(bdf, f) "
+            "for f in ('dgetrf', 'dgetrs', 'dgbtrf', 'dgbtrs')); "
+            "m = np.array(eval(sys.argv[1])); print(expm(m).tobytes().hex())",
+            repr(m.tolist()))
+        assert out.strip() == expm(m).tobytes().hex()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def _fresh_python(code, *args):
+    """stdout of code run by a fresh interpreter with this checkout's src
+    first on its path and args as sys.argv[1:]."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+# Runs the CLI argv lists of the JSON sys.argv[1] in turn, each to exit 0,
+# then fails if any module of the comma-separated sys.argv[2] was imported.
+_STAGES_THEN_CHECK = """
+import json, sys
+from bdfadjoint.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+loaded = [m for m in sys.argv[2].split(",") if m and m in sys.modules]
+assert not loaded, f"imported {loaded}"
+"""
 
 
 def _write_config(tmp_path, *lines):

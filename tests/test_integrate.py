@@ -11,7 +11,7 @@ order-k fits are asserted on seeded runs only).
 import numpy as np
 import pytest
 
-from bdfadjoint import (SolverError, compute_coefficients, get_problem,
+from bdfadjoint import (SolverError, TimeGrid, compute_coefficients, get_problem,
                         integrate_adaptive, integrate_nonadaptive,
                         linear_test_problem, newton_bdf_step)
 from bdfadjoint.bdf import MAX_ORDER
@@ -184,6 +184,21 @@ class TestValidation:
             integrate_nonadaptive(CATENARY, 2, -0.25)
         with pytest.raises(ValueError, match="stepsize must be positive"):
             integrate_nonadaptive(CATENARY, 2, float("nan"))
+
+    def test_grid_names_its_first_bad_order(self):
+        """Step n admits orders 1..min(n + 1, MAX_ORDER); the error names the
+        first step outside that range."""
+        nodes = np.arange(12.0)
+        for orders, message in (
+                ([1, 2, 3, 5, 0, 1, 1, 1, 1, 1, 1], "step 3 has order 5, "
+                 "admissible range is [1, 4]"),
+                ([1, 2, 3, 4, 5, 6, 7, 0, 1, 1, 1], "step 6 has order 7, "
+                 "admissible range is [1, 6]"),
+                ([0] + [1] * 10, "step 0 has order 0, admissible range is [1, 1]")):
+            with pytest.raises(ValueError) as excinfo:
+                TimeGrid(nodes=nodes, orders=np.array(orders))
+            assert str(excinfo.value) == message
+        TimeGrid(nodes=nodes, orders=np.minimum(np.arange(1, 12), MAX_ORDER))
 
     def test_singular_step_raises_solver_error(self):
         """1 - h*a = 0: the Newton matrix is exactly singular."""

@@ -11,9 +11,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dgetrf
 
-from bdfadjoint import (SolverError, adjoint_sweep, compute_coefficients,
+from bdfadjoint import (SolverError, adjoint_sweep, bdf, compute_coefficients,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
                         linear_test_problem, newton_bdf_step)
 from bdfadjoint.bdf import EPS, lu_factor, lu_solve
@@ -162,6 +164,56 @@ class TestLuFactor:
                 assert np.linalg.norm(m @ x - b) <= 1e-12 * (
                     np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(b))
         assert 500 < refused < 2000
+
+
+class TestLapackBinding:
+    """bdf binds dgetrf/dgetrs and dgbtrf/dgbtrs from SciPy's compiled LAPACK
+    extension: the results are bit-equal to scipy.linalg.lapack's."""
+
+    @staticmethod
+    def _assert_bit_equal(got, want):
+        for g, w in zip(got, want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+            if g.dtype == float:
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    def test_dense_routines(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            m = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4)
+            b = rng.standard_normal(d)
+            got, want = bdf.dgetrf(m), lapack.dgetrf(m)
+            self._assert_bit_equal(got, want)
+            self._assert_bit_equal(bdf.dgetrs(got[0], got[1], b),
+                                   lapack.dgetrs(want[0], want[1], b))
+
+    def test_band_routines(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            d = int(rng.integers(2, 12))
+            kl, ku = (int(k) for k in rng.integers(0, d, size=2))
+            ab = np.zeros((2 * kl + ku + 1, d))
+            ab[kl:] = rng.standard_normal((kl + ku + 1, d))
+            ab[kl + ku] += 4.0 * (kl + ku + 1)   # a dominant diagonal
+            b = rng.standard_normal(d)
+            got, want = bdf.dgbtrf(ab, kl, ku), lapack.dgbtrf(ab, kl, ku)
+            self._assert_bit_equal(got, want)
+            self._assert_bit_equal(bdf.dgbtrs(got[0], kl, ku, b, got[1]),
+                                   lapack.dgbtrs(want[0], kl, ku, b, want[1]))
+
+    def test_missing_extension_names_path_and_version(self, monkeypatch, tmp_path):
+        """No fallback: a SciPy without the extension is an ImportError that
+        says where it was looked for and which SciPy it is."""
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError) as excinfo:
+            bdf._load_lapack()
+        message = str(excinfo.value)
+        assert "scipy.linalg._flapack" in message
+        assert str(tmp_path / "linalg") in message
+        assert f"SciPy {scipy.__version__}" in message
 
 
 class TestNonFiniteJacobian:
