@@ -11,10 +11,9 @@ from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
                       assemble_weak_adjoint, gradient_wrt_initial, rs_pair)
 from .analysis import (ConvergenceTable, KktResidualReport, coefficient_defects,
                        dual_norm_bound, fit_order, pointwise_error, verify_kkt)
-from .bdf import (IntegrationTape, NewtonResult, SolverError, TimeGrid,
-                  compute_coefficients, dense_eval, integrate_adaptive,
-                  integrate_nonadaptive, newton_bdf_step, replay_integration,
-                  tape_residuals)
+from .bdf import (IntegrationTape, SolverError, TimeGrid, compute_coefficients,
+                  dense_eval, integrate_adaptive, integrate_nonadaptive,
+                  replay_integration, tape_residuals)
 from .problems import (AnalyticReference, OdeProblem, catenary_problem,
                        get_problem, linear_test_problem)
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
@@ -29,7 +28,6 @@ __all__ = [
     "DiscreteAdjoints",
     "IntegrationTape",
     "KktResidualReport",
-    "NewtonResult",
     "OdeProblem",
     "SolverError",
     "TimeGrid",
@@ -49,7 +47,6 @@ __all__ = [
     "linear_test_problem",
     "load_adjoint_results",
     "load_tape",
-    "newton_bdf_step",
     "pointwise_error",
     "replay_integration",
     "rs_pair",

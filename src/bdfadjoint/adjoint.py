@@ -47,12 +47,6 @@ class DiscreteAdjoints:
         object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
         object.__setattr__(self, "gradient", np.asarray(self.gradient, dtype=float))
 
-    def at_node(self, n: int) -> np.ndarray:
-        """lambda_n for n = 1..N."""
-        if not 1 <= n <= self.lambdas.shape[0]:
-            raise IndexError(f"adjoint index must be in [1, {self.lambdas.shape[0]}]")
-        return self.lambdas[n - 1]
-
 
 def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     """Backward sweep over a completed tape.

@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy   # first, so that a wheel's _distributor_init sets up its library paths
@@ -48,9 +48,7 @@ __all__ = [
     "SolverError",
     "TimeGrid",
     "IntegrationTape",
-    "NewtonResult",
     "compute_coefficients",
-    "newton_bdf_step",
     "integrate_nonadaptive",
     "integrate_adaptive",
     "dense_eval",
@@ -297,12 +295,6 @@ def tape_residuals(problem, tape) -> np.ndarray:
 # Newton iteration for one implicit step
 # ---------------------------------------------------------------------------
 
-class NewtonResult(NamedTuple):
-    y: np.ndarray
-    iterations: int
-    residual: float
-
-
 def _history_sum(alphas, history):
     """sum_{i >= 1} alpha_i y_{n+1-i} in ascending i; history is y_n, y_{n-1}, ..."""
     back = np.zeros(np.shape(history[0]))
@@ -396,8 +388,9 @@ class _StepFailure(Exception):
 
 
 def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
-                    cache: _FactorCache) -> NewtonResult:
-    """Solve the implicit BDF equation for y_{n+1}.
+                    cache: _FactorCache):
+    """Solve the implicit BDF equation for y_{n+1}: returns (y, iterations,
+    max-norm residual).
 
     `history` lists prior states newest first (y_n, y_{n-1}, ...), pairing
     with alphas[1:].  The iteration matrix is refactored only when
@@ -414,7 +407,7 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     if not np.isfinite(rnorm):
         raise _StepFailure(f"non-finite residual at t={t_new}")
     if rnorm <= tol:
-        return NewtonResult(y, 0, float(rnorm))
+        return y, 0, float(rnorm)
 
     if not cache.matches(h, alphas[0]):
         cache.refactor(problem, t_new, y, h, alphas[0])
@@ -433,7 +426,7 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
             if not np.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
             if rnorm <= tol:
-                return NewtonResult(y, total, float(rnorm))
+                return y, total, float(rnorm)
             step_norm = abs(delta).max()
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
                 cache.refactor(problem, t_new, y, h, alphas[0])
@@ -444,39 +437,6 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
         f"Newton did not converge within {total} iterations at t={t_new} "
         f"(residual {rnorm:.3e}, tolerance {tol:.3e})"
     )
-
-
-def newton_bdf_step(problem, history, alphas, t_next, h, predictor,
-                    tol: float = NEWTON_TOL_NONADAPTIVE) -> NewtonResult:
-    """One implicit BDF step, solved to the given absolute residual tolerance.
-
-    Parameters
-    ----------
-    history : sequence of arrays
-        The k prior states, newest first: y_n, y_{n-1}, ..., y_{n+1-k}.
-    alphas : array
-        alpha_0..alpha_k of the step (see :func:`compute_coefficients`).
-    predictor : array
-        Start iterate for the Newton iteration.
-
-    Returns
-    -------
-    NewtonResult with the new state, the iteration count and the final
-    max-norm residual.  Non-convergence, singular iteration matrices and
-    non-finite Jacobians raise SolverError.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    order = alphas.size - 1
-    if len(history) < order:
-        raise ValueError(
-            f"order {order} needs {order} prior states, got {len(history)}"
-        )
-    try:
-        return _newton_iterate(problem, float(t_next), float(h), alphas, history,
-                               np.asarray(predictor, dtype=float),
-                               float(tol), _FactorCache())
-    except _StepFailure as exc:
-        raise SolverError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +564,11 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         alphas = grid.alphas[n, :orders[n] + 1]
         predictor = _predict(nodes, states, orders, n, nodes[n + 1])
         try:
-            res = _newton_iterate(problem, nodes[n + 1], nodes[n + 1] - nodes[n],
-                                  alphas, states[n::-1], predictor,
-                                  NEWTON_TOL_NONADAPTIVE, cache)
+            states[n + 1], iters[n], resid[n] = _newton_iterate(
+                problem, nodes[n + 1], nodes[n + 1] - nodes[n], alphas,
+                states[n::-1], predictor, NEWTON_TOL_NONADAPTIVE, cache)
         except _StepFailure as exc:
             raise SolverError(f"step {n} failed: {exc}") from exc
-        states[n + 1] = res.y
-        iters[n] = res.iterations
-        resid[n] = res.residual
 
     return IntegrationTape(
         problem_name=problem.name,
@@ -679,7 +636,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     n = 0
 
     while t < tf:
-        if h < 1e3 * EPS * max(abs(t), abs(tf)):
+        if not h >= 1e3 * EPS * max(abs(t), abs(tf)):   # NaN fails too
             raise SolverError(
                 f"stepsize underflow at t={t} (h={h:.3e}) after step {n}"
             )
@@ -690,8 +647,9 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         predictor = _predict(nodes, states, orders, n, t_new)
         tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
         try:
-            res = _newton_iterate(problem, t_new, h_eff, alphas, states[n::-1],
-                                  predictor, tol_newton, cache)
+            y_new, iterations, residual = _newton_iterate(
+                problem, t_new, h_eff, alphas, states[n::-1], predictor,
+                tol_newton, cache)
         except _StepFailure:
             h = h_eff / 2.0
             cache.lu = None
@@ -700,11 +658,11 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
             continue
 
         if n == 0:
-            est_vec = 0.5 * (res.y - states[0] - h_eff * f0)
+            est_vec = 0.5 * (y_new - states[0] - h_eff * f0)
             err = math.sqrt(est_vec.dot(est_vec))
         else:
-            err = _error_estimate(nodes, states, t_new, res.y, k)
-        tol_acc = rtol * math.sqrt(res.y.dot(res.y)) + atol
+            err = _error_estimate(nodes, states, t_new, y_new, k)
+        tol_acc = rtol * math.sqrt(y_new.dot(y_new)) + atol
 
         if not np.isfinite(err) or err > tol_acc:
             factor = SAFETY * (tol_acc / err) ** (1.0 / (k + 1)) if err > 0 else 1.0
@@ -736,7 +694,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
             elif q + 1 > len(states):   # needs q+1 prior points
                 continue
             else:
-                est_q = _error_estimate(nodes, states, t_new, res.y, q)
+                est_q = _error_estimate(nodes, states, t_new, y_new, q)
             if est_q > 0.0:
                 factor = SAFETY * (tol_acc / est_q) ** (1.0 / (q + 1))
             else:
@@ -747,10 +705,10 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
                 best_k = q
 
         nodes.append(t_new)
-        states.append(res.y)
+        states.append(y_new)
         orders.append(k)
-        iters.append(res.iterations)
-        resid.append(res.residual)
+        iters.append(iterations)
+        resid.append(residual)
         estimates.append(err)
         t = t_new
         n += 1

@@ -198,6 +198,10 @@ def _problem_for_tape(tape, settings=None):
 
 def cmd_adjoint(ns) -> int:
     settings = _Settings(ns)
+    out = settings.get("out", default="adjoint.json")
+    csv_path = str(Path(out).with_suffix(".csv"))
+    if Path(csv_path) == Path(out):
+        raise _UsageError(f"--out {out} would be overwritten by the CSV {csv_path}")
     tape = _load_input(settings, "tape", load_tape, "tape")
     problem, _ = _problem_for_tape(tape, settings)
     resid = tape_residuals(problem, tape)
@@ -206,7 +210,6 @@ def cmd_adjoint(ns) -> int:
         raise _UsageError("tape failed residual validation against its problem")
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)
-    out = settings.get("out", default="adjoint.json")
     # The tape's params are written back as read.  Only a tape the json
     # fallback read (a NaN token elsewhere in it) can hold an integer beyond
     # 64 bits there, which _dump refuses with ValueError.
@@ -214,7 +217,6 @@ def cmd_adjoint(ns) -> int:
         _write(save_adjoint_results, tape, adjoints, weak, out)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    csv_path = str(Path(out).with_suffix(".csv"))
     try:
         _write(write_adjoint_csv, tape, adjoints, weak, csv_path)
     except _UsageError:
@@ -233,11 +235,11 @@ def cmd_converge(ns) -> int:
     settings = _Settings(ns)
     problem, reference = _build_problem(settings)
     mode = settings.get("mode", default="nonadaptive")
-    probes = [p for p in settings.get_list("probe")
-              if abs(p - problem.final_time) > 1e-12]
-    for p in probes + [problem.final_time]:
+    probes = settings.get_list("probe")
+    for p in probes:   # before the t_f filter, which would drop a NaN
         if not problem.initial_time <= p <= problem.final_time:
             raise _UsageError(f"probe time {p} outside the integration interval")
+    probes = [p for p in probes if abs(p - problem.final_time) > 1e-12]
 
     if mode == "nonadaptive":
         values = settings.get_list("h")

@@ -46,9 +46,9 @@ class OdeProblem:
     criterion_gradient : callable
         J'(y) -> array of shape (d,) (the gradient row).
     initial_time, final_time : float
-        Integration interval [t_s, t_f], t_s < t_f.
+        Integration interval [t_s, t_f], t_s < t_f, both finite.
     initial_state : ndarray
-        y_s, shape (d,).
+        y_s, shape (d,), finite.
     name : str
         Registry name used by the CLI and by tape serialization.
     params : dict
@@ -77,9 +77,9 @@ class OdeProblem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.initial_time < self.final_time:
+        if not -np.inf < self.initial_time < self.final_time < np.inf:   # NaN fails too
             raise ValueError(
-                f"initial_time must precede final_time, got "
+                f"initial_time must precede final_time, both finite, got "
                 f"[{self.initial_time}, {self.final_time}]"
             )
         y0 = np.asarray(self.initial_state, dtype=float)
@@ -87,6 +87,8 @@ class OdeProblem:
             raise ValueError(
                 f"initial_state has shape {y0.shape}, expected ({self.dimension},)"
             )
+        if not np.isfinite(y0).all():
+            raise ValueError(f"initial_state must be finite, got {y0}")
         object.__setattr__(self, "initial_state", y0)
         if self.band is not None:
             band = tuple(self.band)
@@ -161,7 +163,7 @@ def catenary_problem(p: float, A: float, t_f: float):
     p = float(p)
     A = float(A)
     t_f = float(t_f)
-    if p <= 0.0:
+    if not p > 0.0:   # NaN fails too
         raise ValueError(f"catenary parameter p must be positive, got {p}")
 
     y0 = np.array([np.cosh(A) / p, np.sinh(A)])

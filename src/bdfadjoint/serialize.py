@@ -89,7 +89,6 @@ def tape_to_dict(tape: IntegrationTape) -> dict:
         "newton": {
             "iterations": tape.newton_iterations.tolist(),
             "residuals": tape.newton_residuals.tolist(),
-            "tolerances": tape.newton_tolerances.tolist(),
         },
     }
     if tape.error_estimates is not None:
@@ -103,9 +102,9 @@ def save_tape(tape: IntegrationTape, path) -> None:
 
 def load_tape(path) -> IntegrationTape:
     """Rebuild a tape from JSON.  The coefficients and the Newton tolerances
-    are derived on first use (bit-identical, since the nodes and states
-    round-trip exactly); stored tolerances that differ from the derived ones
-    raise ValueError."""
+    are derived, not read (bit-identical, since the nodes and states
+    round-trip exactly); a version-1 file that still carries
+    `newton.tolerances` (the earlier layout) loads with them ignored."""
     doc = _load_checked(path, TAPE_FORMAT)
     newton = doc["newton"]
     # TimeGrid and IntegrationTape convert and shape-check the lists
@@ -121,9 +120,9 @@ def load_tape(path) -> IntegrationTape:
         error_estimates=doc.get("error_estimates"),
         driver_params=doc.get("driver_params", {}),
     )
-    # checked, not trusted: adjoint and verify scale their residual checks by them
-    if not np.array_equal(newton["tolerances"], tape.newton_tolerances):
-        raise ValueError("stored Newton tolerances differ from the driver's rule")
+    # derived now, so that a tape whose driver's rule cannot be applied (an
+    # unknown mode, an adaptive run without rtol) is refused at load
+    tape.newton_tolerances
     return tape
 
 

@@ -158,18 +158,6 @@ class TestConsistency:
         assert gap_to_23 < 0.01
         assert gap_to_jp > 0.3
 
-    def test_at_node_lookup(self):
-        """at_node uses the 1-based node index (lambda_n lives at t_n)."""
-        tape = integrate_nonadaptive(CATENARY, 2, 0.25)
-        adj = adjoint_sweep(CATENARY, tape)
-        np.testing.assert_array_equal(adj.at_node(3), adj.lambdas[2])
-        np.testing.assert_array_equal(adj.at_node(tape.n_steps),
-                                      adj.lambdas[-1])
-        with pytest.raises(IndexError):
-            adj.at_node(0)
-        with pytest.raises(IndexError):
-            adj.at_node(tape.n_steps + 1)
-
 
 class TestValidation:
     def test_mismatched_adjoints_rejected(self):

@@ -109,6 +109,35 @@ class TestIntegrate:
         assert rc == 1
         assert not tape.exists()
 
+    @pytest.mark.parametrize("args, config, code", [
+        (["--mode", "adaptive", "--rtol", "1e-6", "--A", "nan"], None, 1),
+        (["--mode", "adaptive", "--rtol", "1e-6", "--p", "nan"], None, 1),
+        (["--mode", "adaptive", "--rtol", "1e-6", "--tf", "inf"], None, 1),
+        (["--order", "2", "--h", "0.25", "--tf", "inf"], None, 1),
+        (["--mode", "adaptive", "--rtol", "1e-6"], "a = nan", 2),
+    ], ids=["A-nan", "p-nan", "adaptive-tf-inf", "nonadaptive-tf-inf",
+            "linear-a-nan"])
+    def test_nonfinite_problem_input_fails_fast(self, tmp_path, args, config,
+                                                code):
+        """Refused with one error line and no tape: a non-finite initial
+        state, end time or p at construction (exit 1), and the NaN first
+        step of a NaN matrix entry as a stepsize underflow (exit 2).  Each
+        runs in a fresh interpreter, so that a hang fails the test."""
+        tape = tmp_path / "t.json"
+        if config is not None:
+            args = [*args, "--config",
+                    str(_write_config(tmp_path, "problem = linear", config,
+                                      "y0 = 1"))]
+        out = _fresh_python(
+            "import json, sys; from bdfadjoint.cli import main; "
+            "sys.stderr = sys.stdout; print(main(json.loads(sys.argv[1])))",
+            json.dumps(["integrate", *args, "--out", str(tape)]))
+        message, rc = out.splitlines()
+        assert int(rc) == code
+        assert message.startswith("solver failure: stepsize underflow"
+                                  if code == 2 else "error: ")
+        assert not tape.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--frobnicate", "1"])
         assert rc == 1
@@ -198,12 +227,14 @@ class TestIntegrate:
 
 def _fresh_python(code, *args):
     """stdout of code run by a fresh interpreter with this checkout's src
-    first on its path and args as sys.argv[1:]."""
+    first on its path and args as sys.argv[1:]; a run that hangs fails the
+    test after a minute."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
+                          check=True, capture_output=True, text=True,
+                          timeout=60).stdout
 
 
 # Runs the CLI argv lists of the JSON sys.argv[1] in turn, each to exit 0,
@@ -315,7 +346,7 @@ class TestAdjointCommand:
                    "--out", str(tmp_path / "a.json")])
         assert rc == 1
 
-    @pytest.mark.parametrize("field", ["tolerances", "iterations", "residuals",
+    @pytest.mark.parametrize("field", ["iterations", "residuals",
                                        "error_estimates"])
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_malformed_per_step_record_refused(self, tmp_path, capsys, field,
@@ -381,13 +412,17 @@ class TestAdjointCommand:
 
     @pytest.mark.parametrize("mode, edit", [("nonadaptive", "loosen"),
                                             ("adaptive", "loosen"),
-                                            ("adaptive", "drop_driver_params")])
+                                            ("adaptive", "drop_driver_params"),
+                                            ("nonadaptive", "unknown_mode")])
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_tolerances_derived_not_trusted(self, tmp_path, capsys, mode, edit,
                                             stage):
-        """Every stored Newton tolerance raised to 1.0 with states[5][1]
-        moved by 0.1, or an adaptive tape without its driver parameters: the
-        tolerances cannot be derived as stored, so the tape is refused."""
+        """Every Newton tolerance written into the tape as 1.0 (the earlier
+        layout stored them) with states[5][1] moved by 0.1: the list is
+        ignored, so adjoint refuses the moved state with exit 1 and verify
+        fails its nominal residual with exit 3.  An adaptive tape without
+        its driver parameters, or a tape of an unknown mode, cannot have its
+        tolerances derived, and is refused at load."""
         tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
         run = (["--order", "2", "--h", "0.125"] if mode == "nonadaptive"
                else ["--mode", "adaptive", "--rtol", "1e-6"])
@@ -395,8 +430,10 @@ class TestAdjointCommand:
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         doc = json.loads(tape.read_text())
         if edit == "loosen":
-            doc["newton"]["tolerances"] = [1.0] * len(doc["newton"]["tolerances"])
+            doc["newton"]["tolerances"] = [1.0] * len(doc["newton"]["residuals"])
             doc["states"][5][1] += 0.1
+        elif edit == "unknown_mode":
+            doc["mode"] = "fixed"
         else:
             del doc["driver_params"]
         tape.write_text(json.dumps(doc))
@@ -405,10 +442,17 @@ class TestAdjointCommand:
         argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
                 "verify": ["verify", "--tape", str(tape), "--adjoint-file",
                            str(adj), "--out", str(out)]}[stage]
+        if edit == "loosen" and stage == "verify":
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                "verification failed: nominal_residual above threshold\n")
+            return
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
-        assert ("Newton tolerances differ" if edit == "loosen" else "rtol") in err
+        want = {"loosen": "error: tape failed residual validation",
+                "unknown_mode": "error: cannot load tape: unknown integration mode 'fixed'",
+                "drop_driver_params": "error: cannot load tape: 'rtol'"}[edit]
+        assert err.startswith(want) and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("c0", [float("inf"), float("nan")])
@@ -814,6 +858,22 @@ class TestOutputPath:
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_adjoint_out_named_like_its_csv_refused(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """--out a.csv would have the CSV overwrite the JSON: refused before
+        the sweep runs, and nothing is written."""
+        args = self._args(tmp_path, "adjoint")
+        out = tmp_path / "a.csv"
+        monkeypatch.setattr(cli_module, "adjoint_sweep", None)   # never called
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --out {out} would be overwritten by "
+                                f"the CSV {out}\n")
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_adjoint_unwritable_csv_leaves_no_json(self, tmp_path, capsys):
         """adjoint writes both of its outputs or neither: a directory in the
         CSV's place fails it after the JSON was written, which is removed."""
@@ -933,8 +993,9 @@ class TestConvergeCommand:
         ["--mode", "adaptive", "--rtol", "1e-4,nan"],
         ["--mode", "adaptive", "--rtol", "1e-4,1e-6", "--atol", "inf"],
         ["--mode", "adaptive", "--rtol", "inf,1e-6"],
+        ["--order", "2", "--h", "0.25,0.125", "--probe", "nan"],
     ], ids=["atol-negative", "atol-nan", "h-nan", "rtol-nan", "atol-inf",
-            "rtol-inf"])
+            "rtol-inf", "probe-nan"])
     def test_bad_sweep_input_is_usage_error(self, tmp_path, args):
         """Refused before any run: not a solver failure, not a NaN row."""
         out = tmp_path / "c.csv"

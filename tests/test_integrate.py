@@ -11,9 +11,9 @@ order-k fits are asserted on seeded runs only).
 import numpy as np
 import pytest
 
-from bdfadjoint import (SolverError, TimeGrid, compute_coefficients, get_problem,
-                        integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem, newton_bdf_step)
+from bdfadjoint import (SolverError, TimeGrid, bdf, compute_coefficients,
+                        get_problem, integrate_adaptive, integrate_nonadaptive,
+                        linear_test_problem)
 from bdfadjoint.bdf import MAX_ORDER
 
 CATENARY, CATENARY_REF = get_problem("catenary")
@@ -118,9 +118,10 @@ class TestConvergence:
             for n in range(k - 1, k - 1 + n_steps):
                 coeffs = compute_coefficients(nodes[n + 1 - k:n + 2], k)
                 hist = [states[n - i] for i in range(k)]
-                res = newton_bdf_step(CATENARY, hist, coeffs, nodes[n + 1], h,
-                                      predictor=states[n])
-                states.append(res.y)
+                y, _, _ = bdf._newton_iterate(
+                    CATENARY, nodes[n + 1], h, coeffs, hist, states[n],
+                    bdf.NEWTON_TOL_NONADAPTIVE, bdf._FactorCache())
+                states.append(y)
             errs.append(np.linalg.norm(states[-1] - CATENARY_REF.nominal(1.0)))
         fit = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert band[0] <= fit <= band[1]

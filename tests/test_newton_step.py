@@ -4,7 +4,8 @@ Tests for a single implicit BDF step.
 Linear right-hand sides give closed-form solutions of the implicit
 equation, so the Newton result can be checked exactly: backward Euler on
 y' = a*y gives y1 = y0 / (1 - h*a), and a two-step BDF gives
-(alpha0 - h*a) y2 = -(alpha1 y1 + alpha2 y0).
+(alpha0 - h*a) y2 = -(alpha1 y1 + alpha2 y0).  The steps run the drivers'
+Newton iteration, bdf._newton_iterate, with a fresh factor cache.
 """
 
 import dataclasses
@@ -17,10 +18,17 @@ from scipy.linalg.lapack import dgetrf
 
 from bdfadjoint import (SolverError, adjoint_sweep, bdf, compute_coefficients,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem, newton_bdf_step)
+                        linear_test_problem)
 from bdfadjoint.bdf import EPS, lu_factor, lu_solve
 
 CATENARY, _ = get_problem("catenary")
+
+
+def _step(problem, history, alphas, t_next, h, predictor):
+    """(y, iterations, residual) of one implicit step solved to the
+    nonadaptive tolerance; history lists the prior states newest first."""
+    return bdf._newton_iterate(problem, t_next, h, alphas, history, predictor,
+                               bdf.NEWTON_TOL_NONADAPTIVE, bdf._FactorCache())
 
 
 def _scalar_problem(a):
@@ -34,18 +42,18 @@ class TestBackwardEuler:
         a, h = -2.0, 0.1
         problem = _scalar_problem(a)
         coeffs = compute_coefficients(np.array([0.0, h]), 1)
-        res = newton_bdf_step(problem, [np.array([1.0])], coeffs, h, h,
-                              predictor=np.array([1.0]))
-        np.testing.assert_allclose(res.y, [1.0 / (1.0 - h * a)], rtol=1e-14)
-        assert res.residual <= 1e-12
+        y, _, residual = _step(problem, [np.array([1.0])], coeffs, h, h,
+                               predictor=np.array([1.0]))
+        np.testing.assert_allclose(y, [1.0 / (1.0 - h * a)], rtol=1e-14)
+        assert residual <= 1e-12
 
     def test_linear_converges_in_one_iteration(self):
         """For affine f the first Newton update already solves the system."""
         problem = _scalar_problem(-2.0)
         coeffs = compute_coefficients(np.array([0.0, 0.1]), 1)
-        res = newton_bdf_step(problem, [np.array([1.0])], coeffs, 0.1, 0.1,
-                              predictor=np.array([5.0]))
-        assert res.iterations == 1
+        _, iterations, _ = _step(problem, [np.array([1.0])], coeffs, 0.1, 0.1,
+                                 predictor=np.array([5.0]))
+        assert iterations == 1
 
     def test_zero_iterations_for_exact_predictor(self):
         """A predictor that already satisfies the equation is accepted as-is."""
@@ -53,10 +61,10 @@ class TestBackwardEuler:
         problem = _scalar_problem(a)
         coeffs = compute_coefficients(np.array([0.0, h]), 1)
         exact = np.array([1.0 / (1.0 - h * a)])
-        res = newton_bdf_step(problem, [np.array([1.0])], coeffs, h, h,
-                              predictor=exact)
-        assert res.iterations == 0
-        np.testing.assert_array_equal(res.y, exact)
+        y, iterations, _ = _step(problem, [np.array([1.0])], coeffs, h, h,
+                                 predictor=exact)
+        assert iterations == 0
+        np.testing.assert_array_equal(y, exact)
 
 
 class TestTwoStep:
@@ -67,10 +75,10 @@ class TestTwoStep:
         y0, y1 = 1.0, 1.0 / (1.0 - h * a)
         coeffs = compute_coefficients(np.array([0.0, h, 2 * h]), 2)
         al = coeffs
-        res = newton_bdf_step(problem, [np.array([y1]), np.array([y0])],
-                              coeffs, 2 * h, h, predictor=np.array([y1]))
+        y, _, _ = _step(problem, [np.array([y1]), np.array([y0])],
+                        coeffs, 2 * h, h, predictor=np.array([y1]))
         expect = -(al[1] * y1 + al[2] * y0) / (al[0] - h * a)
-        np.testing.assert_allclose(res.y, [expect], rtol=1e-14)
+        np.testing.assert_allclose(y, [expect], rtol=1e-14)
 
     def test_nonlinear_residual_below_tolerance(self):
         """Catenary step: the reported residual is the actual residual."""
@@ -79,34 +87,26 @@ class TestTwoStep:
         h = 0.01
         coeffs = compute_coefficients(np.array([0.0, h, 2 * h]), 2)
         history = [ref.nominal(h), ref.nominal(0.0)]
-        res = newton_bdf_step(problem, history, coeffs, 2 * h, h,
-                              predictor=ref.nominal(2 * h))
+        y, _, residual = _step(problem, history, coeffs, 2 * h, h,
+                               predictor=ref.nominal(2 * h))
         al = coeffs
-        r = (al[0] * res.y + al[1] * history[0] + al[2] * history[1]
-             - h * problem.rhs(2 * h, res.y))
+        r = (al[0] * y + al[1] * history[0] + al[2] * history[1]
+             - h * problem.rhs(2 * h, y))
         assert np.max(np.abs(r)) <= 1e-12
-        np.testing.assert_allclose(np.max(np.abs(r)), res.residual, atol=1e-15)
+        np.testing.assert_allclose(np.max(np.abs(r)), residual, atol=1e-15)
         # the converged step stays within the local truncation error,
         # which is O(h^3 y''') ~ 1e-4 here (y''' is ~270 near t=0)
-        np.testing.assert_allclose(res.y, ref.nominal(2 * h), atol=2e-4)
+        np.testing.assert_allclose(y, ref.nominal(2 * h), atol=2e-4)
 
 
 class TestFailures:
     def test_singular_iteration_matrix(self):
-        """1 - h*a = 0 makes backward Euler singular: must raise, not return."""
-        problem = _scalar_problem(100.0)
+        """1 - h*a = 0 makes backward Euler singular: a one-step run must
+        raise, not return."""
         h = 0.01
-        coeffs = compute_coefficients(np.array([0.0, h]), 1)
-        with pytest.raises(SolverError):
-            newton_bdf_step(problem, [np.array([1.0])], coeffs, h, h,
-                            predictor=np.array([2.0]))
-
-    def test_history_too_short(self):
-        problem = _scalar_problem(-1.0)
-        coeffs = compute_coefficients(np.array([0.0, 0.1, 0.2]), 2)
-        with pytest.raises(ValueError):
-            newton_bdf_step(problem, [np.array([1.0])], coeffs, 0.2, 0.1,
-                            predictor=np.array([1.0]))
+        problem, _ = linear_test_problem(a=[[100.0]], y_s=[1.0], t_s=0.0, t_f=h)
+        with pytest.raises(SolverError, match="singular"):
+            integrate_nonadaptive(problem, 1, h)
 
     def test_divergent_iteration(self):
         """A predictor far outside the basin must fail, not loop forever."""
@@ -125,9 +125,9 @@ class TestFailures:
                            criterion=lambda y: float(y[0]),
                            criterion_gradient=lambda y: np.array([1.0]))
         coeffs = compute_coefficients(np.array([0.0, 1.0]), 1)
-        with pytest.raises(SolverError):
-            newton_bdf_step(cubic, [np.array([1.0])], coeffs, 1.0, 1.0,
-                            predictor=np.array([1e8]))
+        with pytest.raises(bdf._StepFailure):
+            _step(cubic, [np.array([1.0])], coeffs, 1.0, 1.0,
+                  predictor=np.array([1e8]))
 
 
 class TestLuFactor:
@@ -229,7 +229,7 @@ class TestNonFiniteJacobian:
                                              else np.full((2, 2), np.nan)))
         y = CATENARY.initial_state
         runs = {
-            "newton": lambda: newton_bdf_step(
+            "newton": lambda: _step(
                 problem, [y], compute_coefficients(np.array([1.0, 1.25]), 1),
                 1.25, 0.25, predictor=y),
             "nonadaptive": lambda: integrate_nonadaptive(problem, 2, 1.0 / 16),

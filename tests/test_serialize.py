@@ -85,6 +85,20 @@ class TestTapeRoundTrip:
         np.testing.assert_array_equal(back.grid.stepsizes, tape.grid.stepsizes)
         np.testing.assert_array_equal(back.states, tape.states)
 
+    def test_tolerances_derived_not_stored(self, tmp_path):
+        """Newton tolerances are derived at load: not written, and a
+        version-1 tape that still carries them (the earlier layout) loads
+        with the list ignored, to the tolerances the driver solved to."""
+        tape = integrate_adaptive(CATENARY, 1e-6)
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        doc = json.loads(path.read_text())
+        assert "tolerances" not in doc["newton"]
+        doc["newton"]["tolerances"] = [1.0] * tape.n_steps
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(load_tape(path).newton_tolerances,
+                                      tape.newton_tolerances)
+
     def test_adaptive_round_trip(self, tmp_path):
         tape = integrate_adaptive(CATENARY, 1e-6)
         path = tmp_path / "tape.json"
@@ -362,7 +376,7 @@ class TestRejection:
         doc["stepsizes"] = []
         doc["orders"] = []
         doc["states"] = [doc["states"][0]]
-        for key in ("iterations", "residuals", "tolerances"):
+        for key in ("iterations", "residuals"):
             doc["newton"][key] = []
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
