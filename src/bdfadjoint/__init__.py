@@ -8,7 +8,7 @@ adjoint in a weak (dual, Riemann--Stieltjes) sense.
 """
 
 from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
-                      assemble_weak_adjoint, gradient_wrt_initial, rs_pair)
+                      assemble_weak_adjoint, gradient_wrt_initial)
 from .analysis import (ConvergenceTable, KktResidualReport, coefficient_defects,
                        dual_norm_bound, fit_order, pointwise_error, verify_kkt)
 from .bdf import (IntegrationTape, SolverError, TimeGrid, compute_coefficients,
@@ -17,8 +17,8 @@ from .bdf import (IntegrationTape, SolverError, TimeGrid, compute_coefficients,
 from .problems import (AnalyticReference, OdeProblem, catenary_problem,
                        get_problem, linear_test_problem)
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
-                        save_kkt_report, save_tape, write_adjoint_csv,
-                        write_convergence_csv)
+                        save_kkt_report, save_tape, tape_sha256,
+                        write_adjoint_csv, write_convergence_csv)
 
 __version__ = "0.1.0"
 
@@ -49,11 +49,11 @@ __all__ = [
     "load_tape",
     "pointwise_error",
     "replay_integration",
-    "rs_pair",
     "save_adjoint_results",
     "save_kkt_report",
     "save_tape",
     "tape_residuals",
+    "tape_sha256",
     "verify_kkt",
     "write_adjoint_csv",
     "write_convergence_csv",

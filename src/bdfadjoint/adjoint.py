@@ -32,7 +32,6 @@ __all__ = [
     "adjoint_sweep",
     "gradient_wrt_initial",
     "assemble_weak_adjoint",
-    "rs_pair",
 ]
 
 
@@ -119,71 +118,47 @@ def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:
 class WeakAdjoint:
     """Right-continuous step function Lambda^h with jump h_{n-1} lambda_n at t_n.
 
+    A view of the grid and the multipliers, which fix it: the jump times
+    nodes[1:] and the jump sizes h * lambda are derived, not stored.
     Lambda^h(t_s) = 0; on (t_n, t_{n+1}) the value is the accumulated sum of
     the jumps up to and including t_n; evaluation at a jump node returns the
     post-jump value.
     """
 
-    t_start: float
-    jump_times: np.ndarray   # (N,)
-    jump_sizes: np.ndarray   # (N, d)
+    nodes: np.ndarray     # (N+1,) t_0..t_N
+    lambdas: np.ndarray   # (N, d); row n-1 holds lambda_n
 
     def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=float)
-        sizes = np.asarray(self.jump_sizes, dtype=float)
-        if times.ndim != 1 or sizes.ndim != 2 or sizes.shape[0] != times.size:
-            raise ValueError("need one jump vector per jump time")
-        if times.size == 0 or times[0] <= self.t_start or np.any(np.diff(times) <= 0):
-            raise ValueError("jump times must be strictly increasing after t_start")
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "jump_sizes", sizes)
-        cum = np.vstack([np.zeros((1, sizes.shape[1])), np.cumsum(sizes, axis=0)])
-        object.__setattr__(self, "_cumulative", cum)
+        nodes = np.asarray(self.nodes, dtype=float)
+        lambdas = np.asarray(self.lambdas, dtype=float)
+        if nodes.ndim != 1 or lambdas.ndim != 2 or lambdas.shape[0] != nodes.size - 1:
+            raise ValueError("need one multiplier per step of the grid")
+        if nodes.size < 2 or np.any(np.diff(nodes) <= 0):
+            raise ValueError("grid nodes must be strictly increasing")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "lambdas", lambdas)
 
     @property
-    def t_final(self) -> float:
-        return float(self.jump_times[-1])
+    def jump_times(self) -> np.ndarray:
+        return self.nodes[1:]
+
+    @property
+    def jump_sizes(self) -> np.ndarray:
+        return np.diff(self.nodes)[:, None] * self.lambdas
 
     def eval(self, t):
         """Value at time t (scalar or array), right-continuous on (t_s, t_f)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_start) or np.any(t > self.t_final):
-            raise ValueError(
-                f"t outside [{self.t_start}, {self.t_final}]"
-            )
-        idx = np.searchsorted(self.jump_times, t, side="right")
-        out = self._cumulative[idx]
+        if np.any(t < self.nodes[0]) or np.any(t > self.nodes[-1]):
+            raise ValueError(f"t outside [{self.nodes[0]}, {self.nodes[-1]}]")
+        cum = np.vstack([np.zeros((1, self.lambdas.shape[1])),
+                         np.cumsum(self.jump_sizes, axis=0)])
+        out = cum[np.searchsorted(self.jump_times, t, side="right")]
         return out if t.ndim else out.reshape(-1)
 
     __call__ = eval
 
 
 def assemble_weak_adjoint(tape: IntegrationTape, adjoints: DiscreteAdjoints) -> WeakAdjoint:
-    """Build the weak-adjoint step function from a tape and its adjoints."""
-    if adjoints.lambdas.shape[0] != tape.n_steps:
-        raise ValueError("adjoints do not match the tape")
-    h = tape.grid.stepsizes
-    return WeakAdjoint(
-        t_start=float(tape.grid.nodes[0]),
-        jump_times=tape.grid.nodes[1:].copy(),
-        jump_sizes=h[:, None] * adjoints.lambdas,
-    )
-
-
-def rs_pair(weak_adjoint: WeakAdjoint, g) -> np.ndarray:
-    """Componentwise Riemann-Stieltjes pairing of Lambda^h with a continuous g.
-
-    Because Lambda^h is a pure jump function, the extended RS integral
-    collapses to the exact finite sum
-
-        <Lambda^h, g>_j = sum_n  (h_{n-1} lambda_n)_j * g_j(t_n).
-
-    `g` maps t to a scalar (broadcast over components) or a length-d vector.
-    Returns the length-d vector of pairings.
-    """
-    d = weak_adjoint.jump_sizes.shape[1]
-    total = np.zeros(d)
-    for t, jump in zip(weak_adjoint.jump_times, weak_adjoint.jump_sizes):
-        gv = np.asarray(g(t), dtype=float)
-        total += jump * (gv if gv.shape == (d,) else np.full(d, float(gv)))
-    return total
+    """The weak-adjoint step function of a tape and its adjoints."""
+    return WeakAdjoint(tape.grid.nodes, adjoints.lambdas)

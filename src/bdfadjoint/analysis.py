@@ -153,9 +153,9 @@ def pointwise_error(weak_adjoint: WeakAdjoint, reference, t) -> float:
     return float(np.linalg.norm(exact - weak_adjoint.eval(t), 2))
 
 
-def _uniform_main_stepsize(grid, max_ramp=6, rel=1e-9):
-    """Main stepsize h of an equidistant grid, tolerating a short start ramp."""
-    h_all = grid.stepsizes
+def _uniform_main_stepsize(h_all, max_ramp=6, rel=1e-9):
+    """Main stepsize h of an equidistant grid with stepsizes h_all,
+    tolerating a short start ramp."""
     h = h_all[-1]
     uniform = np.abs(h_all - h) <= rel * h
     s = h_all.size
@@ -170,22 +170,19 @@ def _uniform_main_stepsize(grid, max_ramp=6, rel=1e-9):
     return float(h)
 
 
-def dual_norm_bound(weak_adjoint: WeakAdjoint, reference, grid) -> float:
+def dual_norm_bound(weak_adjoint: WeakAdjoint, reference) -> float:
     """Computable upper-bound surrogate for the total-variation-norm error.
 
     Per component: h * ( |lambda(t_0)| + sum_n |lambda(t_n) - lambda_n|
-    + |lambda(t_N)| ), maximized over components.  lambda_n is recovered from
-    the step function's jumps; the grid must be equidistant (short self-start
-    ramps of smaller steps are tolerated, h is the main stepsize).
+    + |lambda(t_N)| ), maximized over components, with the multipliers and
+    the grid of the weak adjoint.  The grid must be equidistant (short
+    self-start ramps of smaller steps are tolerated, h is the main stepsize).
     """
-    h = _uniform_main_stepsize(grid)
-    nodes = grid.nodes
-    lam_disc = weak_adjoint.jump_sizes / grid.stepsizes[:, None]
-    d = lam_disc.shape[1]
-    lam_exact = np.array([reference.classical_adjoint(t) for t in nodes[1:]])
-    bound = np.abs(np.asarray(reference.classical_adjoint(nodes[0]), dtype=float)).astype(float)
-    bound = bound + np.sum(np.abs(lam_exact - lam_disc), axis=0)
-    bound = bound + np.abs(np.asarray(reference.classical_adjoint(nodes[-1]), dtype=float))
+    nodes = weak_adjoint.nodes
+    h = _uniform_main_stepsize(np.diff(nodes))
+    exact = np.array([reference.classical_adjoint(t) for t in nodes], dtype=float)
+    bound = (np.abs(exact[0]) + np.sum(np.abs(exact[1:] - weak_adjoint.lambdas), axis=0)
+             + np.abs(exact[-1]))
     return float(np.max(h * bound))
 
 

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 6
+MAX_STATE_VALUES = 10 ** 7       # (N + 1) * d of a nonadaptive tape, 80 MB of states
 NEWTON_MAXITER = 7
 NEWTON_TOL_NONADAPTIVE = 1e-12   # absolute residual, max-norm
 RATE_REFACTOR = 0.25             # refactor iteration matrix above this rate
@@ -232,7 +233,10 @@ class IntegrationTape:
             return np.full(self.n_steps, NEWTON_TOL_NONADAPTIVE)
         if self.mode != "adaptive":
             raise ValueError(f"unknown integration mode {self.mode!r}")
-        rtol = float(self.driver_params["rtol"])
+        try:
+            rtol = float(self.driver_params["rtol"])
+        except KeyError:
+            raise ValueError("adaptive tape without driver_params.rtol") from None
         nodes = self.grid.nodes
         predictors = (_predict(nodes, self.states, self.grid.orders, n, nodes[n + 1])
                       for n in range(self.n_steps))
@@ -490,7 +494,7 @@ def _error_estimate(nodes, states, t_new, y_new, q):
 # Non-adaptive driver
 # ---------------------------------------------------------------------------
 
-def _nonadaptive_plan(k, h, n_main):
+def _nonadaptive_plan(k, n_main):
     """Per-step (node fraction, order) plan; fractions are multiples of h.
 
     The self-start fills exactly the first main interval: for k = 2 it is two
@@ -498,27 +502,21 @@ def _nonadaptive_plan(k, h, n_main):
     length h * 2^j / 2^(k-1) (orders 1..k-1) followed by one order-k step of
     h / 2^(k-1).  The remaining n_main - 1 steps run at (k, h).
     """
-    fracs = []
-    orders = []
     if k == 1:
-        fracs.append(1.0)
-        orders.append(1)
+        fracs, orders = [1.0], [1]
     elif k == 2:
-        fracs.extend([0.5, 1.0])
-        orders.extend([1, 1])
+        fracs, orders = [0.5, 1.0], [1, 1]
     else:
         denom = 2.0 ** (k - 1)
-        acc = 0.0
+        fracs, orders, acc = [], [], 0.0
         for j in range(k - 1):
             acc += 2.0 ** j / denom
             fracs.append(acc)
             orders.append(j + 1)
         fracs.append(1.0)
         orders.append(k)
-    for m in range(2, n_main + 1):
-        fracs.append(float(m))
-        orders.append(k)
-    return np.array(fracs), np.array(orders, dtype=int)
+    return (np.concatenate([fracs, np.arange(2.0, n_main + 1)]),
+            np.concatenate([orders, np.full(n_main - 1, k)]))
 
 
 def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
@@ -537,6 +535,12 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         raise ValueError(f"stepsize must be positive, got {h}")
     span = problem.final_time - problem.initial_time
     n_main = span / h
+    # (N + 1) * d with N = n_main + k - 1, refused before anything is allocated
+    if (n_main + k) * problem.dimension > MAX_STATE_VALUES:
+        raise ValueError(
+            f"(t_f - t_s) / h = {n_main:.6g} main steps of dimension "
+            f"{problem.dimension} exceed the tape limit of {MAX_STATE_VALUES} "
+            "state values; choose a larger h")
     if abs(n_main - round(n_main)) > 1e-8 * max(1.0, abs(n_main)):
         raise ValueError(
             f"(t_f - t_s) / h = {n_main} is not an integer; "
@@ -546,7 +550,7 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     if n_main < k:
         raise ValueError(f"need at least k = {k} main intervals, got {n_main}")
 
-    fracs, orders = _nonadaptive_plan(k, h, n_main)
+    fracs, orders = _nonadaptive_plan(k, n_main)
     nodes = problem.initial_time + h * fracs
     nodes[-1] = problem.final_time
     nodes = np.concatenate(([problem.initial_time], nodes))

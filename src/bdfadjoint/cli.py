@@ -22,8 +22,8 @@ from .bdf import (MAX_ORDER, SolverError, integrate_adaptive,
                   integrate_nonadaptive, tape_residuals)
 from .problems import get_problem
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
-                        save_kkt_report, save_tape, write_adjoint_csv,
-                        write_convergence_csv)
+                        save_kkt_report, save_tape, tape_sha256,
+                        write_adjoint_csv, write_convergence_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,6 +203,7 @@ def cmd_adjoint(ns) -> int:
     if Path(csv_path) == Path(out):
         raise _UsageError(f"--out {out} would be overwritten by the CSV {csv_path}")
     tape = _load_input(settings, "tape", load_tape, "tape")
+    digest = _load_input(settings, "tape", tape_sha256, "tape")
     problem, _ = _problem_for_tape(tape, settings)
     resid = tape_residuals(problem, tape)
     # written so that a NaN residual fails too
@@ -210,13 +211,7 @@ def cmd_adjoint(ns) -> int:
         raise _UsageError("tape failed residual validation against its problem")
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)
-    # The tape's params are written back as read.  Only a tape the json
-    # fallback read (a NaN token elsewhere in it) can hold an integer beyond
-    # 64 bits there, which _dump refuses with ValueError.
-    try:
-        _write(save_adjoint_results, tape, adjoints, weak, out)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    _write(save_adjoint_results, digest, adjoints, weak, out)
     try:
         _write(write_adjoint_csv, tape, adjoints, weak, csv_path)
     except _UsageError:
@@ -306,9 +301,7 @@ def cmd_verify(ns) -> int:
     record = _load_input(settings, "adjoint_file", load_adjoint_results,
                          "adjoint results")
 
-    if (record["problem"]["name"] != tape.problem_name
-            or record["problem"]["params"] != tape.problem_params
-            or not np.array_equal(record["nodes"], tape.grid.nodes)):
+    if record["tape_sha256"] != _load_input(settings, "tape", tape_sha256, "tape"):
         raise _UsageError("adjoint file does not belong to this tape")
     adjoints = record["adjoints"]
     if (adjoints.lambdas.shape != (tape.n_steps, tape.dimension)
@@ -324,8 +317,7 @@ def cmd_verify(ns) -> int:
     # Multipliers that fail a check are reported below (exit 3); a jump table
     # that is not h * lambda of multipliers that pass is a malformed file.
     if report.passed and not np.array_equal(
-            record["weak"].jump_sizes,
-            assemble_weak_adjoint(tape, adjoints).jump_sizes):
+            record["jump_sizes"], assemble_weak_adjoint(tape, adjoints).jump_sizes):
         raise _UsageError("adjoint file's jump table does not match its multipliers")
 
     out = settings.get("out", default="kkt.json")

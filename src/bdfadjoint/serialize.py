@@ -20,14 +20,16 @@ import json
 import numpy as np
 import orjson
 
-from .adjoint import DiscreteAdjoints, WeakAdjoint
+from .adjoint import DiscreteAdjoints
 from .analysis import COEFFICIENT_TOL, ConvergenceTable, KktResidualReport
 from .bdf import IntegrationTape, TimeGrid
 
 __all__ = [
     "FORMAT_VERSION",
+    "ADJOINT_VERSION",
     "save_tape",
     "load_tape",
+    "tape_sha256",
     "save_adjoint_results",
     "load_adjoint_results",
     "write_adjoint_csv",
@@ -35,7 +37,8 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1    # tapes and KKT reports
+ADJOINT_VERSION = 2   # adjoint documents, bound to their tape by its digest
 TAPE_FORMAT = "bdf-tape"
 ADJOINT_FORMAT = "bdf-adjoint"
 KKT_FORMAT = "bdf-kkt"
@@ -54,7 +57,7 @@ def _dump(doc, path):
         fh.write(data)
 
 
-def _load_checked(path, expected_format):
+def _load_checked(path, expected_format, version=FORMAT_VERSION):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -64,10 +67,10 @@ def _load_checked(path, expected_format):
         doc = json.loads(data.decode())
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"{path}: not a {expected_format} document")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != version:
         raise ValueError(
             f"{path}: unsupported version {doc.get('version')!r} "
-            f"(supported: {FORMAT_VERSION})"
+            f"(supported: {version})"
         )
     return doc
 
@@ -126,49 +129,43 @@ def load_tape(path) -> IntegrationTape:
     return tape
 
 
-def adjoint_results_to_dict(tape, adjoints: DiscreteAdjoints,
-                            weak: WeakAdjoint) -> dict:
+def tape_sha256(path) -> str:
+    """Hex SHA-256 of a tape file's bytes: the digest that binds an adjoint
+    document to the one tape it was computed from."""
+    import hashlib   # here, so that importing the CLI does not load _hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints, weak) -> dict:
     return {
         "format": ADJOINT_FORMAT,
-        "version": FORMAT_VERSION,
-        "problem": {
-            "name": tape.problem_name,
-            "params": tape.problem_params,
-            "dimension": tape.dimension,
-        },
-        "nodes": tape.grid.nodes.tolist(),
+        "version": ADJOINT_VERSION,
+        "tape_sha256": digest,
         "lambdas": adjoints.lambdas.tolist(),
         "gradient": adjoints.gradient.tolist(),
         "jumps": {"sizes": weak.jump_sizes.tolist()},
     }
 
 
-def save_adjoint_results(tape, adjoints, weak, path) -> None:
-    _dump(adjoint_results_to_dict(tape, adjoints, weak), path)
+def save_adjoint_results(digest, adjoints, weak, path) -> None:
+    """Write the adjoints and weak adjoint of the tape whose file has the
+    SHA-256 `digest` (see :func:`tape_sha256`)."""
+    _dump(adjoint_results_to_dict(digest, adjoints, weak), path)
 
 
 def load_adjoint_results(path) -> dict:
-    """Returns {"problem": {"name", "params"}, "nodes": ndarray,
-    "adjoints": DiscreteAdjoints, "weak": WeakAdjoint}.  The jump times are
-    nodes[1:]: not stored, and a version-1 file that still carries
-    `jumps.times` (the earlier layout) loads with them ignored."""
-    doc = _load_checked(path, ADJOINT_FORMAT)
-    problem = doc["problem"]
-    nodes = np.array(doc["nodes"], dtype=float)
-    adjoints = DiscreteAdjoints(
-        lambdas=np.array(doc["lambdas"], dtype=float),
-        gradient=np.array(doc["gradient"], dtype=float),
-    )
-    weak = WeakAdjoint(
-        t_start=float(nodes[0]),
-        jump_times=nodes[1:],
-        jump_sizes=np.array(doc["jumps"]["sizes"], dtype=float),
-    )
+    """Returns {"tape_sha256": str, "adjoints": DiscreteAdjoints,
+    "jump_sizes": ndarray} as stored; the grid comes from the tape."""
+    doc = _load_checked(path, ADJOINT_FORMAT, ADJOINT_VERSION)
     return {
-        "problem": {"name": problem["name"], "params": problem["params"]},
-        "nodes": nodes,
-        "adjoints": adjoints,
-        "weak": weak,
+        "tape_sha256": doc["tape_sha256"],
+        "adjoints": DiscreteAdjoints(
+            lambdas=np.array(doc["lambdas"], dtype=float),
+            gradient=np.array(doc["gradient"], dtype=float),
+        ),
+        "jump_sizes": np.array(doc["jumps"]["sizes"], dtype=float),
     }
 
 

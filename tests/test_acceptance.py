@@ -161,7 +161,7 @@ def test_criterion_6_weak_adjoint_convergence(sweep, acceptance_log):
 
 def test_criterion_7_dual_norm_bound(sweep, acceptance_log):
     runs, _ = sweep
-    bounds = [dual_norm_bound(r.weak, REF, r.tape.grid) for r in runs]
+    bounds = [dual_norm_bound(r.weak, REF) for r in runs]
     order = _fit(SWEEP_H, bounds)
     ok = order >= 0.8
     acceptance_log(

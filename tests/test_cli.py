@@ -11,6 +11,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,14 @@ def _integrate(tmp_path, *extra):
     rc = main(["integrate", "--problem", "catenary", "--mode", "nonadaptive",
                "--order", "2", "--h", "0.0625", "--out", str(tape), *extra])
     return rc, tape
+
+
+def _rebind(adj, tape):
+    """Bind the adjoint file to the tape file as it is now, after an edit,
+    so that verify gets past the binding to the check under test."""
+    doc = json.loads(adj.read_text())
+    doc["tape_sha256"] = hashlib.sha256(tape.read_bytes()).hexdigest()
+    adj.write_text(json.dumps(doc))
 
 
 class TestIntegrate:
@@ -138,6 +147,19 @@ class TestIntegrate:
                                   if code == 2 else "error: ")
         assert not tape.exists()
 
+    @pytest.mark.parametrize("h", ["1e-9", "5e-324"])
+    def test_step_count_beyond_tape_limit_is_usage_error(self, tmp_path,
+                                                         capsys, h):
+        """--h 1e-9 asks for 2e9 steps of the catenary and --h 5e-324 for
+        infinitely many: one line of usage error and no tape, before any
+        allocation (a MemoryError or OverflowError traceback before)."""
+        tape = tmp_path / "t.json"
+        assert main(["integrate", "--order", "2", "--h", h, "--out", str(tape)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: (t_f - t_s) / h = ") and err.count("\n") == 1
+        assert f"tape limit of {bdf.MAX_STATE_VALUES} state values" in err
+        assert not tape.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--frobnicate", "1"])
         assert rc == 1
@@ -176,6 +198,12 @@ class TestIntegrate:
         CLI must not pay for it."""
         _fresh_python("import sys, bdfadjoint.cli; "
                       "assert 'scipy.integrate' not in sys.modules, 'loaded'")
+
+    def test_import_leaves_hashlib_unloaded(self):
+        """Only adjoint and verify digest a tape, and they import hashlib
+        when they do, so importing the CLI does not load _hashlib."""
+        _fresh_python("import sys, bdfadjoint.cli; "
+                      "assert '_hashlib' not in sys.modules, 'loaded'")
 
     def test_stages_leave_linalg_and_sparse_unloaded(self, tmp_path):
         """integrate -> adjoint -> verify of the catenary and of a banded
@@ -437,6 +465,7 @@ class TestAdjointCommand:
         else:
             del doc["driver_params"]
         tape.write_text(json.dumps(doc))
+        _rebind(adj, tape)
         capsys.readouterr()
         out = tmp_path / "out.json"
         argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
@@ -451,7 +480,8 @@ class TestAdjointCommand:
         err = capsys.readouterr().err
         want = {"loosen": "error: tape failed residual validation",
                 "unknown_mode": "error: cannot load tape: unknown integration mode 'fixed'",
-                "drop_driver_params": "error: cannot load tape: 'rtol'"}[edit]
+                "drop_driver_params": "error: cannot load tape: adaptive tape "
+                                      "without driver_params.rtol\n"}[edit]
         assert err.startswith(want) and err.count("\n") == 1
         assert not out.exists()
 
@@ -494,14 +524,13 @@ class TestAdjointCommand:
             got = np.array(results["int"][key])
             want = np.array(results["float"][key])
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert results["int"]["problem"]["params"]["c"] == [2.0 ** 70, 0]
 
     def test_unencodable_fallback_params_refused(self, tmp_path, capsys):
         """c holds the integer 2**70 in a tape that the json fallback reads
         (a NaN token among the Newton residuals), so the integer stays an
-        integer: the adjoint file, which copies the params, cannot be
-        encoded, and adjoint exits 1 with one line of error and writes
-        neither file."""
+        integer.  The adjoint file no longer copies the params, only the
+        tape's digest, so nothing unencodable is left to refuse: adjoint
+        exits 0 and writes both files."""
         tape = tmp_path / "tape.json"
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
@@ -511,11 +540,11 @@ class TestAdjointCommand:
         tape.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "adjoint.json"
-        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot encode") and err.count("\n") == 1
-        assert not out.exists()
-        assert not out.with_suffix(".csv").exists()
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["tape_sha256"] == (
+            hashlib.sha256(tape.read_bytes()).hexdigest())
+        assert out.with_suffix(".csv").exists()
 
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_overflowing_param_refused(self, tmp_path, capsys, stage):
@@ -526,10 +555,10 @@ class TestAdjointCommand:
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        for path in (tape, adj):
-            doc = json.loads(path.read_text())
-            doc["problem"]["params"]["c"] = [10 ** 400, 0]
-            path.write_text(json.dumps(doc))
+        doc = json.loads(tape.read_text())
+        doc["problem"]["params"]["c"] = [10 ** 400, 0]
+        tape.write_text(json.dumps(doc))
+        _rebind(adj, tape)
         out = tmp_path / "out.json"
         args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
                 ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
@@ -666,6 +695,7 @@ class TestVerifyCommand:
             doc = json.loads(tape.read_text())
             doc["states"][10][0] = float("nan")
             tape.write_text(json.dumps(doc))
+            _rebind(adj, tape)
         else:
             doc = json.loads(adj.read_text())
             doc["lambdas"][10][0] = float("nan")
@@ -722,10 +752,64 @@ class TestVerifyCommand:
         assert doc["initial_residual"] > doc["thresholds"]["initial"]
 
     @pytest.mark.parametrize("value", [[], "catenary", {"name": "catenary"}])
-    def test_malformed_adjoint_problem_refused(self, tmp_path, capsys, value):
+    def test_malformed_tape_digest_refused(self, tmp_path, capsys, value):
+        """A tape_sha256 that is no digest at all binds the file to no
+        tape."""
         tape, adj = self._chain(tmp_path)
         doc = json.loads(adj.read_text())
-        doc["problem"] = value
+        doc["tape_sha256"] = value
+        adj.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: adjoint file does not belong to this tape\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["newton_iteration", "state"])
+    def test_adjoint_file_of_other_tape_refused(self, tmp_path, capsys, edit):
+        """Tape B is tape A written again by save_tape with one Newton
+        iteration count raised by one, or one state moved by 1e-13: the same
+        problem and grid, and a pair that passes every residual check.  The
+        adjoint file of A binds the bytes of A, so verify refuses it for B
+        and writes no report."""
+        tape, adj = self._chain(tmp_path)
+        a = load_tape(tape)
+        if edit == "state":
+            states = a.states.copy()
+            states[5, 0] += 1e-13
+            b = dataclasses.replace(a, states=states)
+        else:
+            iterations = a.newton_iterations.copy()
+            iterations[3] += 1
+            b = dataclasses.replace(a, newton_iterations=iterations)
+        other = tmp_path / "other.json"
+        save_tape(b, other)
+        assert other.read_bytes() != tape.read_bytes()
+        capsys.readouterr()
+        out = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(other), "--adjoint-file", str(adj),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: adjoint file does not belong to this tape\n")
+        assert not out.exists()
+        # bound to B, the same multipliers pass: the binding alone refused them
+        _rebind(adj, other)
+        assert main(["verify", "--tape", str(other), "--adjoint-file", str(adj),
+                     "--out", str(out)]) == 0
+
+    def test_version_1_adjoint_file_refused(self, tmp_path, capsys):
+        """An adjoint file of the earlier layout (version 1: a copy of the
+        tape's problem and nodes instead of its digest) is one line of usage
+        error; the fix is to run adjoint on its tape again."""
+        tape, adj = self._chain(tmp_path)
+        doc = json.loads(adj.read_text())
+        tape_doc = json.loads(tape.read_text())
+        del doc["tape_sha256"]
+        doc.update(version=1, problem=tape_doc["problem"], nodes=tape_doc["nodes"])
         adj.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "kkt.json"
@@ -734,6 +818,7 @@ class TestVerifyCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load adjoint results:")
+        assert "unsupported version 1 (supported: 2)" in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -809,10 +894,10 @@ class TestProblemShapes:
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         params = {"a": (-np.eye(3)).tolist(), "y0": [1.0, 1.0, 1.0],
                   "t0": 0.0, "tf": 1.0, "c": [1.0, 0.0, 0.0]}
-        for path in (tape, adj):
-            doc = json.loads(path.read_text())
-            doc["problem"]["params"] = params
-            path.write_text(json.dumps(doc))
+        doc = json.loads(tape.read_text())
+        doc["problem"]["params"] = params
+        tape.write_text(json.dumps(doc))
+        _rebind(adj, tape)
         out = tmp_path / "out.json"
         args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
                 ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
@@ -898,8 +983,13 @@ def _fuzz_documents():
             assert main(["integrate", "--order", "2", "--h", "0.25",
                          "--out", str(tape)]) == 0
             assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        return {"tape": json.loads(tape.read_text()),
+        docs = {"tape": json.loads(tape.read_text()),
                 "adjoint": json.loads(adj.read_text())}
+    # bound to the tape as the test writes it, so that a mutated adjoint
+    # document reaches verify's checks
+    docs["adjoint"]["tape_sha256"] = hashlib.sha256(
+        json.dumps(docs["tape"]).encode()).hexdigest()
+    return docs
 
 
 def _json_paths(value, prefix=()):
@@ -980,6 +1070,22 @@ class TestConvergeCommand:
         assert rows[0][0] == "rtol"
         errs = [float(r[1]) for r in rows[1:]]
         assert errs[1] < errs[0]
+
+    def test_sweep_point_beyond_tape_limit_fails_alone(self, tmp_path, capsys):
+        """A sweep point of 2e9 steps fails with one line, before any
+        allocation; the other points are computed and written."""
+        out = tmp_path / "conv.csv"
+        with pytest.warns(RuntimeWarning, match="excluding 1 zero/failed rows"):
+            assert main(["converge", "--order", "2", "--h", "0.25,0.125,1e-9",
+                         "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        failed = [line for line in err.splitlines() if line.startswith("sweep point")]
+        assert failed == [f"sweep point h=1e-09 failed: (t_f - t_s) / h = 2e+09 "
+                          f"main steps of dimension 2 exceed the tape limit of "
+                          f"{bdf.MAX_STATE_VALUES} state values; choose a larger h"]
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[1] == "nan" for row in rows[1:]] == [False, False, True]
 
     def test_too_few_points_is_usage_error(self, tmp_path):
         rc = main(["converge", "--order", "2", "--h", "0.25",

@@ -8,6 +8,8 @@ order k of the formula (the self-start ramp itself is order-limited, so
 order-k fits are asserted on seeded runs only).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,30 @@ class TestValidation:
             integrate_nonadaptive(CATENARY, 2, -0.25)
         with pytest.raises(ValueError, match="stepsize must be positive"):
             integrate_nonadaptive(CATENARY, 2, float("nan"))
+
+    @pytest.mark.parametrize("h", [1e-9, 5e-324])
+    def test_refuses_step_count_beyond_tape_limit(self, h):
+        """2e9 main steps, or (t_f - t_s) / h = inf: refused before the plan
+        or the states are allocated."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed the tape limit"):
+                integrate_nonadaptive(CATENARY, 2, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    def test_tape_limit_counts_state_values(self, k, monkeypatch):
+        """h = 1/4 on the catenary: 8 main intervals, N = 8 + k - 1 steps,
+        so (N + 1) * d = 2 (8 + k) state values, which is the limit."""
+        limit = 2 * (8 + k)
+        monkeypatch.setattr(bdf, "MAX_STATE_VALUES", limit)
+        assert integrate_nonadaptive(CATENARY, k, 0.25).states.size == limit
+        monkeypatch.setattr(bdf, "MAX_STATE_VALUES", limit - 1)
+        with pytest.raises(ValueError, match=f"tape limit of {limit - 1} "):
+            integrate_nonadaptive(CATENARY, k, 0.25)
 
     def test_grid_names_its_first_bad_order(self):
         """Step n admits orders 1..min(n + 1, MAX_ORDER); the error names the

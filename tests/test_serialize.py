@@ -8,6 +8,7 @@ must be rejected with clear errors.
 """
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -27,10 +28,10 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         linear_test_problem, load_adjoint_results, load_tape,
                         save_adjoint_results, save_kkt_report, save_tape,
                         verify_kkt)
-from bdfadjoint.adjoint import DiscreteAdjoints, WeakAdjoint
+from bdfadjoint.adjoint import DiscreteAdjoints
 from bdfadjoint.analysis import COEFFICIENT_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
-from bdfadjoint.serialize import (_dump, _load_checked, tape_to_dict,
+from bdfadjoint.serialize import (_dump, _load_checked, tape_sha256, tape_to_dict,
                                   write_adjoint_csv, write_convergence_csv)
 
 CATENARY, _ = get_problem("catenary")
@@ -248,26 +249,21 @@ class TestFloatEncoding:
         _assert_bits_equal(back.problem_params["c"], corpus)
 
     def test_adjoint_results_round_trip_bit_exact(self, tmp_path):
-        """The corpus as nodes, multipliers, gradient, jump sizes and a
-        problem parameter: load_adjoint_results returns what
-        save_adjoint_results was given, bit for bit."""
+        """The corpus as multipliers, gradient and jump sizes:
+        load_adjoint_results returns what save_adjoint_results was given,
+        bit for bit, with the tape digest as written."""
         corpus = _float_corpus()
-        nodes = np.unique(corpus)
-        n = nodes.size - 1
-        tape = SimpleNamespace(problem_name="linear",
-                               problem_params={"c": corpus.tolist()},
-                               dimension=2, grid=SimpleNamespace(nodes=nodes))
+        n = corpus.size
         adj = DiscreteAdjoints(lambdas=np.resize(corpus, (n, 2)), gradient=corpus)
-        weak = WeakAdjoint(t_start=nodes[0], jump_times=nodes[1:],
-                           jump_sizes=np.resize(corpus[::-1], (n, 2)))
+        weak = SimpleNamespace(jump_sizes=np.resize(corpus[::-1], (n, 2)))
+        digest = hashlib.sha256(b"tape").hexdigest()
         path = tmp_path / "adjoint.json"
-        save_adjoint_results(tape, adj, weak, path)
+        save_adjoint_results(digest, adj, weak, path)
         back = load_adjoint_results(path)
-        _assert_bits_equal(back["nodes"], nodes)
+        assert back["tape_sha256"] == digest
         _assert_bits_equal(back["adjoints"].lambdas, adj.lambdas)
         _assert_bits_equal(back["adjoints"].gradient, corpus)
-        _assert_bits_equal(back["weak"].jump_sizes, weak.jump_sizes)
-        _assert_bits_equal(back["problem"]["params"]["c"], corpus)
+        _assert_bits_equal(back["jump_sizes"], weak.jump_sizes)
 
 
 def _canonical(value, big_ints_as_floats):
@@ -387,30 +383,43 @@ class TestAdjointRoundTrip:
     def test_lossless(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
         weak = assemble_weak_adjoint(tape, adj)
-        path = tmp_path / "adjoint.json"
-        save_adjoint_results(tape, adj, weak, path)
+        tape_path, path = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        save_tape(tape, tape_path)
+        save_adjoint_results(tape_sha256(tape_path), adj, weak, path)
         back = load_adjoint_results(path)
-        assert back["problem"]["name"] == "catenary"
+        assert back["tape_sha256"] == hashlib.sha256(tape_path.read_bytes()).hexdigest()
         np.testing.assert_array_equal(back["adjoints"].lambdas, adj.lambdas)
         np.testing.assert_array_equal(back["adjoints"].gradient, adj.gradient)
-        np.testing.assert_array_equal(back["weak"].jump_times, weak.jump_times)
-        np.testing.assert_array_equal(back["weak"].jump_sizes, weak.jump_sizes)
-        np.testing.assert_array_equal(back["nodes"], tape.grid.nodes)
+        np.testing.assert_array_equal(back["jump_sizes"], weak.jump_sizes)
 
     def test_jump_times_derived_not_stored(self, tape, tmp_path):
-        """Jump times are nodes[1:]: not written, and a version-1 file that
-        still carries them (the earlier layout) loads with them ignored."""
+        """The document holds the tape's digest, the multipliers, the
+        gradient and the jump sizes, and nothing the tape already holds: no
+        problem, no nodes, no jump times (nodes[1:])."""
         adj = adjoint_sweep(CATENARY, tape)
         weak = assemble_weak_adjoint(tape, adj)
         path = tmp_path / "adjoint.json"
-        save_adjoint_results(tape, adj, weak, path)
+        save_adjoint_results("0" * 64, adj, weak, path)
         doc = json.loads(path.read_text())
+        assert sorted(doc) == ["format", "gradient", "jumps", "lambdas",
+                               "tape_sha256", "version"]
         assert list(doc["jumps"]) == ["sizes"]
-        doc["jumps"]["times"] = (tape.grid.nodes[1:] + 1.0).tolist()
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2))
-        back = load_adjoint_results(path)["weak"]
-        np.testing.assert_array_equal(back.jump_times, tape.grid.nodes[1:])
-        np.testing.assert_array_equal(back.jump_sizes, weak.jump_sizes)
+        assert doc["version"] == 2
+        np.testing.assert_array_equal(weak.jump_times, tape.grid.nodes[1:])
+
+    def test_earlier_version_refused(self, tape, tmp_path):
+        """Version 1 copied the tape's problem and nodes; such a file is
+        refused by its version, while tapes stay at version 1."""
+        adj = adjoint_sweep(CATENARY, tape)
+        path = tmp_path / "adjoint.json"
+        save_adjoint_results("0" * 64, adj, assemble_weak_adjoint(tape, adj), path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"unsupported version 1 \(supported: 2\)"):
+            load_adjoint_results(path)
+        save_tape(tape, tmp_path / "tape.json")
+        assert json.loads((tmp_path / "tape.json").read_text())["version"] == 1
 
     def test_kkt_report(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)

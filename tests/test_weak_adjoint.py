@@ -2,9 +2,10 @@
 Tests for the weak-adjoint step function and the Riemann-Stieltjes pairing.
 
 The step function is pure bookkeeping, so small hand-built cases are
-checked exactly; the pairing against a pure jump function is a finite sum
-and therefore exact too.  Convergence of the pairing to the continuous
-integral of lambda * g is checked on the catenary.
+checked exactly; the pairing against a pure jump function is the finite sum
+of its jumps times g, formed here from the derived jump table, and
+therefore exact too.  Convergence of the pairing to the continuous integral
+of lambda * g is checked on the catenary.
 """
 
 import numpy as np
@@ -12,17 +13,24 @@ import pytest
 from scipy.integrate import quad
 
 from bdfadjoint import (WeakAdjoint, adjoint_sweep, assemble_weak_adjoint,
-                        get_problem, integrate_nonadaptive, pointwise_error,
-                        rs_pair)
+                        get_problem, integrate_nonadaptive, pointwise_error)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
 
 def _hand_weak():
-    """Jumps of [1] at t=0.5 and [2] at t=1.0 on [0, 1]."""
-    return WeakAdjoint(t_start=0.0,
-                       jump_times=np.array([0.5, 1.0]),
-                       jump_sizes=np.array([[1.0], [2.0]]))
+    """Jumps of [1] at t=0.5 and [2] at t=1.0 on [0, 1]: h = 0.5 times the
+    multipliers [2] and [4]."""
+    return WeakAdjoint(nodes=np.array([0.0, 0.5, 1.0]),
+                       lambdas=np.array([[2.0], [4.0]]))
+
+
+def rs_pair(weak, g):
+    """<Lambda^h, g> = sum_n (h_{n-1} lambda_n) * g(t_n), componentwise: the
+    Riemann-Stieltjes integral against a pure jump function; g(t) is a
+    scalar or a length-d vector."""
+    return sum(jump * np.asarray(g(t), dtype=float)
+               for t, jump in zip(weak.jump_times, weak.jump_sizes))
 
 
 class TestStepFunction:
@@ -55,8 +63,8 @@ class TestStepFunction:
 
     def test_rejects_unsorted_jumps(self):
         with pytest.raises(ValueError):
-            WeakAdjoint(t_start=0.0, jump_times=np.array([0.5, 0.5]),
-                        jump_sizes=np.array([[1.0], [2.0]]))
+            WeakAdjoint(nodes=np.array([0.0, 0.5, 0.5]),
+                        lambdas=np.array([[2.0], [4.0]]))
 
 
 class TestAssembly:
@@ -67,6 +75,15 @@ class TestAssembly:
         np.testing.assert_array_equal(w.jump_times, tape.grid.nodes[1:])
         np.testing.assert_array_equal(
             w.jump_sizes, tape.grid.stepsizes[:, None] * adj.lambdas)
+
+    def test_view_of_grid_and_multipliers(self):
+        """The step function holds the tape's nodes and the multipliers
+        themselves, and nothing else: its jumps are derived."""
+        tape = integrate_nonadaptive(CATENARY, 2, 0.25)
+        adj = adjoint_sweep(CATENARY, tape)
+        w = assemble_weak_adjoint(tape, adj)
+        assert sorted(vars(w)) == ["lambdas", "nodes"]
+        assert w.nodes is tape.grid.nodes and w.lambdas is adj.lambdas
 
     def test_final_value_is_weighted_lambda_sum(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.25)
@@ -91,8 +108,8 @@ class TestRsPairing:
                                    [1.0 * 0.5 + 2.0 * 1.0], rtol=1e-15)
 
     def test_scalar_g_broadcasts(self):
-        w = WeakAdjoint(t_start=0.0, jump_times=np.array([0.5, 1.0]),
-                        jump_sizes=np.array([[1.0, 10.0], [2.0, 20.0]]))
+        w = WeakAdjoint(nodes=np.array([0.0, 0.5, 1.0]),
+                        lambdas=np.array([[2.0, 20.0], [4.0, 40.0]]))
         out = rs_pair(w, lambda t: t ** 2)
         np.testing.assert_allclose(out, [1 * 0.25 + 2 * 1.0,
                                          10 * 0.25 + 20 * 1.0], rtol=1e-15)
