@@ -237,9 +237,14 @@ class IntegrationTape:
             rtol = float(self.driver_params["rtol"])
         except KeyError:
             raise ValueError("adaptive tape without driver_params.rtol") from None
-        nodes = self.grid.nodes
-        predictors = (_predict(nodes, self.states, self.grid.orders, n, nodes[n + 1])
-                      for n in range(self.n_steps))
+        # every step's predictor, bit-equal to _predict's, by order of the step before
+        nodes, before = self.grid.nodes, self.grid.orders[:-1]
+        predictors = np.repeat(self.states[:1], self.n_steps, axis=0)
+        for q in np.unique(before).tolist():
+            steps = np.flatnonzero(before == q) + 1
+            predictors[steps] = _interpolate(
+                [nodes[steps - q + j, None] for j in range(q + 1)],
+                [self.states[steps - q + j] for j in range(q + 1)], nodes[steps + 1, None])
         return np.array([_adaptive_newton_tol(rtol, h, p)
                          for h, p in zip(self.grid.stepsizes, predictors)])
 
@@ -267,11 +272,20 @@ def band_product(a, x, transpose=False):
     CSR band computes it: zero entries skipped, no floating-point warning, lags
     summed highest first (a row's columns) or from 0 up (CSC columns of A^T)."""
     out, n = np.zeros_like(x), len(x)
-    lags = np.flatnonzero(a.any(axis=0)).tolist()   # an all-zero lag adds nothing
+    # a uniform grid's lags change only in their first 2k - 1 rows, the self-start
+    uniform = np.count_nonzero(a[1:, 0] != a[:-1, 0]) <= 2 * MAX_ORDER
     with np.errstate(all="ignore"):   # the CSR kernel warned of nothing, 0 * inf included
-        for i in (lags if transpose else lags[::-1]):
+        for i in (range(a.shape[1]) if transpose else range(a.shape[1] - 1, -1, -1)):
             alpha = a[i:, i]
+            if not np.count_nonzero(alpha):   # an all-zero lag adds nothing
+                continue
             dst, src = (out[:n - i], x[i:]) if transpose else (out[i:], x[:n - i])
+            if uniform:   # the rows past the lag's last change: one scalar product
+                differ = np.flatnonzero(alpha != alpha[-1])
+                head = differ[-1] + 1 if len(differ) else 0
+                if alpha[-1] != 0.0:
+                    dst[head:] += alpha[-1] * src[head:]
+                alpha, dst, src = alpha[:head], dst[:head], src[:head]
             prod = alpha[:, None] * src
             # a zero entry adds +0.0, as if skipped: a sum that starts at +0.0 is never -0.0
             prod[alpha == 0.0] = 0.0
@@ -448,9 +462,8 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
 # ---------------------------------------------------------------------------
 
 def _interpolate(ts, ys, t):
-    """Value at t of the Lagrange polynomial through the points (ts[i], ys[i])."""
-    # node arithmetic on Python floats: IEEE-equal to NumPy scalars, and faster
-    t, ts = float(t), [float(ti) for ti in ts]
+    """Value at t of the Lagrange polynomial through the points (ts[i], ys[i]),
+    or of m such at once for (m, 1) columns ts and t and (m, d) ys, bit-equal."""
     acc = None
     for i, ti in enumerate(ts):
         num = den = 1.0
@@ -469,13 +482,16 @@ def _predict(nodes, states, orders, n, t_new):
     if n == 0:
         return np.array(states[0], dtype=float)
     first = n - orders[n - 1]
-    return _interpolate(nodes[first:n + 1], states[first:n + 1], t_new)
+    # node arithmetic on Python floats: IEEE-equal to NumPy scalars, and faster
+    return _interpolate([float(t) for t in nodes[first:n + 1]], states[first:n + 1],
+                        float(t_new))
 
 
-def _error_estimate(nodes, states, t_new, y_new, q):
+def _error_estimate(nodes, states, t_new, y_new, q, fit=None):
     """Local error estimate for order q of the step to (t_new, y_new) from
     the prior points (nodes, states): the corrector minus the polynomial
-    through the q+1 trailing points, scaled by h_new / (t_new - t_{n-q}).
+    through the q+1 trailing points (fit, its value at t_new, if known),
+    scaled by h_new / (t_new - t_{n-q}).
 
     That is dd * h_new^2 * prod_{j=1..q-1} (t_new - t_{n-j}), where dd is the
     divided difference over the q+2 points; on a uniform grid it equals
@@ -485,7 +501,9 @@ def _error_estimate(nodes, states, t_new, y_new, q):
     if q + 1 > n_hist:
         raise ValueError(f"order-{q} estimate needs {q + 1} prior points, have {n_hist}")
     first = n_hist - 1 - q
-    diff = y_new - _interpolate(nodes[first:], states[first:], t_new)
+    if fit is None:   # node arithmetic on Python floats, as in _predict
+        fit = _interpolate([float(t) for t in nodes[first:]], states[first:], float(t_new))
+    diff = y_new - fit
     h_new = t_new - nodes[-1]
     return math.sqrt(diff.dot(diff)) * h_new / (t_new - nodes[first])
 
@@ -664,8 +682,9 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         if n == 0:
             est_vec = 0.5 * (y_new - states[0] - h_eff * f0)
             err = math.sqrt(est_vec.dot(est_vec))
-        else:
-            err = _error_estimate(nodes, states, t_new, y_new, k)
+        else:   # when step n-1 had order k too, the predictor is the order-k fit
+            err = _error_estimate(nodes, states, t_new, y_new, k,
+                                  predictor if k == orders[-1] else None)
         tol_acc = rtol * math.sqrt(y_new.dot(y_new)) + atol
 
         if not np.isfinite(err) or err > tol_acc:

@@ -11,7 +11,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import os
+import pickle
+import signal
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,63 +240,104 @@ def cmd_converge(ns) -> int:
             raise _UsageError(f"probe time {p} outside the integration interval")
     probes = [p for p in probes if abs(p - problem.final_time) > 1e-12]
 
-    if mode == "nonadaptive":
-        values = settings.get_list("h")
-        order = settings.get("order", default=2, cast=int)
-        parameter = "h"
-        if not 1 <= order <= MAX_ORDER:
-            raise _UsageError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    elif mode == "adaptive":
-        values = settings.get_list("rtol")
-        atol = settings.get("atol", default=1e-12, cast=float)
-        parameter = "rtol"
-        if not 0.0 < atol < np.inf:   # NaN fails too
-            raise _UsageError(f"tolerances must be positive and finite, got atol={atol}")
-    else:
+    parameter = {"nonadaptive": "h", "adaptive": "rtol"}.get(mode)
+    if parameter is None:
         raise _UsageError(f"mode must be 'nonadaptive' or 'adaptive', got {mode!r}")
+    values = settings.get_list(parameter)
+    if parameter == "h":   # the order of an h sweep, the atol of an rtol sweep
+        setting = settings.get("order", default=2, cast=int)
+        if not 1 <= setting <= MAX_ORDER:
+            raise _UsageError(f"order must be in [1, {MAX_ORDER}], got {setting}")
+    else:
+        setting = settings.get("atol", default=1e-12, cast=float)
+        if not 0.0 < setting < np.inf:   # NaN fails too
+            raise _UsageError(f"tolerances must be positive and finite, got atol={setting}")
     if len(values) < 2:
         raise _UsageError(f"need at least 2 sweep values for --{parameter}")
     if not all(0.0 < v < np.inf for v in values):   # NaN fails too
         raise _UsageError("sweep values must be positive and finite")
     values = sorted(values, reverse=True)
     # the same at every sweep point, so evaluated once per time
-    exact = {t: reference.weak_adjoint(t) for t in [problem.final_time] + probes}
+    times = [problem.final_time] + probes
+    exact = {t: reference.weak_adjoint(t) for t in times}
     reference = dataclasses.replace(reference, weak_adjoint=exact.__getitem__)
+
+    def sweep_point(i):   # (errors at times, None), or (NaNs, the failure line)
+        try:
+            tape = (integrate_nonadaptive(problem, setting, values[i]) if parameter == "h"
+                    else integrate_adaptive(problem, values[i], setting))
+            weak = assemble_weak_adjoint(tape, adjoint_sweep(problem, tape))
+            return [pointwise_error(weak, reference, t) for t in times], None
+        except (SolverError, ValueError) as exc:
+            return [np.nan] * len(times), f"sweep point {parameter}={values[i]} failed: {exc}\n"
+
+    # a priori costs: an h point's main steps; an rtol point's rank, tightest first
+    span = problem.final_time - problem.initial_time
+    points = _map_forked(sweep_point, [span / v if parameter == "h" else rank
+                                       for rank, v in enumerate(values, 1)])
+    failed = [line for _, line in points if line is not None]
+    sys.stderr.writelines(failed)
+    if len(failed) == len(values):
+        raise SolverError("every sweep point failed")
 
     names = ["tf"] + [f"interior{'' if i == 0 else f'_{i + 1}'}"
                       for i in range(len(probes))]
-    errors = {name: [] for name in names}
-    failures = 0
-    for v in values:
-        try:
-            if parameter == "h":
-                tape = integrate_nonadaptive(problem, order, v)
-            else:
-                tape = integrate_adaptive(problem, v, atol)
-            adjoints = adjoint_sweep(problem, tape)
-            weak = assemble_weak_adjoint(tape, adjoints)
-            errors["tf"].append(pointwise_error(weak, reference, problem.final_time))
-            for name, p in zip(names[1:], probes):
-                errors[name].append(pointwise_error(weak, reference, p))
-        except (SolverError, ValueError) as exc:
-            sys.stderr.write(f"sweep point {parameter}={v} failed: {exc}\n")
-            failures += 1
-            for name in names:
-                errors[name].append(float("nan"))
-    if failures == len(values):
-        raise SolverError("every sweep point failed")
-
-    table = ConvergenceTable(parameter=parameter, values=np.array(values),
-                             errors={k: np.array(v) for k, v in errors.items()})
+    table = ConvergenceTable(parameter=parameter, values=np.array(values), errors={
+        name: np.array([e[j] for e, _ in points]) for j, name in enumerate(names)})
     out = settings.get("out", default="convergence.csv")
     _write(write_convergence_csv, table, out)
-    for name in names:
-        try:
-            print(f"fitted order ({name}): {fit_order(table, name):.3f}")
-        except ValueError as exc:
-            print(f"fitted order ({name}): skipped ({exc})")
+    with warnings.catch_warnings(record=True) as caught:   # fit_order warns of excluded rows
+        warnings.simplefilter("always")
+        for name in names:
+            try:
+                print(f"fitted order ({name}): {fit_order(table, name):.3f}")
+            except ValueError as exc:
+                print(f"fitted order ({name}): skipped ({exc})")
+    sys.stderr.writelines(f"{w.message}\n" for w in caught)   # as one line each
     print(f"table written to {out}")
     return EXIT_OK
+
+
+def _map_forked(func, costs):
+    """[func(i) for i in range(len(costs))] in a process per CPU of the affinity
+    mask (at most one per item), items going, largest cost first, to the least
+    loaded.  Forked children pickle their results to a pipe and end by
+    os._exit, which runs no atexit hook, finalizer or flush of inherited stdio."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(costs), len(os.sched_getaffinity(0)) if forks else 1)
+    shares, loads = [[] for _ in range(workers)], [0.0] * workers
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    pids, pipes, payloads = [], [], None
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pids.append(os.fork())
+            if not pids[-1]:   # the child
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump({i: func(i) for i in share}, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+        results = {i: func(i) for i in shares[0]}
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if payloads is None:   # failed here: stop the workers before reaping them
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, payload in zip(codes, payloads):
+        if code:
+            raise SolverError(f"a sweep worker ended with exit status {code}")
+        results.update(pickle.loads(payload))
+    return [results[i] for i in range(len(costs))]
 
 
 def cmd_verify(ns) -> int:

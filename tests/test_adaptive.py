@@ -86,6 +86,23 @@ class TestBasicRun:
             load_tape(tmp_path / "tape.json").newton_tolerances, expected)
 
 
+    def test_derived_tolerances_from_per_step_predictors(self):
+        """The tolerances, derived from the predictors of all steps at once,
+        are bit-equal to the ones from each step's own predictor, also for
+        states of odd length."""
+        problem, _ = linear_test_problem(
+            a=[[-1.0, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]],
+            y_s=[1.0, 2.0, 3.0], t_s=0.0, t_f=1.5)
+        for tape in (integrate_adaptive(CATENARY, 1e-9),
+                     integrate_adaptive(problem, 1e-7)):
+            nodes, orders = tape.grid.nodes, tape.grid.orders
+            expected = [bdf._adaptive_newton_tol(
+                tape.driver_params["rtol"], nodes[n + 1] - nodes[n],
+                bdf._predict(nodes, tape.states, orders, n, nodes[n + 1]))
+                for n in range(tape.n_steps)]
+            np.testing.assert_array_equal(tape.newton_tolerances, expected)
+
+
 class TestErrorEstimate:
     """The estimate is the corrector minus the stencil interpolant through
     the q+1 trailing points, scaled by h_new / (t_new - t_{n-q})."""
@@ -122,6 +139,20 @@ class TestErrorEstimate:
                                       states[n + 1], k)
             assert est == expected
             assert tape.error_estimates[n] == expected
+
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+    def test_changed_order_estimate_refits(self, rtol):
+        """Where step n changes order, the recorded estimate is the
+        interpolant through its own q+1 trailing points, not the predictor
+        through step n-1's stencil."""
+        tape = integrate_adaptive(CATENARY, rtol)
+        nodes, states, orders = tape.grid.nodes, tape.states, tape.grid.orders
+        changed = [n for n in range(1, tape.n_steps) if orders[n] != orders[n - 1]]
+        assert changed
+        for n in changed:
+            assert tape.error_estimates[n] == bdf._error_estimate(
+                nodes[:n + 1], states[:n + 1], nodes[n + 1], states[n + 1], orders[n])
 
 
 class TestAccuracy:

@@ -142,6 +142,29 @@ class TestBandProduct:
             self._assert_bit_equal(a, _with_signed_zeros(
                 rng, (n_steps, int(rng.integers(1, 4)))))
 
+    def test_short_random_grids_with_non_finite_data(self):
+        """Grids of at most 13 steps count as uniform, so each lag's rows past
+        its last change are scaled at once; where those entries are zero, an
+        inf or NaN in the data must still be skipped."""
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            n_steps = int(rng.integers(1, 14))
+            nodes = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.0, n_steps))))
+            highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
+            grid = TimeGrid(nodes=nodes, orders=rng.integers(1, highest + 1))
+            a, _ = coefficient_band(IntegrationTape(
+                problem_name="catenary", problem_params={}, dimension=1,
+                mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
+                newton_iterations=np.zeros(n_steps, dtype=int),
+                newton_residuals=np.zeros(n_steps)))
+            x = rng.choice([1.0, -2.0, np.inf, -np.inf, np.nan], size=(n_steps, 2))
+            band = _csr_band(a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = band_product(a, x), band_product(a, x, transpose=True)
+            np.testing.assert_array_equal(got[0], band @ x)
+            np.testing.assert_array_equal(got[1], band.T @ x)
+
     def test_zero_entries_skip_non_finite_data(self):
         """As in the CSR band, an entry past a step's order never meets the
         data, so an inf or NaN reaches only the rows it has a coefficient

@@ -16,9 +16,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +200,12 @@ class TestIntegrate:
         CLI must not pay for it."""
         _fresh_python("import sys, bdfadjoint.cli; "
                       "assert 'scipy.integrate' not in sys.modules, 'loaded'")
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        """converge forks its workers itself, so importing the CLI loads
+        neither multiprocessing nor concurrent.futures."""
+        _fresh_python("import sys, bdfadjoint.cli; assert not {'multiprocessing', "
+                      "'concurrent.futures'} & set(sys.modules), 'loaded'")
 
     def test_import_leaves_hashlib_unloaded(self):
         """Only adjoint and verify digest a tape, and they import hashlib
@@ -1073,16 +1081,16 @@ class TestConvergeCommand:
 
     def test_sweep_point_beyond_tape_limit_fails_alone(self, tmp_path, capsys):
         """A sweep point of 2e9 steps fails with one line, before any
-        allocation; the other points are computed and written."""
+        allocation; the other points are computed and written, and the fit
+        names the row it excludes in one line, not a Python warning."""
         out = tmp_path / "conv.csv"
-        with pytest.warns(RuntimeWarning, match="excluding 1 zero/failed rows"):
-            assert main(["converge", "--order", "2", "--h", "0.25,0.125,1e-9",
-                         "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        failed = [line for line in err.splitlines() if line.startswith("sweep point")]
-        assert failed == [f"sweep point h=1e-09 failed: (t_f - t_s) / h = 2e+09 "
-                          f"main steps of dimension 2 exceed the tape limit of "
-                          f"{bdf.MAX_STATE_VALUES} state values; choose a larger h"]
+        assert main(["converge", "--order", "2", "--h", "0.25,0.125,1e-9",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep point h=1e-09 failed: (t_f - t_s) / h = 2e+09 "
+            f"main steps of dimension 2 exceed the tape limit of "
+            f"{bdf.MAX_STATE_VALUES} state values; choose a larger h",
+            "excluding 1 zero/failed rows from the order fit of 'tf'"]
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert [row[1] == "nan" for row in rows[1:]] == [False, False, True]
@@ -1144,3 +1152,118 @@ class TestConvergeCommand:
         rc = main(["converge", "--order", "2", "--h", "0.25,0.125",
                    "--probe", "3.5", "--out", str(tmp_path / "c.csv")])
         assert rc == 1
+
+
+class TestConvergeWorkers:
+    """converge runs its sweep points in forked workers, one per CPU of the
+    process's affinity mask (faked here); its output does not depend on how
+    many there are, and no worker outlives the command."""
+
+    @pytest.fixture(autouse=True)
+    def _bounded(self):
+        """A run that hangs fails its test after a minute."""
+        def expire(signum, frame):
+            raise TimeoutError("converge did not end within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def _converge(tmp_path, capsys, monkeypatch, cpus, *args):
+        """(exit code, CSV bytes or None, stdout, stderr, forks) of one run
+        with `cpus` CPUs in the affinity mask."""
+        monkeypatch.setattr(cli_module.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli_module.os, "fork", counted)
+        out = tmp_path / f"conv-{cpus}.csv"
+        capsys.readouterr()
+        rc = main(["converge", *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        with pytest.raises(ChildProcessError):   # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        return (rc, out.read_bytes() if out.exists() else None,
+                captured.out.replace(str(out), "<out>"), captured.err, len(forks))
+
+    @pytest.mark.parametrize("args", [
+        ["--order", "2", "--h", "0.25,0.125,0.0625,0.03125", "--probe", "1.25"],
+        ["--mode", "adaptive", "--rtol", "1e-4,1e-5,1e-6,1e-7", "--probe", "1.25"],
+    ], ids=["h", "rtol"])
+    def test_output_independent_of_workers(self, tmp_path, capsys, monkeypatch, args):
+        serial = self._converge(tmp_path, capsys, monkeypatch, 1, *args)
+        assert serial[0] == 0 and serial[4] == 0
+        for cpus in (2, 3):
+            forked = self._converge(tmp_path, capsys, monkeypatch, cpus, *args)
+            assert forked[:4] == serial[:4]
+            assert forked[4] == cpus - 1
+
+    def test_failed_points_reported_in_sweep_order(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """The two failing points are the costliest, so the parent and a
+        worker each compute one; their lines still come in sweep order."""
+        args = ["--order", "2", "--h", "0.25,2e-9,0.125,1e-9,0.0625"]
+        serial = self._converge(tmp_path, capsys, monkeypatch, 1, *args)
+        forked = self._converge(tmp_path, capsys, monkeypatch, 3, *args)
+        assert forked[:4] == serial[:4]
+        assert serial[0] == 0
+        failed = [line.split(" failed")[0] for line in serial[3].splitlines()
+                  if line.startswith("sweep point")]
+        assert failed == ["sweep point h=2e-09", "sweep point h=1e-09"]
+
+    def test_every_point_failed_exits_2(self, tmp_path, capsys, monkeypatch):
+        rc, csv_bytes, _, err, forks = self._converge(
+            tmp_path, capsys, monkeypatch, 2, "--order", "2", "--h", "2e-9,1e-9")
+        assert (rc, csv_bytes, forks) == (2, None, 1)
+        lines = err.splitlines()
+        assert [line.split(" failed")[0] for line in lines[:2]] == [
+            "sweep point h=2e-09", "sweep point h=1e-09"]
+        assert lines[2:] == ["solver failure: every sweep point failed"]
+
+    def test_dead_worker_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        """A worker that dies without sending its results ends the command
+        with one line and exit 2, and writes no table."""
+        parent, integrate = os.getpid(), cli_module.integrate_nonadaptive
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return integrate(*args)
+
+        monkeypatch.setattr(cli_module, "integrate_nonadaptive", dying)
+        rc, csv_bytes, out, err, forks = self._converge(
+            tmp_path, capsys, monkeypatch, 2, "--order", "2", "--h", "0.25,0.125")
+        assert (rc, csv_bytes, out, forks) == (2, None, "", 1)
+        assert err == "solver failure: a sweep worker ended with exit status 1\n"
+
+    def test_failing_parent_stops_its_workers(self, tmp_path, capsys, monkeypatch):
+        """An exception in the parent's own share kills the workers, which
+        would otherwise run on, and reaps them before it propagates."""
+        parent = os.getpid()
+
+        def stuck(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+                os._exit(0)
+            raise RuntimeError("parent failed")
+
+        monkeypatch.setattr(cli_module, "integrate_nonadaptive", stuck)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent failed"):
+            self._converge(tmp_path, capsys, monkeypatch, 3, "--order", "2",
+                           "--h", "0.25,0.125,0.0625")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert time.monotonic() - start < 30
