@@ -149,7 +149,7 @@ class WeakAdjoint:
     def eval(self, t):
         """Value at time t (scalar or array), right-continuous on (t_s, t_f)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.nodes[0]) or np.any(t > self.nodes[-1]):
+        if not np.all((self.nodes[0] <= t) & (t <= self.nodes[-1])):   # NaN fails too
             raise ValueError(f"t outside [{self.nodes[0]}, {self.nodes[-1]}]")
         cum = np.vstack([np.zeros((1, self.lambdas.shape[1])),
                          np.cumsum(self.jump_sizes, axis=0)])

@@ -7,10 +7,10 @@ The k-step BDF scheme on (generally nonuniform) nodes reads
 where alpha_i^(n) = h_n * Ldot_i^(n)(t_{n+1}) comes from differentiating the
 Lagrange basis over the step's stencil.  Each implicit step is solved by a
 Newton iteration with matrix alpha_0 * I - h_n * f_y.  Completed runs are
-recorded on an immutable :class:`IntegrationTape` that carries everything a
-backward (adjoint) sweep or an exact re-run needs: nodes, orders, states and
-Newton statistics.  Stepsizes, coefficients and Newton tolerances are not
-stored but derived: the coefficients by :attr:`TimeGrid.alphas`, the
+recorded on an immutable :class:`IntegrationTape`: nodes, orders and states,
+all that a backward (adjoint) sweep or a frozen re-solve needs, plus Newton
+statistics for observation.  Stepsizes, coefficients and Newton tolerances are
+not stored but derived: the coefficients by :attr:`TimeGrid.alphas`, the
 tolerances by :attr:`IntegrationTape.newton_tolerances`.
 """
 
@@ -392,7 +392,7 @@ class _FactorCache:
         jac = problem.jacobian(t_new, y)
         if not np.isfinite(jac).all():
             # fatal, not a step failure: a smaller step does not mend f_y
-            raise SolverError(f"non-finite Jacobian at t={t_new}")
+            raise SolverError(f"singular or non-finite Newton matrix at t={t_new}: non-finite f_y")
         lu = lu_factor(_iteration_matrix(jac, h, alpha0, problem.band), problem.band)
         if lu is None:
             raise _StepFailure(f"singular or non-finite Newton iteration matrix at t={t_new}")
@@ -768,7 +768,7 @@ def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
     """
     nodes = tape.grid.nodes
     t = float(t)
-    if t < nodes[0] or t > nodes[-1]:
+    if not nodes[0] <= t <= nodes[-1]:   # NaN fails too
         raise ValueError(
             f"t={t} outside the integration interval [{nodes[0]}, {nodes[-1]}]"
         )
@@ -784,36 +784,31 @@ def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarray:
-    """Re-run the forward scheme with grid, orders and iteration counts frozen.
+    """Re-solve the tape's scheme, grid and orders frozen, from y_start.
 
-    Each step performs exactly the recorded number of Newton iterations —
-    no convergence tests, no factorization reuse (the matrix is rebuilt and
-    factored at every iterate) — starting from the same extrapolation
-    predictor.  With all adaptive components pinned, the state-to-state map
-    is smooth in the initial state, which makes it the right object for
-    finite-difference derivative checks.  Returns the full (N+1, d) state
-    array.
+    Each step takes one Newton update from its recorded state y_{n+1}, with
+    f_y evaluated there as the adjoint sweep evaluates it, even when y_{n+1}
+    meets the tolerance (a perturbed step would stay frozen), and goes on in
+    _newton_iterate with the same factors down to the tape's own tolerance.
+    To first order, y_start -> y_N is then the scheme's own map, whose exact
+    derivative the sweep computes: the object of finite-difference checks.
+    Returns the full (N+1, d) state array.
     """
-    nodes = tape.grid.nodes
-    orders = tape.grid.orders
-    y0 = tape.states[0] if y_start is None else np.asarray(y_start, dtype=float)
     states = np.empty((tape.n_steps + 1, tape.dimension))
-    states[0] = y0
+    states[0] = tape.states[0] if y_start is None else np.asarray(y_start, dtype=float)
     for n in range(tape.n_steps):
-        alphas = tape.grid.alphas[n, :orders[n] + 1]
-        t_new = nodes[n + 1]
-        h = t_new - nodes[n]
-        y = _predict(nodes, states, orders, n, t_new)
+        alphas = tape.grid.alphas[n, :tape.grid.orders[n] + 1]
+        t_new = tape.grid.nodes[n + 1]
+        h = t_new - tape.grid.nodes[n]
+        y = tape.states[n + 1]
         back = _history_sum(alphas, states[n::-1])
-        for _ in range(int(tape.newton_iterations[n])):
+        cache = _FactorCache()   # per step: an earlier step's f_y is not the sweep's
+        try:
+            cache.refactor(problem, t_new, y, h, alphas[0])
             r = _step_residual(problem, t_new, h, alphas, back, y)
-            factors = lu_factor(_iteration_matrix(problem.jacobian(t_new, y), h,
-                                                  alphas[0], problem.band), problem.band)
-            if factors is None:
-                raise SolverError(f"singular or non-finite replay matrix at t={t_new}")
-            delta = lu_solve(factors, -r)
-            if not np.all(np.isfinite(delta)):
-                raise SolverError(f"replay diverged at t={t_new}")
-            y = y + delta
-        states[n + 1] = y
+            y = y + lu_solve(cache.lu, -r)
+            states[n + 1] = _newton_iterate(problem, t_new, h, alphas, states[n::-1], y,
+                                            tape.newton_tolerances[n], cache)[0]
+        except _StepFailure as exc:
+            raise SolverError(f"replay step {n} failed: {exc}") from exc
     return states

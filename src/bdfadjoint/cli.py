@@ -301,8 +301,9 @@ def cmd_converge(ns) -> int:
 def _map_forked(func, costs):
     """[func(i) for i in range(len(costs))] in a process per CPU of the affinity
     mask (at most one per item), items going, largest cost first, to the least
-    loaded.  Forked children pickle their results to a pipe and end by
-    os._exit, which runs no atexit hook, finalizer or flush of inherited stdio."""
+    loaded.  Forked children pickle their results to a pipe, or write the
+    traceback of what they raised to fd 2, and end by os._exit, which runs no
+    atexit hook, finalizer or flush of inherited stdio."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     workers = min(len(costs), len(os.sched_getaffinity(0)) if forks else 1)
     shares, loads = [[] for _ in range(workers)], [0.0] * workers
@@ -320,6 +321,9 @@ def _map_forked(func, costs):
                     with open(write, "wb") as pipe:
                         pickle.dump({i: func(i) for i in share}, pipe)
                     os._exit(0)
+                except Exception:
+                    import traceback   # here only: importing the CLI stays as it was
+                    os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
             os.close(write)

@@ -1174,9 +1174,10 @@ class TestConvergeWorkers:
             signal.signal(signal.SIGALRM, previous)
 
     @staticmethod
-    def _converge(tmp_path, capsys, monkeypatch, cpus, *args):
+    def _converge(tmp_path, capture, monkeypatch, cpus, *args):
         """(exit code, CSV bytes or None, stdout, stderr, forks) of one run
-        with `cpus` CPUs in the affinity mask."""
+        with `cpus` CPUs in the affinity mask, read through the capture
+        fixture (capfd sees what workers write to fd 2 themselves)."""
         monkeypatch.setattr(cli_module.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         forks = []
@@ -1190,9 +1191,9 @@ class TestConvergeWorkers:
 
         monkeypatch.setattr(cli_module.os, "fork", counted)
         out = tmp_path / f"conv-{cpus}.csv"
-        capsys.readouterr()
+        capture.readouterr()
         rc = main(["converge", *args, "--out", str(out)])
-        captured = capsys.readouterr()
+        captured = capture.readouterr()
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
         return (rc, out.read_bytes() if out.exists() else None,
@@ -1247,6 +1248,25 @@ class TestConvergeWorkers:
             tmp_path, capsys, monkeypatch, 2, "--order", "2", "--h", "0.25,0.125")
         assert (rc, csv_bytes, out, forks) == (2, None, "", 1)
         assert err == "solver failure: a sweep worker ended with exit status 1\n"
+
+    def test_dead_worker_shows_its_traceback(self, tmp_path, capfd, monkeypatch):
+        """A worker that dies of an unexpected exception writes its traceback
+        to stderr before the command's one line."""
+        parent, integrate = os.getpid(), cli_module.integrate_nonadaptive
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("boom")
+            return integrate(*args)
+
+        monkeypatch.setattr(cli_module, "integrate_nonadaptive", failing)
+        rc, csv_bytes, out, err, forks = self._converge(
+            tmp_path, capfd, monkeypatch, 2, "--order", "2", "--h", "0.25,0.125")
+        assert (rc, csv_bytes, out, forks) == (2, None, "", 1)
+        lines = err.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-2:] == ["RuntimeError: boom",
+                              "solver failure: a sweep worker ended with exit status 1"]
 
     def test_failing_parent_stops_its_workers(self, tmp_path, capsys, monkeypatch):
         """An exception in the parent's own share kills the workers, which

@@ -89,6 +89,11 @@ class TestDomain:
         with pytest.raises(ValueError):
             dense_eval(tape, 2.0 + 1e-9)
 
+    def test_nan_time_raises(self):
+        tape = integrate_nonadaptive(CATENARY, 2, 0.25)
+        with pytest.raises(ValueError, match="outside the integration interval"):
+            dense_eval(tape, np.nan)
+
     def test_endpoints_included(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.25)
         np.testing.assert_array_equal(dense_eval(tape, 0.0), tape.states[0])

@@ -61,6 +61,12 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             w(1.01)
 
+    @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
+    def test_nan_time_raises(self, t):
+        """NaN is in no interval: it does not read as t_f."""
+        with pytest.raises(ValueError, match="outside"):
+            _hand_weak()(t)
+
     def test_rejects_unsorted_jumps(self):
         with pytest.raises(ValueError):
             WeakAdjoint(nodes=np.array([0.0, 0.5, 0.5]),
