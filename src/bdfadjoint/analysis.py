@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
-from .bdf import (IntegrationTape, band_product, coefficient_band, stencil_table,
+from .bdf import (EPS, IntegrationTape, band_product, coefficient_band, stencil_table,
                   step_residuals)
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "KktResidualReport",
     "ConvergenceTable",
     "coefficient_defects",
+    "jacobian_defects",
     "verify_kkt",
     "pointwise_error",
     "dual_norm_bound",
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 COEFFICIENT_TOL = 1e-12
+JACOBIAN_TOL = 1e-6        # scaled defect of f_y v against central differences of f
+JACOBIAN_SAMPLES = 8       # tape states at which f_y is checked, evenly spaced
+JACOBIAN_BLOCK = 2 ** 20   # Jacobian entries per stacked call in verify_kkt (d^2 at least)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,9 @@ class KktResidualReport:
     each worst one located by the step n of its row and that step's time t_n.
     Step n (1..N) produces y_n; adjoint step 0 is the y_0 (gradient) row.
     coefficient_defect is the worst scaled invariant defect of the grid's
-    coefficients (see :func:`coefficient_defects`), held to COEFFICIENT_TOL."""
+    coefficients (see :func:`coefficient_defects`), held to COEFFICIENT_TOL;
+    jacobian_defect the worst scaled defect of f_y against differences of f
+    at sampled states (see :func:`jacobian_defects`), held to JACOBIAN_TOL."""
 
     nominal_residual: float
     adjoint_residual: float
@@ -51,13 +57,18 @@ class KktResidualReport:
     nominal_worst_time: float
     adjoint_worst_step: int
     adjoint_worst_time: float
+    jacobian_defect: float
+    jacobian_worst_step: int
+    jacobian_worst_time: float
 
     def __post_init__(self):
-        for name, step in (("nominal", self.nominal_worst_step),
-                           ("adjoint", self.adjoint_worst_step), ("initial", 0)):
-            v = getattr(self, f"{name}_residual")
+        for name, step in (("nominal_residual", self.nominal_worst_step),
+                           ("adjoint_residual", self.adjoint_worst_step),
+                           ("initial_residual", 0),
+                           ("jacobian_defect", self.jacobian_worst_step)):
+            v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name}_residual must be finite and "
+                raise ValueError(f"{name} must be finite and "
                                  f"non-negative, got {v} at step {step}")
 
     @property
@@ -68,6 +79,7 @@ class KktResidualReport:
             "adjoint": self.adjoint_residual <= self.adjoint_threshold,
             "initial": self.initial_residual <= self.initial_threshold,
             "coefficients": self.coefficient_defect <= COEFFICIENT_TOL,
+            "jacobian": self.jacobian_defect <= JACOBIAN_TOL,
         }
 
     @property
@@ -92,8 +104,13 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
     adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
     together with the y_0 row l + c^T L, evaluated as the stored gradient l
     minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
-    per-step products.  initial_residual compares y_0 with the problem's
-    initial state, to 1e-12 (1 + max|y_0|).
+    per-step products f_y^T lambda, formed from one stacked jacobian call
+    and one stacked product per block of at most JACOBIAN_BLOCK Jacobian
+    entries, so no N d^2 array is built.  initial_residual compares y_0 with
+    the problem's initial state, to 1e-12 (1 + max|y_0|).  jacobian_defect
+    checks f_y itself, which no residual can see (the adjoint and this check
+    share it), at JACOBIAN_SAMPLES states.  A problem whose rhs or jacobian
+    does not take stacked states is refused with a ValueError.
     """
     n = tape.n_steps
     d = tape.dimension
@@ -106,13 +123,22 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
     lam = adjoints.lambdas
     nominal_row, nominal = _worst_row(step_residuals(problem, tape, band))
 
-    jt_lam = np.array([problem.jacobian(t, y).T @ l
-                       for t, y, l in zip(nodes[1:], tape.states[1:], lam)])
+    jt_lam = np.empty((n, d))
+    block = max(1, JACOBIAN_BLOCK // (d * d))
+    for s in range(0, n, block):   # the steps s.., which produce y_{s+1}..
+        jac = problem.stacked_jacobian(nodes[s + 1:s + 1 + block],
+                                       tape.states[s + 1:s + 1 + block])
+        # row i: lambda_i^T J_i = (J_i^T lambda_i)^T; a (1, d, d) f_y broadcasts
+        jt_lam[s:s + block] = np.matmul(lam[s:s + block, None, :], jac)[:, 0]
     adj_rows = (band_product(band[0], lam, transpose=True)
                 - tape.grid.stepsizes[:, None] * jt_lam)
     adj_rows[-1] -= problem.criterion_gradient(tape.states[n])
     grad_row = adjoints.gradient - gradient_wrt_initial(tape, lam)
     adjoint_step, adjoint_res = _worst_row(np.vstack([grad_row, adj_rows]))
+
+    samples = np.unique(np.linspace(1, n, min(n, JACOBIAN_SAMPLES)).astype(int))
+    defects = jacobian_defects(problem, nodes[samples], tape.states[samples])
+    jacobian_row = int(np.argmax(defects))   # a NaN wins
 
     return KktResidualReport(
         nominal_residual=nominal,
@@ -126,7 +152,35 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
         nominal_worst_time=float(nodes[nominal_row + 1]),
         adjoint_worst_step=adjoint_step,
         adjoint_worst_time=float(nodes[adjoint_step]),
+        jacobian_defect=float(defects[jacobian_row]),
+        jacobian_worst_step=int(samples[jacobian_row]),
+        jacobian_worst_time=float(nodes[samples[jacobian_row]]),
     )
+
+
+def jacobian_defects(problem, t, ys) -> np.ndarray:
+    """Scaled defect of f_y v against the central difference
+    (f(y + eps v) - f(y - eps v)) / (2 eps) at each of the times t (m,) and
+    rows ys (m, d), from two stacked rhs calls and one stacked jacobian call.
+
+    v is one fixed unit direction, cos(1), ..., cos(d) normalized, and
+    eps = EPS^(1/3) max(1, max|y|).  Each defect is the max-norm of the
+    difference over the larger of max(|f_y| |v|), the rounding bound of
+    f_y v, and the max-norm of the difference quotient; it is 0 where both
+    vanish.  A Jacobian off by a factor c has defect about |1 - c| / max(1, c).
+    """
+    v = np.cos(np.arange(1.0, ys.shape[1] + 1.0))
+    v /= np.sqrt(v.dot(v))
+    eps = EPS ** (1.0 / 3.0) * np.maximum(1.0, np.max(np.abs(ys), axis=1))
+    step = eps[:, None] * v
+    quotient = (problem.stacked_rhs(t, ys + step) - problem.stacked_rhs(t, ys - step)) \
+        / (2.0 * eps[:, None])
+    jac = problem.stacked_jacobian(t, ys)
+    scale = np.maximum(np.max(np.matmul(np.abs(jac), np.abs(v)), axis=1),
+                       np.max(np.abs(quotient), axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        defect = np.max(np.abs(quotient - np.matmul(jac, v)), axis=1) / scale
+    return np.where(scale == 0.0, 0.0, defect)
 
 
 def coefficient_defects(alphas, stencils) -> np.ndarray:

@@ -184,6 +184,30 @@ class TimeGrid:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def predictor_weights(self) -> np.ndarray:
+        """(N, MAX_ORDER + 1) read-only table, derived on first use: row n holds
+        the Lagrange weights at t_{n+1} of step n-1's stencil t_{n-q}..t_n,
+        ascending, q the order of step n-1 (q = 0 and weight 1 for step 0),
+        zero past q.  Summed with y_{n-q}..y_n in ascending order, row n gives
+        step n's predictor, bit-equal to _predict's."""
+        table = np.zeros((self.n_steps, MAX_ORDER + 1))
+        before = self.orders_before
+        for q in np.unique(before).tolist():   # one kernel call per order
+            steps = np.flatnonzero(before == q)
+            columns = [self.nodes[steps - q + j, None] for j in range(q + 1)]
+            weights = _lagrange_weights(columns, self.nodes[steps + 1, None])
+            for j, w in enumerate(weights):
+                table[steps, j] = np.ravel(w)
+        table.flags.writeable = False
+        return table
+
+    @property
+    def orders_before(self) -> np.ndarray:
+        """(N,) order of the step before each step, 0 for step 0: the degree
+        of the polynomial its predictor extrapolates."""
+        return np.concatenate(([0], self.orders[:-1]))
+
 
 @dataclass(frozen=True)
 class IntegrationTape:
@@ -238,13 +262,12 @@ class IntegrationTape:
         except KeyError:
             raise ValueError("adaptive tape without driver_params.rtol") from None
         # every step's predictor, bit-equal to _predict's, by order of the step before
-        nodes, before = self.grid.nodes, self.grid.orders[:-1]
-        predictors = np.repeat(self.states[:1], self.n_steps, axis=0)
+        weights, before = self.grid.predictor_weights, self.grid.orders_before
+        predictors = np.empty((self.n_steps, self.dimension))
         for q in np.unique(before).tolist():
-            steps = np.flatnonzero(before == q) + 1
-            predictors[steps] = _interpolate(
-                [nodes[steps - q + j, None] for j in range(q + 1)],
-                [self.states[steps - q + j] for j in range(q + 1)], nodes[steps + 1, None])
+            steps = np.flatnonzero(before == q)
+            stencils = self.states[steps - q + np.arange(q + 1)[:, None]]   # (q + 1, m, d)
+            predictors[steps] = np.add.reduce(weights[steps, :q + 1].T[:, :, None] * stencils)
         return np.array([_adaptive_newton_tol(rtol, h, p)
                          for h, p in zip(self.grid.stepsizes, predictors)])
 
@@ -295,10 +318,11 @@ def band_product(a, x, transpose=False):
 
 def step_residuals(problem, tape, band) -> np.ndarray:
     """(N, d) residuals A Y + c y_0 - h F of the recorded steps, where
-    band = coefficient_band(tape) and F stacks f(t_{n+1}, y_{n+1})."""
+    band = coefficient_band(tape) and F stacks f(t_{n+1}, y_{n+1}), from one
+    stacked rhs call."""
     a, start = band
     ys = tape.states
-    f = np.array([problem.rhs(t, y) for t, y in zip(tape.grid.nodes[1:], ys[1:])])
+    f = problem.stacked_rhs(tape.grid.nodes[1:], ys[1:])
     return (band_product(a, ys[1:]) + start[:, None] * ys[0]
             - tape.grid.stepsizes[:, None] * f)
 
@@ -421,11 +445,12 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     back = _history_sum(alphas, history)
     y = np.array(predictor, dtype=float)
     r = _step_residual(problem, t_new, h, alphas, back, y)
-    rnorm = abs(r).max()
-    if not np.isfinite(rnorm):
+    # one max-abs reduction per vector; it is NaN or inf exactly when an entry is
+    rnorm = float(np.maximum.reduce(abs(r)))
+    if not math.isfinite(rnorm):
         raise _StepFailure(f"non-finite residual at t={t_new}")
     if rnorm <= tol:
-        return y, 0, float(rnorm)
+        return y, 0, rnorm
 
     if not cache.matches(h, alphas[0]):
         cache.refactor(problem, t_new, y, h, alphas[0])
@@ -436,16 +461,16 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
         for _ in range(NEWTON_MAXITER):
             total += 1
             delta = lu_solve(cache.lu, -r)
-            if not np.isfinite(delta).all():
+            step_norm = float(np.maximum.reduce(abs(delta)))
+            if not math.isfinite(step_norm):
                 raise _StepFailure(f"Newton update diverged at t={t_new}")
             y = y + delta
             r = _step_residual(problem, t_new, h, alphas, back, y)
-            rnorm = abs(r).max()
-            if not np.isfinite(rnorm):
+            rnorm = float(np.maximum.reduce(abs(r)))
+            if not math.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
             if rnorm <= tol:
-                return y, total, float(rnorm)
-            step_norm = abs(delta).max()
+                return y, total, rnorm
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
                 cache.refactor(problem, t_new, y, h, alphas[0])
             prev_step_norm = step_norm
@@ -461,19 +486,30 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
 # The stencil interpolant: predictor, dense output and error estimate
 # ---------------------------------------------------------------------------
 
-def _interpolate(ts, ys, t):
-    """Value at t of the Lagrange polynomial through the points (ts[i], ys[i]),
-    or of m such at once for (m, 1) columns ts and t and (m, d) ys, bit-equal."""
-    acc = None
+def _lagrange_weights(ts, t):
+    """Weights L_i(t) of the Lagrange basis on the nodes ts, ascending i: Python
+    floats for one stencil of floats, or (m, 1) columns for m stencils given as
+    (m, 1) columns ts and t, bit-equal either way."""
+    weights = []
     for i, ti in enumerate(ts):
         num = den = 1.0
         for j, tj in enumerate(ts):
             if j != i:
                 num *= t - tj
                 den *= ti - tj
-        term = num / den * ys[i]
-        acc = term if acc is None else acc + term
-    return acc
+        weights.append(num / den)
+    return weights
+
+
+def _interpolate(ts, ys, t):
+    """Value at t of the Lagrange polynomial through the points (ts[i], ys[i]),
+    or of m such at once for (m, 1) columns ts and t and (m, d) ys, bit-equal.
+    The terms L_i(t) y_i are summed in ascending i by one np.add.reduce over
+    the stencil axis, which adds them in sequence."""
+    weights = np.array(_lagrange_weights(ts, t))
+    if weights.ndim == 1:
+        weights = weights[:, None]
+    return np.add.reduce(weights * ys)
 
 
 def _predict(nodes, states, orders, n, t_new):
@@ -581,10 +617,12 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     iters = np.zeros(n_steps, dtype=int)
     resid = np.zeros(n_steps)
     cache = _FactorCache()
+    weights, before = grid.predictor_weights, grid.orders_before.tolist()
 
     for n in range(n_steps):
         alphas = grid.alphas[n, :orders[n] + 1]
-        predictor = _predict(nodes, states, orders, n, nodes[n + 1])
+        q = before[n]
+        predictor = np.add.reduce(weights[n, :q + 1, None] * states[n - q:n + 1])
         try:
             states[n + 1], iters[n], resid[n] = _newton_iterate(
                 problem, nodes[n + 1], nodes[n + 1] - nodes[n], alphas,

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import adjoint_sweep, assemble_weak_adjoint
-from .analysis import ConvergenceTable, fit_order, pointwise_error, verify_kkt
+from .analysis import (JACOBIAN_TOL, ConvergenceTable, fit_order, pointwise_error,
+                       verify_kkt)
 from .bdf import (MAX_ORDER, SolverError, integrate_adaptive,
                   integrate_nonadaptive, tape_residuals)
 from .problems import get_problem
@@ -380,11 +381,14 @@ def cmd_verify(ns) -> int:
           f"{report.adjoint_worst_step}, t={report.adjoint_worst_time!r}")
     print(f"initial_residual={report.initial_residual!r}")
     print(f"coefficient invariants: {'ok' if checks['coefficients'] else 'VIOLATED'}")
+    print(f"jacobian_defect={report.jacobian_defect!r} (threshold {JACOBIAN_TOL!r}) "
+          f"worst at step {report.jacobian_worst_step}, t={report.jacobian_worst_time!r}")
     print(f"report written to {out}")
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
-        what = ("coefficient invariants violated" if failed[0] == "coefficients"
-                else f"{failed[0]}_residual above threshold")
+        what = {"coefficients": "coefficient invariants violated",
+                "jacobian": "jacobian_defect above threshold"}.get(
+                    failed[0], f"{failed[0]}_residual above threshold")
         sys.stderr.write(f"verification failed: {what}\n")
         return EXIT_VERIFY
     return EXIT_OK

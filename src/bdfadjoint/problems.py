@@ -38,9 +38,16 @@ class OdeProblem:
     dimension : int
         State dimension d.
     rhs : callable
-        f(t, y) -> array of shape (d,).
+        f(t, y) -> array of shape (d,).  Also stacked, in the layout of SciPy's
+        ``solve_ivp(vectorized=True)``: for states Y of shape (d, m), one per
+        column, and times t of shape (m,), f(t, Y) -> (d, m).
     jacobian : callable
-        f_y(t, y) -> array of shape (d, d).
+        f_y(t, y) -> array of shape (d, d).  Also stacked: f_y(t, Y) -> (d, d, m),
+        or (d, d, 1) where f_y does not depend on the state.  The step loops
+        call both per state; the all-steps forms (the tape residuals and
+        ``verify``) call them stacked, through :meth:`stacked_rhs` and
+        :meth:`stacked_jacobian`, which refuse a problem written for one state
+        only with a ValueError.
     criterion : callable
         J(y) -> float, evaluated at the final state.
     criterion_gradient : callable
@@ -97,6 +104,36 @@ class OdeProblem:
                 raise ValueError(f"band {self.band} is not two integers in "
                                  f"[0, {self.dimension - 1}]")
             object.__setattr__(self, "band", tuple(int(w) for w in band))
+
+    def stacked_rhs(self, t, ys) -> np.ndarray:
+        """(m, d) rows f(t_i, y_i) for the times t (m,) and rows ys (m, d),
+        from one stacked rhs call."""
+        d, m = self.dimension, len(ys)
+        return _stacked(self.rhs, "rhs", t, ys, [(d, m)]).T
+
+    def stacked_jacobian(self, t, ys) -> np.ndarray:
+        """(m, d, d) stack f_y(t_i, y_i) for the times t (m,) and rows ys
+        (m, d), from one stacked jacobian call, or (1, d, d) for an f_y that
+        does not depend on the state."""
+        d, m = self.dimension, len(ys)
+        return np.moveaxis(_stacked(self.jacobian, "jacobian", t, ys,
+                                    [(d, d, m), (d, d, 1)]), 2, 0)
+
+
+def _stacked(func, name, t, ys, shapes):
+    """func(t, ys.T) as a float array of one of the shapes; anything else, or
+    an error raised on stacked input, is a ValueError naming the shapes."""
+    expected = " or ".join(map(str, shapes))
+    try:
+        out = np.asarray(func(t, ys.T), dtype=float)
+    except (TypeError, ValueError, IndexError) as exc:
+        got = f"raised {type(exc).__name__}"
+    else:
+        if out.shape in shapes:
+            return out
+        got = f"returned shape {out.shape}"
+    raise ValueError(f"problem {name} is not stacked: for states of shape "
+                     f"{ys.T.shape} it must return shape {expected}, but {got}")
 
 
 @dataclass(frozen=True)
@@ -172,10 +209,11 @@ def catenary_problem(p: float, A: float, t_f: float):
         return np.array([y[1], p * np.sqrt(1.0 + y[1] ** 2)])
 
     def jacobian(t, y):
-        return np.array([
-            [0.0, 1.0],
-            [0.0, p * y[1] / np.sqrt(1.0 + y[1] ** 2)],
-        ])
+        y2 = y[1]   # a float for one state, (m,) for stacked states
+        jac = np.zeros((2, 2) + np.shape(y2))
+        jac[0, 1] = 1.0
+        jac[1, 1] = p * y2 / np.sqrt(1.0 + y2 ** 2)
+        return jac
 
     def criterion(y):
         return float(y[0])
@@ -233,7 +271,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     The problem states the bandwidths (kl, ku) of the nonzeros of a as its
     band when band storage, 2 kl + ku + 1 rows, is smaller than the d rows
     of the dense matrix; otherwise it states none.  The Jacobian is a
-    itself, read-only.
+    itself, read-only, and a[:, :, None], a view, for stacked states.
 
     Parameters
     ----------
@@ -270,8 +308,10 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     def rhs(t, y):
         return a @ y
 
+    stacked = a[:, :, None]   # a read-only view: f_y does not depend on the state
+
     def jacobian(t, y):
-        return a
+        return stacked if np.ndim(y) == 2 else a
 
     def criterion(y):
         return float(c @ y)

@@ -21,7 +21,8 @@ import numpy as np
 import orjson
 
 from .adjoint import DiscreteAdjoints
-from .analysis import COEFFICIENT_TOL, ConvergenceTable, KktResidualReport
+from .analysis import (COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable,
+                       KktResidualReport)
 from .bdf import IntegrationTape, TimeGrid
 
 __all__ = [
@@ -191,17 +192,21 @@ def kkt_report_to_dict(report: KktResidualReport) -> dict:
         "adjoint_residual": report.adjoint_residual,
         "initial_residual": report.initial_residual,
         "coefficient_defect": report.coefficient_defect,
+        "jacobian_defect": report.jacobian_defect,
         "thresholds": {
             "nominal": report.nominal_threshold,
             "adjoint": report.adjoint_threshold,
             "initial": report.initial_threshold,
             "coefficient": COEFFICIENT_TOL,
+            "jacobian": JACOBIAN_TOL,
         },
         "worst": {
             "nominal": {"step": report.nominal_worst_step,
                         "t": report.nominal_worst_time},
             "adjoint": {"step": report.adjoint_worst_step,
                         "t": report.adjoint_worst_time},
+            "jacobian": {"step": report.jacobian_worst_step,
+                         "t": report.jacobian_worst_time},
         },
         "passed": report.passed,
     }

@@ -65,7 +65,7 @@ class TestBasicRun:
         assert tape.newton_tolerances.shape == (tape.n_steps,)
         assert np.all(tape.newton_residuals <= tape.newton_tolerances)
 
-    @pytest.mark.parametrize("rtol", [1e-4, 1e-7, 1e-11])
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
     def test_derived_tolerances_are_the_drivers(self, rtol, monkeypatch,
                                                 tmp_path):
         """The tape derives each step's Newton tolerance bit-equal to the one
@@ -185,12 +185,13 @@ class TestAccuracy:
 
 class TestFailureModes:
     def test_blowup_aborts_with_underflow(self):
-        """y' = y^2, y(0)=1 blows up at t=1: must abort, not hang."""
+        """y' = y^2, y(0)=1 blows up at t=1: must abort, not hang.  rhs and
+        jacobian also take stacked states, y[None] being (1, 1) or (1, 1, m)."""
         blowup = OdeProblem(
             name="blowup", dimension=1, initial_time=0.0, final_time=2.0,
             initial_state=np.array([1.0]),
             rhs=lambda t, y: y ** 2,
-            jacobian=lambda t, y: np.array([[2.0 * float(y[0])]]),
+            jacobian=lambda t, y: 2.0 * y[None],
             criterion=lambda y: float(y[0]),
             criterion_gradient=lambda y: np.array([1.0]))
         with pytest.raises(SolverError, match="underflow"):

@@ -27,16 +27,18 @@ CATENARY, CATENARY_REF = get_problem("catenary")
 
 def _robertson():
     """Robertson's stiff kinetics on [0, 0.4] from (1, 0, 0), with J = y_2,
-    the fast intermediate: a nonlinear problem whose f_yy is large."""
+    the fast intermediate: a nonlinear problem whose f_yy is large.  Both
+    functions also take stacked states (d, m), as OdeProblem asks."""
     def rhs(t, y):
         return np.array([-0.04 * y[0] + 1e4 * y[1] * y[2],
                          0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] ** 2,
                          3e7 * y[1] ** 2])
 
     def jacobian(t, y):
-        return np.array([[-0.04, 1e4 * y[2], 1e4 * y[1]],
-                         [0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
-                         [0.0, 6e7 * y[1], 0.0]])
+        zero = np.zeros_like(y[0])   # 0.0 for one state, (m,) zeros for stacked ones
+        return np.array([[zero - 0.04, 1e4 * y[2], 1e4 * y[1]],
+                         [zero + 0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
+                         [zero, 6e7 * y[1], zero]])
 
     return OdeProblem(dimension=3, rhs=rhs, jacobian=jacobian,
                       criterion=lambda y: y[1],

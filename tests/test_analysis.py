@@ -23,8 +23,9 @@ from bdfadjoint import (AnalyticReference, ConvergenceTable,
                         DiscreteAdjoints, IntegrationTape, KktResidualReport,
                         TimeGrid, WeakAdjoint, adjoint_sweep,
                         assemble_weak_adjoint, dual_norm_bound, fit_order, get_problem,
-                        integrate_adaptive, integrate_nonadaptive, verify_kkt)
-from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
+                        integrate_adaptive, integrate_nonadaptive, linear_test_problem,
+                        verify_kkt)
+from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects
 from bdfadjoint.bdf import (MAX_ORDER, band_product, coefficient_band,
                             stencil_table)
 
@@ -253,6 +254,87 @@ class TestVerifyKkt:
             assert report.nominal_worst_step == np.argmax(nom_rows) + 1
             assert report.adjoint_worst_step == np.argmax(adj_rows)
 
+    def test_wrong_jacobian_fails_the_jacobian_check(self):
+        """A run whose integration, sweep and check all use 0.8 f_y on the
+        catenary (k=2) or 0.9 f_y on the benchmark's heat-adaptive problem
+        (d=400, rtol 1e-6) has KKT residuals at rounding level, since they
+        share f_y; only the check of f_y against differences of f refuses
+        it.  The benchmark's finite-difference gate passes the heat case at
+        a relative error of 8.4e-7."""
+        d = 400
+        dx = 1.0 / (d + 1)
+        x = dx * np.arange(1, d + 1)
+        heat, _ = linear_test_problem(
+            a=(0.1 / dx ** 2) * (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+                                 + np.diag(np.ones(d - 1), -1)),
+            y_s=np.sin(np.pi * x) + 0.5 * np.sin(5.0 * np.pi * x), t_s=0.0, t_f=0.5,
+            c=np.full(d, dx))
+        for problem, factor, run in ((CATENARY, 0.8, lambda p: integrate_nonadaptive(p, 2, 2.0 ** -7)),
+                                     (heat, 0.9, lambda p: integrate_adaptive(p, 1e-6))):
+            wrong = dataclasses.replace(
+                problem, jacobian=lambda t, y, f=problem.jacobian, c=factor: c * f(t, y))
+            for used in (problem, wrong):
+                tape = run(used)
+                report = verify_kkt(used, tape, adjoint_sweep(used, tape))
+                failed = [k for k, ok in report.checks.items() if not ok]
+                if used is problem:
+                    assert failed == [] and report.jacobian_defect <= 1e-3 * JACOBIAN_TOL
+                else:
+                    assert failed == ["jacobian"]
+                    assert report.jacobian_defect > 1e4 * JACOBIAN_TOL
+                assert report.jacobian_worst_time == tape.grid.nodes[report.jacobian_worst_step]
+
+    def test_jacobian_check_samples_are_deterministic(self):
+        """At most JACOBIAN_SAMPLES evenly spaced states y_1..y_N, the first
+        and the last among them; the same inputs give the same report."""
+        from bdfadjoint import analysis
+        tape, adj = _tape_and_adjoints(h=2.0 ** -6)
+        seen = []
+
+        def recording(t, y):
+            seen.append(np.array(t))
+            return CATENARY.jacobian(t, y)
+
+        report = verify_kkt(dataclasses.replace(CATENARY, jacobian=recording), tape, adj)
+        checked = seen[-1]   # the check's call comes after the adjoint products
+        assert len(checked) == analysis.JACOBIAN_SAMPLES
+        assert checked[0] == tape.grid.nodes[1] and checked[-1] == tape.grid.nodes[-1]
+        assert report.jacobian_worst_time in checked
+        assert report == verify_kkt(CATENARY, tape, adj)
+        linear, _ = get_problem("linear")
+        short = integrate_nonadaptive(linear, 2, 0.25)   # N = 5 < JACOBIAN_SAMPLES
+        report = verify_kkt(linear, short, adjoint_sweep(linear, short))
+        assert report.passed and 1 <= report.jacobian_worst_step <= 5
+
+    @pytest.mark.parametrize("block", [1, 12, 2 ** 20])
+    def test_jacobian_products_in_blocks(self, block, monkeypatch):
+        """f_y^T lambda is formed one stacked jacobian call per block of at
+        most JACOBIAN_BLOCK entries, and the report does not depend on the
+        block size."""
+        from bdfadjoint import analysis
+        tape, adj = _tape_and_adjoints()
+        expected = verify_kkt(CATENARY, tape, adj)
+        sizes = []
+
+        def recording(t, y):
+            sizes.append(np.shape(t))
+            return CATENARY.jacobian(t, y)
+
+        monkeypatch.setattr(analysis, "JACOBIAN_BLOCK", block)
+        problem = dataclasses.replace(CATENARY, jacobian=recording)
+        report = verify_kkt(problem, tape, adj)
+        # a one-state block may take a BLAS product, which rounds differently,
+        # so the adjoint residual and its worst row agree to rounding only
+        assert report.adjoint_residual == pytest.approx(expected.adjoint_residual,
+                                                        abs=1e-15)
+        rounded = dict(adjoint_residual=0.0, adjoint_worst_step=0, adjoint_worst_time=0.0)
+        assert dataclasses.replace(report, **rounded) == \
+            dataclasses.replace(expected, **rounded)
+        per_call = max(1, block // 4)
+        products = sizes[:-1]   # the last call is the Jacobian check's
+        assert len(products) == -(-tape.n_steps // per_call)
+        assert all(m <= per_call for (m,) in products)
+
     def test_memory_stays_linear_in_steps(self):
         """N=4097: the dense Kronecker assembly needed about 2.2 GB."""
         tape, adj = _tape_and_adjoints(h=2.0 ** -11)
@@ -280,16 +362,19 @@ class TestVerifyKkt:
                       nominal_threshold=1.0, adjoint_threshold=1.0,
                       initial_threshold=1.0, nominal_worst_step=1,
                       nominal_worst_time=0.0, adjoint_worst_step=0,
-                      adjoint_worst_time=0.0)
+                      adjoint_worst_time=0.0, jacobian_defect=0.0,
+                      jacobian_worst_step=1, jacobian_worst_time=0.0)
         assert KktResidualReport(**fields).passed
-        with pytest.raises(ValueError):
-            KktResidualReport(**{**fields, "nominal_residual": -1.0})
+        for field in ("nominal_residual", "jacobian_defect"):
+            with pytest.raises(ValueError, match=field):
+                KktResidualReport(**{**fields, field: -1.0})
         # each check alone decides the verdict
         for check, field, value in (("nominal", "nominal_residual", 2.0),
                                     ("adjoint", "adjoint_residual", 2.0),
                                     ("initial", "initial_residual", 2.0),
                                     ("coefficients", "coefficient_defect",
-                                     2.0 * COEFFICIENT_TOL)):
+                                     2.0 * COEFFICIENT_TOL),
+                                    ("jacobian", "jacobian_defect", 2.0 * JACOBIAN_TOL)):
             report = KktResidualReport(**{**fields, field: value})
             assert not report.passed
             assert [k for k, ok in report.checks.items() if not ok] == [check]

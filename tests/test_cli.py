@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from bdfadjoint import (bdf, get_problem, integrate_nonadaptive, load_tape,
                         save_tape)
-from bdfadjoint.analysis import COEFFICIENT_TOL, coefficient_defects
+from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects
 import bdfadjoint.cli as cli_module
 from bdfadjoint.cli import main
 
@@ -630,8 +630,12 @@ class TestVerifyCommand:
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(report)])
         assert rc == 0
-        assert json.loads(report.read_text())["passed"] is True
-        assert "coefficient invariants: ok" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is True
+        assert doc["jacobian_defect"] <= doc["thresholds"]["jacobian"]
+        out = capsys.readouterr().out
+        assert "coefficient invariants: ok" in out
+        assert f"jacobian_defect={doc['jacobian_defect']!r} (threshold" in out
 
     def test_tampered_multipliers_fail(self, tmp_path, capsys):
         tape, adj = self._chain(tmp_path)
@@ -674,6 +678,30 @@ class TestVerifyCommand:
         assert worst["adjoint"]["t"] == nodes[worst["adjoint"]["step"]]
         assert 1 <= worst["nominal"]["step"] <= len(nodes) - 1
         assert f"worst at step {worst['adjoint']['step']}," in capsys.readouterr().out
+
+    def test_wrong_jacobian_fails(self, tmp_path, capsys, patched_problems):
+        """With f_y scaled by 0.8 in integrate, adjoint and verify alike,
+        every KKT residual passes; the check of f_y against differences of
+        f refuses the run with exit 3 and names its worst sampled step."""
+        patched_problems(lambda problem, reference: (dataclasses.replace(
+            problem, jacobian=lambda t, y: 0.8 * problem.jacobian(t, y)), reference))
+        tape, adj = self._chain(tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(report)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert err == "verification failed: jacobian_defect above threshold\n"
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is False
+        assert doc["nominal_residual"] <= doc["thresholds"]["nominal"]
+        assert doc["adjoint_residual"] <= doc["thresholds"]["adjoint"]
+        assert doc["jacobian_defect"] > doc["thresholds"]["jacobian"] == JACOBIAN_TOL
+        worst = doc["worst"]["jacobian"]
+        assert worst["t"] == json.loads(tape.read_text())["nodes"][worst["step"]]
+        assert (f"jacobian_defect={doc['jacobian_defect']!r} (threshold {JACOBIAN_TOL!r}) "
+                f"worst at step {worst['step']}, t={worst['t']!r}\n") in out
 
     def test_band_narrower_than_jacobian_fails(self, tmp_path, capsys,
                                                patched_problems):

@@ -81,6 +81,75 @@ def test_interpolant_bit_equal_for_array_and_float_nodes():
             np.testing.assert_array_equal(bdf._interpolate(nodes, ys, at), expect)
 
 
+def _sequential_interpolate(ts, ys, t):
+    """Frozen copy of bdf._interpolate before its split into a weight kernel
+    and one np.add.reduce: each term num / den * ys[i] is added in turn."""
+    acc = None
+    for i, ti in enumerate(ts):
+        num = den = 1.0
+        for j, tj in enumerate(ts):
+            if j != i:
+                num *= t - tj
+                den *= ti - tj
+        term = num / den * ys[i]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("k", range(1, bdf.MAX_ORDER + 1))
+def test_split_interpolant_bit_equal_to_sequential_sum(k):
+    """The Lagrange-weight kernel and the ordered reduce give the bits of the
+    sequential sum on random stencils of k + 1 nodes, for one stencil on
+    Python floats (states of length 1, 2 and 5, as an array or a list) and
+    for m stencils at once as (m, 1) columns."""
+    rng = np.random.default_rng(100 + k)
+    for _ in range(200):
+        d = int(rng.choice([1, 2, 5]))
+        ts = (rng.uniform(-50, 50) + np.cumsum(rng.uniform(1e-4, 1.0, k + 1))).tolist()
+        ys = rng.standard_normal((k + 1, d)) * 10.0 ** rng.integers(-6, 7, (k + 1, 1))
+        t = ts[-1] + rng.uniform(-2.0, 1.0)
+        expect = _sequential_interpolate(ts, ys, t)
+        np.testing.assert_array_equal(bdf._interpolate(ts, ys, t), expect)
+        np.testing.assert_array_equal(bdf._interpolate(ts, list(ys), t), expect)
+        weights = bdf._lagrange_weights(ts, t)
+        assert all(type(w) is float for w in weights)
+
+        m = 7
+        cols = [np.sort(rng.uniform(-50, 50, (m, k + 1)), axis=1)[:, j, None]
+                for j in range(k + 1)]
+        at = cols[-1] + rng.uniform(-2.0, 1.0, (m, 1))
+        states = [rng.standard_normal((m, d)) for _ in range(k + 1)]
+        np.testing.assert_array_equal(bdf._interpolate(cols, states, at),
+                                      _sequential_interpolate(cols, states, at))
+        for j, w in enumerate(bdf._lagrange_weights(cols, at)):
+            assert w.shape == (m, 1)
+            for i in range(m):   # each column entry is the float kernel's weight
+                assert w[i, 0] == bdf._lagrange_weights(
+                    [float(c[i, 0]) for c in cols], float(at[i, 0]))[j]
+
+
+@pytest.mark.parametrize("k", range(1, bdf.MAX_ORDER + 1))
+@pytest.mark.parametrize("name", ["catenary", "linear"])
+def test_tabulated_predictors_bit_equal_to_predict(name, k):
+    """At every step of a nonadaptive grid, the predictor summed from
+    TimeGrid.predictor_weights, as integrate_nonadaptive sums it, has the
+    bits of _predict's."""
+    problem, _ = (get_problem("catenary") if name == "catenary" else linear_test_problem(
+        a=[[-1.0, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]],
+        y_s=[1.0, 2.0, 3.0], t_s=0.0, t_f=1.5))
+    tape = integrate_nonadaptive(problem, k, 2.0 ** -5 if name == "catenary" else 0.09375)
+    grid, states = tape.grid, tape.states
+    table, before = grid.predictor_weights, grid.orders_before
+    assert not table.flags.writeable
+    np.testing.assert_array_equal(before, np.concatenate(([0], grid.orders[:-1])))
+    for n in range(tape.n_steps):
+        q = before[n]
+        assert not np.any(table[n, q + 1:])
+        predictor = np.add.reduce(table[n, :q + 1, None] * states[n - q:n + 1])
+        np.testing.assert_array_equal(
+            predictor, bdf._predict(grid.nodes, states, grid.orders, n, grid.nodes[n + 1]))
+
+
 class TestDomain:
     def test_outside_interval_raises(self):
         tape = integrate_nonadaptive(CATENARY, 2, 0.25)

@@ -112,11 +112,11 @@ class TestFailures:
         """A predictor far outside the basin must fail, not loop forever."""
         problem, _ = linear_test_problem(a=[[0.0]], y_s=[1.0], t_s=0.0, t_f=1.0)
 
-        def bad_rhs(t, y):
-            return np.array([float(y[0]) ** 3])
+        def bad_rhs(t, y):   # y ** 3, also for stacked states
+            return y ** 3
 
         def bad_jac(t, y):
-            return np.array([[3.0 * float(y[0]) ** 2]])
+            return 3.0 * y[None] ** 2
 
         from bdfadjoint import OdeProblem
         cubic = OdeProblem(name="cubic", dimension=1, initial_time=0.0,

@@ -7,11 +7,15 @@ the adjoint ODE and terminal condition, and the weak adjoint must be the
 running integral of the classical adjoint (checked against quadrature).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bdfadjoint import OdeProblem, catenary_problem, get_problem, linear_test_problem
+from bdfadjoint import (OdeProblem, adjoint_sweep, catenary_problem, get_problem,
+                        integrate_nonadaptive, linear_test_problem, tape_residuals,
+                        verify_kkt)
 
 
 def _central_derivative(fn, t, eps=1e-6):
@@ -243,3 +247,100 @@ class TestRegistry:
                        rhs=lambda t, y: y, jacobian=lambda t, y: np.eye(1),
                        criterion=lambda y: 0.0,
                        criterion_gradient=lambda y: y)
+
+
+class TestStackedContract:
+    """rhs(t, Y) and jacobian(t, Y) for states Y of shape (d, m), one per
+    column, as in SciPy's solve_ivp(vectorized=True); the single-state calls
+    are unchanged."""
+
+    def test_catenary_stacked_bit_equal(self):
+        problem, _ = get_problem("catenary")
+        rng = np.random.default_rng(4)
+        ys = rng.standard_normal((2, 9)) * 10.0 ** rng.integers(-3, 4, (1, 9))
+        t = np.linspace(0.0, 2.0, 9)
+        f, jac = problem.rhs(t, ys), problem.jacobian(t, ys)
+        assert f.shape == (2, 9) and jac.shape == (2, 2, 9)
+        for i in range(9):
+            np.testing.assert_array_equal(f[:, i], problem.rhs(t[i], ys[:, i]))
+            np.testing.assert_array_equal(jac[..., i], problem.jacobian(t[i], ys[:, i]))
+        assert problem.jacobian(0.0, ys[:, 0]).shape == (2, 2)
+
+    @pytest.mark.parametrize("d", [1, 3, 40])
+    def test_linear_stacked_within_rounding(self, d):
+        """The stacked rhs is one matrix product a @ Y, which is not bit-equal
+        to the matrix-vector products a @ y_i; it is within the rounding
+        bound d eps |a| |y_i| of each.  The stacked Jacobian is (d, d, 1), a
+        read-only view of a, and a itself for one state."""
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        problem, _ = linear_test_problem(a, rng.standard_normal(d), 0.0, 1.0)
+        ys = rng.standard_normal((d, 11))
+        t = np.linspace(0.0, 1.0, 11)
+        f = problem.rhs(t, ys)
+        assert f.shape == (d, 11)
+        for i in range(11):
+            single = problem.rhs(t[i], ys[:, i])
+            bound = d * np.finfo(float).eps * (np.abs(a) @ np.abs(ys[:, i]))
+            assert np.all(np.abs(f[:, i] - single) <= bound)
+        jac = problem.jacobian(t, ys)
+        single = problem.jacobian(0.0, ys[:, 0])
+        assert jac.shape == (d, d, 1) and not jac.flags.writeable
+        assert np.shares_memory(jac, single)
+        np.testing.assert_array_equal(jac[..., 0], single)
+        assert problem.jacobian(0.0, ys[:, 0]) is single
+
+    def test_stacked_helpers_check_shapes(self):
+        problem, _ = get_problem("catenary")
+        ys = np.array([[1.0, 0.5], [2.0, -0.5], [3.0, 1.5]])   # three rows y_i
+        t = np.array([0.0, 0.5, 1.0])
+        rows = problem.stacked_rhs(t, ys)
+        assert rows.shape == (3, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(rows[i], problem.rhs(t[i], ys[i]))
+        jacs = problem.stacked_jacobian(t, ys)
+        assert jacs.shape == (3, 2, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(jacs[i], problem.jacobian(t[i], ys[i]))
+        heat, _ = linear_test_problem(np.diag([-1.0, -2.0]), [1.0, 1.0], 0.0, 1.0)
+        assert heat.stacked_jacobian(t, ys).shape == (1, 2, 2)
+
+
+def _single_state_problems():
+    """Catenary variants whose rhs or jacobian is written for one state only:
+    a float() of an entry raises on stacked input, and a (d,) or (d, d)
+    result has the wrong shape."""
+    problem, _ = get_problem("catenary")
+    p = problem.params["p"]
+    return {
+        "rhs float": dataclasses.replace(problem, rhs=lambda t, y: np.array(
+            [float(y[1]), p * np.sqrt(1.0 + float(y[1]) ** 2)])),
+        "rhs one column": dataclasses.replace(
+            problem, rhs=lambda t, y: problem.rhs(0.0, y[:, 0])),
+        "jacobian float": dataclasses.replace(problem, jacobian=lambda t, y: np.array(
+            [[0.0, 1.0], [0.0, p * float(y[1]) / np.sqrt(1.0 + float(y[1]) ** 2)]])),
+        "jacobian (d, d)": dataclasses.replace(
+            problem, jacobian=lambda t, y: np.array([[0.0, 1.0], [0.0, 0.5]])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_single_state_problems()))
+def test_single_state_problem_refused(case):
+    """verify_kkt and tape_residuals refuse a problem written for one state
+    with a one-line ValueError naming the expected shape, not a report."""
+    problem = _single_state_problems()[case]
+    catenary, _ = get_problem("catenary")
+    tape = integrate_nonadaptive(catenary, 2, 0.125)
+    adjoints = adjoint_sweep(catenary, tape)
+    n = tape.n_steps
+    expected = f"(2, {n})" if case.startswith("rhs") else f"(2, 2, {n}) or (2, 2, 1)"
+    calls = [lambda: verify_kkt(problem, tape, adjoints)]
+    if case.startswith("rhs"):
+        calls.append(lambda: tape_residuals(problem, tape))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"is not stacked: for states of shape (2, {n})" in message
+        assert f"must return shape {expected}" in message

@@ -29,7 +29,7 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
                         save_adjoint_results, save_kkt_report, save_tape,
                         verify_kkt)
 from bdfadjoint.adjoint import DiscreteAdjoints
-from bdfadjoint.analysis import COEFFICIENT_TOL, ConvergenceTable
+from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
 from bdfadjoint.serialize import (_dump, _load_checked, tape_sha256, tape_to_dict,
                                   write_adjoint_csv, write_convergence_csv)
@@ -433,6 +433,10 @@ class TestAdjointRoundTrip:
         assert doc["thresholds"]["initial"] == report.initial_threshold
         assert doc["thresholds"]["coefficient"] == COEFFICIENT_TOL
         assert doc["coefficient_defect"] == report.coefficient_defect
+        assert doc["jacobian_defect"] == report.jacobian_defect
+        assert doc["thresholds"]["jacobian"] == JACOBIAN_TOL
+        assert doc["worst"]["jacobian"] == {"step": report.jacobian_worst_step,
+                                            "t": report.jacobian_worst_time}
         assert doc["passed"] is True
 
 
