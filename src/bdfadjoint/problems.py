@@ -112,12 +112,13 @@ class OdeProblem:
         return _stacked(self.rhs, "rhs", t, ys, [(d, m)]).T
 
     def stacked_jacobian(self, t, ys) -> np.ndarray:
-        """(m, d, d) stack f_y(t_i, y_i) for the times t (m,) and rows ys
-        (m, d), from one stacked jacobian call, or (1, d, d) for an f_y that
-        does not depend on the state."""
+        """C-contiguous (m, d, d) stack f_y(t_i, y_i) for the times t (m,)
+        and rows ys (m, d), from one stacked jacobian call, or (1, d, d) for
+        an f_y that does not depend on the state.  Contiguous, so that
+        np.matmul takes the same route for a stack of any length."""
         d, m = self.dimension, len(ys)
-        return np.moveaxis(_stacked(self.jacobian, "jacobian", t, ys,
-                                    [(d, d, m), (d, d, 1)]), 2, 0)
+        return np.ascontiguousarray(np.moveaxis(
+            _stacked(self.jacobian, "jacobian", t, ys, [(d, d, m), (d, d, 1)]), 2, 0))
 
 
 def _stacked(func, name, t, ys, shapes):
@@ -271,7 +272,8 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     The problem states the bandwidths (kl, ku) of the nonzeros of a as its
     band when band storage, 2 kl + ku + 1 rows, is smaller than the d rows
     of the dense matrix; otherwise it states none.  The Jacobian is a
-    itself, read-only, and a[:, :, None], a view, for stacked states.
+    itself, read-only, and a[:, :, None], a view, for stacked states;
+    params["a"] is a too.
 
     Parameters
     ----------
@@ -330,7 +332,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         initial_state=y_s,
         name="linear",
         params={
-            "a": a.tolist(),
+            "a": a,
             "y0": y_s.tolist(),
             "t0": float(t_s),
             "tf": float(t_f),

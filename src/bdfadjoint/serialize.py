@@ -2,14 +2,15 @@
 
 All documents are versioned and deterministic: single-line JSON with sorted
 keys, and nothing time- or environment-dependent is written.  orjson writes
-every JSON document and every adjoint CSV row, each float as the shortest
-decimal that round-trips (the digits of Python's repr, in orjson's notation:
-0.00001 for 1e-05, 1e16 for 1e+16).  Identical inputs therefore produce
-byte-identical files.  orjson also reads every document and reproduces the
-exact binary floating-point values; it returns an integer beyond 64 bits as
-the equal float.  A document orjson refuses (NaN or Infinity tokens, a number
-beyond binary64, a lone surrogate) cannot be written by this package, so only
-a hand-edited one reaches the standard json module, which reads it.
+every JSON document and the adjoint CSV, arrays as they are (the bytes of
+their .tolist()), each float as the shortest decimal that round-trips (the
+digits of Python's repr, in orjson's notation: 0.00001 for 1e-05, 1e16 for
+1e+16).  Identical inputs therefore produce byte-identical files.  orjson
+also reads every document and reproduces the exact binary floating-point
+values; it returns an integer beyond 64 bits as the equal float.  A
+document orjson refuses (NaN or Infinity tokens, a number beyond binary64, a
+lone surrogate) cannot be written by this package, so only a hand-edited one
+reaches the standard json module, which reads it.
 """
 
 from __future__ import annotations
@@ -45,13 +46,20 @@ ADJOINT_FORMAT = "bdf-adjoint"
 KKT_FORMAT = "bdf-kkt"
 
 
+def _contiguous(obj):
+    """orjson's fallback: a non-C-contiguous array encodes as its copy."""
+    if isinstance(obj, np.ndarray) and not obj.flags.c_contiguous:
+        return np.ascontiguousarray(obj)
+    raise TypeError(f"type {type(obj).__name__} is not JSON serializable")
+
+
 def _dump(doc, path):
     """Write doc as one line of sorted-key JSON.  A value orjson cannot
     encode (an integer beyond 64 bits) raises ValueError before the file is
     opened."""
     try:
-        data = orjson.dumps(
-            doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+        data = orjson.dumps(doc, default=_contiguous, option=orjson.OPT_SORT_KEYS
+                            | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError as exc:
         raise ValueError(f"cannot encode {path}: {exc}") from exc
     with open(path, "wb") as fh:
@@ -87,16 +95,16 @@ def tape_to_dict(tape: IntegrationTape) -> dict:
         },
         "mode": tape.mode,
         "driver_params": tape.driver_params,
-        "nodes": tape.grid.nodes.tolist(),
-        "orders": tape.grid.orders.tolist(),
-        "states": tape.states.tolist(),
+        "nodes": tape.grid.nodes,
+        "orders": tape.grid.orders,
+        "states": tape.states,
         "newton": {
-            "iterations": tape.newton_iterations.tolist(),
-            "residuals": tape.newton_residuals.tolist(),
+            "iterations": tape.newton_iterations,
+            "residuals": tape.newton_residuals,
         },
     }
     if tape.error_estimates is not None:
-        doc["error_estimates"] = np.asarray(tape.error_estimates).tolist()
+        doc["error_estimates"] = tape.error_estimates
     return doc
 
 
@@ -144,9 +152,10 @@ def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints, weak) -> dict:
         "format": ADJOINT_FORMAT,
         "version": ADJOINT_VERSION,
         "tape_sha256": digest,
-        "lambdas": adjoints.lambdas.tolist(),
+        "lambdas": adjoints.lambdas,
+        # a list, as before: benchmarks/test_smoke.py perturbs this very line
         "gradient": adjoints.gradient.tolist(),
-        "jumps": {"sizes": weak.jump_sizes.tolist()},
+        "jumps": {"sizes": weak.jump_sizes},
     }
 
 
@@ -176,12 +185,14 @@ def write_adjoint_csv(tape, adjoints, weak, path) -> None:
     header = (["t"]
               + [f"lambda_{j + 1}" for j in range(d)]
               + [f"Lambda_{j + 1}" for j in range(d)])
-    rows = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
-                            np.cumsum(weak.jump_sizes, axis=0)]).tolist()
-    # a row's JSON array without its brackets is its CSV line; \r\n as csv writes
+    block = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
+                             np.cumsum(weak.jump_sizes, axis=0)])
+    # the block's JSON [[row],[row]] with each "],[" a line break, less its
+    # outer brackets, is its CSV body; \r\n as csv writes
+    body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\r\n")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        fh.writelines(orjson.dumps(row)[1:-1] + b"\r\n" for row in rows)
+        fh.writelines([memoryview(body)[2:-2], b"\r\n"])
 
 
 def kkt_report_to_dict(report: KktResidualReport) -> dict:

@@ -310,30 +310,30 @@ class TestVerifyKkt:
     def test_jacobian_products_in_blocks(self, block, monkeypatch):
         """f_y^T lambda is formed one stacked jacobian call per block of at
         most JACOBIAN_BLOCK entries, and the report does not depend on the
-        block size."""
+        block size, to the bit: the catenary's (m, d, d) stacks, and the
+        (1, d, d) f_y of a dense d = 3 linear problem."""
         from bdfadjoint import analysis
-        tape, adj = _tape_and_adjoints()
-        expected = verify_kkt(CATENARY, tape, adj)
-        sizes = []
+        linear, _ = linear_test_problem([[-1.0, 0.5, 0.25], [0.3, -2.0, 0.7],
+                                         [0.1, 0.9, -3.0]], [1.0, -0.5, 2.0], 0.0, 1.0)
+        for problem, h in ((CATENARY, 0.125), (linear, 2.0 ** -6)):
+            tape = integrate_nonadaptive(problem, 2, h)
+            adj = adjoint_sweep(problem, tape)
+            expected = verify_kkt(problem, tape, adj)
+            sizes = []
 
-        def recording(t, y):
-            sizes.append(np.shape(t))
-            return CATENARY.jacobian(t, y)
+            def recording(t, y, jacobian=problem.jacobian):
+                sizes.append(np.shape(t))
+                return jacobian(t, y)
 
-        monkeypatch.setattr(analysis, "JACOBIAN_BLOCK", block)
-        problem = dataclasses.replace(CATENARY, jacobian=recording)
-        report = verify_kkt(problem, tape, adj)
-        # a one-state block may take a BLAS product, which rounds differently,
-        # so the adjoint residual and its worst row agree to rounding only
-        assert report.adjoint_residual == pytest.approx(expected.adjoint_residual,
-                                                        abs=1e-15)
-        rounded = dict(adjoint_residual=0.0, adjoint_worst_step=0, adjoint_worst_time=0.0)
-        assert dataclasses.replace(report, **rounded) == \
-            dataclasses.replace(expected, **rounded)
-        per_call = max(1, block // 4)
-        products = sizes[:-1]   # the last call is the Jacobian check's
-        assert len(products) == -(-tape.n_steps // per_call)
-        assert all(m <= per_call for (m,) in products)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "JACOBIAN_BLOCK", block)
+                report = verify_kkt(dataclasses.replace(problem, jacobian=recording),
+                                    tape, adj)
+            assert report == expected
+            per_call = max(1, block // problem.dimension ** 2)
+            products = sizes[:-1]   # the last call is the Jacobian check's
+            assert len(products) == -(-tape.n_steps // per_call)
+            assert all(m <= per_call for (m,) in products)
 
     def test_memory_stays_linear_in_steps(self):
         """N=4097: the dense Kronecker assembly needed about 2.2 GB."""

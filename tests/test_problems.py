@@ -299,11 +299,13 @@ class TestStackedContract:
         for i in range(3):
             np.testing.assert_array_equal(rows[i], problem.rhs(t[i], ys[i]))
         jacs = problem.stacked_jacobian(t, ys)
-        assert jacs.shape == (3, 2, 2)
+        assert jacs.shape == (3, 2, 2) and jacs.flags.c_contiguous
         for i in range(3):
             np.testing.assert_array_equal(jacs[i], problem.jacobian(t[i], ys[i]))
         heat, _ = linear_test_problem(np.diag([-1.0, -2.0]), [1.0, 1.0], 0.0, 1.0)
-        assert heat.stacked_jacobian(t, ys).shape == (1, 2, 2)
+        jac = heat.stacked_jacobian(t, ys)   # a's own view, contiguous, not copied
+        assert jac.shape == (1, 2, 2) and jac.flags.c_contiguous
+        assert np.shares_memory(jac, heat.params["a"])
 
 
 def _single_state_problems():

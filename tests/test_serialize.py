@@ -8,6 +8,7 @@ must be rejected with clear errors.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,15 @@ from bdfadjoint.serialize import (_dump, _load_checked, tape_sha256, tape_to_dic
                                   write_adjoint_csv, write_convergence_csv)
 
 CATENARY, _ = get_problem("catenary")
+
+
+def _heat(d):
+    """The heat equation on d interior points, nu = 0.1, over [0, 0.5]."""
+    dx = 1.0 / (d + 1)
+    a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+                           + np.diag(np.ones(d - 1), -1))
+    return linear_test_problem(a=a, y_s=np.sin(np.pi * dx * np.arange(1, d + 1)),
+                               t_s=0.0, t_f=0.5, c=np.full(d, dx))[0]
 
 
 @pytest.fixture
@@ -123,7 +134,8 @@ class TestTapeRoundTrip:
         _dump(doc, path)
         text = path.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1
-        indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        indented = json.dumps(doc, sort_keys=True, indent=2,
+                              default=np.ndarray.tolist) + "\n"
         assert json.loads(text) == json.loads(indented)
         path.write_text(indented)
         np.testing.assert_array_equal(load_tape(path).states, tape.states)
@@ -205,13 +217,7 @@ class TestFloatEncoding:
         below 1e-4 in magnitude, where repr switches to exponent notation
         (1.23e-05) and orjson 3.8 does not (0.0000123); every cell still
         parses back bit for bit."""
-        d = 100
-        dx = 1.0 / (d + 1)
-        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0))
-                               + np.diag(np.ones(d - 1), 1)
-                               + np.diag(np.ones(d - 1), -1))
-        prob, _ = linear_test_problem(a=a, y_s=np.sin(np.pi * dx * np.arange(1, d + 1)),
-                                      t_s=0.0, t_f=0.5, c=np.full(d, dx))
+        prob = _heat(100)
         tape = integrate_nonadaptive(prob, 2, 2.0 ** -6)
         adj = adjoint_sweep(prob, tape)
         weak = assemble_weak_adjoint(tape, adj)
@@ -264,6 +270,123 @@ class TestFloatEncoding:
         _assert_bits_equal(back["adjoints"].lambdas, adj.lambdas)
         _assert_bits_equal(back["adjoints"].gradient, corpus)
         _assert_bits_equal(back["jump_sizes"], weak.jump_sizes)
+
+
+# the notation edges of orjson's float writer: signed zeros, subnormals, the
+# smallest normal, and the neighbours of 1e-5 and 1e16
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 9.999999999999999e-06, 1e-05,
+                1.0000000000000001e-05, -1e-05, 9999999999999998.0, 1e16,
+                1.0000000000000002e16, -1e16, 1.7976931348623157e308]
+_FINITE_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+
+
+def _per_row_adjoint_csv(tape, adjoints, weak, path):
+    """The adjoint CSV writer before the block encode, frozen: one
+    orjson.dumps per row of a .tolist() copy."""
+    d = tape.dimension
+    header = (["t"] + [f"lambda_{j + 1}" for j in range(d)]
+              + [f"Lambda_{j + 1}" for j in range(d)])
+    rows = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
+                            np.cumsum(weak.jump_sizes, axis=0)]).tolist()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.writelines(orjson.dumps(row)[1:-1] + b"\r\n" for row in rows)
+
+
+class TestArrayWriter:
+    """Arrays go to orjson as they are; every file is the bytes that
+    encoding their .tolist() gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_FINITE_BITS | st.sampled_from(_EDGE_FLOATS)
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=60),
+           columns=st.integers(1, 4))
+    def test_dump_arrays_as_lists(self, values, columns):
+        """A document of float64 and int64 arrays, 1-D, 2-D, Fortran-ordered
+        and strided, writes the bytes of its .tolist() form."""
+        vector = np.array(values)
+        block = np.resize(vector, (-(-vector.size // columns), columns))
+        doc = {"vector": vector, "block": block, "fortran": np.asfortranarray(block),
+               "transposed": block.T, "strided": vector[::2],
+               "nested": {"ints": np.arange(-3, vector.size, dtype=np.int64)}}
+
+        def listed(value):
+            if isinstance(value, dict):
+                return {k: listed(v) for k, v in value.items()}
+            return value.tolist()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            arrays, lists = Path(tmp) / "arrays.json", Path(tmp) / "lists.json"
+            _dump(doc, arrays)
+            _dump(listed(doc), lists)
+            assert arrays.read_bytes() == lists.read_bytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("order, h, steps", [(1, 0.5, 1), (2, 2.0 ** -5, 17)])
+    def test_adjoint_csv_matches_row_writer(self, d, order, h, steps, tmp_path):
+        """d = 1, 2 and 5, on a one-step tape and on a 17-step one."""
+        prob = _heat(d)
+        tape = integrate_nonadaptive(prob, order, h)
+        adj = adjoint_sweep(prob, tape)
+        weak = assemble_weak_adjoint(tape, adj)
+        assert tape.n_steps == steps
+        write_adjoint_csv(tape, adj, weak, tmp_path / "block.csv")
+        _per_row_adjoint_csv(tape, adj, weak, tmp_path / "rows.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_adjoint_csv_corpus_matches_row_writer(self, tmp_path):
+        corpus = _float_corpus()
+        tape = SimpleNamespace(
+            dimension=2, grid=SimpleNamespace(nodes=np.concatenate([[0.0], corpus])))
+        adj = SimpleNamespace(lambdas=np.column_stack([corpus, corpus[::-1]]))
+        weak = SimpleNamespace(jump_sizes=np.column_stack([corpus[::-1], corpus]))
+        write_adjoint_csv(tape, adj, weak, tmp_path / "block.csv")
+        _per_row_adjoint_csv(tape, adj, weak, tmp_path / "rows.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_noncontiguous_states_save_same_bytes(self, tmp_path):
+        """A tape whose states are Fortran-ordered, or a strided view, saves
+        to the bytes of its C-ordered twin, and so do its adjoints."""
+        prob = _heat(3)
+        tape = integrate_adaptive(prob, rtol=1e-4)
+        adj = adjoint_sweep(prob, tape)
+        weak = assemble_weak_adjoint(tape, adj)
+        wide = np.zeros((tape.n_steps + 1, 2 * tape.dimension))
+        wide[:, ::2] = tape.states
+        lam = np.zeros((tape.n_steps, 2 * tape.dimension))
+        lam[:, ::2] = adj.lambdas
+        twins = [(np.asfortranarray(tape.states), np.asfortranarray(adj.lambdas)),
+                 (wide[:, ::2], lam[:, ::2])]
+        save_tape(tape, tmp_path / "c.json")
+        save_adjoint_results("0" * 64, adj, weak, tmp_path / "c-adj.json")
+        for i, (states, lambdas) in enumerate(twins):
+            other = dataclasses.replace(tape, states=states)
+            other_adj = DiscreteAdjoints(lambdas=lambdas, gradient=adj.gradient)
+            assert not (other.states.flags.c_contiguous
+                        or other_adj.lambdas.flags.c_contiguous)
+            save_tape(other, tmp_path / f"{i}.json")
+            save_adjoint_results("0" * 64, other_adj,
+                                 assemble_weak_adjoint(other, other_adj),
+                                 tmp_path / f"{i}-adj.json")
+            assert (tmp_path / f"{i}.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+            assert ((tmp_path / f"{i}-adj.json").read_bytes()
+                    == (tmp_path / "c-adj.json").read_bytes())
+
+    def test_linear_params_hold_the_array(self, tmp_path):
+        """linear's params["a"] is the problem's read-only matrix; the tape
+        it writes, loaded back with lists, saves to the same bytes."""
+        prob = _heat(4)
+        assert isinstance(prob.params["a"], np.ndarray)
+        assert not prob.params["a"].flags.writeable
+        tape = integrate_nonadaptive(prob, 2, 0.125)
+        save_tape(tape, tmp_path / "tape.json")
+        back = load_tape(tmp_path / "tape.json")
+        assert isinstance(back.problem_params["a"], list)
+        save_tape(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "tape.json").read_bytes()
 
 
 def _canonical(value, big_ints_as_floats):

@@ -10,10 +10,12 @@ built in a temporary directory, and the stages run in this process through
 printed per output file and per stage: ``<workload> <name> <sha256>``, where a
 stage's line also carries its exit code.  A JSON output is hashed by its
 parsed content, re-encoded as ``json.dumps(json.loads(text), sort_keys=True)``,
-so that a change to the layout alone compares equal; CSV files and stdout are
-hashed as bytes.  The temporary directory's path is replaced by
-``<workdir>`` in the stdout before hashing, so the lines of two checkouts can
-be compared with ``diff``.  Nothing under ``benchmarks/`` is written.
+so that a change to the layout alone compares equal, and once more as bytes,
+on a line ``<workload> <name>.bytes <sha256>``, so that a change to the bytes
+alone shows; CSV files and stdout are hashed as bytes.  The temporary
+directory's path is replaced by ``<workdir>`` in the stdout before hashing,
+so the lines of two checkouts can be compared with ``diff``.  Nothing under
+``benchmarks/`` is written.
 """
 
 from __future__ import annotations
@@ -44,12 +46,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _file_digest(path):
+def _file_digests(path):
+    """[(name, digest)] of one output file: a JSON file's parsed content and
+    its bytes, another file's bytes."""
     if not path.is_file():
-        return "missing"
-    if path.suffix == ".json":
-        return _sha256(json.dumps(json.loads(path.read_text()), sort_keys=True).encode())
-    return _sha256(path.read_bytes())
+        return [(path.name, "missing")]
+    raw = _sha256(path.read_bytes())
+    if path.suffix != ".json":
+        return [(path.name, raw)]
+    parsed = json.dumps(json.loads(path.read_text()), sort_keys=True).encode()
+    return [(path.name, _sha256(parsed)), (f"{path.name}.bytes", raw)]
 
 
 def workload_digests(name, seed):
@@ -65,7 +71,7 @@ def workload_digests(name, seed):
             stdout = out.getvalue().replace(tmp, "<workdir>")
             lines.append((f"{stage}.stdout(exit {rc})", _sha256(stdout.encode())))
         for path in wl.outputs:
-            lines.append((path.name, _file_digest(path)))
+            lines += _file_digests(path)
     return lines
 
 
