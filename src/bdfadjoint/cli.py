@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
 import os
 import pickle
 import signal
@@ -52,7 +53,12 @@ def _parse_vector(text):
 
 
 def _parse_matrix(text):
-    return [_parse_vector(row) for row in text.split(";")]
+    """The `;`-separated rows of text as an array, parsed in one loadtxt
+    call; an empty row, which loadtxt would skip, is refused first."""
+    rows = text.replace(",", " ").replace("\n", " ").split(";")
+    if not all(row.strip() for row in rows):
+        raise ValueError("matrix has an empty row")
+    return np.loadtxt(io.StringIO("\n".join(rows)), ndmin=2, comments=None)
 
 
 class _Settings:

@@ -272,13 +272,15 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     The problem states the bandwidths (kl, ku) of the nonzeros of a as its
     band when band storage, 2 kl + ku + 1 rows, is smaller than the d rows
     of the dense matrix; otherwise it states none.  The Jacobian is a
-    itself, read-only, and a[:, :, None], a view, for stacked states;
-    params["a"] is a too.
+    itself, read-only, and a[:, :, None], a view, for stacked states.
+    params["a"] holds the entries of a that are nonzero or -0.0, so that a
+    tape stores them alone and a rebuilds bit-equal from them.
 
     Parameters
     ----------
-    a : array_like
-        d x d system matrix (a scalar is treated as a 1x1 matrix).
+    a : array_like or mapping
+        d x d system matrix (a scalar is treated as a 1x1 matrix), or its
+        entries {"size": d, "rows", "cols", "values"}, as params["a"] holds.
     y_s : array_like
         Initial state of length d.
     t_s, t_f : float
@@ -290,15 +292,16 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     -------
     (OdeProblem, AnalyticReference)
     """
-    a = np.array(a, dtype=float, ndmin=2)   # a copy, so freezing it is ours
-    d = a.shape[0]
+    y_s = np.atleast_1d(np.asarray(y_s, dtype=float))
+    a = _from_entries(a, y_s.size) if isinstance(a, dict) else np.array(a, dtype=float, ndmin=2)
+    d = a.shape[0]   # a is a copy either way, so freezing it is ours
     if a.shape != (d, d):
         raise ValueError(f"system matrix must be square, got shape {a.shape}")
     a.flags.writeable = False
     rows, cols = np.nonzero(a)
     kl, ku = (int(np.max(w, initial=0)) for w in (rows - cols, cols - rows))
     band = (kl, ku) if 2 * kl + ku + 1 < d else None
-    y_s = np.atleast_1d(np.asarray(y_s, dtype=float))
+    rows, cols = np.nonzero((a != 0.0) | np.signbit(a))   # -0.0 too: a rebuilds bit-equal
     if c is None:
         c = np.zeros(d)
         c[0] = 1.0
@@ -332,7 +335,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         initial_state=y_s,
         name="linear",
         params={
-            "a": a,
+            "a": {"size": d, "rows": rows, "cols": cols, "values": a[rows, cols]},
             "y0": y_s.tolist(),
             "t0": float(t_s),
             "tf": float(t_f),
@@ -360,6 +363,27 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
 
     reference = AnalyticReference(nominal, classical_adjoint, weak_adjoint)
     return problem, reference
+
+
+def _from_entries(entries, n):
+    """The dense matrix of entries {"size", "rows", "cols", "values"}; a
+    ValueError if they list no n x n matrix (n, the initial state's length)."""
+    if set(entries) != {"size", "rows", "cols", "values"}:
+        raise ValueError(f"matrix entries need keys size, rows, cols, values: {sorted(entries)}")
+    d, rows, cols = entries["size"], np.asarray(entries["rows"]), np.asarray(entries["cols"])
+    values = np.asarray(entries["values"], dtype=float)
+    if type(d) is not int or not 1 <= d == n:
+        raise ValueError(f"matrix size {d!r} is not a positive integer, the length {n} of y0")
+    if not rows.shape == cols.shape == values.shape == (values.size,):
+        raise ValueError("matrix rows, cols and values must be lists of one length")
+    index = np.concatenate([rows, cols])
+    if index.size and (index.dtype.kind not in "iu" or not 0 <= index.min() <= index.max() < d):
+        raise ValueError(f"matrix rows and cols must be integers in [0, {d})")
+    if np.unique(rows * d + cols).size < values.size:
+        raise ValueError("matrix entries list a (row, col) pair twice")
+    a = np.zeros((d, d))
+    a[rows.astype(np.intp), cols.astype(np.intp)] = values   # empty lists load as floats
+    return a
 
 
 def _make_catenary(p=3.0, A=-3.0, tf=2.0):

@@ -184,12 +184,14 @@ class TestIntegrate:
         def fmt(values):
             return " ".join(repr(float(v)) for v in np.ravel(values))
 
-        params = get_problem("linear")[0].params
+        problem = get_problem("linear")[0]
+        params = problem.params
+        a = problem.jacobian(problem.initial_time, problem.initial_state)
         implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
         run = ["integrate", "--order", "2", "--h", "0.125"]
         cfg = _write_config(tmp_path, "problem = linear")
         assert main([*run, "--config", str(cfg), "--out", str(implicit)]) == 0
-        lines = ["a = " + "; ".join(fmt(row) for row in params["a"]),
+        lines = ["a = " + "; ".join(fmt(row) for row in a),
                  *(f"{key} = {fmt(params[key])}" for key in ("y0", "t0", "tf", "c"))]
         cfg = _write_config(tmp_path, "problem = linear", *lines)
         assert main([*run, "--config", str(cfg), "--out", str(explicit)]) == 0
@@ -942,6 +944,159 @@ class TestProblemShapes:
         assert capsys.readouterr().err == (
             "error: tape dimension does not match the problem\n")
         assert not out.exists()
+
+
+_TRIDIAGONAL = ("problem = linear", "a = -2 1 0; 1 -2 1; 0 1 -2", "y0 = 1 0.5 0.25")
+
+
+def _entries_edit(key, value):
+    """An edit of a tape's params["a"] entries: key set to value, or dropped
+    if value is None."""
+    def edit(entries):
+        entries.pop(key) if value is None else entries.__setitem__(key, value)
+    return edit
+
+
+class TestLinearMatrix:
+    """linear's a: parsed from the config in one pass, stored in the tape as
+    its nonzero entries, and rebuilt from them, or from the dense nested
+    list of the earlier layout, by adjoint and verify."""
+
+    def _chain(self, tmp_path, *lines):
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        cfg = _write_config(tmp_path, *lines)
+        assert main(["integrate", "--config", str(cfg), "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        return tape, adj
+
+    def _stages(self, tape, adj, out):
+        return {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
+                "verify": ["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                           "--out", str(out)]}
+
+    def test_tape_holds_nonzero_entries(self, tmp_path):
+        tape, _ = self._chain(tmp_path, *_TRIDIAGONAL)
+        assert json.loads(tape.read_text())["problem"]["params"]["a"] == {
+            "size": 3, "rows": [0, 0, 1, 1, 1, 2, 2], "cols": [0, 1, 0, 1, 2, 1, 2],
+            "values": [-2.0, 1.0, 1.0, -2.0, 1.0, 1.0, -2.0]}
+
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    @pytest.mark.parametrize("edit", [
+        _entries_edit("size", 0), _entries_edit("size", -3),
+        _entries_edit("size", 3.0), _entries_edit("size", True),
+        _entries_edit("size", "3"), _entries_edit("size", 4),
+        _entries_edit("size", None), _entries_edit("extra", []),
+        _entries_edit("rows", [0, 0, 1, 1, 1, 2]),
+        _entries_edit("values", [-2.0, 1.0, 1.0, -2.0, 1.0, 1.0, -2.0, 1.0]),
+        _entries_edit("rows", 0),
+        _entries_edit("rows", [0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]),
+        _entries_edit("cols", [0, 1, 0, 1, "2", 1, 2]),
+        _entries_edit("cols", [False, True, False, True, True, True, True]),
+        _entries_edit("rows", [0, 0, 1, 1, 1, 2, 3]),
+        _entries_edit("cols", [-1, 1, 0, 1, 2, 1, 2]),
+        _entries_edit("cols", [0, 1, 0, 1, 2, 1, 2 ** 70]),
+        _entries_edit("cols", [0, 0, 0, 1, 2, 1, 2]),   # (0, 0) twice
+    ], ids=["size 0", "size negative", "size float", "size bool", "size string",
+            "size not y0's", "no size", "extra key", "rows short", "values long",
+            "rows scalar", "rows float", "cols string", "cols bool",
+            "row out of range", "col negative", "col beyond 64 bits", "duplicate"])
+    def test_malformed_entries_refused(self, tmp_path, capsys, stage, edit):
+        """One line of usage error, no traceback and no output."""
+        tape, adj = self._chain(tmp_path, *_TRIDIAGONAL)
+        doc = json.loads(tape.read_text())
+        edit(doc["problem"]["params"]["a"])
+        tape.write_text(json.dumps(doc))
+        _rebind(adj, tape)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(self._stages(tape, adj, out)[stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot rebuild tape problem: matrix ")
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_dense_layout_still_loads(self, tmp_path):
+        """A tape whose a is the dense nested list of the earlier layout runs
+        adjoint and verify to exit 0, with multipliers bit-equal to those of
+        the tape that stores the entries."""
+        tape, adj = self._chain(tmp_path, *_TRIDIAGONAL)
+        doc = json.loads(tape.read_text())
+        entries = doc["problem"]["params"]["a"]
+        dense = np.zeros((3, 3))
+        dense[entries["rows"], entries["cols"]] = entries["values"]
+        doc["problem"]["params"]["a"] = dense.tolist()
+        old, old_adj = tmp_path / "old.json", tmp_path / "old-adjoint.json"
+        old.write_text(json.dumps(doc))
+        assert main(["adjoint", "--tape", str(old), "--out", str(old_adj)]) == 0
+        assert main(["verify", "--tape", str(old), "--adjoint-file", str(old_adj),
+                     "--out", str(tmp_path / "kkt.json")]) == 0
+        lam, old_lam = (json.loads(p.read_text())["lambdas"] for p in (adj, old_adj))
+        assert np.array(old_lam).tobytes() == np.array(lam).tobytes()
+
+    @pytest.mark.parametrize("lines, entries", [
+        (("a = -0.0", "y0 = 1"), {"size": 1, "rows": [0], "cols": [0], "values": [-0.0]}),
+        (("a = 0", "y0 = 1"), {"size": 1, "rows": [], "cols": [], "values": []}),
+        (("a = -1 -0.0; 0 -2", "y0 = 1 1"),
+         {"size": 2, "rows": [0, 0, 1], "cols": [0, 1, 1], "values": [-1.0, -0.0, -2.0]}),
+    ], ids=["-0.0 alone", "zero", "-0.0 entry"])
+    def test_entries_round_trip(self, tmp_path, lines, entries):
+        """The entries keep a -0.0 and list no +0.0; the chain runs to exit 0
+        on them, and a rebuilt from the tape is bit-equal to the config's."""
+        tape, adj = self._chain(tmp_path, "problem = linear", *lines)
+        assert main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                     "--out", str(tmp_path / "kkt.json")]) == 0
+        params = load_tape(tape).problem_params
+        assert (json.dumps(params["a"], sort_keys=True)   # -0.0 as -0.0
+                == json.dumps(entries, sort_keys=True))
+        problem = get_problem("linear", **params)[0]
+        a = problem.jacobian(0.0, problem.initial_state)
+        want = cli_module._parse_matrix(lines[0].split("=")[1])
+        assert a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", ["1 2; 3", "1; 2 3", "1 2;;3 4", "1 2; 3 4;",
+                                   ";1 2; 3 4", "1 2; ; 3 4", "1 x; 3 4", "1_000 2; 3 4",
+                                   "0x10 2; 3 4"],
+                             ids=["ragged", "ragged first", "empty row", "trailing ;",
+                                  "leading ;", "blank row", "non-numeric", "underscore",
+                                  "hex"])
+    def test_parser_refusals(self, tmp_path, capsys, a):
+        """Ragged and empty rows and tokens that are not decimal floats are
+        one line of usage error in integrate."""
+        cfg = _write_config(tmp_path, "problem = linear", f"a = {a}", "y0 = 1 1")
+        out = tmp_path / "tape.json"
+        capsys.readouterr()
+        assert main(["integrate", "--config", str(cfg), "--order", "2", "--h", "0.125",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key a: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_parser_bit_equal_to_float(self):
+        """Each token parses to the float() of its text: signed zeros,
+        subnormals, the extremes of binary64, and random bit patterns as
+        repr writes them and with 17 significant digits."""
+        fixed = ["0", "-0", "0.0", "-0.0", "5e-324", "-4.9406564584124654e-324",
+                 "2.2250738585072009e-308", "2.2250738585072014e-308",
+                 "1.7976931348623157e308", "0.30000000000000004", "9007199254740993",
+                 "1e23", "8.5e-5", "+1.5", ".5", "5.", "1E5", "-inf", "inf", "1e400"]
+        bits = np.random.default_rng(3).integers(0, 2 ** 64, size=1000, dtype=np.uint64)
+        rand = bits.view(np.float64)
+        rand = rand[np.isfinite(rand)]
+        tokens = fixed + [repr(v) for v in rand.tolist()] + [f"{v:.16e}" for v in rand.tolist()]
+        tokens = np.array(tokens[:len(tokens) // 10 * 10]).reshape(-1, 10).tolist()
+        text = "; ".join(" ".join(row) for row in tokens)
+        parsed = cli_module._parse_matrix(text)
+        want = np.array([[float(t) for t in row] for row in tokens])
+        assert parsed.shape == want.shape
+        assert parsed.tobytes() == want.tobytes()
+
+    def test_parser_separators(self):
+        """Commas and spaces separate entries, `;` rows; a row may continue
+        on the next line of the config value."""
+        for text in ("1, 2; 3, 4", "1 2;\n3 4", "1\n2; 3 4", " 1\t2 ;3  4 "):
+            assert cli_module._parse_matrix(text).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert cli_module._parse_matrix("7").tolist() == [[7.0]]
 
 
 class TestOutputPath:

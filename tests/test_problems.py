@@ -195,6 +195,20 @@ class TestLinear:
         assert problem.band is None
         assert get_problem("linear")[0].band is None   # a = [[0, 1], [0, 0]]
 
+    def test_entries_rebuild_a_bit_equal(self):
+        """params["a"] lists the entries that are nonzero or -0.0, so a
+        problem built from it has the same a, bit for bit; a -0.0 widens no
+        band."""
+        a = np.diag(np.full(5, -2.0))
+        a[4, 0], a[0, 1] = -0.0, 5e-324
+        problem, _ = linear_test_problem(a, y_s=np.ones(5), t_s=0.0, t_f=1.0)
+        entries = problem.params["a"]
+        assert (entries["rows"].tolist(), entries["cols"].tolist()) == (
+            [0, 0, 1, 2, 3, 4, 4], [0, 1, 1, 2, 3, 0, 4])
+        again, _ = linear_test_problem(entries, y_s=np.ones(5), t_s=0.0, t_f=1.0)
+        assert again.jacobian(0.0, np.ones(5)).tobytes() == a.tobytes()
+        assert problem.band == again.band == (0, 1)
+
     def test_rhs_and_jacobian(self):
         problem, _ = linear_test_problem(
             a=[[0.0, 1.0], [-2.0, 0.0]], y_s=[1.0, 0.0], t_s=0.0, t_f=1.0)
@@ -305,7 +319,7 @@ class TestStackedContract:
         heat, _ = linear_test_problem(np.diag([-1.0, -2.0]), [1.0, 1.0], 0.0, 1.0)
         jac = heat.stacked_jacobian(t, ys)   # a's own view, contiguous, not copied
         assert jac.shape == (1, 2, 2) and jac.flags.c_contiguous
-        assert np.shares_memory(jac, heat.params["a"])
+        assert np.shares_memory(jac, heat.jacobian(t[0], ys[0]))
 
 
 def _single_state_problems():

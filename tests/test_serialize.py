@@ -376,17 +376,27 @@ class TestArrayWriter:
                     == (tmp_path / "c-adj.json").read_bytes())
 
     def test_linear_params_hold_the_array(self, tmp_path):
-        """linear's params["a"] is the problem's read-only matrix; the tape
-        it writes, loaded back with lists, saves to the same bytes."""
+        """linear's params["a"] holds the nonzero entries of its Jacobian,
+        the read-only a, as arrays; the tape it writes, loaded back with
+        lists, saves to the same bytes and rebuilds the same a."""
         prob = _heat(4)
-        assert isinstance(prob.params["a"], np.ndarray)
-        assert not prob.params["a"].flags.writeable
+        a = prob.jacobian(0.0, prob.initial_state)
+        assert not a.flags.writeable
+        entries = prob.params["a"]
+        assert entries["size"] == 4
+        assert all(isinstance(entries[k], np.ndarray) for k in ("rows", "cols", "values"))
+        rows, cols = np.nonzero(a)
+        np.testing.assert_array_equal(entries["rows"], rows)
+        np.testing.assert_array_equal(entries["cols"], cols)
+        _assert_bits_equal(entries["values"], a[rows, cols])
         tape = integrate_nonadaptive(prob, 2, 0.125)
         save_tape(tape, tmp_path / "tape.json")
         back = load_tape(tmp_path / "tape.json")
-        assert isinstance(back.problem_params["a"], list)
+        assert isinstance(back.problem_params["a"]["values"], list)
         save_tape(back, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "tape.json").read_bytes()
+        again = get_problem("linear", **back.problem_params)[0]
+        _assert_bits_equal(again.jacobian(0.0, prob.initial_state), a)
 
 
 def _canonical(value, big_ints_as_floats):
