@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
-from .bdf import (EPS, IntegrationTape, band_product, coefficient_band, stencil_table,
-                  step_residuals)
+from .bdf import (EPS, JACOBIAN_BLOCK, IntegrationTape, band_product, coefficient_band,
+                  stencil_table, step_residuals)
 
 __all__ = [
     "COEFFICIENT_TOL",
@@ -33,7 +33,6 @@ __all__ = [
 COEFFICIENT_TOL = 1e-12
 JACOBIAN_TOL = 1e-6        # scaled defect of f_y v against central differences of f
 JACOBIAN_SAMPLES = 8       # tape states at which f_y is checked, evenly spaced
-JACOBIAN_BLOCK = 2 ** 20   # Jacobian entries per stacked call in verify_kkt (d^2 at least)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 2.5
 SAFETY = 0.9
 EPS = np.finfo(float).eps
+JACOBIAN_BLOCK = 2 ** 20         # Jacobian entries per stacked call of the sweep and verify_kkt
 _LAGS = np.arange(MAX_ORDER + 1)   # stencil offsets i of alpha_i
 
 
@@ -353,40 +354,64 @@ def _step_residual(problem, t, h, alphas, back, y):
 def _iteration_matrix(jac, h, alpha0, band=None):
     """Newton matrix alpha_0 I - h jac for jac = f_y (the adjoint passes
     f_y^T): dense for band None, else in LAPACK band storage for the
-    bandwidths band = (kl, ku) of jac, read from its kl + ku + 1 diagonals."""
+    bandwidths band = (kl, ku) of jac, read from its kl + ku + 1 diagonals.
+    On a stack jac (m, d, d), with h and alpha0 of shape (m, 1, 1), the
+    (m, d, d) or (m, 2 kl + ku + 1, d) stack of the m matrices."""
     # Entrywise alpha_0 - h J_ii and 0.0 - h J_ij, not -h*f_y with alpha_0
     # added to the diagonal afterwards: that would turn off-diagonal +0.0
     # into -0.0.
+    d = jac.shape[-1]
     if band is None:
-        return alpha0 * np.eye(len(jac)) - h * jac
+        m = alpha0 * np.eye(d)
+        m -= h * jac   # in place: one temporary fewer on a stack
+        return m
     kl, ku = band
-    d = len(jac)
     # entry (i, i + k) goes to ab[kl + ku - k, i + k]; the first kl rows
     # stay zero for dgbtrf's fill-in
-    ab = np.zeros((2 * kl + ku + 1, d))
+    ab = np.zeros(jac.shape[:-2] + (2 * kl + ku + 1, d))
     for k in range(-kl, ku + 1):
-        ab[kl + ku - k, max(k, 0):d + min(k, 0)] = \
-            (alpha0 if k == 0 else 0.0) - h * jac.diagonal(k)
+        row = kl + ku - k
+        ab[..., row:row + 1, max(k, 0):d + min(k, 0)] = \
+            (alpha0 if k == 0 else 0.0) - h * jac.diagonal(k, -2, -1)[..., None, :]
     return ab
+
+
+def _regular(finite, smallest, largest):
+    """lu_factor's test, on floats or on arrays over a stack: finite factors
+    whose smallest pivot magnitude exceeds 1e3 eps times the largest and
+    1e3 eps itself, that is 1e3 eps max(largest, 1)."""
+    tol = 1e3 * EPS
+    return finite & (smallest > tol * largest) & (smallest > tol)
 
 
 def lu_factor(m, band=None):
     """LU factors of m = _iteration_matrix(..., band) for lu_solve, or None
     when m is singular to working precision (a pivot at most 1e3 eps of the
-    largest) or not finite."""
+    largest, or of 1) or not finite.  For a stack m (k, rows, d), the stacked
+    factors (lu, piv, band), tested all at once, and the (k,) mask of the
+    matrices that pass: (lu[i], piv[i], band) are the factors of m[i]."""
     # LAPACK directly: SciPy's wrappers cost over ten times the d = 2
     # factorization, and exact singularity is caught by the pivot test, which
-    # runs on Python floats because NumPy's min and max cost more than dgetrf.
-    if band is None:
-        lu, piv, _ = dgetrf(m)
-        pivots = lu.diagonal()
-    else:
-        lu, piv, _ = dgbtrf(m, *band)
-        pivots = lu[sum(band)]   # U's diagonal row
-    diag = np.abs(pivots).tolist()
-    if not np.isfinite(lu).all() or min(diag) <= 1e3 * EPS * max(max(diag), 1.0):
-        return None
-    return lu, piv, band
+    # for one matrix runs on Python floats because NumPy's min and max cost
+    # more than dgetrf.
+    if m.ndim == 2:
+        if band is None:
+            lu, piv, _ = dgetrf(m)
+            pivots = lu.diagonal()
+        else:
+            lu, piv, _ = dgbtrf(m, *band)
+            pivots = lu[sum(band)]   # U's diagonal row
+        diag = np.abs(pivots).tolist()
+        return (lu, piv, band) if _regular(np.isfinite(lu).all(), min(diag), max(diag)) else None
+    k, rows, d = m.shape
+    # each matrix in Fortran order, as LAPACK returns it, so lu_solve copies none
+    lu = np.empty((k, d, rows)).transpose(0, 2, 1)
+    piv = np.empty((k, d), dtype=np.intc)
+    for i, a in enumerate(m):
+        lu[i], piv[i], _ = dgetrf(a) if band is None else dgbtrf(a, *band)
+    diag = np.abs(lu.diagonal(0, -2, -1) if band is None else lu[:, sum(band)])
+    return (lu, piv, band), _regular(np.isfinite(lu).all(axis=(1, 2)),
+                                     diag.min(axis=1), diag.max(axis=1))
 
 
 def lu_solve(factors, b):
@@ -825,11 +850,13 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
     """Re-solve the tape's scheme, grid and orders frozen, from y_start.
 
     Each step takes one Newton update from its recorded state y_{n+1}, with
-    f_y evaluated there as the adjoint sweep evaluates it, even when y_{n+1}
-    meets the tolerance (a perturbed step would stay frozen), and goes on in
+    f_y evaluated there for that one state, even when y_{n+1} meets the
+    tolerance (a perturbed step would stay frozen), and goes on in
     _newton_iterate with the same factors down to the tape's own tolerance.
     To first order, y_start -> y_N is then the scheme's own map, whose exact
     derivative the sweep computes: the object of finite-difference checks.
+    The sweep takes f_y from stacked calls; for the shipped problems the
+    per-state f_y agrees with it bit for bit (see OdeProblem).
     Returns the full (N+1, d) state array.
     """
     states = np.empty((tape.n_steps + 1, tape.dimension))

@@ -44,10 +44,15 @@ class OdeProblem:
     jacobian : callable
         f_y(t, y) -> array of shape (d, d).  Also stacked: f_y(t, Y) -> (d, d, m),
         or (d, d, 1) where f_y does not depend on the state.  The step loops
-        call both per state; the all-steps forms (the tape residuals and
-        ``verify``) call them stacked, through :meth:`stacked_rhs` and
-        :meth:`stacked_jacobian`, which refuse a problem written for one state
-        only with a ValueError.
+        and the replay call both per state; the all-steps forms (the tape
+        residuals, the adjoint sweep and ``verify``) call them stacked,
+        through :meth:`stacked_rhs` and :meth:`stacked_jacobian`, which
+        refuse a problem written for one state only with a ValueError.  So
+        the library's ``adjoint_sweep`` needs the stacked forms, as the CLI's
+        ``adjoint`` does through its tape check.  The replay's
+        finite-difference map is the sweep's exact derivative only where the
+        per-state f_y equals the stacked one bit for bit, as it does for the
+        shipped problems.
     criterion : callable
         J(y) -> float, evaluated at the final state.
     criterion_gradient : callable
@@ -117,14 +122,13 @@ class OdeProblem:
         an f_y that does not depend on the state.  Contiguous, so that
         np.matmul takes the same route for a stack of any length."""
         d, m = self.dimension, len(ys)
-        return np.ascontiguousarray(np.moveaxis(
-            _stacked(self.jacobian, "jacobian", t, ys, [(d, d, m), (d, d, 1)]), 2, 0))
+        return np.ascontiguousarray(
+            _stacked(self.jacobian, "jacobian", t, ys, [(d, d, m), (d, d, 1)]).transpose(2, 0, 1))
 
 
 def _stacked(func, name, t, ys, shapes):
     """func(t, ys.T) as a float array of one of the shapes; anything else, or
     an error raised on stacked input, is a ValueError naming the shapes."""
-    expected = " or ".join(map(str, shapes))
     try:
         out = np.asarray(func(t, ys.T), dtype=float)
     except (TypeError, ValueError, IndexError) as exc:
@@ -133,6 +137,7 @@ def _stacked(func, name, t, ys, shapes):
         if out.shape in shapes:
             return out
         got = f"returned shape {out.shape}"
+    expected = " or ".join(map(str, shapes))
     raise ValueError(f"problem {name} is not stacked: for states of shape "
                      f"{ys.T.shape} it must return shape {expected}, but {got}")
 
@@ -204,7 +209,10 @@ def catenary_problem(p: float, A: float, t_f: float):
     if not p > 0.0:   # NaN fails too
         raise ValueError(f"catenary parameter p must be positive, got {p}")
 
-    y0 = np.array([np.cosh(A) / p, np.sinh(A)])
+    # an overflow is left to OdeProblem, which refuses the non-finite state
+    with np.errstate(over="ignore"):
+        y0 = np.array([np.cosh(A) / p, np.sinh(A)])
+        s_f = np.sinh(p * t_f + A)
 
     def rhs(t, y):
         return np.array([y[1], p * np.sqrt(1.0 + y[1] ** 2)])
@@ -234,8 +242,6 @@ def catenary_problem(p: float, A: float, t_f: float):
         name="catenary",
         params={"p": p, "A": A, "tf": t_f},
     )
-
-    s_f = np.sinh(p * t_f + A)
 
     def nominal(t):
         u = p * t + A

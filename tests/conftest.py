@@ -1,4 +1,5 @@
-"""Shared pytest glue: an always-visible acceptance-criteria summary.
+"""Shared pytest glue: an always-visible acceptance-criteria summary, and
+the Robertson test problem.
 
 test_acceptance.py records one line per criterion through the
 `acceptance_log` fixture; the terminal-summary hook prints them after the
@@ -6,7 +7,10 @@ test results, whether or not output capturing swallowed the in-test
 prints.
 """
 
+import numpy as np
 import pytest
+
+from bdfadjoint import OdeProblem
 
 _ACCEPTANCE_LINES = []
 
@@ -25,3 +29,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def robertson():
+    """Robertson's stiff kinetics on [0, 0.4] from (1, 0, 0), with J = y_2,
+    the fast intermediate: a nonlinear problem whose f_yy is large.  Both
+    functions also take stacked states (d, m), as OdeProblem asks."""
+    def rhs(t, y):
+        return np.array([-0.04 * y[0] + 1e4 * y[1] * y[2],
+                         0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] ** 2,
+                         3e7 * y[1] ** 2])
+
+    def jacobian(t, y):
+        zero = np.zeros_like(y[0])   # 0.0 for one state, (m,) zeros for stacked ones
+        return np.array([[zero - 0.04, 1e4 * y[2], 1e4 * y[1]],
+                         [zero + 0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
+                         [zero, 6e7 * y[1], zero]])
+
+    return OdeProblem(dimension=3, rhs=rhs, jacobian=jacobian,
+                      criterion=lambda y: y[1],
+                      criterion_gradient=lambda y: np.array([0.0, 1.0, 0.0]),
+                      initial_time=0.0, final_time=0.4,
+                      initial_state=np.array([1.0, 0.0, 0.0]), name="robertson")

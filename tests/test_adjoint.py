@@ -11,40 +11,19 @@ initial-condition assembly separately.
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import bdfadjoint.adjoint as adjoint_module
-from bdfadjoint import (OdeProblem, SolverError, adjoint_sweep, bdf, get_problem,
+from bdfadjoint import (SolverError, adjoint_sweep, bdf, get_problem,
                         gradient_wrt_initial, integrate_adaptive,
                         integrate_nonadaptive, linear_test_problem,
                         replay_integration, tape_residuals)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
-
-
-def _robertson():
-    """Robertson's stiff kinetics on [0, 0.4] from (1, 0, 0), with J = y_2,
-    the fast intermediate: a nonlinear problem whose f_yy is large.  Both
-    functions also take stacked states (d, m), as OdeProblem asks."""
-    def rhs(t, y):
-        return np.array([-0.04 * y[0] + 1e4 * y[1] * y[2],
-                         0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] ** 2,
-                         3e7 * y[1] ** 2])
-
-    def jacobian(t, y):
-        zero = np.zeros_like(y[0])   # 0.0 for one state, (m,) zeros for stacked ones
-        return np.array([[zero - 0.04, 1e4 * y[2], 1e4 * y[1]],
-                         [zero + 0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
-                         [zero, 6e7 * y[1], zero]])
-
-    return OdeProblem(dimension=3, rhs=rhs, jacobian=jacobian,
-                      criterion=lambda y: y[1],
-                      criterion_gradient=lambda y: np.array([0.0, 1.0, 0.0]),
-                      initial_time=0.0, final_time=0.4,
-                      initial_state=np.array([1.0, 0.0, 0.0]), name="robertson")
 
 
 def _fd_gap(problem, tape):
@@ -145,14 +124,13 @@ class TestExactDerivative:
         np.testing.assert_allclose(adj.gradient, fd, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize("rtol, bound", [(1e-4, 1e-5), (1e-5, 1e-6), (1e-6, 1e-6)])
-    def test_robertson_matches_finite_differences_of_replay(self, rtol, bound):
+    def test_robertson_matches_finite_differences_of_replay(self, rtol, bound, robertson):
         """On a stiff nonlinear problem the replay re-solves each step from
         its recorded state, so its differences agree with the adjoint of the
         recorded scheme (a replay of the recorded iteration counts from the
         predictor differentiates a truncated Newton iteration and misses the
         rtol 1e-4 bound by more than 100 times)."""
-        problem = _robertson()
-        assert _fd_gap(problem, integrate_adaptive(problem, rtol)) <= bound
+        assert _fd_gap(robertson, integrate_adaptive(robertson, rtol)) <= bound
 
     def test_finite_differences_catch_a_wrong_jacobian(self):
         """With f_y replaced by 0.8 f_y in both the replay and the sweep, the
@@ -283,15 +261,27 @@ def _heat(d=50):
     return problem
 
 
+def _per_state(jacobian):
+    """A jacobian(t, y) written for one state that also takes stacked states
+    (d, m), as OdeProblem asks: one call per column, stacked into a fresh
+    (d, d, m) array."""
+    def stacked(t, y):
+        if np.ndim(y) == 1:
+            return jacobian(t, y)
+        return np.stack([jacobian(s, col) for s, col in zip(t, y.T)], axis=2)
+    return stacked
+
+
 @pytest.fixture
 def lu_factor_calls(monkeypatch):
-    """Counts the LU factorizations made through bdf, by the shape of the
-    matrix passed: (d, d) dense, (2 kl + ku + 1, d) in band storage."""
+    """Counts the LU factorizations made through bdf, one entry per matrix,
+    those of a stacked call included, by the shape of the matrix: (d, d)
+    dense, (2 kl + ku + 1, d) in band storage."""
     calls = []
     factor = bdf.lu_factor
 
     def counting(m, band=None):
-        calls.append(m.shape)
+        calls.extend([m.shape[-2:]] * (len(m) if m.ndim == 3 else 1))
         return factor(m, band)
 
     # every binding of the one factor function: bdf's and the sweep's import
@@ -353,30 +343,38 @@ class TestFactorReuse:
         np.testing.assert_array_equal(adj.lambdas, lambdas)
         np.testing.assert_array_equal(adj.gradient, gradient)
 
-    def test_reuse_needs_bit_equal_jacobians(self, lu_factor_calls):
-        """A problem that returns a fresh copy of f_y keeps the factors of
-        each run of equal steps; one whose copies differ in the sign of a
-        zero entry at every call is refactored at every step.  Both give the
-        multipliers of fresh solves."""
+    def test_reuse_needs_bit_equal_jacobians(self, lu_factor_calls, monkeypatch):
+        """A problem that returns fresh copies of f_y, a (d, d, m) stack or
+        one (d, d, 1) copy per call, keeps the factors of each run of equal
+        steps; one whose copies differ in the sign of a zero entry from each
+        step to the next is refactored at every step.  All give the
+        multipliers of fresh solves, with the same count of factorizations
+        in blocks of one state, of three and of the default size."""
         problem = dataclasses.replace(_heat(8), band=None)
         tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
         a = problem.jacobian(0.0, None)
-        calls = itertools.count()
+        nodes = tape.grid.nodes
 
         def flipping(t, y):
             jac = a.copy()
-            jac[0, -1] = -0.0 if next(calls) % 2 else 0.0
+            jac[0, -1] = -0.0 if np.searchsorted(nodes, t) % 2 else 0.0
             return jac
 
-        for jacobian, factors in ((lambda t, y: a.copy(), 3),
-                                  (flipping, tape.n_steps)):
-            variant = dataclasses.replace(problem, jacobian=jacobian)
-            lu_factor_calls.clear()
-            adj = adjoint_sweep(variant, tape)
-            assert lu_factor_calls == [(8, 8)] * factors
-            lambdas, gradient = _solve_every_step(problem, tape)
-            np.testing.assert_array_equal(adj.lambdas, lambdas)
-            np.testing.assert_array_equal(adj.gradient, gradient)
+        def one_copy(t, y):
+            return a[:, :, None].copy() if np.ndim(y) == 2 else a.copy()
+
+        for block in (1, 3 * 64, adjoint_module.JACOBIAN_BLOCK):
+            monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", block)
+            for jacobian, factors in ((_per_state(lambda t, y: a.copy()), 3),
+                                      (one_copy, 3),
+                                      (_per_state(flipping), tape.n_steps)):
+                variant = dataclasses.replace(problem, jacobian=jacobian)
+                lu_factor_calls.clear()
+                adj = adjoint_sweep(variant, tape)
+                assert lu_factor_calls == [(8, 8)] * factors
+                lambdas, gradient = _solve_every_step(problem, tape)
+                np.testing.assert_array_equal(adj.lambdas, lambdas)
+                np.testing.assert_array_equal(adj.gradient, gradient)
 
     def test_replay_linearizes_at_the_recorded_states(self):
         """Each step of a perturbed replay evaluates f_y first at
@@ -408,8 +406,8 @@ class TestFactorReuse:
                                              y_s=[1.0, 1.0], t_s=0.0, t_f=t_f)
             tape = integrate_nonadaptive(problem, 1, h)
             # a diagonal 2 x 2 a states the band (0, 0), which this f_y breaks
-            singular = dataclasses.replace(problem, jacobian=lambda t, y: jac.copy(),
-                                           band=None)
+            singular = dataclasses.replace(
+                problem, jacobian=_per_state(lambda t, y: jac.copy()), band=None)
             lu_factor_calls.clear()
             with pytest.raises(SolverError,
                                match="singular or non-finite adjoint matrix"):
@@ -469,7 +467,7 @@ class TestBandRoute:
         if kind == "nan":
             mat[5, 5] = np.nan
         jac = (np.eye(8) - mat) / h
-        bad = dataclasses.replace(problem, jacobian=lambda t, y: jac)
+        bad = dataclasses.replace(problem, jacobian=_per_state(lambda t, y: jac))
         assert bad.band == (1, 1)
         if route == "newton":
             with pytest.raises(SolverError):
@@ -477,8 +475,105 @@ class TestBandRoute:
             return
         tape = integrate_nonadaptive(problem, 1, h)
         assert tape.newton_iterations.min() > 0
-        with pytest.raises(SolverError, match="singular or non-finite"):
-            if route == "replay":
+        if route == "replay":
+            with pytest.raises(SolverError, match="singular or non-finite"):
                 replay_integration(bad, tape)
-            else:
+        else:   # every step is bad: the sweep names its first, the last step
+            with pytest.raises(SolverError, match=re.escape(
+                    f"singular or non-finite adjoint matrix at t={tape.grid.nodes[-1]}")):
                 adjoint_sweep(bad, tape)
+
+
+def _block_case(case):
+    """(problem, tape) of a block-size case: catenary k = 1..6 on h = 1/8,
+    adaptive catenary at rtol 1e-6, d = 50 heat with k = 2 on the band or
+    the dense route."""
+    if case.startswith("heat"):
+        problem = _heat() if case == "heat-band" else dataclasses.replace(_heat(), band=None)
+        return problem, integrate_nonadaptive(problem, 2, 1.0 / 16)
+    if case == "catenary-adaptive":
+        return CATENARY, integrate_adaptive(CATENARY, 1e-6)
+    return CATENARY, integrate_nonadaptive(CATENARY, int(case[-1]), 0.125)
+
+
+class TestBlocks:
+    """The sweep walks the tape backward in blocks of at most JACOBIAN_BLOCK
+    Jacobian entries, one stacked jacobian call each; the multipliers and
+    the gradient do not depend on the block size."""
+
+    @pytest.mark.parametrize("case", [f"catenary-k{k}" for k in range(1, 7)]
+                             + ["catenary-adaptive", "heat-band", "heat-dense"])
+    def test_block_size_independent(self, case, monkeypatch):
+        """Blocks of one state (JACOBIAN_BLOCK below d^2), of three and of
+        the default size give lambda and the gradient bit for bit, and every
+        stacked call asks for at most max(1, JACOBIAN_BLOCK // d^2) states,
+        all N of them once."""
+        problem, tape = _block_case(case)
+        d = problem.dimension
+        runs = []
+        for block in (1, 3 * d * d + 1, adjoint_module.JACOBIAN_BLOCK):
+            sizes = []
+
+            def recording(t, y, jacobian=problem.jacobian):
+                assert np.ndim(y) == 2   # the sweep makes stacked calls only
+                sizes.append(np.shape(y)[1])
+                return jacobian(t, y)
+
+            monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", block)
+            runs.append(adjoint_sweep(dataclasses.replace(problem, jacobian=recording), tape))
+            assert max(sizes) <= max(1, block // (d * d))
+            assert sum(sizes) == tape.n_steps
+        assert len(sizes) == 1   # the default block holds every state of these tapes
+        for adj in runs[:-1]:
+            assert adj.lambdas.tobytes() == runs[-1].lambdas.tobytes()
+            assert adj.gradient.tobytes() == runs[-1].gradient.tobytes()
+
+    def test_same_read_only_jacobian_is_not_compared(self, monkeypatch):
+        """heat returns its read-only f_y as the same (1, d, d) memory at
+        every call: with one state per block, no block after the first
+        reads it to compare, and the factors of each run are kept."""
+        problem = _heat()
+        tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
+        expected = adjoint_sweep(problem, tape)
+        compared = []
+        array_equal = np.array_equal
+
+        def recording(*args, **kwargs):
+            compared.append(args)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", recording)
+        monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", 1)
+        adj = adjoint_sweep(problem, tape)
+        assert compared == []
+        assert adj.lambdas.tobytes() == expected.lambdas.tobytes()
+
+    @pytest.mark.parametrize("states", [1, 3, None])
+    def test_first_failing_step_in_sweep_order_is_named(self, states, monkeypatch):
+        """BDF1 on eight steps, the step matrices at t_4 and t_6 singular and
+        the rest regular: whatever the blocks (one state, three, all), the
+        sweep refuses the tape at the higher t, t_6, before it solves."""
+        h = 0.125
+        problem, _ = linear_test_problem(a=[[-1.0, 0.0], [0.0, -1.0]],
+                                         y_s=[1.0, 1.0], t_s=0.0, t_f=1.0)
+        tape = integrate_nonadaptive(problem, 1, h)
+        nodes = tape.grid.nodes
+        regular = problem.jacobian(0.0, None)
+        singular = np.array([[0.0, -1.0], [-1.0, 0.0]]) / h   # I - h f_y^T = [[1, 1], [1, 1]]
+
+        def jacobian(t, y):
+            return singular.copy() if t in (nodes[4], nodes[6]) else regular.copy()
+
+        # a diagonal 2 x 2 a states the band (0, 0), which this f_y breaks
+        bad = dataclasses.replace(problem, jacobian=_per_state(jacobian), band=None)
+        if states is not None:
+            monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", states * 4)
+        solves = []
+        monkeypatch.setattr(adjoint_module, "lu_solve",
+                            lambda factors, b, solve=bdf.lu_solve: solves.append(b) or
+                            solve(factors, b))
+        with pytest.raises(SolverError, match=re.escape(
+                f"singular or non-finite adjoint matrix at t={nodes[6]}")):
+            adjoint_sweep(bad, tape)
+        # the blocks above the one holding t_6 were solved, that one not
+        assert len(solves) == (0 if states is None else (8 - 6) // states * states)

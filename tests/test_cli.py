@@ -263,16 +263,23 @@ class TestIntegrate:
         assert main(["--help"]) == 0
 
 
-def _fresh_python(code, *args):
-    """stdout of code run by a fresh interpreter with this checkout's src
-    first on its path and args as sys.argv[1:]; a run that hangs fails the
-    test after a minute."""
+def _fresh_process(*argv):
+    """The completed run of a fresh interpreter with the arguments argv and
+    this checkout's src first on its path; a run that hangs fails the test
+    after a minute."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True,
-                          timeout=60).stdout
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _fresh_python(code, *args):
+    """stdout of code run by a fresh interpreter (see _fresh_process), with
+    args as sys.argv[1:]; it must exit 0."""
+    run = _fresh_process("-c", code, *args)
+    run.check_returncode()
+    return run.stdout
 
 
 # Runs the CLI argv lists of the JSON sys.argv[1] in turn, each to exit 0,
@@ -578,6 +585,28 @@ class TestAdjointCommand:
         assert err.startswith("error: cannot rebuild tape problem:")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["adjoint", "verify"])
+    def test_overflowing_catenary_start_is_one_error_line(self, tmp_path, stage):
+        """A catenary tape whose A is 1e300, where cosh(A) and sinh(A)
+        overflow: the non-finite initial state is refused with exit 1 and one
+        line on stderr, no RuntimeWarning before it.  In a fresh interpreter,
+        so that warnings print as they do for a shell user."""
+        rc, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert rc == 0 and main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        doc = json.loads(tape.read_text())
+        doc["problem"]["params"]["A"] = 1e300
+        tape.write_text(json.dumps(doc))
+        _rebind(adj, tape)
+        out = tmp_path / "out.json"
+        args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
+                ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
+        run = _fresh_process("-m", "bdfadjoint.cli", *args, "--out", str(out))
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: cannot rebuild tape problem:")
+        assert run.stderr.count("\n") == 1 and "initial_state must be finite" in run.stderr
+        assert run.stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("nan", [False, True], ids=["plain", "nan-token"])
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])

@@ -224,9 +224,8 @@ class TestNonFiniteJacobian:
     @pytest.mark.parametrize("stage", ["newton", "nonadaptive", "adaptive",
                                        "sweep"])
     def test_solver_failure(self, stage):
-        problem = dataclasses.replace(
-            CATENARY, jacobian=lambda t, y: (CATENARY.jacobian(t, y) if t <= 1.0
-                                             else np.full((2, 2), np.nan)))
+        problem = dataclasses.replace(   # also for stacked states (t of shape (m,))
+            CATENARY, jacobian=lambda t, y: np.where(t <= 1.0, CATENARY.jacobian(t, y), np.nan))
         y = CATENARY.initial_state
         runs = {
             "newton": lambda: _step(

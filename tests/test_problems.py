@@ -270,15 +270,15 @@ class TestStackedContract:
 
     def test_catenary_stacked_bit_equal(self):
         problem, _ = get_problem("catenary")
-        rng = np.random.default_rng(4)
-        ys = rng.standard_normal((2, 9)) * 10.0 ** rng.integers(-3, 4, (1, 9))
-        t = np.linspace(0.0, 2.0, 9)
-        f, jac = problem.rhs(t, ys), problem.jacobian(t, ys)
-        assert f.shape == (2, 9) and jac.shape == (2, 2, 9)
-        for i in range(9):
-            np.testing.assert_array_equal(f[:, i], problem.rhs(t[i], ys[:, i]))
-            np.testing.assert_array_equal(jac[..., i], problem.jacobian(t[i], ys[:, i]))
-        assert problem.jacobian(0.0, ys[:, 0]).shape == (2, 2)
+        _assert_stacked_bit_equal(problem, 2.0)
+        assert problem.jacobian(0.0, np.zeros(2)).shape == (2, 2)
+
+    def test_robertson_stacked_bit_equal(self, robertson):
+        """The test problem behind the replay's finite-difference checks: its
+        per-state f_y, which the replay factors, is the stacked f_y the
+        adjoint sweep factors, bit for bit."""
+        _assert_stacked_bit_equal(robertson, 0.4)
+        assert robertson.jacobian(0.0, np.zeros(3)).shape == (3, 3)
 
     @pytest.mark.parametrize("d", [1, 3, 40])
     def test_linear_stacked_within_rounding(self, d):
@@ -320,6 +320,20 @@ class TestStackedContract:
         jac = heat.stacked_jacobian(t, ys)   # a's own view, contiguous, not copied
         assert jac.shape == (1, 2, 2) and jac.flags.c_contiguous
         assert np.shares_memory(jac, heat.jacobian(t[0], ys[0]))
+
+
+def _assert_stacked_bit_equal(problem, t_f):
+    """rhs and jacobian of nine stacked states, entries of magnitudes 1e-3
+    to 1e3, equal those of one state at a time, bit for bit."""
+    d = problem.dimension
+    rng = np.random.default_rng(4)
+    ys = rng.standard_normal((d, 9)) * 10.0 ** rng.integers(-3, 4, (1, 9))
+    t = np.linspace(0.0, t_f, 9)
+    f, jac = problem.rhs(t, ys), problem.jacobian(t, ys)
+    assert f.shape == (d, 9) and jac.shape == (d, d, 9)
+    for i in range(9):
+        assert f[:, i].tobytes() == problem.rhs(t[i], ys[:, i]).tobytes()
+        assert jac[..., i].tobytes() == problem.jacobian(t[i], ys[:, i]).tobytes()
 
 
 def _single_state_problems():
