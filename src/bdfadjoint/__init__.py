@@ -9,8 +9,8 @@ adjoint in a weak (dual, Riemann--Stieltjes) sense.
 
 from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
                       assemble_weak_adjoint, gradient_wrt_initial)
-from .analysis import (ConvergenceTable, KktResidualReport, coefficient_defects,
-                       dual_norm_bound, fit_order, pointwise_error, verify_kkt)
+from .analysis import (Check, ConvergenceTable, coefficient_defects, dual_norm_bound,
+                       fit_order, pointwise_error, verify_kkt)
 from .bdf import (IntegrationTape, SolverError, TimeGrid, compute_coefficients,
                   dense_eval, integrate_adaptive, integrate_nonadaptive,
                   replay_integration, tape_residuals)
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticReference",
+    "Check",
     "ConvergenceTable",
     "DiscreteAdjoints",
     "IntegrationTape",
-    "KktResidualReport",
     "OdeProblem",
     "SolverError",
     "TimeGrid",

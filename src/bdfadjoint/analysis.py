@@ -20,9 +20,10 @@ from .bdf import (EPS, JACOBIAN_BLOCK, IntegrationTape, band_product, coefficien
 
 __all__ = [
     "COEFFICIENT_TOL",
-    "KktResidualReport",
+    "Check",
     "ConvergenceTable",
     "coefficient_defects",
+    "criterion_defect",
     "jacobian_defects",
     "verify_kkt",
     "pointwise_error",
@@ -31,59 +32,30 @@ __all__ = [
 ]
 
 COEFFICIENT_TOL = 1e-12
-JACOBIAN_TOL = 1e-6        # scaled defect of f_y v against central differences of f
+JACOBIAN_TOL = 1e-6        # scaled defect of f_y v, and of J'.v, against central differences
 JACOBIAN_SAMPLES = 8       # tape states at which f_y is checked, evenly spaced
 
 
 @dataclass(frozen=True)
-class KktResidualReport:
-    """Residuals of the discretized optimality system evaluated at (Y, lambda, l),
-    each worst one located by the step n of its row and that step's time t_n.
-    Step n (1..N) produces y_n; adjoint step 0 is the y_0 (gradient) row.
-    coefficient_defect is the worst scaled invariant defect of the grid's
-    coefficients (see :func:`coefficient_defects`), held to COEFFICIENT_TOL;
-    jacobian_defect the worst scaled defect of f_y against differences of f
-    at sampled states (see :func:`jacobian_defects`), held to JACOBIAN_TOL."""
+class Check:
+    """One verification check: its value, the threshold it is held to, and
+    its worst row, located by the step n (1..N) that produces y_n, or 0 for
+    the y_0 row, and that step's time t."""
 
-    nominal_residual: float
-    adjoint_residual: float
-    initial_residual: float
-    coefficient_defect: float
-    nominal_threshold: float
-    adjoint_threshold: float
-    initial_threshold: float
-    nominal_worst_step: int
-    nominal_worst_time: float
-    adjoint_worst_step: int
-    adjoint_worst_time: float
-    jacobian_defect: float
-    jacobian_worst_step: int
-    jacobian_worst_time: float
+    name: str
+    value: float
+    threshold: float
+    step: int
+    t: float
 
     def __post_init__(self):
-        for name, step in (("nominal_residual", self.nominal_worst_step),
-                           ("adjoint_residual", self.adjoint_worst_step),
-                           ("initial_residual", 0),
-                           ("jacobian_defect", self.jacobian_worst_step)):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and "
-                                 f"non-negative, got {v} at step {step}")
-
-    @property
-    def checks(self) -> dict:
-        """Outcome of each check, in the order they are reported."""
-        return {
-            "nominal": self.nominal_residual <= self.nominal_threshold,
-            "adjoint": self.adjoint_residual <= self.adjoint_threshold,
-            "initial": self.initial_residual <= self.initial_threshold,
-            "coefficients": self.coefficient_defect <= COEFFICIENT_TOL,
-            "jacobian": self.jacobian_defect <= JACOBIAN_TOL,
-        }
+        if not (np.isfinite(self.value) and self.value >= 0.0):
+            raise ValueError(f"{self.name} must be finite and non-negative, "
+                             f"got {self.value} at step {self.step}")
 
     @property
     def passed(self) -> bool:
-        return all(self.checks.values())
+        return self.value <= self.threshold
 
 
 def _worst_row(rows):
@@ -93,8 +65,9 @@ def _worst_row(rows):
     return i, float(row_max[i])
 
 
-def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> KktResidualReport:
-    """Evaluate the optimality-system residuals at the recorded data.
+def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tuple:
+    """The optimality-system checks at the recorded data, as a tuple of
+    :class:`Check` records; the data pass when every record does.
 
     With the coefficient band (A, c) of :func:`coefficient_band` and the
     row-major states Y and multipliers L (both N x d), the Kronecker
@@ -106,10 +79,12 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
     per-step products f_y^T lambda, formed from one stacked jacobian call
     and one stacked product per block of at most JACOBIAN_BLOCK Jacobian
     entries, so no N d^2 array is built.  initial_residual compares y_0 with
-    the problem's initial state, to 1e-12 (1 + max|y_0|).  jacobian_defect
-    checks f_y itself, which no residual can see (the adjoint and this check
-    share it), at JACOBIAN_SAMPLES states.  A problem whose rhs or jacobian
-    does not take stacked states is refused with a ValueError.
+    the problem's initial state, to 1e-12 (1 + max|y_0|).  coefficient_defect
+    is held to COEFFICIENT_TOL.  jacobian_defect checks f_y, which no residual
+    can see (the adjoint and this check share it), at JACOBIAN_SAMPLES states,
+    and criterion_defect J' at y_N, both held to JACOBIAN_TOL.  A value that
+    is not finite, or a problem whose rhs or jacobian does not take stacked
+    states, is refused with a ValueError.
     """
     n = tape.n_steps
     d = tape.dimension
@@ -135,26 +110,22 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> Kk
     grad_row = adjoints.gradient - gradient_wrt_initial(tape, lam)
     adjoint_step, adjoint_res = _worst_row(np.vstack([grad_row, adj_rows]))
 
+    coefficients = coefficient_defects(*stencil_table(tape))
+    coefficient_row = int(np.argmax(coefficients))
     samples = np.unique(np.linspace(1, n, min(n, JACOBIAN_SAMPLES)).astype(int))
     defects = jacobian_defects(problem, nodes[samples], tape.states[samples])
     jacobian_row = int(np.argmax(defects))   # a NaN wins
 
-    return KktResidualReport(
-        nominal_residual=nominal,
-        adjoint_residual=adjoint_res,
-        initial_residual=float(np.max(np.abs(tape.states[0] - problem.initial_state))),
-        coefficient_defect=float(np.max(coefficient_defects(*stencil_table(tape)))),
-        nominal_threshold=10.0 * float(np.max(tape.newton_tolerances)),
-        adjoint_threshold=1e-9 * (1.0 + float(np.max(np.abs(lam)))),
-        initial_threshold=1e-12 * (1.0 + float(np.max(np.abs(tape.states[0])))),
-        nominal_worst_step=nominal_row + 1,
-        nominal_worst_time=float(nodes[nominal_row + 1]),
-        adjoint_worst_step=adjoint_step,
-        adjoint_worst_time=float(nodes[adjoint_step]),
-        jacobian_defect=float(defects[jacobian_row]),
-        jacobian_worst_step=int(samples[jacobian_row]),
-        jacobian_worst_time=float(nodes[samples[jacobian_row]]),
-    )
+    return tuple(Check(name, float(value), float(threshold), int(step), float(nodes[step]))
+                 for name, value, threshold, step in (
+        ("nominal_residual", nominal, 10.0 * np.max(tape.newton_tolerances), nominal_row + 1),
+        ("adjoint_residual", adjoint_res, 1e-9 * (1.0 + np.max(np.abs(lam))), adjoint_step),
+        ("initial_residual", np.max(np.abs(tape.states[0] - problem.initial_state)),
+         1e-12 * (1.0 + np.max(np.abs(tape.states[0]))), 0),
+        ("coefficient_defect", coefficients[coefficient_row], COEFFICIENT_TOL,
+         coefficient_row + 1),
+        ("jacobian_defect", defects[jacobian_row], JACOBIAN_TOL, samples[jacobian_row]),
+        ("criterion_defect", criterion_defect(problem, tape.states[n]), JACOBIAN_TOL, n)))
 
 
 def jacobian_defects(problem, t, ys) -> np.ndarray:
@@ -168,17 +139,30 @@ def jacobian_defects(problem, t, ys) -> np.ndarray:
     f_y v, and the max-norm of the difference quotient; it is 0 where both
     vanish.  A Jacobian off by a factor c has defect about |1 - c| / max(1, c).
     """
-    v = np.cos(np.arange(1.0, ys.shape[1] + 1.0))
+    return _difference_defects(lambda y: problem.stacked_rhs(t, y), ys,
+                               problem.stacked_jacobian(t, ys))
+
+
+def criterion_defect(problem, y) -> float:
+    """Scaled defect of J'(y) v against the central difference
+    (J(y + eps v) - J(y - eps v)) / (2 eps), by the rule of
+    :func:`jacobian_defects` with J' as a 1 x d Jacobian."""
+    return float(_difference_defects(problem.criterion, y,
+                                     problem.criterion_gradient(y)[None]))
+
+
+def _difference_defects(func, ys, derivative):
+    """The defects of :func:`jacobian_defects` for the function func of the
+    rows ys (..., d) and its derivative, matrices (..., r, d) that broadcast
+    over the rows; one defect per row."""
+    v = np.cos(np.arange(1.0, ys.shape[-1] + 1.0))
     v /= np.sqrt(v.dot(v))
-    eps = EPS ** (1.0 / 3.0) * np.maximum(1.0, np.max(np.abs(ys), axis=1))
-    step = eps[:, None] * v
-    quotient = (problem.stacked_rhs(t, ys + step) - problem.stacked_rhs(t, ys - step)) \
-        / (2.0 * eps[:, None])
-    jac = problem.stacked_jacobian(t, ys)
-    scale = np.maximum(np.max(np.matmul(np.abs(jac), np.abs(v)), axis=1),
-                       np.max(np.abs(quotient), axis=1))
+    eps = EPS ** (1.0 / 3.0) * np.maximum(1.0, np.max(np.abs(ys), axis=-1, keepdims=True))
+    quotient = (func(ys + eps * v) - func(ys - eps * v)) / (2.0 * eps)
+    scale = np.maximum(np.max(np.matmul(np.abs(derivative), np.abs(v)), axis=-1),
+                       np.max(np.abs(quotient), axis=-1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        defect = np.max(np.abs(quotient - np.matmul(jac, v)), axis=1) / scale
+        defect = np.max(np.abs(quotient - np.matmul(derivative, v)), axis=-1) / scale
     return np.where(scale == 0.0, 0.0, defect)
 
 

@@ -22,13 +22,13 @@ import numpy as np
 import orjson
 
 from .adjoint import DiscreteAdjoints
-from .analysis import (COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable,
-                       KktResidualReport)
+from .analysis import ConvergenceTable
 from .bdf import IntegrationTape, TimeGrid
 
 __all__ = [
     "FORMAT_VERSION",
     "ADJOINT_VERSION",
+    "KKT_VERSION",
     "save_tape",
     "load_tape",
     "tape_sha256",
@@ -39,8 +39,9 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FORMAT_VERSION = 1    # tapes and KKT reports
+FORMAT_VERSION = 1    # tapes
 ADJOINT_VERSION = 2   # adjoint documents, bound to their tape by its digest
+KKT_VERSION = 2       # KKT reports, one record per check
 TAPE_FORMAT = "bdf-tape"
 ADJOINT_FORMAT = "bdf-adjoint"
 KKT_FORMAT = "bdf-kkt"
@@ -195,36 +196,20 @@ def write_adjoint_csv(tape, adjoints, weak, path) -> None:
         fh.writelines([memoryview(body)[2:-2], b"\r\n"])
 
 
-def kkt_report_to_dict(report: KktResidualReport) -> dict:
+def kkt_report_to_dict(checks) -> dict:
     return {
         "format": KKT_FORMAT,
-        "version": FORMAT_VERSION,
-        "nominal_residual": report.nominal_residual,
-        "adjoint_residual": report.adjoint_residual,
-        "initial_residual": report.initial_residual,
-        "coefficient_defect": report.coefficient_defect,
-        "jacobian_defect": report.jacobian_defect,
-        "thresholds": {
-            "nominal": report.nominal_threshold,
-            "adjoint": report.adjoint_threshold,
-            "initial": report.initial_threshold,
-            "coefficient": COEFFICIENT_TOL,
-            "jacobian": JACOBIAN_TOL,
-        },
-        "worst": {
-            "nominal": {"step": report.nominal_worst_step,
-                        "t": report.nominal_worst_time},
-            "adjoint": {"step": report.adjoint_worst_step,
-                        "t": report.adjoint_worst_time},
-            "jacobian": {"step": report.jacobian_worst_step,
-                         "t": report.jacobian_worst_time},
-        },
-        "passed": report.passed,
+        "version": KKT_VERSION,
+        "checks": {check.name: {"value": check.value, "threshold": check.threshold,
+                                "passed": check.passed,
+                                "worst": {"step": check.step, "t": check.t}}
+                   for check in checks},
+        "passed": all(check.passed for check in checks),
     }
 
 
-def save_kkt_report(report: KktResidualReport, path) -> None:
-    _dump(kkt_report_to_dict(report), path)
+def save_kkt_report(checks, path) -> None:
+    _dump(kkt_report_to_dict(checks), path)
 
 
 def write_convergence_csv(table: ConvergenceTable, path) -> None:

@@ -8,7 +8,8 @@ with a dense np.kron assembly of the same system; the band products are
 bit-equal to a scipy.sparse CSR band.  The coefficient-invariant check
 must flag a 1e-10 relative change to any alpha.  fit_order is checked on
 synthetic data with known slope; dual_norm_bound on a hand-computable
-constant-multiplier case.
+constant-multiplier case.  verify_kkt returns one Check record per check,
+looked up here by name.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import pytest
 from scipy import sparse
 
 from bdfadjoint import (AnalyticReference, ConvergenceTable,
-                        DiscreteAdjoints, IntegrationTape, KktResidualReport,
+                        Check, DiscreteAdjoints, IntegrationTape,
                         TimeGrid, WeakAdjoint, adjoint_sweep,
                         assemble_weak_adjoint, dual_norm_bound, fit_order, get_problem,
                         integrate_adaptive, integrate_nonadaptive, linear_test_problem,
@@ -30,6 +31,12 @@ from bdfadjoint.bdf import (MAX_ORDER, band_product, coefficient_band,
                             stencil_table)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
+
+
+def _checks(problem, tape, adjoints):
+    """verify_kkt's records by name, and its verdict."""
+    records = verify_kkt(problem, tape, adjoints)
+    return {c.name: c for c in records}, all(c.passed for c in records)
 
 
 def _tape_and_adjoints(h=0.125):
@@ -187,56 +194,55 @@ class TestBandProduct:
 class TestVerifyKkt:
     def test_passes_on_consistent_run(self):
         tape, adj = _tape_and_adjoints()
-        report = verify_kkt(CATENARY, tape, adj)
-        assert report.passed
-        assert report.nominal_residual <= report.nominal_threshold
-        assert report.adjoint_residual <= report.adjoint_threshold
-        assert report.initial_residual == 0.0
+        checks, passed = _checks(CATENARY, tape, adj)
+        assert passed
+        assert checks["nominal_residual"].passed
+        assert checks["adjoint_residual"].passed
+        assert checks["initial_residual"].value == 0.0
 
     def test_passes_on_adaptive_run(self):
         tape = integrate_adaptive(CATENARY, 1e-6)
-        report = verify_kkt(CATENARY, tape, adjoint_sweep(CATENARY, tape))
-        assert report.passed
+        assert _checks(CATENARY, tape, adjoint_sweep(CATENARY, tape))[1]
 
     def test_detects_corrupted_multiplier(self):
         tape, adj = _tape_and_adjoints()
         bad = adj.lambdas.copy()
         bad[5, 1] += 1e-3      # multiplier of step 6, stencil t_{6-k}..t_6
-        report = verify_kkt(CATENARY, tape, DiscreteAdjoints(
+        checks, passed = _checks(CATENARY, tape, DiscreteAdjoints(
             lambdas=bad, gradient=adj.gradient))
-        assert report.adjoint_residual > report.adjoint_threshold
-        assert not report.passed
-        assert 6 - tape.grid.orders[5] <= report.adjoint_worst_step <= 6
-        assert report.adjoint_worst_time == tape.grid.nodes[report.adjoint_worst_step]
+        adjoint = checks["adjoint_residual"]
+        assert adjoint.value > adjoint.threshold
+        assert not passed
+        assert 6 - tape.grid.orders[5] <= adjoint.step <= 6
+        assert adjoint.t == tape.grid.nodes[adjoint.step]
 
     def test_detects_corrupted_gradient(self):
         tape, adj = _tape_and_adjoints()
-        report = verify_kkt(CATENARY, tape, DiscreteAdjoints(
-            lambdas=adj.lambdas, gradient=adj.gradient + 1e-4))
-        assert not report.passed
+        assert not _checks(CATENARY, tape, DiscreteAdjoints(
+            lambdas=adj.lambdas, gradient=adj.gradient + 1e-4))[1]
 
     def test_detects_corrupted_state(self):
         tape, adj = _tape_and_adjoints()
         states = tape.states.copy()
         states[7] += 1e-5
         bad_tape = dataclasses.replace(tape, states=states)
-        report = verify_kkt(CATENARY, bad_tape, adj)
-        assert report.nominal_residual > report.nominal_threshold
+        nominal = _checks(CATENARY, bad_tape, adj)[0]["nominal_residual"]
+        assert nominal.value > nominal.threshold
         # y_7 enters the steps n whose stencil t_{n-k}..t_n holds t_7
         steps = [n for n in range(1, tape.n_steps + 1)
                  if n - tape.grid.orders[n - 1] <= 7 <= n]
-        assert report.nominal_worst_step in steps
-        assert report.nominal_worst_time == tape.grid.nodes[report.nominal_worst_step]
+        assert nominal.step in steps
+        assert nominal.t == tape.grid.nodes[nominal.step]
 
     def test_agrees_with_dense_oracle(self):
         rng = np.random.default_rng(7)
         for tape, adj in _oracle_cases():
-            report = verify_kkt(CATENARY, tape, adj)
+            report = _checks(CATENARY, tape, adj)[0]
             nominal, adjoint = _dense_kkt_oracle(CATENARY, tape, adj)
             # residuals at rounding level: agree to the rounding of O(10) terms
-            assert report.nominal_residual == pytest.approx(
+            assert report["nominal_residual"].value == pytest.approx(
                 np.max(np.abs(nominal)), abs=1e-13)
-            assert report.adjoint_residual == pytest.approx(
+            assert report["adjoint_residual"].value == pytest.approx(
                 np.max(np.abs(adjoint)), abs=1e-13)
             # perturbed everywhere, every row is large and the maxima and
             # their steps must match
@@ -245,14 +251,14 @@ class TestVerifyKkt:
             bad_adj = DiscreteAdjoints(
                 lambdas=adj.lambdas + 1e-5 * rng.standard_normal(adj.lambdas.shape),
                 gradient=adj.gradient)
-            report = verify_kkt(CATENARY, bad_tape, bad_adj)
+            report = _checks(CATENARY, bad_tape, bad_adj)[0]
             nominal, adjoint = _dense_kkt_oracle(CATENARY, bad_tape, bad_adj)
             nom_rows = np.max(np.abs(nominal), axis=1)
             adj_rows = np.max(np.abs(adjoint), axis=1)
-            assert report.nominal_residual == pytest.approx(nom_rows.max(), rel=1e-8)
-            assert report.adjoint_residual == pytest.approx(adj_rows.max(), rel=1e-8)
-            assert report.nominal_worst_step == np.argmax(nom_rows) + 1
-            assert report.adjoint_worst_step == np.argmax(adj_rows)
+            assert report["nominal_residual"].value == pytest.approx(nom_rows.max(), rel=1e-8)
+            assert report["adjoint_residual"].value == pytest.approx(adj_rows.max(), rel=1e-8)
+            assert report["nominal_residual"].step == np.argmax(nom_rows) + 1
+            assert report["adjoint_residual"].step == np.argmax(adj_rows)
 
     def test_wrong_jacobian_fails_the_jacobian_check(self):
         """A run whose integration, sweep and check all use 0.8 f_y on the
@@ -275,14 +281,39 @@ class TestVerifyKkt:
                 problem, jacobian=lambda t, y, f=problem.jacobian, c=factor: c * f(t, y))
             for used in (problem, wrong):
                 tape = run(used)
-                report = verify_kkt(used, tape, adjoint_sweep(used, tape))
-                failed = [k for k, ok in report.checks.items() if not ok]
+                checks = _checks(used, tape, adjoint_sweep(used, tape))[0]
+                failed = [name for name, c in checks.items() if not c.passed]
+                jacobian = checks["jacobian_defect"]
                 if used is problem:
-                    assert failed == [] and report.jacobian_defect <= 1e-3 * JACOBIAN_TOL
+                    assert failed == [] and jacobian.value <= 1e-3 * JACOBIAN_TOL
                 else:
-                    assert failed == ["jacobian"]
-                    assert report.jacobian_defect > 1e4 * JACOBIAN_TOL
-                assert report.jacobian_worst_time == tape.grid.nodes[report.jacobian_worst_step]
+                    assert failed == ["jacobian_defect"]
+                    assert jacobian.value > 1e4 * JACOBIAN_TOL
+                assert jacobian.t == tape.grid.nodes[jacobian.step]
+
+    def test_wrong_criterion_gradient_fails_the_criterion_check(self):
+        """A run whose sweep and check both use 0.9 J' has KKT residuals at
+        rounding level on the catenary (k = 1 and 2) and on a 3 x 3 linear
+        problem; only the check of J' against differences of J refuses it,
+        at step N."""
+        linear, _ = linear_test_problem([[-1.0, 0.5, 0.25], [0.3, -2.0, 0.7],
+                                         [0.1, 0.9, -3.0]], [1.0, -0.5, 2.0], 0.0, 1.0)
+        for problem, k in ((CATENARY, 1), (CATENARY, 2), (linear, 2)):
+            tape = integrate_nonadaptive(problem, k, 2.0 ** -6)
+            gradient = problem.criterion_gradient
+            wrong = dataclasses.replace(problem, criterion_gradient=lambda y, g=gradient:
+                                        0.9 * g(y))
+            for used in (problem, wrong):
+                checks = _checks(used, tape, adjoint_sweep(used, tape))[0]
+                failed = [name for name, c in checks.items() if not c.passed]
+                criterion = checks["criterion_defect"]
+                assert (criterion.step, criterion.t) == (tape.n_steps, tape.grid.nodes[-1])
+                assert criterion.threshold == JACOBIAN_TOL
+                if used is problem:
+                    assert failed == [] and criterion.value <= 1e-3 * JACOBIAN_TOL
+                else:
+                    assert failed == ["criterion_defect"]
+                    assert criterion.value == pytest.approx(0.1, rel=1e-6)
 
     def test_jacobian_check_samples_are_deterministic(self):
         """At most JACOBIAN_SAMPLES evenly spaced states y_1..y_N, the first
@@ -299,12 +330,12 @@ class TestVerifyKkt:
         checked = seen[-1]   # the check's call comes after the adjoint products
         assert len(checked) == analysis.JACOBIAN_SAMPLES
         assert checked[0] == tape.grid.nodes[1] and checked[-1] == tape.grid.nodes[-1]
-        assert report.jacobian_worst_time in checked
+        assert {c.name: c for c in report}["jacobian_defect"].t in checked
         assert report == verify_kkt(CATENARY, tape, adj)
         linear, _ = get_problem("linear")
         short = integrate_nonadaptive(linear, 2, 0.25)   # N = 5 < JACOBIAN_SAMPLES
-        report = verify_kkt(linear, short, adjoint_sweep(linear, short))
-        assert report.passed and 1 <= report.jacobian_worst_step <= 5
+        checks, passed = _checks(linear, short, adjoint_sweep(linear, short))
+        assert passed and 1 <= checks["jacobian_defect"].step <= 5
 
     @pytest.mark.parametrize("block", [1, 12, 2 ** 20])
     def test_jacobian_products_in_blocks(self, block, monkeypatch):
@@ -341,11 +372,11 @@ class TestVerifyKkt:
         assert tape.n_steps == 4097
         tracemalloc.start()
         try:
-            report = verify_kkt(CATENARY, tape, adj)
+            passed = _checks(CATENARY, tape, adj)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed
+        assert passed
         assert peak < 20e6
 
     def test_non_finite_residual_names_step(self):
@@ -357,27 +388,25 @@ class TestVerifyKkt:
                 lambdas=bad, gradient=adj.gradient))
 
     def test_report_validation(self):
-        fields = dict(nominal_residual=0.0, adjoint_residual=0.0,
-                      initial_residual=0.0, coefficient_defect=0.0,
-                      nominal_threshold=1.0, adjoint_threshold=1.0,
-                      initial_threshold=1.0, nominal_worst_step=1,
-                      nominal_worst_time=0.0, adjoint_worst_step=0,
-                      adjoint_worst_time=0.0, jacobian_defect=0.0,
-                      jacobian_worst_step=1, jacobian_worst_time=0.0)
-        assert KktResidualReport(**fields).passed
-        for field in ("nominal_residual", "jacobian_defect"):
-            with pytest.raises(ValueError, match=field):
-                KktResidualReport(**{**fields, field: -1.0})
-        # each check alone decides the verdict
-        for check, field, value in (("nominal", "nominal_residual", 2.0),
-                                    ("adjoint", "adjoint_residual", 2.0),
-                                    ("initial", "initial_residual", 2.0),
-                                    ("coefficients", "coefficient_defect",
-                                     2.0 * COEFFICIENT_TOL),
-                                    ("jacobian", "jacobian_defect", 2.0 * JACOBIAN_TOL)):
-            report = KktResidualReport(**{**fields, field: value})
-            assert not report.passed
-            assert [k for k, ok in report.checks.items() if not ok] == [check]
+        tape, adj = _tape_and_adjoints()
+        records = verify_kkt(CATENARY, tape, adj)
+        assert [c.name for c in records] == [
+            "nominal_residual", "adjoint_residual", "initial_residual",
+            "coefficient_defect", "jacobian_defect", "criterion_defect"]
+        assert all(isinstance(c, Check) and c.passed for c in records)
+        assert [c.threshold for c in records[3:]] == [COEFFICIENT_TOL, JACOBIAN_TOL,
+                                                      JACOBIAN_TOL]
+        for i, c in enumerate(records):
+            # a negative or NaN value is refused, with its name and step
+            for value in (-1.0, np.nan):
+                with pytest.raises(ValueError, match=f"{c.name} .* at step {c.step}$"):
+                    dataclasses.replace(c, value=value)
+            # each check alone decides the verdict
+            failing = dataclasses.replace(c, value=2.0 * c.threshold + 1e-300)
+            assert not failing.passed
+            changed = records[:i] + (failing,) + records[i + 1:]
+            assert [r.name for r in changed if not r.passed] == [c.name]
+            assert not all(r.passed for r in changed)
 
     def test_shape_mismatch_rejected(self):
         tape, adj = _tape_and_adjoints()

@@ -282,6 +282,17 @@ def _fresh_python(code, *args):
     return run.stdout
 
 
+def test_readme_library_quick_start_runs():
+    """The README's library quick start, run as written by a fresh
+    interpreter, exits 0 and prints a passing verdict."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    run = _fresh_process("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert "True" in run.stdout.splitlines()
+
+
 # Runs the CLI argv lists of the JSON sys.argv[1] in turn, each to exit 0,
 # then fails if any module of the comma-separated sys.argv[2] was imported.
 _STAGES_THEN_CHECK = """
@@ -657,16 +668,27 @@ class TestVerifyCommand:
 
     def test_consistent_pair_passes(self, tmp_path, capsys):
         tape, adj = self._chain(tmp_path)
+        capsys.readouterr()
         report = tmp_path / "kkt.json"
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(report)])
         assert rc == 0
         doc = json.loads(report.read_text())
-        assert doc["passed"] is True
-        assert doc["jacobian_defect"] <= doc["thresholds"]["jacobian"]
-        out = capsys.readouterr().out
-        assert "coefficient invariants: ok" in out
-        assert f"jacobian_defect={doc['jacobian_defect']!r} (threshold" in out
+        assert doc["passed"] is True and doc["version"] == 2
+        checks = doc["checks"]
+        names = ["nominal_residual", "adjoint_residual", "initial_residual",
+                 "coefficient_defect", "jacobian_defect", "criterion_defect"]
+        assert sorted(checks) == sorted(names)
+        assert checks["jacobian_defect"]["value"] <= checks["jacobian_defect"]["threshold"]
+        assert all(c["passed"] for c in checks.values())
+        # one line per record, in the order of the checks
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}={c['value']!r} (threshold {c['threshold']!r}) worst at step "
+            f"{c['worst']['step']}, t={c['worst']['t']!r}"
+            for name, c in ((name, checks[name]) for name in names)
+        ] + [f"report written to {report}"]
+        assert checks["coefficient_defect"]["value"] == 0.0
+        assert checks["coefficient_defect"]["threshold"] == COEFFICIENT_TOL
 
     def test_tampered_multipliers_fail(self, tmp_path, capsys):
         tape, adj = self._chain(tmp_path)
@@ -703,12 +725,19 @@ class TestVerifyCommand:
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(report)])
         assert rc == 3
-        worst = json.loads(report.read_text())["worst"]
+        checks = json.loads(report.read_text())["checks"]
+        worst = {name: c["worst"] for name, c in checks.items()}
         nodes = json.loads(tape.read_text())["nodes"]
-        assert 3 <= worst["adjoint"]["step"] <= 5
-        assert worst["adjoint"]["t"] == nodes[worst["adjoint"]["step"]]
-        assert 1 <= worst["nominal"]["step"] <= len(nodes) - 1
-        assert f"worst at step {worst['adjoint']['step']}," in capsys.readouterr().out
+        assert 3 <= worst["adjoint_residual"]["step"] <= 5
+        assert worst["adjoint_residual"]["t"] == nodes[worst["adjoint_residual"]["step"]]
+        assert 1 <= worst["nominal_residual"]["step"] <= len(nodes) - 1
+        # every record names a row: step 0 for y_0, step N for J'
+        assert worst["initial_residual"] == {"step": 0, "t": nodes[0]}
+        assert worst["criterion_defect"] == {"step": len(nodes) - 1, "t": nodes[-1]}
+        assert all(w["t"] == nodes[w["step"]] for w in worst.values())
+        assert (f"adjoint_residual={checks['adjoint_residual']['value']!r} (threshold "
+                f"{checks['adjoint_residual']['threshold']!r}) worst at step "
+                f"{worst['adjoint_residual']['step']},") in capsys.readouterr().out
 
     def test_wrong_jacobian_fails(self, tmp_path, capsys, patched_problems):
         """With f_y scaled by 0.8 in integrate, adjoint and verify alike,
@@ -726,13 +755,42 @@ class TestVerifyCommand:
         assert err == "verification failed: jacobian_defect above threshold\n"
         doc = json.loads(report.read_text())
         assert doc["passed"] is False
-        assert doc["nominal_residual"] <= doc["thresholds"]["nominal"]
-        assert doc["adjoint_residual"] <= doc["thresholds"]["adjoint"]
-        assert doc["jacobian_defect"] > doc["thresholds"]["jacobian"] == JACOBIAN_TOL
-        worst = doc["worst"]["jacobian"]
+        checks = doc["checks"]
+        assert checks["nominal_residual"]["value"] <= checks["nominal_residual"]["threshold"]
+        assert checks["adjoint_residual"]["value"] <= checks["adjoint_residual"]["threshold"]
+        jacobian = checks["jacobian_defect"]
+        assert jacobian["value"] > jacobian["threshold"] == JACOBIAN_TOL
+        assert jacobian["passed"] is False
+        worst = jacobian["worst"]
         assert worst["t"] == json.loads(tape.read_text())["nodes"][worst["step"]]
-        assert (f"jacobian_defect={doc['jacobian_defect']!r} (threshold {JACOBIAN_TOL!r}) "
+        assert (f"jacobian_defect={jacobian['value']!r} (threshold {JACOBIAN_TOL!r}) "
                 f"worst at step {worst['step']}, t={worst['t']!r}\n") in out
+
+    def test_wrong_criterion_gradient_fails(self, tmp_path, capsys, patched_problems):
+        """With J' scaled by 0.9 in adjoint and verify alike, every KKT
+        residual passes; the check of J' against differences of J refuses
+        the run with exit 3 and names step N."""
+        patched_problems(lambda problem, reference: (dataclasses.replace(
+            problem, criterion_gradient=lambda y: 0.9 * problem.criterion_gradient(y)),
+            reference))
+        tape, adj = self._chain(tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(report)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert err == "verification failed: criterion_defect above threshold\n"
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is False
+        assert [name for name, c in doc["checks"].items() if not c["passed"]] == [
+            "criterion_defect"]
+        criterion = doc["checks"]["criterion_defect"]
+        assert criterion["value"] > criterion["threshold"] == JACOBIAN_TOL
+        nodes = json.loads(tape.read_text())["nodes"]
+        assert criterion["worst"] == {"step": len(nodes) - 1, "t": nodes[-1]}
+        assert (f"criterion_defect={criterion['value']!r} (threshold {JACOBIAN_TOL!r}) "
+                f"worst at step {len(nodes) - 1}, t={nodes[-1]!r}\n") in out
 
     def test_band_narrower_than_jacobian_fails(self, tmp_path, capsys,
                                                patched_problems):
@@ -793,10 +851,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(bdf, "_coefficients", perturbed)
         defects = coefficient_defects(*bdf.stencil_table(load_tape(tape)))
         assert np.flatnonzero(defects > COEFFICIENT_TOL).tolist() == [20]
+        report = tmp_path / "kkt.json"
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
-                   "--out", str(tmp_path / "kkt.json")])
+                   "--out", str(report)])
         assert rc == 3
-        assert "coefficient invariants: VIOLATED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # row 20 of the table is step 21, the step that produces y_21
+        record = json.loads(report.read_text())["checks"]["coefficient_defect"]
+        assert record["passed"] is False
+        assert record["worst"] == {"step": 21, "t": t_21}
+        assert f"worst at step 21, t={t_21!r}\n" in out
 
     def test_inconsistent_initial_state_fails_report(self, tmp_path, capsys):
         """A tape integrated from y_0 + 1e-6 is consistent with itself, so
@@ -816,7 +880,9 @@ class TestVerifyCommand:
             "verification failed: initial_residual above threshold\n")
         doc = json.loads(report.read_text())
         assert doc["passed"] is False
-        assert doc["initial_residual"] > doc["thresholds"]["initial"]
+        initial = doc["checks"]["initial_residual"]
+        assert initial["value"] > initial["threshold"]
+        assert initial["passed"] is False and initial["worst"]["step"] == 0
 
     @pytest.mark.parametrize("value", [[], "catenary", {"name": "catenary"}])
     def test_malformed_tape_digest_refused(self, tmp_path, capsys, value):

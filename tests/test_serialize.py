@@ -33,8 +33,9 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
 from bdfadjoint.adjoint import DiscreteAdjoints
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
-from bdfadjoint.serialize import (_dump, _load_checked, tape_sha256, tape_to_dict,
-                                  write_adjoint_csv, write_convergence_csv)
+from bdfadjoint.serialize import (FORMAT_VERSION, KKT_VERSION, _dump, _load_checked,
+                                  tape_sha256, tape_to_dict, write_adjoint_csv,
+                                  write_convergence_csv)
 
 CATENARY, _ = get_problem("catenary")
 
@@ -561,15 +562,18 @@ class TestAdjointRoundTrip:
         save_kkt_report(report, path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "bdf-kkt"
-        assert doc["nominal_residual"] == report.nominal_residual
-        assert doc["thresholds"]["adjoint"] == report.adjoint_threshold
-        assert doc["thresholds"]["initial"] == report.initial_threshold
-        assert doc["thresholds"]["coefficient"] == COEFFICIENT_TOL
-        assert doc["coefficient_defect"] == report.coefficient_defect
-        assert doc["jacobian_defect"] == report.jacobian_defect
-        assert doc["thresholds"]["jacobian"] == JACOBIAN_TOL
-        assert doc["worst"]["jacobian"] == {"step": report.jacobian_worst_step,
-                                            "t": report.jacobian_worst_time}
+        # the report has its own version; tapes stay at version 1
+        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 1
+        assert set(doc) == {"format", "version", "checks", "passed"}
+        checks = {c.name: c for c in report}
+        assert list(checks) == ["nominal_residual", "adjoint_residual", "initial_residual",
+                                "coefficient_defect", "jacobian_defect", "criterion_defect"]
+        assert doc["checks"] == {
+            c.name: {"value": c.value, "threshold": c.threshold, "passed": c.passed,
+                     "worst": {"step": c.step, "t": c.t}} for c in report}
+        assert doc["checks"]["coefficient_defect"]["threshold"] == COEFFICIENT_TOL
+        assert doc["checks"]["jacobian_defect"]["threshold"] == JACOBIAN_TOL
+        assert doc["checks"]["criterion_defect"]["threshold"] == JACOBIAN_TOL
         assert doc["passed"] is True
 
 
