@@ -135,9 +135,12 @@ def jacobian_defects(problem, t, ys) -> np.ndarray:
 
     v is one fixed unit direction, cos(1), ..., cos(d) normalized, and
     eps = EPS^(1/3) max(1, max|y|).  Each defect is the max-norm of the
-    difference over the larger of max(|f_y| |v|), the rounding bound of
-    f_y v, and the max-norm of the difference quotient; it is 0 where both
-    vanish.  A Jacobian off by a factor c has defect about |1 - c| / max(1, c).
+    difference over the largest of max(|f_y| |v|), the rounding bound of
+    f_y v, the max-norm of the difference quotient, and the quotient's own
+    rounding bound EPS max|f(y +- eps v)| / eps over JACOBIAN_TOL, so that a
+    difference within that rounding (f with a large constant part) reads at
+    most JACOBIAN_TOL; it is 0 where all vanish.  A Jacobian off by a factor
+    c has defect about |1 - c| / max(1, c).
     """
     return _difference_defects(lambda y: problem.stacked_rhs(t, y), ys,
                                problem.stacked_jacobian(t, ys))
@@ -158,9 +161,12 @@ def _difference_defects(func, ys, derivative):
     v = np.cos(np.arange(1.0, ys.shape[-1] + 1.0))
     v /= np.sqrt(v.dot(v))
     eps = EPS ** (1.0 / 3.0) * np.maximum(1.0, np.max(np.abs(ys), axis=-1, keepdims=True))
-    quotient = (func(ys + eps * v) - func(ys - eps * v)) / (2.0 * eps)
-    scale = np.maximum(np.max(np.matmul(np.abs(derivative), np.abs(v)), axis=-1),
-                       np.max(np.abs(quotient), axis=-1))
+    plus, minus = func(ys + eps * v), func(ys - eps * v)
+    quotient = (plus - minus) / (2.0 * eps)
+    rounding = EPS * np.max(np.maximum(np.abs(plus), np.abs(minus)) / eps, axis=-1)
+    scale = np.maximum(np.maximum(np.max(np.matmul(np.abs(derivative), np.abs(v)), axis=-1),
+                                  np.max(np.abs(quotient), axis=-1)),
+                       rounding / JACOBIAN_TOL)
     with np.errstate(invalid="ignore", divide="ignore"):
         defect = np.max(np.abs(quotient - np.matmul(derivative, v)), axis=-1) / scale
     return np.where(scale == 0.0, 0.0, defect)

@@ -369,10 +369,11 @@ def _iteration_matrix(jac, h, alpha0, band=None):
     # entry (i, i + k) goes to ab[kl + ku - k, i + k]; the first kl rows
     # stay zero for dgbtrf's fill-in
     ab = np.zeros(jac.shape[:-2] + (2 * kl + ku + 1, d))
+    if jac.ndim == 3:   # (m, 1) factors against the (m, d - |k|) diagonals
+        h, alpha0 = h[:, 0], alpha0[:, 0]
     for k in range(-kl, ku + 1):
-        row = kl + ku - k
-        ab[..., row:row + 1, max(k, 0):d + min(k, 0)] = \
-            (alpha0 if k == 0 else 0.0) - h * jac.diagonal(k, -2, -1)[..., None, :]
+        ab[..., kl + ku - k, max(k, 0):d + min(k, 0)] = \
+            (alpha0 if k == 0 else 0.0) - h * jac.diagonal(k, -2, -1)
     return ab
 
 

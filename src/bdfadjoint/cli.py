@@ -190,6 +190,13 @@ def _load_input(settings, key, load, what):
         raise _UsageError(f"cannot load {what}: {exc}") from exc
 
 
+def _read_tape(path):
+    """(tape, hex SHA-256 of its file) from one read of the file's bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return load_tape(path, data), tape_sha256(data)
+
+
 def _problem_for_tape(tape, settings=None):
     if settings is not None:
         declared = settings.get("problem")
@@ -212,8 +219,7 @@ def cmd_adjoint(ns) -> int:
     csv_path = str(Path(out).with_suffix(".csv"))
     if Path(csv_path) == Path(out):
         raise _UsageError(f"--out {out} would be overwritten by the CSV {csv_path}")
-    tape = _load_input(settings, "tape", load_tape, "tape")
-    digest = _load_input(settings, "tape", tape_sha256, "tape")
+    tape, digest = _load_input(settings, "tape", _read_tape, "tape")
     problem, _ = _problem_for_tape(tape, settings)
     resid = tape_residuals(problem, tape)
     # written so that a NaN residual fails too
@@ -352,11 +358,11 @@ def _map_forked(func, costs):
 
 def cmd_verify(ns) -> int:
     settings = _Settings(ns)
-    tape = _load_input(settings, "tape", load_tape, "tape")
+    tape, digest = _load_input(settings, "tape", _read_tape, "tape")
     record = _load_input(settings, "adjoint_file", load_adjoint_results,
                          "adjoint results")
 
-    if record["tape_sha256"] != _load_input(settings, "tape", tape_sha256, "tape"):
+    if record["tape_sha256"] != digest:
         raise _UsageError("adjoint file does not belong to this tape")
     adjoints = record["adjoints"]
     if (adjoints.lambdas.shape != (tape.n_steps, tape.dimension)

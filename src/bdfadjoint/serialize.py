@@ -1,22 +1,27 @@
 """JSON/CSV serialization for tapes, adjoint results and verification reports.
 
 All documents are versioned and deterministic: single-line JSON with sorted
-keys, and nothing time- or environment-dependent is written.  orjson writes
-every JSON document and the adjoint CSV, arrays as they are (the bytes of
-their .tolist()), each float as the shortest decimal that round-trips (the
-digits of Python's repr, in orjson's notation: 0.00001 for 1e-05, 1e16 for
-1e+16).  Identical inputs therefore produce byte-identical files.  orjson
-also reads every document and reproduces the exact binary floating-point
-values; it returns an integer beyond 64 bits as the equal float.  A
-document orjson refuses (NaN or Infinity tokens, a number beyond binary64, a
-lone surrogate) cannot be written by this package, so only a hand-edited one
-reaches the standard json module, which reads it.
+keys, and nothing time- or environment-dependent is written.  Every array of
+a tape, and the adjoint document's multipliers, is written as its exact
+little-endian bytes in base64, {"dtype": "<f8" or "<i8", "shape": [...],
+"base64": "..."}, and read back as a read-only view of the decoded bytes, so
+NaN payloads, signed zeros and subnormals round-trip bit for bit.  orjson
+writes everything else, and the adjoint CSV, each float as the shortest
+decimal that round-trips (the digits of Python's repr, in orjson's notation:
+0.00001 for 1e-05, 1e16 for 1e+16).  Identical inputs therefore produce
+byte-identical files.  orjson also reads every document and reproduces the
+exact binary floating-point values; it returns an integer beyond 64 bits as
+the equal float.  A document orjson refuses (NaN or Infinity tokens, a number
+beyond binary64, a lone surrogate) cannot be written by this package, so only
+a hand-edited one reaches the standard json module, which reads it.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import json
+import math
 
 import numpy as np
 import orjson
@@ -39,8 +44,8 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FORMAT_VERSION = 1    # tapes
-ADJOINT_VERSION = 2   # adjoint documents, bound to their tape by its digest
+FORMAT_VERSION = 2    # tapes, arrays in base64
+ADJOINT_VERSION = 3   # adjoint documents, bound to their tape by its digest
 KKT_VERSION = 2       # KKT reports, one record per check
 TAPE_FORMAT = "bdf-tape"
 ADJOINT_FORMAT = "bdf-adjoint"
@@ -67,13 +72,16 @@ def _dump(doc, path):
         fh.write(data)
 
 
-def _load_checked(path, expected_format, version=FORMAT_VERSION):
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _load_checked(path, expected_format, version=FORMAT_VERSION, data=None):
+    """The document of the file at path, whose bytes are data if the caller
+    has read them already, checked for its format and version."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
         doc = orjson.loads(data)
     except orjson.JSONDecodeError:
-        # NaN tokens of a hand-edited file: json reads them, verify refuses them
+        # NaN tokens of a hand-edited file: json reads them
         doc = json.loads(data.decode())
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"{path}: not a {expected_format} document")
@@ -83,6 +91,35 @@ def _load_checked(path, expected_format, version=FORMAT_VERSION):
             f"(supported: {version})"
         )
     return doc
+
+
+def _encoded(values, dtype):
+    """values as {"dtype", "shape", "base64"}: the exact bytes of their
+    C-ordered array of that dtype, "<f8" or "<i8", in base64."""
+    array = np.ascontiguousarray(values, dtype=dtype)
+    return {"dtype": dtype, "shape": array.shape,
+            "base64": binascii.b2a_base64(array, newline=False).decode("ascii")}
+
+
+def _array(doc, name, dtype, ndim=1):
+    """The array that doc[name] encodes (see :func:`_encoded`), a read-only
+    view of its decoded bytes.  A field of another dtype, a shape that is not
+    ndim non-negative integers, or a payload of another length than the shape
+    needs is refused with ValueError."""
+    field = doc[name]
+    if not isinstance(field, dict) or field.get("dtype") != dtype:
+        raise ValueError(f"{name}: not an array of dtype {dtype}")
+    shape = field.get("shape")
+    if (not isinstance(shape, list) or len(shape) != ndim
+            or not all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{name}: shape {shape!r} is not {ndim} non-negative integers")
+    try:
+        data = binascii.a2b_base64(field["base64"])
+    except binascii.Error as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if len(data) != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise ValueError(f"{name}: {len(data)} bytes do not fill shape {shape}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 def tape_to_dict(tape: IntegrationTape) -> dict:
@@ -96,16 +133,16 @@ def tape_to_dict(tape: IntegrationTape) -> dict:
         },
         "mode": tape.mode,
         "driver_params": tape.driver_params,
-        "nodes": tape.grid.nodes,
-        "orders": tape.grid.orders,
-        "states": tape.states,
+        "nodes": _encoded(tape.grid.nodes, "<f8"),
+        "orders": _encoded(tape.grid.orders, "<i8"),
+        "states": _encoded(tape.states, "<f8"),
         "newton": {
-            "iterations": tape.newton_iterations,
-            "residuals": tape.newton_residuals,
+            "iterations": _encoded(tape.newton_iterations, "<i8"),
+            "residuals": _encoded(tape.newton_residuals, "<f8"),
         },
     }
     if tape.error_estimates is not None:
-        doc["error_estimates"] = tape.error_estimates
+        doc["error_estimates"] = _encoded(tape.error_estimates, "<f8")
     return doc
 
 
@@ -113,24 +150,26 @@ def save_tape(tape: IntegrationTape, path) -> None:
     _dump(tape_to_dict(tape), path)
 
 
-def load_tape(path) -> IntegrationTape:
-    """Rebuild a tape from JSON.  The coefficients and the Newton tolerances
-    are derived, not read (bit-identical, since the nodes and states
-    round-trip exactly); a version-1 file that still carries
-    `newton.tolerances` (the earlier layout) loads with them ignored."""
-    doc = _load_checked(path, TAPE_FORMAT)
+def load_tape(path, data=None) -> IntegrationTape:
+    """Rebuild the tape of the file at path, whose bytes are data if the
+    caller has read them already.  Its arrays are read-only views of the
+    decoded bytes; the coefficients and the Newton tolerances are derived,
+    not read."""
+    doc = _load_checked(path, TAPE_FORMAT, FORMAT_VERSION, data)
     newton = doc["newton"]
-    # TimeGrid and IntegrationTape convert and shape-check the lists
+    # TimeGrid and IntegrationTape check the shapes against each other
     tape = IntegrationTape(
         problem_name=doc["problem"]["name"],
         problem_params=doc["problem"]["params"],
         dimension=int(doc["problem"]["dimension"]),
         mode=doc["mode"],
-        grid=TimeGrid(nodes=doc["nodes"], orders=doc["orders"]),
-        states=doc["states"],
-        newton_iterations=newton["iterations"],
-        newton_residuals=newton["residuals"],
-        error_estimates=doc.get("error_estimates"),
+        grid=TimeGrid(nodes=_array(doc, "nodes", "<f8"),
+                      orders=_array(doc, "orders", "<i8")),
+        states=_array(doc, "states", "<f8", ndim=2),
+        newton_iterations=_array(newton, "iterations", "<i8"),
+        newton_residuals=_array(newton, "residuals", "<f8"),
+        error_estimates=(_array(doc, "error_estimates", "<f8")
+                         if "error_estimates" in doc else None),
         driver_params=doc.get("driver_params", {}),
     )
     # derived now, so that a tape whose driver's rule cannot be applied (an
@@ -139,13 +178,12 @@ def load_tape(path) -> IntegrationTape:
     return tape
 
 
-def tape_sha256(path) -> str:
-    """Hex SHA-256 of a tape file's bytes: the digest that binds an adjoint
-    document to the one tape it was computed from."""
+def tape_sha256(data) -> str:
+    """Hex SHA-256 of the bytes of a tape file: the digest that binds an
+    adjoint document to the one tape it was computed from."""
     import hashlib   # here, so that importing the CLI does not load _hashlib
 
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints, weak) -> dict:
@@ -153,8 +191,9 @@ def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints, weak) -> dict:
         "format": ADJOINT_FORMAT,
         "version": ADJOINT_VERSION,
         "tape_sha256": digest,
-        "lambdas": adjoints.lambdas,
-        # a list, as before: benchmarks/test_smoke.py perturbs this very line
+        "lambdas": _encoded(adjoints.lambdas, "<f8"),
+        # lists, as before: benchmarks/pipeline.py reads the gradient and the
+        # jump sizes with json, and benchmarks/test_smoke.py perturbs this line
         "gradient": adjoints.gradient.tolist(),
         "jumps": {"sizes": weak.jump_sizes},
     }
@@ -168,12 +207,13 @@ def save_adjoint_results(digest, adjoints, weak, path) -> None:
 
 def load_adjoint_results(path) -> dict:
     """Returns {"tape_sha256": str, "adjoints": DiscreteAdjoints,
-    "jump_sizes": ndarray} as stored; the grid comes from the tape."""
+    "jump_sizes": ndarray} as stored, the multipliers a read-only view; the
+    grid comes from the tape."""
     doc = _load_checked(path, ADJOINT_FORMAT, ADJOINT_VERSION)
     return {
         "tape_sha256": doc["tape_sha256"],
         "adjoints": DiscreteAdjoints(
-            lambdas=np.array(doc["lambdas"], dtype=float),
+            lambdas=_array(doc, "lambdas", "<f8", ndim=2),
             gradient=np.array(doc["gradient"], dtype=float),
         ),
         "jump_sizes": np.array(doc["jumps"]["sizes"], dtype=float),

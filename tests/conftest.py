@@ -1,11 +1,14 @@
-"""Shared pytest glue: an always-visible acceptance-criteria summary, and
-the Robertson test problem.
+"""Shared pytest glue: an always-visible acceptance-criteria summary, the
+Robertson test problem, and helpers that read and hand-edit the base64
+arrays of tape and adjoint documents.
 
 test_acceptance.py records one line per criterion through the
 `acceptance_log` fixture; the terminal-summary hook prints them after the
 test results, whether or not output capturing swallowed the in-test
 prints.
 """
+
+import base64
 
 import numpy as np
 import pytest
@@ -52,3 +55,26 @@ def robertson():
                       criterion_gradient=lambda y: np.array([0.0, 1.0, 0.0]),
                       initial_time=0.0, final_time=0.4,
                       initial_state=np.array([1.0, 0.0, 0.0]), name="robertson")
+
+
+def decode_array(field):
+    """A writable copy of the array that a document's {"dtype", "shape",
+    "base64"} field holds, decoded here independently of the package."""
+    data = base64.b64decode(field["base64"])
+    return np.frombuffer(data, dtype=field["dtype"]).reshape(field["shape"]).copy()
+
+
+def encode_array(values, dtype="<f8"):
+    """values as a {"dtype", "shape", "base64"} field, encoded here
+    independently of the package."""
+    array = np.ascontiguousarray(values, dtype=dtype)
+    return {"dtype": dtype, "shape": list(array.shape),
+            "base64": base64.b64encode(array.tobytes()).decode()}
+
+
+def edit_array(field, edit):
+    """field with its array replaced by edit's: edit gets a writable copy and
+    changes it in place, or returns the array to encode instead."""
+    values = decode_array(field)
+    edited = edit(values)
+    return encode_array(values if edited is None else edited, field["dtype"])

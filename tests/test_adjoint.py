@@ -437,6 +437,21 @@ class TestBandRoute:
         x = bdf.lu_solve(bdf.lu_factor(ab, (kl, ku)), b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-13)
 
+    @pytest.mark.parametrize("band", [None, (2, 1), (0, 0)])
+    def test_stacked_matrices_are_the_single_ones(self, band):
+        """A stack of f_y with (m, 1, 1) h and alpha_0, as the sweep builds
+        it, gives each matrix bit for bit as one call on it does, the sign of
+        every zero included."""
+        rng = np.random.default_rng(5)
+        d, m = 6, 4
+        jac = rng.standard_normal((m, d, d))
+        jac[:, 3, 1], jac[:, 2, 3], jac[1, 4, 4] = -0.0, 0.0, -0.0
+        h, alpha0 = rng.uniform(0.1, 1.0, m), rng.uniform(1.0, 2.0, m)
+        stack = bdf._iteration_matrix(jac, h[:, None, None], alpha0[:, None, None], band)
+        for i in range(m):
+            one = bdf._iteration_matrix(jac[i], h[i], alpha0[i], band)
+            assert stack[i].tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("driver", ["nonadaptive", "adaptive"])
     def test_band_and_dense_routes_agree(self, driver):
         """d = 50 heat, k = 2 fixed and adaptive rtol 1e-6: the same grid,

@@ -291,6 +291,30 @@ class TestVerifyKkt:
                     assert jacobian.value > 1e4 * JACOBIAN_TOL
                 assert jacobian.t == tape.grid.nodes[jacobian.step]
 
+    def test_large_constant_part_passes(self):
+        """f + 1e7 and J = 1e7 + y_1 on the catenary (k = 2, h = 2^-6): the
+        difference quotient loses about EPS 1e7 / eps to rounding, which the
+        scale admits, so the correct derivatives pass (3.3e-7 and 2.1e-7;
+        7.7e-6 and 9.6e-6 while the scale left that rounding out); 0.9 f_y
+        and 0.9 J' with the same constants still fail."""
+        from bdfadjoint import analysis
+        tape, adj = _tape_and_adjoints(h=2.0 ** -6)
+        shifted = dataclasses.replace(CATENARY, rhs=lambda t, y: CATENARY.rhs(t, y) + 1e7,
+                                      criterion=lambda y: 1e7 + CATENARY.criterion(y))
+        t, ys = tape.grid.nodes[1:9], tape.states[1:9]
+        assert np.all(analysis.jacobian_defects(shifted, t, ys) <= JACOBIAN_TOL)
+        assert analysis.criterion_defect(shifted, tape.final_state) <= JACOBIAN_TOL
+        wrong = dataclasses.replace(
+            shifted, jacobian=lambda t, y: 0.9 * CATENARY.jacobian(t, y),
+            criterion_gradient=lambda y: 0.9 * CATENARY.criterion_gradient(y))
+        # 4.9e-3 and 2.2e-3: the rounding that the scale admits is all they lose
+        assert np.all(analysis.jacobian_defects(wrong, t, ys) > 1e3 * JACOBIAN_TOL)
+        assert analysis.criterion_defect(wrong, tape.final_state) > 1e3 * JACOBIAN_TOL
+        # J's constant leaves the tape and the multipliers as they are
+        checks, passed = _checks(dataclasses.replace(CATENARY, criterion=shifted.criterion),
+                                 tape, adj)
+        assert passed and checks["criterion_defect"].value <= JACOBIAN_TOL
+
     def test_wrong_criterion_gradient_fails_the_criterion_check(self):
         """A run whose sweep and check both use 0.9 J' has KKT residuals at
         rounding level on the catenary (k = 1 and 2) and on a 3 x 3 linear

@@ -33,6 +33,7 @@ from bdfadjoint import (bdf, get_problem, integrate_nonadaptive, load_tape,
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects
 import bdfadjoint.cli as cli_module
 from bdfadjoint.cli import main
+from conftest import decode_array, edit_array, encode_array
 
 CATENARY, _ = get_problem("catenary")
 
@@ -414,9 +415,9 @@ class TestAdjointCommand:
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         doc = json.loads(tape.read_text())
         if field == "error_estimates":
-            doc[field] = [1e-9, 1e-9]
+            doc[field] = encode_array([1e-9, 1e-9])
         else:
-            doc["newton"][field] = doc["newton"][field][:-3]
+            doc["newton"][field] = edit_array(doc["newton"][field], lambda v: v[:-3])
         tape.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "out.json"
@@ -486,8 +487,10 @@ class TestAdjointCommand:
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         doc = json.loads(tape.read_text())
         if edit == "loosen":
-            doc["newton"]["tolerances"] = [1.0] * len(doc["newton"]["residuals"])
-            doc["states"][5][1] += 0.1
+            doc["newton"]["tolerances"] = [1.0] * doc["newton"]["residuals"]["shape"][0]
+            states = decode_array(doc["states"])
+            states[5, 1] += 0.1
+            doc["states"] = encode_array(states)
         elif edit == "unknown_mode":
             doc["mode"] = "fixed"
         else:
@@ -548,15 +551,14 @@ class TestAdjointCommand:
             edited.write_text(json.dumps(doc))
             assert main(["adjoint", "--tape", str(edited), "--out", str(out)]) == 0
             results[name] = json.loads(out.read_text())
-        for key in ("gradient", "lambdas"):
-            got = np.array(results["int"][key])
-            want = np.array(results["float"][key])
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(np.array(results["int"]["gradient"]).view(np.uint64),
+                                      np.array(results["float"]["gradient"]).view(np.uint64))
+        assert results["int"]["lambdas"] == results["float"]["lambdas"]   # the bytes
 
     def test_unencodable_fallback_params_refused(self, tmp_path, capsys):
         """c holds the integer 2**70 in a tape that the json fallback reads
-        (a NaN token among the Newton residuals), so the integer stays an
-        integer.  The adjoint file no longer copies the params, only the
+        (a NaN token in a driver parameter that a nonadaptive tape does not
+        use), so the integer stays an integer.  The adjoint file no longer copies the params, only the
         tape's digest, so nothing unencodable is left to refuse: adjoint
         exits 0 and writes both files."""
         tape = tmp_path / "tape.json"
@@ -564,7 +566,7 @@ class TestAdjointCommand:
                      "--h", "0.125", "--out", str(tape)]) == 0
         doc = json.loads(tape.read_text())
         doc["problem"]["params"]["c"] = [2 ** 70, 0]
-        doc["newton"]["residuals"][3] = float("nan")
+        doc["driver_params"]["rtol"] = float("nan")
         tape.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "adjoint.json"
@@ -622,15 +624,15 @@ class TestAdjointCommand:
     @pytest.mark.parametrize("nan", [False, True], ids=["plain", "nan-token"])
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_truncated_tape_refused(self, tmp_path, capsys, stage, nan):
-        """A tape cut off halfway, or right after a NaN token in its states:
-        neither orjson nor the json fallback reads it, so it is one line of
-        usage error at load."""
+        """A tape cut off halfway, or right after a NaN token in its problem
+        parameters: neither orjson nor the json fallback reads it, so it is
+        one line of usage error at load."""
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         if nan:
             doc = json.loads(tape.read_text())
-            doc["states"][10][0] = float("nan")
+            doc["problem"]["params"]["A"] = float("nan")
             text = json.dumps(doc)
             tape.write_text(text[:text.index("NaN") + 3])
         else:
@@ -649,7 +651,9 @@ class TestAdjointCommand:
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
         doc = json.loads(tape.read_text())
-        doc["states"][10][0] = float("nan")
+        states = decode_array(doc["states"])
+        states[10, 0] = np.nan
+        doc["states"] = encode_array(states)
         tape.write_text(json.dumps(doc))
         out = tmp_path / "a.json"
         rc = main(["adjoint", "--tape", str(tape), "--out", str(out)])
@@ -693,7 +697,9 @@ class TestVerifyCommand:
     def test_tampered_multipliers_fail(self, tmp_path, capsys):
         tape, adj = self._chain(tmp_path)
         doc = json.loads(adj.read_text())
-        doc["lambdas"][4][1] += 1e-3
+        lambdas = decode_array(doc["lambdas"])
+        lambdas[4, 1] += 1e-3
+        doc["lambdas"] = encode_array(lambdas)
         adj.write_text(json.dumps(doc))
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(tmp_path / "kkt.json")])
@@ -719,7 +725,9 @@ class TestVerifyCommand:
     def test_report_names_worst_steps(self, tmp_path, capsys):
         tape, adj = self._chain(tmp_path)
         doc = json.loads(adj.read_text())
-        doc["lambdas"][4][1] += 1e-3    # multiplier of step 5
+        lambdas = decode_array(doc["lambdas"])
+        lambdas[4, 1] += 1e-3    # multiplier of step 5
+        doc["lambdas"] = encode_array(lambdas)
         adj.write_text(json.dumps(doc))
         report = tmp_path / "kkt.json"
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
@@ -727,7 +735,7 @@ class TestVerifyCommand:
         assert rc == 3
         checks = json.loads(report.read_text())["checks"]
         worst = {name: c["worst"] for name, c in checks.items()}
-        nodes = json.loads(tape.read_text())["nodes"]
+        nodes = decode_array(json.loads(tape.read_text())["nodes"]).tolist()
         assert 3 <= worst["adjoint_residual"]["step"] <= 5
         assert worst["adjoint_residual"]["t"] == nodes[worst["adjoint_residual"]["step"]]
         assert 1 <= worst["nominal_residual"]["step"] <= len(nodes) - 1
@@ -762,7 +770,7 @@ class TestVerifyCommand:
         assert jacobian["value"] > jacobian["threshold"] == JACOBIAN_TOL
         assert jacobian["passed"] is False
         worst = jacobian["worst"]
-        assert worst["t"] == json.loads(tape.read_text())["nodes"][worst["step"]]
+        assert worst["t"] == decode_array(json.loads(tape.read_text())["nodes"])[worst["step"]]
         assert (f"jacobian_defect={jacobian['value']!r} (threshold {JACOBIAN_TOL!r}) "
                 f"worst at step {worst['step']}, t={worst['t']!r}\n") in out
 
@@ -787,10 +795,34 @@ class TestVerifyCommand:
             "criterion_defect"]
         criterion = doc["checks"]["criterion_defect"]
         assert criterion["value"] > criterion["threshold"] == JACOBIAN_TOL
-        nodes = json.loads(tape.read_text())["nodes"]
+        nodes = decode_array(json.loads(tape.read_text())["nodes"]).tolist()
         assert criterion["worst"] == {"step": len(nodes) - 1, "t": nodes[-1]}
         assert (f"criterion_defect={criterion['value']!r} (threshold {JACOBIAN_TOL!r}) "
                 f"worst at step {len(nodes) - 1}, t={nodes[-1]!r}\n") in out
+
+    @pytest.mark.parametrize("scaled, check", [("jacobian", "jacobian_defect"),
+                                               ("criterion_gradient", "criterion_defect")])
+    @pytest.mark.parametrize("problem", ["catenary", "heat"])
+    def test_scaled_derivative_fails(self, tmp_path, capsys, patched_problems, problem,
+                                     scaled, check):
+        """0.9 f_y or 0.9 J' in every stage, on the catenary and on a d = 20
+        heat problem: verify exits 3 on the derivative's check alone."""
+        patched_problems(lambda problem, reference: (dataclasses.replace(
+            problem, **{scaled: lambda *args, f=getattr(problem, scaled): 0.9 * f(*args)}),
+            reference))
+        tape, adj, report = (tmp_path / name for name in ("tape.json", "adj.json",
+                                                          "kkt.json"))
+        run = (["--problem", "catenary"] if problem == "catenary"
+               else ["--config", str(_heat_config(tmp_path, 20))])
+        assert main(["integrate", *run, "--order", "2", "--h", "0.0625",
+                     "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                     "--out", str(report)]) == 3
+        assert capsys.readouterr().err == f"verification failed: {check} above threshold\n"
+        checks = json.loads(report.read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["passed"]] == [check]
 
     def test_band_narrower_than_jacobian_fails(self, tmp_path, capsys,
                                                patched_problems):
@@ -816,15 +848,14 @@ class TestVerifyCommand:
     def test_nan_input_is_verification_failure(self, tmp_path, capsys, target):
         tape, adj = self._chain(tmp_path)
         capsys.readouterr()
+        path, key = (tape, "states") if target == "tape" else (adj, "lambdas")
+        doc = json.loads(path.read_text())
+        values = decode_array(doc[key])
+        values[10, 0] = np.nan
+        doc[key] = encode_array(values)
+        path.write_text(json.dumps(doc))
         if target == "tape":
-            doc = json.loads(tape.read_text())
-            doc["states"][10][0] = float("nan")
-            tape.write_text(json.dumps(doc))
             _rebind(adj, tape)
-        else:
-            doc = json.loads(adj.read_text())
-            doc["lambdas"][10][0] = float("nan")
-            adj.write_text(json.dumps(doc))
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(tmp_path / "kkt.json")])
         assert rc == 3
@@ -837,7 +868,7 @@ class TestVerifyCommand:
         """Row 20 of the grid's derived alpha table, as verify derives it
         from the loaded nodes, is off by a relative 1e-10 in alpha_2."""
         tape, adj = self._chain(tmp_path)
-        t_21 = json.loads(tape.read_text())["nodes"][21]
+        t_21 = decode_array(json.loads(tape.read_text())["nodes"]).tolist()[21]
         exact = bdf._coefficients
 
         def perturbed(t, order):
@@ -951,7 +982,7 @@ class TestVerifyCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load adjoint results:")
-        assert "unsupported version 1 (supported: 2)" in err
+        assert "unsupported version 1 (supported: 3)" in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -987,6 +1018,84 @@ class TestVerifyCommand:
     def test_requires_both_files(self, tmp_path):
         tape, _ = self._chain(tmp_path)
         assert main(["verify", "--tape", str(tape)]) == 1
+
+
+def _as_lists(doc):
+    """doc with every base64 array field written as the JSON list of its
+    values, the layout of the earlier versions."""
+    if isinstance(doc, dict) and set(doc) == {"dtype", "shape", "base64"}:
+        return decode_array(doc).tolist()
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    return doc
+
+
+class TestBinaryArrays:
+    """Tape arrays and multipliers are base64 fields of their exact bytes.
+    A document of an earlier version, or with a field of another dtype,
+    another rank or a payload that does not fill its shape, is one line of
+    usage error in adjoint and verify, with no output."""
+
+    _EDITS = {
+        "earlier version": lambda doc, key: {**_as_lists(doc), "version": doc["version"] - 1},
+        "dtype": lambda doc, key: {**doc, key: {**doc[key], "dtype": "<f4"}},
+        "rank": lambda doc, key: {**doc, key: {**doc[key], "shape": [
+            doc[key]["shape"][0] * doc[key]["shape"][1]]}},
+        "length": lambda doc, key: {**doc, key: {**doc[key], "shape": [
+            doc[key]["shape"][0] + 1, doc[key]["shape"][1]]}},
+    }
+
+    @pytest.mark.parametrize("edit", list(_EDITS))
+    @pytest.mark.parametrize("target, stage", [("tape", "adjoint"), ("tape", "verify"),
+                                               ("adjoint", "verify")])
+    def test_malformed_document_refused(self, tmp_path, capsys, target, stage, edit):
+        _, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        path, key = (tape, "states") if target == "tape" else (adj, "lambdas")
+        doc = json.loads(path.read_text())
+        version = doc["version"]
+        path.write_text(json.dumps(self._EDITS[edit](doc, key)))
+        if target == "tape":
+            _rebind(adj, tape)
+        out = tmp_path / "out.json"
+        argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
+                "verify": ["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                           "--out", str(out)]}[stage]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        what = "tape" if target == "tape" else "adjoint results"
+        want = {"earlier version": f"unsupported version {version - 1} (supported: {version})",
+                "dtype": f"{key}: not an array of dtype <f8",
+                "rank": f"{key}: shape [",
+                "length": f"{key}: "}[edit]
+        assert captured.err.startswith(f"error: cannot load {what}: ")
+        assert want in captured.err and captured.err.count("\n") == 1
+        if edit == "length":
+            assert "bytes do not fill shape" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_arrays_are_exact_bytes(self, tmp_path):
+        """Every array of the tape, and the multipliers, decode to the values
+        the package holds bit for bit; the gradient and the jump sizes stay
+        JSON lists."""
+        _, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        doc, adj_doc = json.loads(tape.read_text()), json.loads(adj.read_text())
+        back = load_tape(tape)
+        assert (doc["version"], adj_doc["version"]) == (2, 3)
+        for field, value in ((doc["nodes"], back.grid.nodes), (doc["orders"], back.grid.orders),
+                             (doc["states"], back.states),
+                             (doc["newton"]["iterations"], back.newton_iterations),
+                             (doc["newton"]["residuals"], back.newton_residuals)):
+            assert field["dtype"] == value.dtype.str and field["shape"] == list(value.shape)
+            assert decode_array(field).tobytes() == value.tobytes()
+            assert not value.flags.writeable   # a view of the decoded bytes
+        assert decode_array(adj_doc["lambdas"]).shape == (back.n_steps, 2)
+        assert isinstance(adj_doc["gradient"], list)
+        assert isinstance(adj_doc["jumps"]["sizes"], list)
 
 
 class TestProblemShapes:
@@ -1126,8 +1235,9 @@ class TestLinearMatrix:
         assert main(["adjoint", "--tape", str(old), "--out", str(old_adj)]) == 0
         assert main(["verify", "--tape", str(old), "--adjoint-file", str(old_adj),
                      "--out", str(tmp_path / "kkt.json")]) == 0
-        lam, old_lam = (json.loads(p.read_text())["lambdas"] for p in (adj, old_adj))
-        assert np.array(old_lam).tobytes() == np.array(lam).tobytes()
+        lam, old_lam = (decode_array(json.loads(p.read_text())["lambdas"])
+                        for p in (adj, old_adj))
+        assert old_lam.tobytes() == lam.tobytes()
 
     @pytest.mark.parametrize("lines, entries", [
         (("a = -0.0", "y0 = 1"), {"size": 1, "rows": [0], "cols": [0], "values": [-0.0]}),

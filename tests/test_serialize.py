@@ -1,10 +1,12 @@
 """
 Tests for the on-disk formats: versioned JSON documents and CSV exports.
 
-Round trips must be lossless (floats are written as the shortest decimal
+Round trips must be lossless (arrays of tapes and multipliers are their
+exact bytes in base64; other floats are written as the shortest decimal
 that round-trips binary64 exactly: repr's digits in orjson's notation),
-repeated saves must be byte-identical, and foreign or future-versioned files
-must be rejected with clear errors.
+repeated saves must be byte-identical, and foreign, earlier or
+future-versioned files and malformed arrays must be rejected with clear
+errors.
 """
 
 import csv
@@ -33,9 +35,10 @@ from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
 from bdfadjoint.adjoint import DiscreteAdjoints
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
-from bdfadjoint.serialize import (FORMAT_VERSION, KKT_VERSION, _dump, _load_checked,
-                                  tape_sha256, tape_to_dict, write_adjoint_csv,
-                                  write_convergence_csv)
+from bdfadjoint.serialize import (ADJOINT_VERSION, FORMAT_VERSION, KKT_VERSION, _dump,
+                                  _load_checked, tape_sha256, tape_to_dict,
+                                  write_adjoint_csv, write_convergence_csv)
+from conftest import decode_array, encode_array
 
 CATENARY, _ = get_problem("catenary")
 
@@ -85,30 +88,25 @@ class TestTapeRoundTrip:
         np.testing.assert_array_equal(grid.alphas, tape.grid.alphas)
 
     def test_stepsizes_derived_not_stored(self, tape, tmp_path):
-        """Stepsizes are np.diff(nodes): not written, and a version-1 tape
-        that still carries them (the earlier layout) loads unchanged."""
+        """Stepsizes are np.diff(nodes): not written, and derived at load
+        bit-equal to the tape's."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         doc = json.loads(path.read_text())
         assert "stepsizes" not in doc
-        doc["stepsizes"] = tape.grid.stepsizes.tolist()
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2))
         back = load_tape(path)
         np.testing.assert_array_equal(back.grid.nodes, tape.grid.nodes)
         np.testing.assert_array_equal(back.grid.stepsizes, tape.grid.stepsizes)
         np.testing.assert_array_equal(back.states, tape.states)
 
     def test_tolerances_derived_not_stored(self, tmp_path):
-        """Newton tolerances are derived at load: not written, and a
-        version-1 tape that still carries them (the earlier layout) loads
-        with the list ignored, to the tolerances the driver solved to."""
+        """Newton tolerances are derived at load: not written, and derived
+        to the tolerances the driver solved to."""
         tape = integrate_adaptive(CATENARY, 1e-6)
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         doc = json.loads(path.read_text())
         assert "tolerances" not in doc["newton"]
-        doc["newton"]["tolerances"] = [1.0] * tape.n_steps
-        path.write_text(json.dumps(doc))
         np.testing.assert_array_equal(load_tape(path).newton_tolerances,
                                       tape.newton_tolerances)
 
@@ -297,8 +295,9 @@ def _per_row_adjoint_csv(tape, adjoints, weak, path):
 
 
 class TestArrayWriter:
-    """Arrays go to orjson as they are; every file is the bytes that
-    encoding their .tolist() gives."""
+    """Arrays given to _dump go to orjson as they are and write the bytes
+    that encoding their .tolist() gives; a tape's arrays and the
+    multipliers are written as the bytes of their C-ordered copies."""
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(_FINITE_BITS | st.sampled_from(_EDGE_FLOATS)
@@ -400,6 +399,87 @@ class TestArrayWriter:
         _assert_bits_equal(again.jacobian(0.0, prob.initial_state), a)
 
 
+# -0.0, the smallest and largest subnormals of either sign, infinities, and
+# NaNs with payloads, signalling and quiet, of either sign
+_EDGE_BITS = [0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+              0x000FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+              0x7FF0000000000001, 0x7FF8000000000001, 0xFFF80000DEADBEEF,
+              0x7FF7FFFFFFFFFFFF]
+_ANY_BITS = st.integers(0, 2 ** 64 - 1) | st.sampled_from(_EDGE_BITS)
+
+
+class TestBinaryArrays:
+    """Tape arrays and multipliers are written as their bytes in base64."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.lists(_ANY_BITS, min_size=1, max_size=40),
+           nodes=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=2, max_size=20, unique=True),
+           d=st.integers(1, 3))
+    def test_round_trip_bit_for_bit(self, bits, nodes, d):
+        """Any bit pattern in the states, Newton record, error estimates and
+        multipliers, NaN payloads included, loads back bit for bit, and the
+        loaded tape saves to the same bytes; the gradient and the jump sizes,
+        JSON lists, carry the finite patterns, subnormals and -0.0 among them."""
+        raw = np.array(bits, dtype=np.uint64)
+        values = raw.view(np.float64)
+        finite = np.append(values[np.isfinite(values)], -0.0)
+        nodes = np.sort(nodes)
+        n = nodes.size - 1
+        tape = IntegrationTape(
+            problem_name="catenary", problem_params={}, dimension=d, mode="nonadaptive",
+            grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
+            states=np.resize(values, (n + 1, d)),
+            newton_iterations=np.resize(raw.view(np.int64), n),
+            newton_residuals=np.resize(values[::-1], n),
+            error_estimates=np.resize(values, n))
+        adj = DiscreteAdjoints(lambdas=np.resize(values[::-1], (n, d)),
+                               gradient=np.resize(finite, d))
+        weak = SimpleNamespace(jump_sizes=np.resize(finite[::-1], (n, d)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again, adj_path = (Path(tmp) / name for name in ("t.json", "u.json",
+                                                                  "a.json"))
+            save_tape(tape, path)
+            back = load_tape(path)
+            save_tape(back, again)
+            assert again.read_bytes() == path.read_bytes()
+            save_adjoint_results("0" * 64, adj, weak, adj_path)
+            adj_back = load_adjoint_results(adj_path)
+        for got, want in ((back.grid.nodes, nodes), (back.states, tape.states),
+                          (back.newton_residuals, tape.newton_residuals),
+                          (back.error_estimates, tape.error_estimates),
+                          (adj_back["adjoints"].lambdas, adj.lambdas),
+                          (adj_back["adjoints"].gradient, adj.gradient),
+                          (adj_back["jump_sizes"], weak.jump_sizes)):
+            assert got.tobytes() == want.tobytes()
+        assert back.newton_iterations.tobytes() == tape.newton_iterations.tobytes()
+        assert back.grid.orders.tobytes() == tape.grid.orders.tobytes()
+
+    def test_reader_refuses_malformed_fields(self, tape, tmp_path):
+        """Another dtype, another rank, a shape that is not non-negative
+        integers, a payload longer or shorter than its shape, and one cut
+        inside its padding are each refused with ValueError naming the
+        field."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        doc = json.loads(path.read_text())
+        states = doc["states"]
+        rows, d = states["shape"]
+        payload = decode_array(states)
+        for field in ({**states, "dtype": "<i8"}, {**states, "dtype": ">f8"},
+                      {**states, "shape": [rows * d]}, {**states, "shape": [rows, d, 1]},
+                      {**states, "shape": [rows, -d]}, {**states, "shape": [rows, 2.0]},
+                      {**states, "shape": [rows, True]}, {**states, "shape": "[1, 2]"},
+                      {**states, "shape": [rows + 1, d]},
+                      {**states, "base64": encode_array(payload[:-1])["base64"]},
+                      {**states, "base64": encode_array(np.vstack([payload, payload[:1]]))[
+                          "base64"]},
+                      {**states, "base64": states["base64"][:-1]}):
+            path.write_text(json.dumps({**doc, "states": field}))
+            with pytest.raises(ValueError, match="^states: "):
+                load_tape(path)
+
+
 def _canonical(value, big_ints_as_floats):
     """value with each float as its bit pattern, so that -0.0 differs from
     0.0 and a NaN equals itself; with big_ints_as_floats, an integer beyond
@@ -455,7 +535,7 @@ def test_reader_matches_json(value, ascii_only):
     what json.loads returns, floats compared by bits, except that an
     integer beyond 64 bits comes back as the equal float from a document
     that has no token only json reads."""
-    doc = {"format": "bdf-tape", "version": 1, "value": value}
+    doc = {"format": "bdf-tape", "version": FORMAT_VERSION, "value": value}
     text = json.dumps(doc, ensure_ascii=ascii_only)
     try:
         data = text.encode()
@@ -502,12 +582,11 @@ class TestRejection:
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         doc = json.loads(path.read_text())
-        doc["nodes"] = [0.0]
-        doc["stepsizes"] = []
-        doc["orders"] = []
-        doc["states"] = [doc["states"][0]]
-        for key in ("iterations", "residuals"):
-            doc["newton"][key] = []
+        doc["nodes"] = encode_array([0.0])
+        doc["orders"] = encode_array([], "<i8")
+        doc["states"] = encode_array(decode_array(doc["states"])[:1])
+        doc["newton"] = {"iterations": encode_array([], "<i8"),
+                         "residuals": encode_array([])}
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_tape(path)
@@ -519,7 +598,7 @@ class TestAdjointRoundTrip:
         weak = assemble_weak_adjoint(tape, adj)
         tape_path, path = tmp_path / "tape.json", tmp_path / "adjoint.json"
         save_tape(tape, tape_path)
-        save_adjoint_results(tape_sha256(tape_path), adj, weak, path)
+        save_adjoint_results(tape_sha256(tape_path.read_bytes()), adj, weak, path)
         back = load_adjoint_results(path)
         assert back["tape_sha256"] == hashlib.sha256(tape_path.read_bytes()).hexdigest()
         np.testing.assert_array_equal(back["adjoints"].lambdas, adj.lambdas)
@@ -538,22 +617,25 @@ class TestAdjointRoundTrip:
         assert sorted(doc) == ["format", "gradient", "jumps", "lambdas",
                                "tape_sha256", "version"]
         assert list(doc["jumps"]) == ["sizes"]
-        assert doc["version"] == 2
+        assert doc["version"] == ADJOINT_VERSION == 3
         np.testing.assert_array_equal(weak.jump_times, tape.grid.nodes[1:])
 
     def test_earlier_version_refused(self, tape, tmp_path):
-        """Version 1 copied the tape's problem and nodes; such a file is
-        refused by its version, while tapes stay at version 1."""
+        """Version 1 copied the tape's problem and nodes, version 2 wrote
+        the multipliers as a JSON list; such a file is refused by its
+        version, and tapes are at version 2."""
         adj = adjoint_sweep(CATENARY, tape)
         path = tmp_path / "adjoint.json"
         save_adjoint_results("0" * 64, adj, assemble_weak_adjoint(tape, adj), path)
         doc = json.loads(path.read_text())
-        doc["version"] = 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"unsupported version 1 \(supported: 2\)"):
-            load_adjoint_results(path)
+        for version in (1, 2):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError,
+                               match=rf"unsupported version {version} \(supported: 3\)"):
+                load_adjoint_results(path)
         save_tape(tape, tmp_path / "tape.json")
-        assert json.loads((tmp_path / "tape.json").read_text())["version"] == 1
+        assert json.loads((tmp_path / "tape.json").read_text())["version"] == 2
 
     def test_kkt_report(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
@@ -562,8 +644,8 @@ class TestAdjointRoundTrip:
         save_kkt_report(report, path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "bdf-kkt"
-        # the report has its own version; tapes stay at version 1
-        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 1
+        # the report has its own version; tapes are at version 2
+        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 2
         assert set(doc) == {"format", "version", "checks", "passed"}
         checks = {c.name: c for c in report}
         assert list(checks) == ["nominal_residual", "adjoint_residual", "initial_residual",
