@@ -77,8 +77,12 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     together with the y_0 row l + c^T L, evaluated as the stored gradient l
     minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
     per-step products f_y^T lambda, formed from one stacked jacobian call
-    and one stacked product per block of at most JACOBIAN_BLOCK Jacobian
-    entries, so no N d^2 array is built.  initial_residual compares y_0 with
+    and one stacked product per block of max(2, JACOBIAN_BLOCK // d^2)
+    states, so no N d^2 array is built (past d = 724 a block of two states
+    holds 2 d^2 > JACOBIAN_BLOCK entries).  An f_y that does not depend on
+    the state, a (1, d, d) answer to the first block, takes one product
+    L f_y for every row instead and one jacobian call; either way the report
+    is the same to the bit for every block size.  initial_residual compares y_0 with
     the problem's initial state, to 1e-12 (1 + max|y_0|).  coefficient_defect
     is held to COEFFICIENT_TOL.  jacobian_defect checks f_y, which no residual
     can see (the adjoint and this check share it), at JACOBIAN_SAMPLES states,
@@ -98,11 +102,16 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     nominal_row, nominal = _worst_row(step_residuals(problem, tape, band))
 
     jt_lam = np.empty((n, d))
-    block = max(1, JACOBIAN_BLOCK // (d * d))
+    # at least two states per call, so that a (1, d, d) answer to the first
+    # means an f_y that does not depend on the state, whatever the block size
+    block = max(2, JACOBIAN_BLOCK // (d * d))
     for s in range(0, n, block):   # the steps s.., which produce y_{s+1}..
         jac = problem.stacked_jacobian(nodes[s + 1:s + 1 + block],
                                        tape.states[s + 1:s + 1 + block])
-        # row i: lambda_i^T J_i = (J_i^T lambda_i)^T; a (1, d, d) f_y broadcasts
+        # row i: lambda_i^T J_i = (J_i^T lambda_i)^T
+        if s == 0 and len(jac) == 1:   # one product for every row
+            jt_lam = lam @ jac[0]
+            break
         jt_lam[s:s + block] = np.matmul(lam[s:s + block, None, :], jac)[:, 0]
     adj_rows = (band_product(band[0], lam, transpose=True)
                 - tape.grid.stepsizes[:, None] * jt_lam)

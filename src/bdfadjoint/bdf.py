@@ -440,10 +440,13 @@ class _FactorCache:
 
     def refactor(self, problem, t_new, y, h, alpha0):
         jac = problem.jacobian(t_new, y)
-        if not np.isfinite(jac).all():
+        band = problem.band
+        # the entries _iteration_matrix reads: all of f_y, or the band's diagonals
+        read = [jac] if band is None else [jac.diagonal(k) for k in range(-band[0], band[1] + 1)]
+        if not all(np.isfinite(entries).all() for entries in read):
             # fatal, not a step failure: a smaller step does not mend f_y
             raise SolverError(f"singular or non-finite Newton matrix at t={t_new}: non-finite f_y")
-        lu = lu_factor(_iteration_matrix(jac, h, alpha0, problem.band), problem.band)
+        lu = lu_factor(_iteration_matrix(jac, h, alpha0, band), band)
         if lu is None:
             raise _StepFailure(f"singular or non-finite Newton iteration matrix at t={t_new}")
         self.lu = lu

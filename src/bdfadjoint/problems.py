@@ -69,7 +69,8 @@ class OdeProblem:
         Lower and upper bandwidth of f_y, stated by the problem: every entry
         (i, j) of f_y with i - j > kl or j - i > ku is zero.  The step
         solvers then build, factor and solve alpha_0 I - h f_y in LAPACK band
-        storage and never read the entries outside the band, so a band
+        storage and never read the entries outside the band (Newton's
+        finiteness test of f_y reads the band's diagonals alone), so a band
         narrower than f_y's true one solves the wrong matrix (the KKT
         certificate of ``verify`` catches that).  None means dense.
     """
@@ -277,10 +278,15 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
 
     The problem states the bandwidths (kl, ku) of the nonzeros of a as its
     band when band storage, 2 kl + ku + 1 rows, is smaller than the d rows
-    of the dense matrix; otherwise it states none.  The Jacobian is a
-    itself, read-only, and a[:, :, None], a view, for stacked states.
-    params["a"] holds the entries of a that are nonzero or -0.0, so that a
-    tape stores them alone and a rebuilds bit-equal from them.
+    of the dense matrix; otherwise it states none (±0.0 entries widen no
+    band; NaN entries do).  A problem with a band evaluates f in O(d (kl +
+    ku + 1)): each row sums its band's terms in ascending column order,
+    starting from +0.0, for one state and for stacked states alike, so the
+    two forms are bit-equal; without a band f is the product a @ y.  The
+    Jacobian is a itself, read-only, and a[:, :, None], a view, for stacked
+    states.  params["a"] holds the entries of a that are nonzero or -0.0, so
+    that a tape stores them alone and a rebuilds bit-equal from them; a
+    problem built from such entries reads its band off them.
 
     Parameters
     ----------
@@ -299,15 +305,19 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
     (OdeProblem, AnalyticReference)
     """
     y_s = np.atleast_1d(np.asarray(y_s, dtype=float))
-    a = _from_entries(a, y_s.size) if isinstance(a, dict) else np.array(a, dtype=float, ndmin=2)
-    d = a.shape[0]   # a is a copy either way, so freezing it is ours
-    if a.shape != (d, d):
-        raise ValueError(f"system matrix must be square, got shape {a.shape}")
-    a.flags.writeable = False
-    rows, cols = np.nonzero(a)
-    kl, ku = (int(np.max(w, initial=0)) for w in (rows - cols, cols - rows))
+    if isinstance(a, dict):
+        a, rows, cols = _from_entries(a, y_s.size)
+    else:
+        a = np.array(a, dtype=float, ndmin=2)
+        if a.shape != (a.shape[0],) * 2:
+            raise ValueError(f"system matrix must be square, got shape {a.shape}")
+        rows, cols = np.nonzero((a != 0.0) | np.signbit(a))   # -0.0 too: a rebuilds bit-equal
+    d = a.shape[0]
+    a.flags.writeable = False   # a is a copy either way, so freezing it is ours
+    values = a[rows, cols]
+    nonzero = values != 0.0   # NaN too; a -0.0 widens no band
+    kl, ku = (int(np.max(w[nonzero], initial=0)) for w in (rows - cols, cols - rows))
     band = (kl, ku) if 2 * kl + ku + 1 < d else None
-    rows, cols = np.nonzero((a != 0.0) | np.signbit(a))   # -0.0 too: a rebuilds bit-equal
     if c is None:
         c = np.zeros(d)
         c[0] = 1.0
@@ -316,8 +326,22 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         if c.shape != (d,):
             raise ValueError(f"criterion vector has shape {c.shape}, expected ({d},)")
 
-    def rhs(t, y):
-        return a @ y
+    if band is None:
+        def rhs(t, y):
+            return a @ y
+    else:
+        # diagonal k: rows max(-k, 0).. meet columns max(k, 0).., k ascending
+        diagonals = [(slice(max(-k, 0), d - max(k, 0)), slice(max(k, 0), d + min(k, 0)),
+                      a.diagonal(k)) for k in range(-kl, ku + 1)]
+
+        def rhs(t, y):
+            # the rows of y.T are states, for one state (d,) or stacked (d, m):
+            # the same entrywise sums either way, so bit-equal
+            y = y.T
+            f = np.zeros(y.shape)
+            for i, j, diagonal in diagonals:
+                f[..., i] += diagonal * y[..., j]
+            return f.T
 
     stacked = a[:, :, None]   # a read-only view: f_y does not depend on the state
 
@@ -341,7 +365,7 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         initial_state=y_s,
         name="linear",
         params={
-            "a": {"size": d, "rows": rows, "cols": cols, "values": a[rows, cols]},
+            "a": {"size": d, "rows": rows, "cols": cols, "values": values},
             "y0": y_s.tolist(),
             "t0": float(t_s),
             "tf": float(t_f),
@@ -372,8 +396,10 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
 
 
 def _from_entries(entries, n):
-    """The dense matrix of entries {"size", "rows", "cols", "values"}; a
-    ValueError if they list no n x n matrix (n, the initial state's length)."""
+    """(a, rows, cols): the dense matrix of entries {"size", "rows", "cols",
+    "values"} and the positions of its entries that are nonzero or -0.0, in
+    row-major order, as np.nonzero lists them; a ValueError if the entries
+    list no n x n matrix (n, the initial state's length)."""
     if set(entries) != {"size", "rows", "cols", "values"}:
         raise ValueError(f"matrix entries need keys size, rows, cols, values: {sorted(entries)}")
     d, rows, cols = entries["size"], np.asarray(entries["rows"]), np.asarray(entries["cols"])
@@ -385,11 +411,16 @@ def _from_entries(entries, n):
     index = np.concatenate([rows, cols])
     if index.size and (index.dtype.kind not in "iu" or not 0 <= index.min() <= index.max() < d):
         raise ValueError(f"matrix rows and cols must be integers in [0, {d})")
-    if np.unique(rows * d + cols).size < values.size:
+    # empty lists load as floats
+    keys, first = np.unique(rows.astype(np.intp) * d + cols.astype(np.intp), return_index=True)
+    if keys.size < values.size:
         raise ValueError("matrix entries list a (row, col) pair twice")
+    values = values[first]
+    keep = (values != 0.0) | np.signbit(values)   # a +0.0 entry is left out
+    rows, cols = np.divmod(keys[keep], d)
     a = np.zeros((d, d))
-    a[rows.astype(np.intp), cols.astype(np.intp)] = values   # empty lists load as floats
-    return a
+    a[rows, cols] = values[keep]
+    return a, rows, cols
 
 
 def _make_catenary(p=3.0, A=-3.0, tf=2.0):

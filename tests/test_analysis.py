@@ -363,14 +363,22 @@ class TestVerifyKkt:
 
     @pytest.mark.parametrize("block", [1, 12, 2 ** 20])
     def test_jacobian_products_in_blocks(self, block, monkeypatch):
-        """f_y^T lambda is formed one stacked jacobian call per block of at
-        most JACOBIAN_BLOCK entries, and the report does not depend on the
-        block size, to the bit: the catenary's (m, d, d) stacks, and the
-        (1, d, d) f_y of a dense d = 3 linear problem."""
+        """f_y^T lambda is formed one stacked jacobian call per block of
+        max(2, JACOBIAN_BLOCK // d^2) states, and the report does not depend
+        on the block size, to the bit: the catenary's (m, d, d) stacks, and
+        the (1, d, d) f_y of a dense d = 3 and a tridiagonal d = 400 linear
+        problem, which take one call and one product for the whole tape."""
         from bdfadjoint import analysis
         linear, _ = linear_test_problem([[-1.0, 0.5, 0.25], [0.3, -2.0, 0.7],
                                          [0.1, 0.9, -3.0]], [1.0, -0.5, 2.0], 0.0, 1.0)
-        for problem, h in ((CATENARY, 0.125), (linear, 2.0 ** -6)):
+        d = 400
+        x = np.arange(1, d + 1) / (d + 1)
+        heat, _ = linear_test_problem(
+            0.1 * (d + 1) ** 2 * (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+                                  + np.diag(np.ones(d - 1), -1)),
+            np.sin(np.pi * x), 0.0, 0.125, c=np.full(d, 1.0 / (d + 1)))
+        assert heat.band == (1, 1)
+        for problem, h in ((CATENARY, 0.125), (linear, 2.0 ** -6), (heat, 2.0 ** -8)):
             tape = integrate_nonadaptive(problem, 2, h)
             adj = adjoint_sweep(problem, tape)
             expected = verify_kkt(problem, tape, adj)
@@ -385,9 +393,10 @@ class TestVerifyKkt:
                 report = verify_kkt(dataclasses.replace(problem, jacobian=recording),
                                     tape, adj)
             assert report == expected
-            per_call = max(1, block // problem.dimension ** 2)
+            per_call = max(2, block // problem.dimension ** 2)
             products = sizes[:-1]   # the last call is the Jacobian check's
-            assert len(products) == -(-tape.n_steps // per_call)
+            calls = 1 if problem is not CATENARY else -(-tape.n_steps // per_call)
+            assert len(products) == calls
             assert all(m <= per_call for (m,) in products)
 
     def test_memory_stays_linear_in_steps(self):

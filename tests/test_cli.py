@@ -844,6 +844,49 @@ class TestVerifyCommand:
         assert rc == 3
         assert "adjoint_residual" in capsys.readouterr().err
 
+    @staticmethod
+    def _nan_jacobian(entry, band=(1, 1)):
+        """An edit for patched_problems: f_y with a NaN at entry, stacked as
+        (d, d, 1), and the band stated."""
+        def edit(problem, reference):
+            bad = problem.jacobian(0.0, problem.initial_state).copy()
+            bad[entry] = np.nan
+            return dataclasses.replace(
+                problem, band=band,
+                jacobian=lambda t, y: bad[:, :, None] if np.ndim(y) == 2 else bad), reference
+        return edit
+
+    def test_nan_inside_band_is_solver_failure(self, tmp_path, capsys, patched_problems):
+        """A NaN inside the stated band of f_y: integrate exits 2 with the
+        message of the dense route, and writes no tape."""
+        cfg, tape = _heat_config(tmp_path, 8), tmp_path / "tape.json"
+        errors = []
+        for band in ((1, 1), None):
+            patched_problems(self._nan_jacobian((2, 3), band))
+            assert main(["integrate", "--config", str(cfg), "--order", "2",
+                         "--h", "0.0625", "--out", str(tape)]) == 2
+            assert not tape.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("solver failure: singular or non-finite Newton matrix")
+        assert errors[0].endswith(": non-finite f_y\n")
+
+    def test_nan_outside_stated_band_fails_verify(self, tmp_path, capsys, patched_problems):
+        """A custom problem whose f_y holds a NaN outside its stated band
+        (1, 1): integrate and adjoint never read it and exit 0; verify forms
+        the full f_y^T lambda products and exits 3."""
+        patched_problems(self._nan_jacobian((0, 5)))
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--config", str(_heat_config(tmp_path, 8)), "--order",
+                     "2", "--h", "0.0625", "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(tmp_path / "kkt.json")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "verification failed: adjoint_residual must be finite")
+
     @pytest.mark.parametrize("target", ["tape", "adjoint"])
     def test_nan_input_is_verification_failure(self, tmp_path, capsys, target):
         tape, adj = self._chain(tmp_path)

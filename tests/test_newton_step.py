@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dgetrf
 
 from bdfadjoint import (SolverError, adjoint_sweep, bdf, compute_coefficients,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem)
+                        linear_test_problem, verify_kkt)
 from bdfadjoint.bdf import EPS, lu_factor, lu_solve
 
 CATENARY, _ = get_problem("catenary")
@@ -238,3 +238,57 @@ class TestNonFiniteJacobian:
         }
         with pytest.raises(SolverError, match="non-finite"):
             runs[stage]()
+
+
+def _heat_with_jacobian(entry):
+    """(heat, problem): a d = 8 tridiagonal heat problem on [0, 2], which
+    states the band (1, 1), and its copy whose f_y holds a NaN at entry."""
+    d = 8
+    dx = 1.0 / (d + 1)
+    a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+                           + np.diag(np.ones(d - 1), -1))
+    heat, _ = linear_test_problem(a, np.sin(np.pi * dx * np.arange(1, d + 1)), 0.0, 2.0)
+    bad = a.copy()
+    bad[entry] = np.nan
+    problem = dataclasses.replace(   # also for stacked states, as (d, d, 1)
+        heat, jacobian=lambda t, y: bad[:, :, None] if np.ndim(y) == 2 else bad)
+    return heat, problem
+
+
+class TestNonFiniteBandJacobian:
+    """TestNonFiniteJacobian on the band route, whose finiteness test reads
+    only the band's diagonals of f_y, the entries the step matrix is built
+    from."""
+
+    @pytest.mark.parametrize("stage", ["newton", "nonadaptive", "adaptive",
+                                       "sweep"])
+    def test_nan_inside_the_band_is_a_solver_failure(self, stage):
+        heat, problem = _heat_with_jacobian((2, 3))
+        assert problem.band == (1, 1)
+        y = heat.initial_state
+        runs = {
+            "newton": lambda: _step(
+                problem, [y], compute_coefficients(np.array([1.0, 1.25]), 1),
+                1.25, 0.25, predictor=y),
+            "nonadaptive": lambda: integrate_nonadaptive(problem, 2, 1.0 / 16),
+            "adaptive": lambda: integrate_adaptive(problem, 1e-6),
+            "sweep": lambda: adjoint_sweep(
+                problem, integrate_nonadaptive(heat, 2, 1.0 / 16)),
+        }
+        with pytest.raises(SolverError, match="non-finite"):
+            runs[stage]()
+
+    def test_nan_outside_the_stated_band_is_never_read(self):
+        """A custom problem that states the band (1, 1) while its f_y holds a
+        NaN at (0, 5): both drivers and the sweep give the clean problem's
+        states and multipliers bit for bit; the full f_y^T lambda products
+        of verify_kkt see the NaN and refuse the run."""
+        heat, problem = _heat_with_jacobian((0, 5))
+        for integrate in (lambda p: integrate_nonadaptive(p, 2, 1.0 / 16),
+                          lambda p: integrate_adaptive(p, 1e-6)):
+            tape, clean = integrate(problem), integrate(heat)
+            assert tape.states.tobytes() == clean.states.tobytes()
+            adjoints = adjoint_sweep(problem, tape)
+            assert adjoints.lambdas.tobytes() == adjoint_sweep(heat, clean).lambdas.tobytes()
+            with pytest.raises(ValueError, match="adjoint_residual must be finite"):
+                verify_kkt(problem, tape, adjoints)

@@ -218,6 +218,90 @@ class TestLinear:
                                       [[0.0, 1.0], [-2.0, 0.0]])
 
 
+class TestBandRhs:
+    """A linear problem that states a band evaluates f from it: each row sums
+    its band's terms in ascending column order from +0.0, by one expression
+    for one state and for stacked states, so the two are bit-equal, and
+    within the rounding bound d eps |a| |y| of the dense a @ y.  A problem
+    rebuilt from params["a"] has the same band and the same rhs bits."""
+
+    @pytest.mark.parametrize("d, offsets, band", [
+        (10, (-2, 0), (2, 0)),
+        (10, (0, 3), (0, 3)),
+        (5, (-1, 0, 1), (1, 1)),
+        (2, (0,), (0, 0)),
+    ])
+    def test_band_shapes(self, d, offsets, band):
+        rng = np.random.default_rng(d + len(offsets))
+        a = sum(np.diag(rng.standard_normal(d - abs(k)), k) for k in offsets)
+        _assert_band_rhs(a, band, rng)
+
+    def test_signed_zero_and_subnormal_entries(self):
+        """A -0.0 outside the tridiagonal widens no band, a subnormal does;
+        at y = 0 every row is +0.0, whatever the signs of its products."""
+        rng = np.random.default_rng(8)
+        a = _tridiagonal(8, rng)
+        a[6, 0], a[2, 2], a[1, 3] = -0.0, -0.0, 5e-324
+        problem = _assert_band_rhs(a, (1, 2), rng)
+        assert problem.rhs(0.0, np.zeros(8)).tobytes() == np.zeros(8).tobytes()
+
+    def test_nan_inside_the_band(self):
+        """A NaN entry widens the band; its row is NaN, the others are as
+        without it."""
+        rng = np.random.default_rng(12)
+        a = _tridiagonal(12, rng)
+        a[6, 3] = np.nan
+        _assert_band_rhs(a, (3, 1), rng)
+
+    def test_entries_in_any_order_rebuild_the_same_problem(self):
+        """Entries listed out of order, and a +0.0 entry, give the params,
+        band and rhs of the matrix itself."""
+        rng = np.random.default_rng(6)
+        a = _tridiagonal(6, rng)
+        problem, _ = linear_test_problem(a, np.ones(6), 0.0, 1.0)
+        entries = problem.params["a"]
+        order = rng.permutation(len(entries["rows"]))
+        shuffled = {"size": 6, "rows": [*entries["rows"][order].tolist(), 0],
+                    "cols": [*entries["cols"][order].tolist(), 5],
+                    "values": [*entries["values"][order].tolist(), 0.0]}
+        again, _ = linear_test_problem(shuffled, np.ones(6), 0.0, 1.0)
+        assert again.band == problem.band == (1, 1)
+        for key in ("rows", "cols", "values"):
+            assert again.params["a"][key].tobytes() == entries[key].tobytes()
+        y = rng.standard_normal(6)
+        assert again.rhs(0.0, y).tobytes() == problem.rhs(0.0, y).tobytes()
+
+
+def _tridiagonal(d, rng):
+    return sum(np.diag(rng.standard_normal(d - abs(k)), k) for k in (-1, 0, 1))
+
+
+def _assert_band_rhs(a, band, rng):
+    """The problem of a states band; its rhs of eleven stacked states, of
+    magnitudes 1e-3 to 1e3, equals that of each state alone bit for bit and
+    is within d eps |a| |y| of a @ y (NaN in the rows of a that hold one);
+    the problem rebuilt from params["a"] agrees bit for bit.  Returns the
+    problem."""
+    d = len(a)
+    problem, _ = linear_test_problem(a, np.ones(d), 0.0, 1.0)
+    again, _ = linear_test_problem(problem.params["a"], np.ones(d), 0.0, 1.0)
+    assert problem.band == again.band == band
+    ys = rng.standard_normal((d, 11)) * 10.0 ** rng.integers(-3, 4, (1, 11))
+    t = np.linspace(0.0, 1.0, 11)
+    stacked = problem.rhs(t, ys)
+    assert stacked.shape == (d, 11)
+    assert again.rhs(t, ys).tobytes() == stacked.tobytes()
+    nan_rows = np.isnan(a).any(axis=1)
+    for i in range(11):
+        single = problem.rhs(t[i], ys[:, i])
+        assert single.tobytes() == stacked[:, i].tobytes()
+        np.testing.assert_array_equal(np.isnan(single), nan_rows)
+        bound = d * np.finfo(float).eps * (np.abs(a) @ np.abs(ys[:, i]))
+        error = np.abs(single - a @ ys[:, i])
+        assert np.all(error[~nan_rows] <= bound[~nan_rows])
+    return problem
+
+
 class TestRegistry:
     def test_default_catenary(self):
         problem, ref = get_problem("catenary")
