@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import (JACOBIAN_BLOCK, MAX_ORDER, IntegrationTape, SolverError,
-                  _iteration_matrix, lu_factor, lu_solve)
+from .bdf import (MAX_ORDER, IntegrationTape, SolverError, _iteration_matrix,
+                  jacobian_blocks, lu_factor, lu_solve)
 
 __all__ = [
     "DiscreteAdjoints",
@@ -54,24 +54,22 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     matrix alpha_0^(j-1) I - h_{j-1} f_y(t_j, y_j) and then scatters
     -alpha_i^(j-1) lambda_j into the right-hand sides of the earlier rows its
     step stencil touches; the contribution reaching y_0 accumulates the
-    gradient.  The tape is walked backward in blocks of at most
-    JACOBIAN_BLOCK Jacobian entries, each with one stacked jacobian call (so
-    the problem must take stacked states, see OdeProblem).  A step's matrix
-    is built and factored through bdf.lu_factor only where h, alpha_0 or the
-    bits of f_y differ from the next step's (a linear autonomous problem on a
-    run of equal steps keeps its factors); the new matrices of a block are
-    built and tested in one call each.  A read-only f_y returned as the same
-    memory by the next call is taken as unchanged without a compare.  For a
-    problem that states a band (kl, ku), the transposed matrix is built,
-    factored and solved in band storage with bandwidths (ku, kl).  A
-    singular step matrix means the stability condition of the scheme is
-    violated; it is refused, as is a non-finite one (the one at the highest
-    t is named), and so are multipliers or a gradient that are not finite (a
-    non-finite criterion gradient, or overflow).
+    gradient.  The tape's f_y comes from bdf.jacobian_blocks, one stacked
+    jacobian call per block (so the problem must take stacked states, see
+    OdeProblem).  Only an f_y that does not depend on the state keeps a
+    step's factors, over each run of steps with equal h and alpha_0; any
+    other f_y has every step's matrix built and factored.  The new matrices
+    of a block are built and factored through bdf.lu_factor in one call
+    each, and a block with none makes neither call.  For a problem that
+    states a band (kl, ku), the transposed matrix is built, factored and
+    solved in band storage with bandwidths (ku, kl).  A singular step matrix
+    means the stability condition of the scheme is violated; it is refused,
+    as is a non-finite one (the one at the highest t is named), and so are
+    multipliers or a gradient that are not finite (a non-finite criterion
+    gradient, or overflow).
     """
     n_steps = tape.n_steps
     d = tape.dimension
-    nodes = tape.grid.nodes
     h = tape.grid.stepsizes
     alphas = tape.grid.alphas
     orders = tape.grid.orders.tolist()
@@ -82,16 +80,21 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     band = None if problem.band is None else problem.band[::-1]   # of f_y^T
     # step n needs factors of its own where its (h, alpha_0) is not step n + 1's
     new_key = np.append((h[:-1] != h[1:]) | (alphas[:-1, 0] != alphas[1:, 0]), True)
-    block = max(1, JACOBIAN_BLOCK // (d * d))
-    above = factors = None
 
-    for stop in range(n_steps, 0, -block):
-        start = max(stop - block, 0)   # the steps start..stop-1, which produce y_{start+1}..
-        new, (lus, pivs), above = _block_factors(problem, tape, start, stop,
-                                                 new_key[start:stop], above, band)
-        i = len(lus)
-        for step, renew in zip(range(stop - 1, start - 1, -1), new[::-1].tolist()):
-            if renew:
+    for start, stop, jac, constant in jacobian_blocks(problem, tape):
+        renew = new_key[start:stop] | (not constant)   # the steps that need factors
+        steps = start + np.flatnonzero(renew)
+        if len(steps):
+            # factors of the transposes themselves, so one plain solve serves
+            (lus, pivs, _), regular = lu_factor(_iteration_matrix(
+                np.broadcast_to(jac, (len(steps), d, d)).transpose(0, 2, 1),
+                h[steps, None, None], alphas[steps, 0, None, None], band), band)
+            if not regular.all():   # the highest t, the first the sweep meets
+                bad = tape.grid.nodes[steps[np.flatnonzero(~regular)[-1]] + 1]
+                raise SolverError(f"singular or non-finite adjoint matrix at t={bad}")
+        i = len(steps)
+        for step, new in zip(range(stop - 1, start - 1, -1), renew[::-1].tolist()):
+            if new:
                 i -= 1
                 factors = lus[i], pivs[i], band
             j, k = step + 1, orders[step]
@@ -102,52 +105,6 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(gradient))):
         raise SolverError("non-finite adjoint multipliers or gradient")
     return DiscreteAdjoints(lambdas=lambdas[1:], gradient=gradient)
-
-
-def _block_factors(problem, tape, start, stop, new, above, band):
-    """The sweep's work on the steps start..stop-1 before their solves:
-    (new, (lu, piv), f_y of step start).  new marks the steps that need
-    factors of their own, given the mask of those whose (h, alpha_0) differs
-    from the next step's and the f_y of step stop, (1, d, d), in above (None
-    for the last step); lu[i] and piv[i] factor the transposed step matrix
-    of the i-th marked step.  A singular or non-finite one is refused at
-    the highest t, the first the sweep meets."""
-    d = tape.dimension
-    jac = problem.stacked_jacobian(tape.grid.nodes[start + 1:stop + 1],
-                                   tape.states[start + 1:stop + 1])
-    # bits, so that -0.0 differs from 0.0; a (1, d, d) f_y holds for the whole block
-    new = new.copy()
-    if len(jac) > 1:
-        bits = jac.reshape(len(jac), -1).view(np.uint64)
-        new[:-1] |= (bits[:-1] != bits[1:]).any(axis=1)
-    if above is not None and not _same_bits(jac[-1:], above):
-        new[-1] = True
-    # a copy of one row, so that the block's stack is freed; a (1, d, d) f_y
-    # as it is, so that the next block can see the same read-only memory
-    above = jac if len(jac) == 1 else jac[:1].copy()
-    steps = start + new.nonzero()[0]
-    if len(steps) == 0:
-        return new, ((), ()), above
-    if len(jac) == 1:
-        stack = np.broadcast_to(jac, (len(steps), d, d))
-    else:   # a copy only where some steps keep the factors of the next
-        stack = jac if len(steps) == len(jac) else jac[steps - start]
-    # factors of the transposes themselves, so one plain solve serves
-    (lu, piv, _), regular = lu_factor(_iteration_matrix(
-        stack.transpose(0, 2, 1), tape.grid.stepsizes[steps, None, None],
-        tape.grid.alphas[steps, 0, None, None], band), band)
-    if not regular.all():
-        bad = steps[np.flatnonzero(~regular)[-1]]
-        raise SolverError(f"singular or non-finite adjoint matrix at t={tape.grid.nodes[bad + 1]}")
-    return new, (lu, piv), above
-
-
-def _same_bits(a, b):
-    """Whether the float arrays a and b hold the same bits (-0.0 is not 0.0);
-    not read when a is read-only and views the same memory as b."""
-    if not a.flags.writeable and a.__array_interface__ == b.__array_interface__:
-        return True
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
-from .bdf import (EPS, JACOBIAN_BLOCK, IntegrationTape, band_product, coefficient_band,
+from .bdf import (EPS, IntegrationTape, band_product, coefficient_band, jacobian_blocks,
                   stencil_table, step_residuals)
 
 __all__ = [
@@ -76,13 +76,10 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
     together with the y_0 row l + c^T L, evaluated as the stored gradient l
     minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
-    per-step products f_y^T lambda, formed from one stacked jacobian call
-    and one stacked product per block of max(2, JACOBIAN_BLOCK // d^2)
-    states, so no N d^2 array is built (past d = 724 a block of two states
-    holds 2 d^2 > JACOBIAN_BLOCK entries).  An f_y that does not depend on
-    the state, a (1, d, d) answer to the first block, takes one product
-    L f_y for every row instead and one jacobian call; either way the report
-    is the same to the bit for every block size.  initial_residual compares y_0 with
+    per-step products f_y^T lambda, one stacked product per block of
+    bdf.jacobian_blocks.  An f_y that does not depend on the state takes one
+    product L f_y for every row instead; either way the report is the same
+    to the bit for every block size.  initial_residual compares y_0 with
     the problem's initial state, to 1e-12 (1 + max|y_0|).  coefficient_defect
     is held to COEFFICIENT_TOL.  jacobian_defect checks f_y, which no residual
     can see (the adjoint and this check share it), at JACOBIAN_SAMPLES states,
@@ -102,17 +99,12 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     nominal_row, nominal = _worst_row(step_residuals(problem, tape, band))
 
     jt_lam = np.empty((n, d))
-    # at least two states per call, so that a (1, d, d) answer to the first
-    # means an f_y that does not depend on the state, whatever the block size
-    block = max(2, JACOBIAN_BLOCK // (d * d))
-    for s in range(0, n, block):   # the steps s.., which produce y_{s+1}..
-        jac = problem.stacked_jacobian(nodes[s + 1:s + 1 + block],
-                                       tape.states[s + 1:s + 1 + block])
+    for start, stop, jac, constant in jacobian_blocks(problem, tape):
         # row i: lambda_i^T J_i = (J_i^T lambda_i)^T
-        if s == 0 and len(jac) == 1:   # one product for every row
+        if constant:   # one product for every row
             jt_lam = lam @ jac[0]
             break
-        jt_lam[s:s + block] = np.matmul(lam[s:s + block, None, :], jac)[:, 0]
+        jt_lam[start:stop] = np.matmul(lam[start:stop, None, :], jac)[:, 0]
     adj_rows = (band_product(band[0], lam, transpose=True)
                 - tape.grid.stepsizes[:, None] * jt_lam)
     adj_rows[-1] -= problem.criterion_gradient(tape.states[n])

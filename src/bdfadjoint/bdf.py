@@ -58,6 +58,7 @@ __all__ = [
     "band_product",
     "step_residuals",
     "tape_residuals",
+    "jacobian_blocks",
 ]
 
 MAX_ORDER = 6
@@ -69,7 +70,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 2.5
 SAFETY = 0.9
 EPS = np.finfo(float).eps
-JACOBIAN_BLOCK = 2 ** 20         # Jacobian entries per stacked call of the sweep and verify_kkt
+JACOBIAN_BLOCK = 2 ** 20         # Jacobian entries per block of jacobian_blocks, at least two states
 _LAGS = np.arange(MAX_ORDER + 1)   # stencil offsets i of alpha_i
 
 
@@ -326,6 +327,27 @@ def step_residuals(problem, tape, band) -> np.ndarray:
     f = problem.stacked_rhs(tape.grid.nodes[1:], ys[1:])
     return (band_product(a, ys[1:]) + start[:, None] * ys[0]
             - tape.grid.stepsizes[:, None] * f)
+
+
+def jacobian_blocks(problem, tape):
+    """The tape's f_y for the adjoint sweep and verify_kkt, as tuples
+    (start, stop, jac, constant) for the steps start..stop-1, which produce
+    y_{start+1}..y_stop: walked backward from the last step in blocks of at
+    least two and at most max(2, JACOBIAN_BLOCK // d^2) steps (the last block
+    walked may hold one), and jac the (stop - start, d, d) f_y at those
+    states from one stacked jacobian call per block, so no N d^2 array is
+    built.  A (1, d, d) answer to the first call is an f_y that depends on
+    neither the state nor the time: constant is then True, and that jac
+    comes with every block, from that one call."""
+    block = max(2, JACOBIAN_BLOCK // tape.dimension ** 2)
+    constant = False
+    for stop in range(tape.n_steps, 0, -block):
+        start = max(stop - block, 0)
+        if not constant:
+            jac = problem.stacked_jacobian(tape.grid.nodes[start + 1:stop + 1],
+                                           tape.states[start + 1:stop + 1])
+            constant = stop == tape.n_steps and len(jac) == 1
+        yield start, stop, jac, constant
 
 
 def tape_residuals(problem, tape) -> np.ndarray:

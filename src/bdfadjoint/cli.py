@@ -449,7 +449,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.func(ns)
+        # every stage tests finiteness itself and refuses in one line, which
+        # NumPy's floating-point warnings would only precede on stderr
+        with np.errstate(all="ignore"):
+            return ns.func(ns)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

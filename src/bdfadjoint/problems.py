@@ -43,11 +43,13 @@ class OdeProblem:
         column, and times t of shape (m,), f(t, Y) -> (d, m).
     jacobian : callable
         f_y(t, y) -> array of shape (d, d).  Also stacked: f_y(t, Y) -> (d, d, m),
-        or (d, d, 1) where f_y does not depend on the state.  The step loops
-        and the replay call both per state; the all-steps forms (the tape
-        residuals, the adjoint sweep and ``verify``) call them stacked,
-        through :meth:`stacked_rhs` and :meth:`stacked_jacobian`, which
-        refuse a problem written for one state only with a ValueError.  So
+        or (d, d, 1) where f_y depends on neither the state nor the time: the
+        adjoint sweep and ``verify`` then take that one f_y for every step,
+        and the sweep keeps a step's factors over runs of equal steps.  The
+        step loops and the replay call both per state; the all-steps forms
+        (the tape residuals, the adjoint sweep and ``verify``) call them
+        stacked, through :meth:`stacked_rhs` and :meth:`stacked_jacobian`,
+        which refuse a problem written for one state only with a ValueError.  So
         the library's ``adjoint_sweep`` needs the stacked forms, as the CLI's
         ``adjoint`` does through its tape check.  The replay's
         finite-difference map is the sweep's exact derivative only where the
@@ -120,8 +122,8 @@ class OdeProblem:
     def stacked_jacobian(self, t, ys) -> np.ndarray:
         """C-contiguous (m, d, d) stack f_y(t_i, y_i) for the times t (m,)
         and rows ys (m, d), from one stacked jacobian call, or (1, d, d) for
-        an f_y that does not depend on the state.  Contiguous, so that
-        np.matmul takes the same route for a stack of any length."""
+        an f_y that depends on neither the state nor the time.  Contiguous,
+        so that np.matmul takes the same route for a stack of any length."""
         d, m = self.dimension, len(ys)
         return np.ascontiguousarray(
             _stacked(self.jacobian, "jacobian", t, ys, [(d, d, m), (d, d, 1)]).transpose(2, 0, 1))

@@ -12,16 +12,19 @@ initial-condition assembly separately.
 import dataclasses
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import bdfadjoint.adjoint as adjoint_module
 from bdfadjoint import (SolverError, adjoint_sweep, bdf, get_problem,
                         gradient_wrt_initial, integrate_adaptive,
                         integrate_nonadaptive, linear_test_problem,
-                        replay_integration, tape_residuals)
+                        replay_integration, tape_residuals, verify_kkt)
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 
@@ -291,9 +294,11 @@ def lu_factor_calls(monkeypatch):
 
 
 class TestFactorReuse:
-    """Every step matrix is factored through bdf.lu_factor; the sweep keeps
-    the factors while h, alpha_0 and f_y stay bit-equal, so each run of
-    consecutive equal matrices, a lone step included, is factored once."""
+    """Every step matrix is factored through bdf.lu_factor.  For an f_y that
+    does not depend on the state, a (d, d, 1) stacked answer, the sweep keeps
+    the factors while h and alpha_0 stay equal, so each run of consecutive
+    equal matrices, a lone step included, is factored once; any other f_y
+    is factored at every step."""
 
     def test_one_factorization_per_run_of_repeats(self, lu_factor_calls):
         """k=2 on a uniform grid: the two h/2 start steps, the ramp step and
@@ -344,12 +349,13 @@ class TestFactorReuse:
         np.testing.assert_array_equal(adj.gradient, gradient)
 
     def test_reuse_needs_bit_equal_jacobians(self, lu_factor_calls, monkeypatch):
-        """A problem that returns fresh copies of f_y, a (d, d, m) stack or
-        one (d, d, 1) copy per call, keeps the factors of each run of equal
-        steps; one whose copies differ in the sign of a zero entry from each
-        step to the next is refactored at every step.  All give the
-        multipliers of fresh solves, with the same count of factorizations
-        in blocks of one state, of three and of the default size."""
+        """A problem that returns one fresh (d, d, 1) copy of f_y per call
+        keeps the factors of each run of equal steps; one that returns a
+        (d, d, m) stack is refactored at every step, whether its copies are
+        equal or differ in the sign of a zero entry from each step to the
+        next.  All give the multipliers of fresh solves, with the same count
+        of factorizations in blocks of two states, of three and of the
+        default size."""
         problem = dataclasses.replace(_heat(8), band=None)
         tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
         a = problem.jacobian(0.0, None)
@@ -363,9 +369,9 @@ class TestFactorReuse:
         def one_copy(t, y):
             return a[:, :, None].copy() if np.ndim(y) == 2 else a.copy()
 
-        for block in (1, 3 * 64, adjoint_module.JACOBIAN_BLOCK):
-            monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", block)
-            for jacobian, factors in ((_per_state(lambda t, y: a.copy()), 3),
+        for block in (1, 3 * 64, bdf.JACOBIAN_BLOCK):
+            monkeypatch.setattr(bdf, "JACOBIAN_BLOCK", block)
+            for jacobian, factors in ((_per_state(lambda t, y: a.copy()), tape.n_steps),
                                       (one_copy, 3),
                                       (_per_state(flipping), tape.n_steps)):
                 variant = dataclasses.replace(problem, jacobian=jacobian)
@@ -394,11 +400,11 @@ class TestFactorReuse:
             np.testing.assert_array_equal(first, tape.states[n + 1])
 
     @pytest.mark.parametrize("delta", [0.0, 1e-15])
-    def test_singular_repeated_matrix_raises(self, delta, lu_factor_calls):
+    def test_singular_repeated_matrix_raises(self, delta, lu_factor_calls, monkeypatch):
         """I - h f_y = [[1, 1], [1, 1 + delta]] on every BDF1 step, exactly
         singular (delta = 0) or singular to working precision (1e-15): the
-        first factorization refuses it, on an 8-step tape and on a 1-step
-        tape alike."""
+        first stacked factorization, of every step of the tape, refuses it
+        before any solve, on an 8-step tape and on a 1-step tape alike."""
         h = 0.125
         jac = np.array([[0.0, -1.0], [-1.0, -delta]]) / h
         for t_f in (1.0, h):
@@ -409,10 +415,16 @@ class TestFactorReuse:
             singular = dataclasses.replace(
                 problem, jacobian=_per_state(lambda t, y: jac.copy()), band=None)
             lu_factor_calls.clear()
-            with pytest.raises(SolverError,
-                               match="singular or non-finite adjoint matrix"):
+            stacked, solves = [], []
+            with monkeypatch.context() as patch, pytest.raises(
+                    SolverError, match="singular or non-finite adjoint matrix"):
+                patch.setattr(adjoint_module, "lu_factor",
+                              lambda m, band=None, factor=adjoint_module.lu_factor:
+                              stacked.append(len(m)) or factor(m, band))
+                patch.setattr(adjoint_module, "lu_solve", lambda factors, b: solves.append(b))
                 adjoint_sweep(singular, tape)
-            assert lu_factor_calls == [(2, 2)]
+            assert lu_factor_calls == [(2, 2)] * tape.n_steps
+            assert stacked == [tape.n_steps] and solves == []
 
 
 class TestBandRoute:
@@ -519,21 +531,23 @@ def _block_case(case):
 
 
 class TestBlocks:
-    """The sweep walks the tape backward in blocks of at most JACOBIAN_BLOCK
-    Jacobian entries, one stacked jacobian call each; the multipliers and
-    the gradient do not depend on the block size."""
+    """The sweep walks the tape backward in the blocks of bdf.jacobian_blocks,
+    at least two and at most max(2, JACOBIAN_BLOCK // d^2) steps, one stacked
+    jacobian call each, or one call in all for an f_y that does not depend
+    on the state; the multipliers and the gradient do not depend on the
+    block size."""
 
     @pytest.mark.parametrize("case", [f"catenary-k{k}" for k in range(1, 7)]
                              + ["catenary-adaptive", "heat-band", "heat-dense"])
     def test_block_size_independent(self, case, monkeypatch):
-        """Blocks of one state (JACOBIAN_BLOCK below d^2), of three and of
+        """Blocks of two states (JACOBIAN_BLOCK below d^2), of three and of
         the default size give lambda and the gradient bit for bit, and every
-        stacked call asks for at most max(1, JACOBIAN_BLOCK // d^2) states,
-        all N of them once."""
+        stacked call asks for at most max(2, JACOBIAN_BLOCK // d^2) states,
+        all N of them once, or the (1, d, d) f_y of the heat cases once."""
         problem, tape = _block_case(case)
         d = problem.dimension
         runs = []
-        for block in (1, 3 * d * d + 1, adjoint_module.JACOBIAN_BLOCK):
+        for block in (1, 3 * d * d + 1, bdf.JACOBIAN_BLOCK):
             sizes = []
 
             def recording(t, y, jacobian=problem.jacobian):
@@ -541,40 +555,121 @@ class TestBlocks:
                 sizes.append(np.shape(y)[1])
                 return jacobian(t, y)
 
-            monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", block)
+            monkeypatch.setattr(bdf, "JACOBIAN_BLOCK", block)
             runs.append(adjoint_sweep(dataclasses.replace(problem, jacobian=recording), tape))
-            assert max(sizes) <= max(1, block // (d * d))
-            assert sum(sizes) == tape.n_steps
+            per_call = max(2, block // (d * d))
+            if case.startswith("heat"):   # a (1, d, d) f_y: one call for the whole tape
+                assert sizes == [min(tape.n_steps, per_call)]
+            else:
+                assert max(sizes) <= per_call
+                assert sum(sizes) == tape.n_steps
         assert len(sizes) == 1   # the default block holds every state of these tapes
         for adj in runs[:-1]:
             assert adj.lambdas.tobytes() == runs[-1].lambdas.tobytes()
             assert adj.gradient.tobytes() == runs[-1].gradient.tobytes()
 
-    def test_same_read_only_jacobian_is_not_compared(self, monkeypatch):
-        """heat returns its read-only f_y as the same (1, d, d) memory at
-        every call: with one state per block, no block after the first
-        reads it to compare, and the factors of each run are kept."""
+    def test_same_read_only_jacobian_is_not_compared(self, monkeypatch, lu_factor_calls):
+        """heat's f_y does not depend on the state, a (1, d, d) answer: with
+        blocks of two states, the sweep asks for it once, compares no f_y,
+        and keeps the factors of each of the three runs of equal steps; a
+        block with no new step builds no matrix."""
         problem = _heat()
         tape = integrate_nonadaptive(problem, 2, 1.0 / 16)
         expected = adjoint_sweep(problem, tape)
-        compared = []
+        compared, calls, stacks = [], [], []
+        build = adjoint_module._iteration_matrix
         array_equal = np.array_equal
 
         def recording(*args, **kwargs):
             compared.append(args)
             return array_equal(*args, **kwargs)
 
+        def jacobian(t, y):
+            calls.append(np.shape(t))
+            return problem.jacobian(t, y)
+
         monkeypatch.setattr(np, "array_equal", recording)
-        monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", 1)
-        adj = adjoint_sweep(problem, tape)
+        monkeypatch.setattr(adjoint_module, "_iteration_matrix",
+                            lambda jac, *args: stacks.append(len(jac)) or build(jac, *args))
+        monkeypatch.setattr(bdf, "JACOBIAN_BLOCK", 1)
+        lu_factor_calls.clear()
+        adj = adjoint_sweep(dataclasses.replace(problem, jacobian=jacobian), tape)
         assert compared == []
+        assert calls == [(2,)]
+        assert lu_factor_calls == [(4, 50)] * 3
+        assert 0 not in stacks and sum(stacks) == 3
         assert adj.lambdas.tobytes() == expected.lambdas.tobytes()
+
+    def test_constant_jacobian_asked_once_past_d_724(self):
+        """At d = 800 a block of two states holds more than JACOBIAN_BLOCK
+        entries: for the state-independent f_y of a tridiagonal linear
+        problem, the sweep and verify_kkt each make one stacked jacobian
+        call for the whole tape (verify_kkt's Jacobian check one more)."""
+        problem = _heat(d=800)
+        assert 2 * 800 ** 2 > bdf.JACOBIAN_BLOCK
+        tape = integrate_nonadaptive(dataclasses.replace(problem, final_time=2.0 ** -6),
+                                     2, 2.0 ** -9)
+        assert tape.n_steps > 4
+        calls = []
+
+        def jacobian(t, y):
+            if np.ndim(y) == 2:
+                calls.append(np.shape(t))
+            return problem.jacobian(t, y)
+
+        counting = dataclasses.replace(problem, jacobian=jacobian)
+        adj = adjoint_sweep(counting, tape)
+        assert calls == [(2,)]
+        calls.clear()
+        assert all(check.passed for check in verify_kkt(counting, tape, adj))
+        assert calls[:-1] == [(2,)]   # the last call is the Jacobian check's
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n_steps=st.integers(1, 40), d=st.integers(1, 40), block=st.integers(1, 6000),
+           constant=st.booleans())
+    def test_walker_tiles_the_steps_from_the_top(self, n_steps, d, block, constant):
+        """bdf.jacobian_blocks hands the steps N-1..0 once each, in blocks
+        from the top down, with one stacked jacobian call per block at the
+        block's times and states; each block holds at most
+        max(2, JACOBIAN_BLOCK // d^2) steps and at least two, the last one
+        walked excepted.  A (1, d, d) answer to the first call is asked once
+        and comes with every block."""
+        nodes = np.arange(n_steps + 1.0)
+        tape = SimpleNamespace(n_steps=n_steps, dimension=d,
+                               grid=SimpleNamespace(nodes=nodes),
+                               states=np.repeat(nodes[:, None], d, axis=1))
+        calls = []
+
+        def stacked_jacobian(t, ys):
+            calls.append((t, ys))
+            return np.broadcast_to(0.0, (1 if constant else len(ys), d, d))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bdf, "JACOBIAN_BLOCK", block)
+            blocks = list(bdf.jacobian_blocks(SimpleNamespace(stacked_jacobian=stacked_jacobian),
+                                              tape))
+        bound = max(2, block // d ** 2)
+        stops = [stop for _, stop, _, _ in blocks]
+        starts = [start for start, _, _, _ in blocks]
+        assert stops == [n_steps] + starts[:-1] and starts[-1] == 0
+        sizes = [stop - start for start, stop, _, _ in blocks]
+        assert all(2 <= m <= bound for m in sizes[:-1]) and 1 <= sizes[-1] <= bound
+        if constant or n_steps == 1:
+            assert len(calls) == 1
+            assert all(flag and jac is blocks[0][2] for _, _, jac, flag in blocks)
+        else:
+            assert len(calls) == len(blocks) and not any(flag for *_, flag in blocks)
+            for (start, stop, jac, _), (t, ys) in zip(blocks, calls):
+                assert jac.shape == (stop - start, d, d)
+                assert t.tolist() == nodes[start + 1:stop + 1].tolist()
+                assert ys.tolist() == tape.states[start + 1:stop + 1].tolist()
 
     @pytest.mark.parametrize("states", [1, 3, None])
     def test_first_failing_step_in_sweep_order_is_named(self, states, monkeypatch):
         """BDF1 on eight steps, the step matrices at t_4 and t_6 singular and
-        the rest regular: whatever the blocks (one state, three, all), the
-        sweep refuses the tape at the higher t, t_6, before it solves."""
+        the rest regular: whatever the blocks (JACOBIAN_BLOCK of one state,
+        which walks two, three, all), the sweep refuses the tape at the
+        higher t, t_6, before it solves."""
         h = 0.125
         problem, _ = linear_test_problem(a=[[-1.0, 0.0], [0.0, -1.0]],
                                          y_s=[1.0, 1.0], t_s=0.0, t_f=1.0)
@@ -589,7 +684,7 @@ class TestBlocks:
         # a diagonal 2 x 2 a states the band (0, 0), which this f_y breaks
         bad = dataclasses.replace(problem, jacobian=_per_state(jacobian), band=None)
         if states is not None:
-            monkeypatch.setattr(adjoint_module, "JACOBIAN_BLOCK", states * 4)
+            monkeypatch.setattr(bdf, "JACOBIAN_BLOCK", states * 4)
         solves = []
         monkeypatch.setattr(adjoint_module, "lu_solve",
                             lambda factors, b, solve=bdf.lu_solve: solves.append(b) or
@@ -598,4 +693,5 @@ class TestBlocks:
                 f"singular or non-finite adjoint matrix at t={nodes[6]}")):
             adjoint_sweep(bad, tape)
         # the blocks above the one holding t_6 were solved, that one not
-        assert len(solves) == (0 if states is None else (8 - 6) // states * states)
+        block = None if states is None else max(2, states)
+        assert len(solves) == (0 if block is None else (8 - 6) // block * block)

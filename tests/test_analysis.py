@@ -368,7 +368,7 @@ class TestVerifyKkt:
         on the block size, to the bit: the catenary's (m, d, d) stacks, and
         the (1, d, d) f_y of a dense d = 3 and a tridiagonal d = 400 linear
         problem, which take one call and one product for the whole tape."""
-        from bdfadjoint import analysis
+        from bdfadjoint import bdf
         linear, _ = linear_test_problem([[-1.0, 0.5, 0.25], [0.3, -2.0, 0.7],
                                          [0.1, 0.9, -3.0]], [1.0, -0.5, 2.0], 0.0, 1.0)
         d = 400
@@ -389,7 +389,7 @@ class TestVerifyKkt:
                 return jacobian(t, y)
 
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "JACOBIAN_BLOCK", block)
+                patch.setattr(bdf, "JACOBIAN_BLOCK", block)
                 report = verify_kkt(dataclasses.replace(problem, jacobian=recording),
                                     tape, adj)
             assert report == expected

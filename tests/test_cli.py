@@ -21,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1459,12 +1460,43 @@ _JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=50, deadline=None)
+def _catenary_tape_with_huge_p(tmp_path):
+    _, tape = _integrate(tmp_path)
+    doc = json.loads(tape.read_text())
+    doc["problem"]["params"]["p"] = 1e308
+    tape.write_text(json.dumps(doc))
+    return ["adjoint", "--tape", str(tape), "--out", str(tmp_path / "adjoint.json")]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (lambda tmp: ["integrate", "--p", "1e308", "--order", "2", "--h", "0.125",
+                  "--out", str(tmp / "tape.json")],
+     2, "solver failure: step 0 failed: non-finite residual at t=0.0625\n"),
+    (lambda tmp: ["integrate", "--mode", "adaptive", "--rtol", "1e-4", "--atol", "1e308",
+                  "--out", str(tmp / "tape.json")], 0, ""),
+    (_catenary_tape_with_huge_p, 1, "error: tape failed residual validation against its problem\n"),
+], ids=["integrate-p-1e308", "adaptive-atol-1e308", "adjoint-p-1e308"])
+def test_overflow_prints_no_numpy_warning(tmp_path, capsys, argv, code, err):
+    """Values that overflow inside a stage: the catenary rhs at p = 1e308, in
+    integrate and in the adjoint stage's tape check, and the step-size factor
+    of an adaptive run at atol = 1e308.  The stage keeps its exit code and
+    its one stderr line or none, and no NumPy RuntimeWarning is raised (it
+    would print before that line)."""
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == err
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_documents_get_documented_exit_codes(data):
     """One value of the tape or adjoint document, at a random path, replaced
-    by a random JSON value: adjoint and verify return 0/1/2/3 and raise
-    nothing."""
+    by a random JSON value: adjoint and verify return 0/1/2/3, raise
+    nothing, warn of nothing and write at most one line to stderr."""
     docs = dict(_fuzz_documents())
     which = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(_json_paths(docs[which]))))
@@ -1477,10 +1509,14 @@ def test_mutated_documents_get_documented_exit_codes(data):
                       "--out", str(Path(tmp) / "out.json")],
                      ["verify", "--tape", str(files["tape"]), "--adjoint-file",
                       str(files["adjoint"]), "--out", str(Path(tmp) / "kkt.json")]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 rc = main(argv)
             assert rc in (0, 1, 2, 3)
+            assert [str(w.message) for w in caught] == []
+            assert err.getvalue().count("\n") <= 1
 
 
 class TestConvergeCommand:
