@@ -603,13 +603,11 @@ def _nonadaptive_plan(k, n_main):
     """Per-step (node fraction, order) plan; fractions are multiples of h.
 
     The self-start fills exactly the first main interval: for k = 2 it is two
-    order-1 steps of h/2; for k >= 3 it is k-1 order-ascending steps of
-    length h * 2^j / 2^(k-1) (orders 1..k-1) followed by one order-k step of
-    h / 2^(k-1).  The remaining n_main - 1 steps run at (k, h).
+    order-1 steps of h/2; for any other k it is k-1 order-ascending steps of
+    length h * 2^j / 2^(k-1) (orders 1..k-1) and one order-k step of h / 2^(k-1)
+    (k = 1: one step of h).  The remaining n_main - 1 steps run at (k, h).
     """
-    if k == 1:
-        fracs, orders = [1.0], [1]
-    elif k == 2:
+    if k == 2:
         fracs, orders = [0.5, 1.0], [1, 1]
     else:
         denom = 2.0 ** (k - 1)

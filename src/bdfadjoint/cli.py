@@ -41,6 +41,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):   # no abbreviations: adjoint's --p is not --problem
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -222,7 +225,7 @@ def cmd_adjoint(ns) -> int:
     tape, digest = _load_input(settings, "tape", _read_tape, "tape")
     problem, _ = _problem_for_tape(tape, settings)
     resid = tape_residuals(problem, tape)
-    # written so that a NaN residual fails too
+    # verify_kkt's nominal_residual rule; written so that a NaN residual fails too
     if not np.all(resid <= 10.0 * tape.newton_tolerances):
         raise _UsageError("tape failed residual validation against its problem")
     adjoints = adjoint_sweep(problem, tape)
@@ -394,12 +397,13 @@ def cmd_verify(ns) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
+def _add_common(parser, builds_problem=False):
     parser.add_argument("--config", help="key=value config file with [section] headers")
     parser.add_argument("--problem", help="problem name (catenary, linear)")
-    parser.add_argument("--p", type=float, help="catenary parameter p > 0")
-    parser.add_argument("--A", type=float, help="catenary parameter A")
-    parser.add_argument("--tf", type=float, help="final time")
+    if builds_problem:
+        parser.add_argument("--p", type=float, help="catenary parameter p > 0")
+        parser.add_argument("--A", type=float, help="catenary parameter A")
+        parser.add_argument("--tf", type=float, help="final time")
     parser.add_argument("--out", help="output file path")
 
 
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_int = sub.add_parser("integrate", help="run one integration, write a tape")
-    _add_common(p_int)
+    _add_common(p_int, builds_problem=True)
     p_int.add_argument("--mode", help="nonadaptive | adaptive")
     p_int.add_argument("--order", type=int, help="BDF order k (nonadaptive)")
     p_int.add_argument("--h", type=float, help="main stepsize (nonadaptive)")
@@ -423,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adj.set_defaults(func=cmd_adjoint)
 
     p_con = sub.add_parser("converge", help="error sweep over h or rtol")
-    _add_common(p_con)
+    _add_common(p_con, builds_problem=True)
     p_con.add_argument("--mode", help="nonadaptive | adaptive")
     p_con.add_argument("--order", type=int, help="BDF order k (nonadaptive)")
     p_con.add_argument("--h", type=_parse_vector, help="comma-separated h sweep")

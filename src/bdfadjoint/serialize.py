@@ -9,18 +9,17 @@ NaN payloads, signed zeros and subnormals round-trip bit for bit.  orjson
 writes everything else, and the adjoint CSV, each float as the shortest
 decimal that round-trips (the digits of Python's repr, in orjson's notation:
 0.00001 for 1e-05, 1e16 for 1e+16).  Identical inputs therefore produce
-byte-identical files.  orjson also reads every document and reproduces the
+byte-identical files.  orjson alone reads every document and reproduces the
 exact binary floating-point values; it returns an integer beyond 64 bits as
 the equal float.  A document orjson refuses (NaN or Infinity tokens, a number
-beyond binary64, a lone surrogate) cannot be written by this package, so only
-a hand-edited one reaches the standard json module, which reads it.
+beyond binary64, a lone surrogate) cannot be written by this package, and is
+refused with ValueError.
 """
 
 from __future__ import annotations
 
 import binascii
 import csv
-import json
 import math
 
 import numpy as np
@@ -78,11 +77,7 @@ def _load_checked(path, expected_format, version=FORMAT_VERSION, data=None):
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
-    try:
-        doc = orjson.loads(data)
-    except orjson.JSONDecodeError:
-        # NaN tokens of a hand-edited file: json reads them
-        doc = json.loads(data.decode())
+    doc = orjson.loads(data)   # its JSONDecodeError is a ValueError
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"{path}: not a {expected_format} document")
     if doc.get("version") != version:

@@ -235,13 +235,22 @@ class TestVerifyKkt:
         assert nominal.t == tape.grid.nodes[nominal.step]
 
     def test_agrees_with_dense_oracle(self):
+        """nominal_residual is the oracle's step row at its largest ratio to
+        that step's Newton tolerance, held to 10 times that tolerance;
+        adjoint_residual is the oracle's largest row."""
         rng = np.random.default_rng(7)
+
+        def worst_nominal(tape, nominal):   # (value, threshold, step)
+            rows, thresholds = np.max(np.abs(nominal), axis=1), 10.0 * tape.newton_tolerances
+            i = int(np.argmax(rows / thresholds))
+            return rows[i], thresholds[i], i + 1
+
         for tape, adj in _oracle_cases():
             report = _checks(CATENARY, tape, adj)[0]
             nominal, adjoint = _dense_kkt_oracle(CATENARY, tape, adj)
             # residuals at rounding level: agree to the rounding of O(10) terms
             assert report["nominal_residual"].value == pytest.approx(
-                np.max(np.abs(nominal)), abs=1e-13)
+                worst_nominal(tape, nominal)[0], abs=1e-13)
             assert report["adjoint_residual"].value == pytest.approx(
                 np.max(np.abs(adjoint)), abs=1e-13)
             # perturbed everywhere, every row is large and the maxima and
@@ -253,11 +262,12 @@ class TestVerifyKkt:
                 gradient=adj.gradient)
             report = _checks(CATENARY, bad_tape, bad_adj)[0]
             nominal, adjoint = _dense_kkt_oracle(CATENARY, bad_tape, bad_adj)
-            nom_rows = np.max(np.abs(nominal), axis=1)
+            nom_value, nom_threshold, nom_step = worst_nominal(bad_tape, nominal)
             adj_rows = np.max(np.abs(adjoint), axis=1)
-            assert report["nominal_residual"].value == pytest.approx(nom_rows.max(), rel=1e-8)
+            assert report["nominal_residual"].value == pytest.approx(nom_value, rel=1e-8)
             assert report["adjoint_residual"].value == pytest.approx(adj_rows.max(), rel=1e-8)
-            assert report["nominal_residual"].step == np.argmax(nom_rows) + 1
+            assert report["nominal_residual"].step == nom_step
+            assert report["nominal_residual"].threshold == nom_threshold
             assert report["adjoint_residual"].step == np.argmax(adj_rows)
 
     def test_wrong_jacobian_fails_the_jacobian_check(self):

@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 1 usage/config errors, 2 solver failures,
 tests see exactly what a shell user would.
 """
 
+import base64
 import contextlib
 import copy
 import csv
@@ -167,6 +168,20 @@ class TestIntegrate:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--frobnicate", "1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["adjoint", "--tape", "tape.json", "--p", "3"],
+        ["verify", "--tape", "tape.json", "--adjoint-file", "adj.json", "--tf", "1"],
+        ["integrate", "--h", "0.25", "--ord", "2"]],
+        ids=["adjoint-p", "verify-tf", "integrate-ord"])
+    def test_flag_a_stage_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        """adjoint and verify take no problem parameters (the tape holds
+        them), and no stage takes an abbreviated flag: argparse would read
+        adjoint's --p as --problem and --ord as --order."""
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_catenary_defaults_come_from_registry(self, tmp_path):
         """No problem flags: the same tape bytes as the registry's defaults
@@ -517,12 +532,13 @@ class TestAdjointCommand:
         assert err.startswith(want) and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("c0", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("c0", [1e308, 1.7e308])
     def test_nonfinite_multipliers_are_solver_failure(self, tmp_path, capsys,
                                                       c0):
-        """A linear tape whose criterion vector c is [c0, 0]: the states
-        pass validation, the multipliers are not finite, and adjoint refuses
-        them with exit 2 and no output, not a NaN gradient with exit 0."""
+        """A linear tape whose criterion vector c is [c0, 0], finite and
+        near the top of binary64: the states pass validation, the
+        multipliers overflow, and adjoint refuses them with exit 2 and no
+        output, not an infinite gradient with exit 0."""
         tape = tmp_path / "tape.json"
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
@@ -556,32 +572,11 @@ class TestAdjointCommand:
                                       np.array(results["float"]["gradient"]).view(np.uint64))
         assert results["int"]["lambdas"] == results["float"]["lambdas"]   # the bytes
 
-    def test_unencodable_fallback_params_refused(self, tmp_path, capsys):
-        """c holds the integer 2**70 in a tape that the json fallback reads
-        (a NaN token in a driver parameter that a nonadaptive tape does not
-        use), so the integer stays an integer.  The adjoint file no longer copies the params, only the
-        tape's digest, so nothing unencodable is left to refuse: adjoint
-        exits 0 and writes both files."""
-        tape = tmp_path / "tape.json"
-        assert main(["integrate", "--problem", "linear", "--order", "2",
-                     "--h", "0.125", "--out", str(tape)]) == 0
-        doc = json.loads(tape.read_text())
-        doc["problem"]["params"]["c"] = [2 ** 70, 0]
-        doc["driver_params"]["rtol"] = float("nan")
-        tape.write_text(json.dumps(doc))
-        capsys.readouterr()
-        out = tmp_path / "adjoint.json"
-        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert json.loads(out.read_text())["tape_sha256"] == (
-            hashlib.sha256(tape.read_bytes()).hexdigest())
-        assert out.with_suffix(".csv").exists()
-
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_overflowing_param_refused(self, tmp_path, capsys, stage):
-        """c holds the integer 10**400, beyond binary64: the json fallback
-        reads it as an integer, and rebuilding the problem from it is one
-        line of usage error, not an OverflowError traceback."""
+        """c holds the integer 10**400, beyond binary64: a document that
+        this package cannot have written, refused at load with one line of
+        usage error."""
         tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
@@ -596,9 +591,38 @@ class TestAdjointCommand:
         capsys.readouterr()
         assert main([*args, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot rebuild tape problem:")
+        assert err.startswith("error: cannot load tape:")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("target, stage", [("tape", "adjoint"), ("tape", "verify"),
+                                               ("adjoint", "verify")])
+    def test_nan_token_refused_at_load(self, tmp_path, capsys, target, stage):
+        """A NaN token, which this package never writes, in a linear tape's
+        criterion vector c or in an adjoint file's gradient: the reader
+        refuses the document, so the stage exits 1 with one line and writes
+        nothing, rather than computing with the NaN."""
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--problem", "linear", "--order", "2",
+                     "--h", "0.125", "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        path = tape if target == "tape" else adj
+        doc = json.loads(path.read_text())
+        (doc["problem"]["params"]["c"] if target == "tape" else doc["gradient"])[0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        if target == "tape":
+            _rebind(adj, tape)
+        out = tmp_path / "out.json"
+        args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
+                ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        what = "tape" if target == "tape" else "adjoint results"
+        assert captured.err.startswith(f"error: cannot load {what}:")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_overflowing_catenary_start_is_one_error_line(self, tmp_path, stage):
@@ -626,8 +650,8 @@ class TestAdjointCommand:
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_truncated_tape_refused(self, tmp_path, capsys, stage, nan):
         """A tape cut off halfway, or right after a NaN token in its problem
-        parameters: neither orjson nor the json fallback reads it, so it is
-        one line of usage error at load."""
+        parameters: orjson does not read it, so it is one line of usage
+        error at load."""
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
@@ -958,6 +982,46 @@ class TestVerifyCommand:
         initial = doc["checks"]["initial_residual"]
         assert initial["value"] > initial["threshold"]
         assert initial["passed"] is False and initial["worst"]["step"] == 0
+
+    @pytest.mark.parametrize("factor", [0.03, 3.0])
+    def test_nominal_rule_is_the_adjoint_gate(self, tmp_path, capsys, factor):
+        """An adaptive catenary tape (rtol 1e-6, Newton tolerances from
+        4.3e-10 to 1.2e-7) with y_1 moved by factor * 10 tol_0: at 3.0 the
+        residual of step 1 lies between 10 tol_0 and 10 max(tol), so adjoint
+        refuses the tape and verify fails nominal_residual at step 1, not
+        only against a threshold of 10 max(tol); at 0.03 both accept it.
+        Either way the record passes exactly when every step is within
+        10 tol_n."""
+        tape, adj = tmp_path / "tape.json", tmp_path / "adjoint.json"
+        assert main(["integrate", "--mode", "adaptive", "--rtol", "1e-6",
+                     "--out", str(tape)]) == 0
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        tol = load_tape(tape).newton_tolerances
+        doc = json.loads(tape.read_text())
+        states = decode_array(doc["states"])
+        states[1, 0] += factor * 10.0 * tol[0]
+        doc["states"] = encode_array(states)
+        tape.write_text(json.dumps(doc))
+        _rebind(adj, tape)
+        moved = load_tape(tape)
+        within = (bdf.tape_residuals(CATENARY, moved)
+                  <= 10.0 * moved.newton_tolerances)
+        capsys.readouterr()
+        out, report = tmp_path / "moved.json", tmp_path / "kkt.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == (
+            0 if factor < 1.0 else 1)
+        assert main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                     "--out", str(report)]) == (0 if factor < 1.0 else 3)
+        nominal = json.loads(report.read_text())["checks"]["nominal_residual"]
+        assert nominal["passed"] is bool(np.all(within))
+        if factor > 1.0:
+            assert nominal["worst"]["step"] == 1 and not within[0]
+            assert nominal["value"] > nominal["threshold"] == 10.0 * tol[0]
+            assert nominal["value"] < 10.0 * np.max(moved.newton_tolerances)
+            assert capsys.readouterr().err == (
+                "error: tape failed residual validation against its problem\n"
+                "verification failed: nominal_residual above threshold\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("value", [[], "catenary", {"name": "catenary"}])
     def test_malformed_tape_digest_refused(self, tmp_path, capsys, value):
@@ -1415,13 +1479,15 @@ class TestOutputPath:
 
 
 @functools.lru_cache(maxsize=None)
-def _fuzz_documents():
-    """A small valid tape and adjoint document (catenary, k=2, h=1/4)."""
+def _fuzz_documents(mode="nonadaptive"):
+    """A small valid tape and adjoint document of the catenary, nonadaptive
+    (k=2, h=1/4) or adaptive (rtol 1e-4)."""
+    run = (["--order", "2", "--h", "0.25"] if mode == "nonadaptive"
+           else ["--mode", "adaptive", "--rtol", "1e-4"])
     with tempfile.TemporaryDirectory() as tmp:
         tape, adj = Path(tmp) / "tape.json", Path(tmp) / "adjoint.json"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["integrate", "--order", "2", "--h", "0.25",
-                         "--out", str(tape)]) == 0
+            assert main(["integrate", *run, "--out", str(tape)]) == 0
             assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         docs = {"tape": json.loads(tape.read_text()),
                 "adjoint": json.loads(adj.read_text())}
@@ -1491,12 +1557,42 @@ def test_overflow_prints_no_numpy_warning(tmp_path, capsys, argv, code, err):
     assert capsys.readouterr().err == err
 
 
+_STDERR_PREFIXES = {1: "error: ", 2: "solver failure: ", 3: "verification failed: "}
+
+
+def _run_under_contract(argv):
+    """(exit code, stderr) of main(argv), argv ending in --out and a path,
+    held to the exit-code contract: it raises nothing, warns of nothing, and
+    exits 0 with nothing on stderr or 1, 2 or 3 with one line of that code's
+    prefix (on exit 1, argparse's own usage block instead); after exit 1 or
+    2 neither the --out file nor adjoint's CSV beside it exists."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 1, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    if rc == 0:
+        assert err == ""
+    elif rc == 1 and err.startswith("usage: bdfadjoint"):
+        assert re.match(r"bdfadjoint( \w+)?: error: ", err.splitlines()[-1])
+    else:
+        assert err.startswith(_STDERR_PREFIXES[rc]) and err.count("\n") == 1
+        assert err.endswith("\n")
+    out = Path(argv[-1])
+    if rc in (1, 2):
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+    return rc, err
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_documents_get_documented_exit_codes(data):
     """One value of the tape or adjoint document, at a random path, replaced
-    by a random JSON value: adjoint and verify return 0/1/2/3, raise
-    nothing, warn of nothing and write at most one line to stderr."""
+    by a random JSON value: adjoint and verify keep the exit-code contract
+    of _run_under_contract."""
     docs = dict(_fuzz_documents())
     which = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(_json_paths(docs[which]))))
@@ -1505,18 +1601,120 @@ def test_mutated_documents_get_documented_exit_codes(data):
         files = {name: Path(tmp) / f"{name}.json" for name in docs}
         for name, doc in docs.items():
             files[name].write_text(json.dumps(doc))
-        for argv in (["adjoint", "--tape", str(files["tape"]),
-                      "--out", str(Path(tmp) / "out.json")],
-                     ["verify", "--tape", str(files["tape"]), "--adjoint-file",
-                      str(files["adjoint"]), "--out", str(Path(tmp) / "kkt.json")]):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rc = main(argv)
-            assert rc in (0, 1, 2, 3)
-            assert [str(w.message) for w in caught] == []
-            assert err.getvalue().count("\n") <= 1
+        _run_under_contract(["adjoint", "--tape", str(files["tape"]),
+                             "--out", str(Path(tmp) / "out.json")])
+        _run_under_contract(["verify", "--tape", str(files["tape"]), "--adjoint-file",
+                             str(files["adjoint"]), "--out", str(Path(tmp) / "kkt.json")])
+
+
+def _deleted(doc, path):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return doc
+
+
+def _mutated(data, doc):
+    """(kind, doc with one field deleted, one byte of a base64 payload
+    flipped, or one value replaced by a NaN or infinite token)."""
+    kind = data.draw(st.sampled_from(["delete", "flip", "token"]))
+    paths = list(_json_paths(doc))[1:]
+    if kind == "delete":
+        return kind, _deleted(doc, data.draw(st.sampled_from(paths)))
+    if kind == "token":
+        return kind, _replaced(doc, data.draw(st.sampled_from(paths)),
+                               data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    payloads = [p for p in paths if p[-1] == "base64"]
+    path = data.draw(st.sampled_from(payloads))
+    field = doc
+    for key in path:
+        field = field[key]
+    raw = bytearray(base64.b64decode(field))
+    if raw:
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    return kind, _replaced(doc, path, base64.b64encode(bytes(raw)).decode())
+
+
+_EXTREME_VALUES = ["1e308", "-1e308", "0", "-1", "nan", "inf", "-inf", "5e-324",
+                   "1e-308", "1e400", str(2 ** 70)]
+# Prefixes of a stage's own flags, and problem parameters that only integrate
+# and converge read: each is refused with argparse's usage block.
+_STRAY_FLAGS = {"integrate": [["--ord", "3"], ["--rt", "1e-6"], ["--prob", "catenary"],
+                              ["--mo", "adaptive"]],
+                "adjoint": [["--tap", "{tape}"], ["--prob", "catenary"], ["--p", "3"],
+                            ["--A", "1"], ["--tf", "1"]],
+                "verify": [["--tap", "{tape}"], ["--adjoint", "{adjoint}"], ["--p", "3"],
+                           ["--tf", "1"]]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(data):
+    """A nonadaptive or adaptive catenary tape or its adjoint document with
+    one field deleted, one base64 byte flipped or one NaN/Infinity token, or
+    a stage run with one extreme or abbreviated flag: every run keeps the
+    contract of _run_under_contract, a report written on exit 3 says it did
+    not pass, a document with a token is refused at load, and a flag that
+    the stage does not have is refused with argparse's usage block.  When
+    adjoint accepts a mutated tape, verify on the tape and that adjoint
+    output exits 0 or 3 with nominal_residual passed; and a report's
+    nominal_residual passes exactly when every step's residual is within
+    10 tol_n, adjoint's tape gate."""
+    docs = dict(_fuzz_documents(data.draw(st.sampled_from(["nonadaptive", "adaptive"]))))
+    target = data.draw(st.sampled_from(["tape", "adjoint", "flag"]))
+    if target != "flag":
+        kind, docs[target] = _mutated(data, docs[target])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {name: tmp / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            files[name].write_text(json.dumps(doc))
+        argvs = {"integrate": ["integrate", "--order", "2", "--h", "0.25"],
+                 "adjoint": ["adjoint", "--tape", str(files["tape"])],
+                 "verify": ["verify", "--tape", str(files["tape"]),
+                            "--adjoint-file", str(files["adjoint"])]}
+        if target == "flag":
+            stage = data.draw(st.sampled_from(sorted(argvs)))
+            stray = stage != "integrate" or data.draw(st.booleans())
+            if stray:
+                extra = [arg.format(**files) for arg in
+                         data.draw(st.sampled_from(_STRAY_FLAGS[stage]))]
+            else:
+                if data.draw(st.booleans()):
+                    argvs[stage] = ["integrate", "--mode", "adaptive", "--rtol", "1e-4"]
+                extra = ["--{}={}".format(
+                    data.draw(st.sampled_from(["p", "A", "tf", "h", "order", "rtol", "atol"])),
+                    data.draw(st.sampled_from(_EXTREME_VALUES)))]
+            out = tmp / "out.json"
+            rc, err = _run_under_contract([*argvs[stage], *extra, "--out", str(out)])
+            assert out.exists() == (rc == 0)
+            assert not stray or (rc == 1 and err.startswith("usage: bdfadjoint"))
+            return
+        out, report = tmp / "out.json", tmp / "kkt.json"
+        rc, _ = _run_under_contract([*argvs["adjoint"], "--out", str(out)])
+        if target == "tape" and rc == 0:   # verify the tape with its own adjoints
+            argvs["verify"][-1] = str(out)
+        rc_verify, err = _run_under_contract([*argvs["verify"], "--out", str(report)])
+        if kind == "token":
+            assert rc_verify == 1 and err.startswith("error: cannot load")
+            assert rc == 1 or target == "adjoint"
+        nominal = None
+        if report.exists():
+            kkt = json.loads(report.read_text())
+            assert kkt["passed"] is (rc_verify == 0)
+            tape = load_tape(files["tape"])
+            problem = cli_module._problem_for_tape(tape)[0]
+            with np.errstate(all="ignore"):
+                within = bdf.tape_residuals(problem, tape) <= 10.0 * tape.newton_tolerances
+            nominal = kkt["checks"]["nominal_residual"]["passed"]
+            assert nominal is bool(np.all(within))
+        else:
+            assert rc_verify != 0
+        if target == "tape" and rc == 0:
+            assert rc_verify in (0, 3) and "nominal_residual" not in err
+            assert nominal is not False
 
 
 class TestConvergeCommand:

@@ -74,6 +74,22 @@ class TestSelfStart:
         np.testing.assert_allclose(tape.grid.nodes[1:k], expect, atol=1e-15)
         np.testing.assert_allclose(tape.grid.nodes[k], h, atol=1e-15)
 
+    @pytest.mark.parametrize("k, fracs, orders", [
+        (1, [1.0, 2.0, 3.0], [1, 1, 1]),
+        (2, [0.5, 1.0, 2.0, 3.0], [1, 1, 2, 2]),
+        (3, [0.25, 0.75, 1.0, 2.0, 3.0], [1, 2, 3, 3, 3]),
+        (4, [0.125, 0.375, 0.875, 1.0, 2.0, 3.0], [1, 2, 3, 4, 4, 4]),
+        (5, [1 / 16, 3 / 16, 7 / 16, 15 / 16, 1.0, 2.0, 3.0], [1, 2, 3, 4, 5, 5, 5]),
+        (6, [1 / 32, 3 / 32, 7 / 32, 15 / 32, 31 / 32, 1.0, 2.0, 3.0],
+         [1, 2, 3, 4, 5, 6, 6, 6])])
+    def test_plan_literal(self, k, fracs, orders):
+        """The (node fraction, order) plan of three main intervals, bit for
+        bit: k = 1 is one order-1 step per interval."""
+        got_fracs, got_orders = bdf._nonadaptive_plan(k, 3)
+        np.testing.assert_array_equal(got_fracs, fracs)
+        np.testing.assert_array_equal(got_orders, orders)
+        assert got_fracs.dtype == np.float64 and got_orders.dtype.kind == "i"
+
     def test_order_invariant(self):
         """Every step satisfies k_n <= min(n+1, 6)."""
         for k in range(1, 7):

@@ -498,7 +498,7 @@ def _canonical(value, big_ints_as_floats):
 
 def _orjson_refuses(value):
     """NaN, +-Infinity, an integer that overflows binary64, or a lone
-    surrogate in a string or key: what only the json fallback reads."""
+    surrogate in a string or key: what json reads and orjson refuses."""
     if isinstance(value, list):
         return any(_orjson_refuses(v) for v in value)
     if isinstance(value, dict):
@@ -533,8 +533,8 @@ _READER_VALUES = st.recursive(
 def test_reader_matches_json(value, ascii_only):
     """A random JSON value inside a document: the package reader returns
     what json.loads returns, floats compared by bits, except that an
-    integer beyond 64 bits comes back as the equal float from a document
-    that has no token only json reads."""
+    integer beyond 64 bits comes back as the equal float, and a document
+    with a token that only json reads is refused with ValueError."""
     doc = {"format": "bdf-tape", "version": FORMAT_VERSION, "value": value}
     text = json.dumps(doc, ensure_ascii=ascii_only)
     try:
@@ -545,10 +545,13 @@ def test_reader_matches_json(value, ascii_only):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_bytes(data)
+        want = json.loads(text)["value"]
+        if _orjson_refuses(want):
+            with pytest.raises(ValueError):
+                _load_checked(path, "bdf-tape")
+            return
         got = _load_checked(path, "bdf-tape")["value"]
-    want = json.loads(text)["value"]
-    assert (_canonical(got, False)
-            == _canonical(want, not _orjson_refuses(want)))
+    assert _canonical(got, False) == _canonical(want, True)
 
 
 class TestRejection:
