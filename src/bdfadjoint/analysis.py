@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
-from .bdf import (EPS, IntegrationTape, band_product, coefficient_band, jacobian_blocks,
-                  stencil_table, step_residuals)
+from .bdf import (EPS, RESIDUAL_GATE, IntegrationTape, band_product, coefficient_band,
+                  jacobian_blocks, stencil_table, step_residuals)
 
 __all__ = [
     "COEFFICIENT_TOL",
@@ -66,9 +66,9 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     row-major states Y and multipliers L (both N x d), the Kronecker
     operators act as (A (x) I) vec(Y) = vec(A Y), so no block matrix is
     formed.  nominal_residual holds the max-norm of step n's row of
-    A Y + c y_0 - h F to 10 tol_n, the CLI adjoint stage's tape gate, and
-    reports the step of the largest ratio (a NaN row wins): it passes
-    exactly when every step does.
+    A Y + c y_0 - h F to RESIDUAL_GATE tol_n, the CLI adjoint stage's tape
+    gate, and reports the step of the largest ratio (a NaN row wins): it
+    passes exactly when every step does.
     adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
     together with the y_0 row l + c^T L, evaluated as the stored gradient l
     minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
@@ -93,7 +93,7 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     nodes = tape.grid.nodes
     lam = adjoints.lambdas
     nominal = np.max(np.abs(step_residuals(problem, tape, band)), axis=1)
-    nominal_tol = 10.0 * tape.newton_tolerances
+    nominal_tol = RESIDUAL_GATE * tape.newton_tolerances
     nominal_row = int(np.argmax(nominal / nominal_tol))   # a NaN wins
 
     jt_lam = np.empty((n, d))

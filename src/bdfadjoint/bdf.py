@@ -65,6 +65,7 @@ MAX_ORDER = 6
 MAX_STATE_VALUES = 10 ** 7       # (N + 1) * d of a nonadaptive tape, 80 MB of states
 NEWTON_MAXITER = 7
 NEWTON_TOL_NONADAPTIVE = 1e-12   # absolute residual, max-norm
+RESIDUAL_GATE = 10.0             # a recorded step passes at residual <= this * its tolerance
 RATE_REFACTOR = 0.25             # refactor iteration matrix above this rate
 MIN_FACTOR = 0.2
 MAX_FACTOR = 2.5
@@ -486,12 +487,13 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     max-norm residual).
 
     `history` lists prior states newest first (y_n, y_{n-1}, ...), pairing
-    with alphas[1:].  The iteration matrix is refactored only when
-    (h, alpha_0) changed since the cached factorization or the
-    contraction rate exceeds RATE_REFACTOR; convergence is tested on the
-    max-norm residual.  If the budget runs out -- typically because a matrix
-    reused over many steps has drifted -- the matrix is refactored at the
-    current iterate and the iteration gets one more budget before failing.
+    with alphas[1:].  Each call takes at least one update, as SciPy's BDF
+    does, so no adaptive error estimate (corrector minus predictor) is 0 by
+    construction.  The matrix is refactored only when (h, alpha_0) changed
+    since the cached factorization or the contraction rate exceeds
+    RATE_REFACTOR; convergence is tested on the max-norm residual.  If the
+    budget runs out (typically a matrix reused over many steps has drifted),
+    it is refactored at the current iterate and the iteration gets one more.
     """
     back = _history_sum(alphas, history)
     y = np.array(predictor, dtype=float)
@@ -500,8 +502,6 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     rnorm = float(np.maximum.reduce(abs(r)))
     if not math.isfinite(rnorm):
         raise _StepFailure(f"non-finite residual at t={t_new}")
-    if rnorm <= tol:
-        return y, 0, rnorm
 
     if not cache.matches(h, alphas[0]):
         cache.refactor(problem, t_new, y, h, alphas[0])
@@ -745,10 +745,10 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     n = 0
 
     while t < tf:
-        if not h >= 1e3 * EPS * max(abs(t), abs(tf)):   # NaN fails too
-            raise SolverError(
-                f"stepsize underflow at t={t} (h={h:.3e}) after step {n}"
-            )
+        floor = 1e3 * EPS * max(abs(t), abs(tf))
+        if not h >= floor:   # NaN fails too
+            raise SolverError(f"stepsize underflow at t={t} (h={h:.3e} below the floor "
+                              f"1e3 eps max(|t|, |t_f|) = {floor:.3e}) after step {n}")
         t_new = tf if t + h >= tf else t + h
         h_eff = t_new - t
 
@@ -873,10 +873,10 @@ def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
 def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarray:
     """Re-solve the tape's scheme, grid and orders frozen, from y_start.
 
-    Each step takes one Newton update from its recorded state y_{n+1}, with
-    f_y evaluated there for that one state, even when y_{n+1} meets the
-    tolerance (a perturbed step would stay frozen), and goes on in
-    _newton_iterate with the same factors down to the tape's own tolerance.
+    Each step runs _newton_iterate from its recorded state y_{n+1} with a
+    fresh factor cache: its first update, taken even when y_{n+1} meets the
+    tolerance (a perturbed step would stay frozen), uses f_y at that state,
+    and the rest the same factors, down to the tape's own tolerance.
     To first order, y_start -> y_N is then the scheme's own map, whose exact
     derivative the sweep computes: the object of finite-difference checks.
     The sweep takes f_y from stacked calls; for the shipped problems the
@@ -888,16 +888,10 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
     for n in range(tape.n_steps):
         alphas = tape.grid.alphas[n, :tape.grid.orders[n] + 1]
         t_new = tape.grid.nodes[n + 1]
-        h = t_new - tape.grid.nodes[n]
-        y = tape.states[n + 1]
-        back = _history_sum(alphas, states[n::-1])
-        cache = _FactorCache()   # per step: an earlier step's f_y is not the sweep's
-        try:
-            cache.refactor(problem, t_new, y, h, alphas[0])
-            r = _step_residual(problem, t_new, h, alphas, back, y)
-            y = y + lu_solve(cache.lu, -r)
-            states[n + 1] = _newton_iterate(problem, t_new, h, alphas, states[n::-1], y,
-                                            tape.newton_tolerances[n], cache)[0]
+        try:   # a fresh cache per step: an earlier step's f_y is not the sweep's
+            states[n + 1] = _newton_iterate(
+                problem, t_new, t_new - tape.grid.nodes[n], alphas, states[n::-1],
+                tape.states[n + 1], tape.newton_tolerances[n], _FactorCache())[0]
         except _StepFailure as exc:
             raise SolverError(f"replay step {n} failed: {exc}") from exc
     return states

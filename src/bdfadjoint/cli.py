@@ -23,7 +23,7 @@ import numpy as np
 
 from .adjoint import adjoint_sweep, assemble_weak_adjoint
 from .analysis import ConvergenceTable, fit_order, pointwise_error, verify_kkt
-from .bdf import (MAX_ORDER, SolverError, integrate_adaptive,
+from .bdf import (MAX_ORDER, RESIDUAL_GATE, SolverError, integrate_adaptive,
                   integrate_nonadaptive, tape_residuals)
 from .problems import get_problem
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
@@ -226,7 +226,7 @@ def cmd_adjoint(ns) -> int:
     problem, _ = _problem_for_tape(tape, settings)
     resid = tape_residuals(problem, tape)
     # verify_kkt's nominal_residual rule; written so that a NaN residual fails too
-    if not np.all(resid <= 10.0 * tape.newton_tolerances):
+    if not np.all(resid <= RESIDUAL_GATE * tape.newton_tolerances):
         raise _UsageError("tape failed residual validation against its problem")
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)

@@ -77,7 +77,10 @@ def _load_checked(path, expected_format, version=FORMAT_VERSION, data=None):
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
-    doc = orjson.loads(data)   # its JSONDecodeError is a ValueError
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"{path}: not a {expected_format} document")
     if doc.get("version") != version:

@@ -695,3 +695,49 @@ class TestBlocks:
         # the blocks above the one holding t_6 were solved, that one not
         block = None if states is None else max(2, states)
         assert len(solves) == (0 if block is None else (8 - 6) // block * block)
+
+
+SCALE_A = [[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]]
+SCALE_C = np.array([1.0, 0.5, 0.25])
+SCALE_Y0 = np.array([1.0, 0.3, -0.7])
+SCALE_RUNS = {   # atol scales with the states; the 1e-12 stop refuses k2 and k3 at y0 * 2^16
+    "adaptive": lambda problem, m: integrate_adaptive(problem, 1e-8, 1e-12 * 2.0 ** m),
+    "k2": lambda problem, m: integrate_nonadaptive(problem, 2, 2.0 ** -9),
+    "k3": lambda problem, m: integrate_nonadaptive(problem, 3, 2.0 ** -9),
+}
+
+
+class TestScaling:
+    @pytest.mark.parametrize("run", SCALE_RUNS)
+    def test_scaled_states_and_criterion(self, run):
+        """The 3 x 3 linear problem from y0 * 2^m, m = -30..12: J's relative
+        error within twice the unit-scale run's, every step with at least one
+        Newton update and every adaptive error estimate positive (a predictor
+        that met the Newton stop was once accepted with an estimate of exactly
+        0, J off by up to 91% at m = -30).  For c * 2^m, m = +-40, the tape is
+        the same and lambda and the gradient scale by exactly 2^m."""
+        drive = SCALE_RUNS[run]
+        _, reference = linear_test_problem(SCALE_A, SCALE_Y0, 0.0, 1.0, c=SCALE_C)
+        exact = SCALE_C @ reference.nominal(1.0)
+        errors = {}
+        for m in (-30, -20, -10, 0, 4, 8, 12):
+            problem, _ = linear_test_problem(SCALE_A, 2.0 ** m * SCALE_Y0, 0.0, 1.0,
+                                             c=SCALE_C)
+            tape = drive(problem, m)
+            assert tape.newton_iterations.min() >= 1, m
+            if tape.error_estimates is not None:
+                assert tape.error_estimates.min() > 0.0, m
+            errors[m] = abs(problem.criterion(tape.final_state) / 2.0 ** m - exact) / abs(exact)
+        assert all(err <= 2.0 * errors[0] for err in errors.values()), errors
+
+        problem, _ = linear_test_problem(SCALE_A, SCALE_Y0, 0.0, 1.0, c=SCALE_C)
+        tape = drive(problem, 0)
+        base = adjoint_sweep(problem, tape)
+        for m in (-40, 40):
+            scaled, _ = linear_test_problem(SCALE_A, SCALE_Y0, 0.0, 1.0,
+                                            c=2.0 ** m * SCALE_C)
+            scaled_tape = drive(scaled, 0)
+            np.testing.assert_array_equal(scaled_tape.states, tape.states)
+            adjoints = adjoint_sweep(scaled, scaled_tape)
+            np.testing.assert_array_equal(adjoints.lambdas, 2.0 ** m * base.lambdas)
+            np.testing.assert_array_equal(adjoints.gradient, 2.0 ** m * base.gradient)

@@ -165,6 +165,19 @@ class TestIntegrate:
         assert f"tape limit of {bdf.MAX_STATE_VALUES} state values" in err
         assert not tape.exists()
 
+    def test_relative_step_floor_is_named(self, tmp_path, capsys):
+        """At t_f = 2^70 the adaptive first step, 1.675e8, is below the
+        relative floor 1e3 eps max(|t|, |t_f|) = 2.621e8: exit 2 with one
+        line that keeps the stepsize underflow prefix and names the floor
+        and its value, and no tape."""
+        tape = tmp_path / "t.json"
+        assert main(["integrate", "--mode", "adaptive", "--rtol", "1e-4",
+                     "--tf=1180591620717411303424", "--out", str(tape)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("solver failure: stepsize underflow at t=0.0 (h=1.675e+08 below "
+                       "the floor 1e3 eps max(|t|, |t_f|) = 2.621e+08) after step 0\n")
+        assert not tape.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--frobnicate", "1"])
         assert rc == 1
@@ -469,17 +482,35 @@ class TestAdjointCommand:
         assert not out.exists()
 
     def test_near_singular_step_matrix_is_solver_failure(self, tmp_path, capsys):
-        """I - h f_y = [[1, 1], [1, 1 + 1e-15]] on a one-step linear tape:
-        integrate needs no Newton iteration, and adjoint refuses the matrix,
-        singular to working precision, with exit 2 and no output."""
-        cfg = _write_config(tmp_path, "problem = linear", "a = 0 -8; -8 -8e-15",
-                            "y0 = 0 0", "tf = 0.125", "c = 1 0")
+        """I - h f_y = [[1, 1], [1, 1 + 1e-15]], singular to working
+        precision, for a one-step linear run from y0 = 0, a predictor that
+        meets the tolerance: integrate still takes an update, so it refuses
+        the matrix with exit 2, one stderr line and no tape.  A tape of the
+        regular a = 0 -8; -8 -7 (every state 0) with that a written into it
+        still passes the residual gate, and adjoint refuses it with exit 2
+        and neither output."""
         tape, out = tmp_path / "tape.json", tmp_path / "adjoint.json"
-        assert main(["integrate", "--config", str(cfg), "--order", "1",
-                     "--h", "0.125", "--out", str(tape)]) == 0
-        assert "newton iterations total=0 " in capsys.readouterr().out
+        run = ["--order", "1", "--h", "0.125", "--out", str(tape)]
+
+        def config(a):
+            return str(_write_config(tmp_path, "problem = linear", f"a = {a}",
+                                     "y0 = 0 0", "tf = 0.125", "c = 1 0"))
+
+        assert main(["integrate", "--config", config("0 -8; -8 -8e-15"), *run]) == 2
+        err = capsys.readouterr().err
+        assert err == ("solver failure: step 0 failed: singular or non-finite "
+                       "Newton iteration matrix at t=0.125\n")
+        assert not tape.exists()
+
+        assert main(["integrate", "--config", config("0 -8; -8 -7"), *run]) == 0
+        doc = json.loads(tape.read_text())
+        assert doc["problem"]["params"]["a"]["values"] == [-8.0, -8.0, -7.0]
+        doc["problem"]["params"]["a"]["values"] = [-8.0, -8.0, -8e-15]
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 2
-        assert "singular or non-finite adjoint matrix" in capsys.readouterr().err
+        assert ("singular or non-finite adjoint matrix at t=0.125"
+                in capsys.readouterr().err)
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
 
@@ -671,6 +702,31 @@ class TestAdjointCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["tape", "adjoint"])
+    def test_unparsable_document_names_its_path(self, tmp_path, capsys, target):
+        """A tape holding a NaN token, or an adjoint file cut off halfway:
+        orjson parses neither, and verify exits 1 with one line that names
+        the file, as the other load refusals do."""
+        _, tape = _integrate(tmp_path)
+        adj = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        if target == "tape":
+            doc = json.loads(tape.read_text())
+            doc["problem"]["params"]["A"] = float("nan")
+            tape.write_text(json.dumps(doc))
+        else:
+            text = adj.read_text()
+            adj.write_text(text[:len(text) // 2])
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        what, path = ("tape", tape) if target == "tape" else ("adjoint results", adj)
+        assert err.startswith(f"error: cannot load {what}: {path}: invalid JSON: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_nan_state_refused(self, tmp_path, capsys):

@@ -55,15 +55,16 @@ class TestBackwardEuler:
                                  predictor=np.array([5.0]))
         assert iterations == 1
 
-    def test_zero_iterations_for_exact_predictor(self):
-        """A predictor that already satisfies the equation is accepted as-is."""
+    def test_one_update_from_exact_predictor(self):
+        """A predictor that already satisfies the equation still takes one
+        update, as in SciPy's BDF, and that update keeps it exactly."""
         a, h = -2.0, 0.1
         problem = _scalar_problem(a)
         coeffs = compute_coefficients(np.array([0.0, h]), 1)
         exact = np.array([1.0 / (1.0 - h * a)])
         y, iterations, _ = _step(problem, [np.array([1.0])], coeffs, h, h,
                                  predictor=exact)
-        assert iterations == 0
+        assert iterations == 1
         np.testing.assert_array_equal(y, exact)
 
 
