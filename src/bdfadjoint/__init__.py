@@ -8,7 +8,7 @@ adjoint in a weak (dual, Riemann--Stieltjes) sense.
 """
 
 from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
-                      assemble_weak_adjoint, gradient_wrt_initial)
+                      assemble_weak_adjoint)
 from .analysis import (Check, ConvergenceTable, coefficient_defects, dual_norm_bound,
                        fit_order, pointwise_error, verify_kkt)
 from .bdf import (IntegrationTape, SolverError, TimeGrid, compute_coefficients,
@@ -41,7 +41,6 @@ __all__ = [
     "dual_norm_bound",
     "fit_order",
     "get_problem",
-    "gradient_wrt_initial",
     "integrate_adaptive",
     "integrate_nonadaptive",
     "linear_test_problem",

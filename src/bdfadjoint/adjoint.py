@@ -12,7 +12,9 @@ and for n = N-2 .. 0
     (alpha_0^(n) I - h_n f_y^T(t_{n+1}, y_{n+1})) lambda_{n+1}
         = - sum_{i >= 1} alpha_i^(n+i) lambda_{n+1+i},
 
-with the convention alpha_i^(m) = 0 for i > k_m.  The weak adjoint is the
+with the convention alpha_i^(m) = 0 for i > k_m.  The gradient is what the
+same recursion leaves in y_0's row, - sum_n alpha_{n+1}^(n) lambda_{n+1} over
+the self-start steps, those with k_n = n + 1.  The weak adjoint is the
 right-continuous step function with jump h_{n-1} lambda_n at t_n, vanishing
 at t_s.
 """
@@ -23,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import (MAX_ORDER, IntegrationTape, SolverError, _iteration_matrix,
+from .bdf import (IntegrationTape, SolverError, _iteration_matrix,
                   jacobian_blocks, lu_factor, lu_solve)
 
 __all__ = [
     "DiscreteAdjoints",
     "WeakAdjoint",
     "adjoint_sweep",
-    "gradient_wrt_initial",
     "assemble_weak_adjoint",
 ]
 
@@ -101,28 +102,10 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
             lambdas[j] = lu_solve(factors, rhs[j])
             rhs[j - k:j] -= alphas[step, k:0:-1, None] * lambdas[j]
 
-    gradient = gradient_wrt_initial(tape, lambdas[1:])
+    gradient = rhs[0].copy()   # a view would keep all of rhs alive
     if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(gradient))):
         raise SolverError("non-finite adjoint multipliers or gradient")
     return DiscreteAdjoints(lambdas=lambdas[1:], gradient=gradient)
-
-
-def gradient_wrt_initial(tape: IntegrationTape, lambdas) -> np.ndarray:
-    """Exact derivative of J(y_N) with respect to the initial state, from the
-    (N, d) multipliers lambda_1..lambda_N.
-
-    l = - sum over the steps whose stencil reaches back to y_0 (exactly the
-    self-start steps with k_n = n+1) of alpha_{n+1}^(n) * lambda_{n+1},
-    summed in ascending n.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (tape.n_steps, tape.dimension):
-        raise ValueError("adjoints do not match the tape")
-    grad = np.zeros(tape.dimension)
-    for n in range(min(tape.n_steps, MAX_ORDER)):
-        if tape.grid.orders[n] >= n + 1:
-            grad -= tape.grid.alphas[n, n + 1] * lambdas[n]
-    return grad
 
 
 @dataclass(frozen=True)

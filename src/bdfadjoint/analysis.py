@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import DiscreteAdjoints, WeakAdjoint, gradient_wrt_initial
+from .adjoint import DiscreteAdjoints, WeakAdjoint
 from .bdf import (EPS, RESIDUAL_GATE, IntegrationTape, band_product, coefficient_band,
                   jacobian_blocks, stencil_table, step_residuals)
 
@@ -62,26 +62,27 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     """The optimality-system checks at the recorded data, as a tuple of
     :class:`Check` records; the data pass when every record does.
 
-    With the coefficient band (A, c) of :func:`coefficient_band` and the
-    row-major states Y and multipliers L (both N x d), the Kronecker
+    With the coefficient band A of :func:`coefficient_band`, which acts on
+    all N + 1 states, and the row-major states Y and multipliers
+    L = [0; lambda_1; ...; lambda_N] (both (N + 1) x d), the Kronecker
     operators act as (A (x) I) vec(Y) = vec(A Y), so no block matrix is
     formed.  nominal_residual holds the max-norm of step n's row of
-    A Y + c y_0 - h F to RESIDUAL_GATE tol_n, the CLI adjoint stage's tape
-    gate, and reports the step of the largest ratio (a NaN row wins): it
-    passes exactly when every step does.
-    adjoint_residual is the max-norm of A^T L - h [J_n^T lambda_n] - e_N J'(y_N)
-    together with the y_0 row l + c^T L, evaluated as the stored gradient l
-    minus :func:`gradient_wrt_initial`; the Jacobians enter only through the
-    per-step products f_y^T lambda, one stacked product per block of
-    bdf.jacobian_blocks.  An f_y that does not depend on the state takes one
-    product L f_y for every row instead; either way the report is the same
-    to the bit for every block size.  initial_residual compares y_0 with
-    the problem's initial state, to 1e-12 (1 + max|y_0|).  coefficient_defect
-    is held to COEFFICIENT_TOL.  jacobian_defect checks f_y, which no residual
-    can see (the adjoint and this check share it), at JACOBIAN_SAMPLES states,
-    and criterion_defect J' at y_N, both held to JACOBIAN_TOL.  A value that
-    is not finite, or a problem whose rhs or jacobian does not take stacked
-    states, is refused with a ValueError.
+    A Y - h F to RESIDUAL_GATE tol_n, the CLI adjoint stage's tape gate, and
+    reports the step of the largest ratio (a NaN row wins): it passes exactly
+    when every step does.  adjoint_residual is the max-norm of the rows of
+    A^T L - h [0; J_n^T lambda_n] - e_N J'(y_N) + e_0 l, l the stored
+    gradient, all from one transposed band product, y_0's row 0 included;
+    the Jacobians enter only through the per-step products f_y^T lambda, one
+    stacked product per block of bdf.jacobian_blocks.  An f_y that does not
+    depend on the state takes one product L f_y for every row instead; either
+    way the report is the same to the bit for every block size.
+    initial_residual compares y_0 with the problem's initial state, to
+    1e-12 (1 + max|y_0|).  coefficient_defect is held to COEFFICIENT_TOL.
+    jacobian_defect checks f_y, which no residual can see (the adjoint and
+    this check share it), at JACOBIAN_SAMPLES states, and criterion_defect
+    J' at y_N, both held to JACOBIAN_TOL.  A value that is not finite, or a
+    problem whose rhs or jacobian does not take stacked states, is refused
+    with a ValueError.
     """
     n = tape.n_steps
     d = tape.dimension
@@ -89,10 +90,9 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
         raise ValueError(
             f"adjoints have shape {adjoints.lambdas.shape}, tape expects {(n, d)}"
         )
-    band = coefficient_band(tape)
     nodes = tape.grid.nodes
     lam = adjoints.lambdas
-    nominal = np.max(np.abs(step_residuals(problem, tape, band)), axis=1)
+    nominal = np.max(np.abs(step_residuals(problem, tape)), axis=1)
     nominal_tol = RESIDUAL_GATE * tape.newton_tolerances
     nominal_row = int(np.argmax(nominal / nominal_tol))   # a NaN wins
 
@@ -103,11 +103,12 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
             jt_lam = lam @ jac[0]
             break
         jt_lam[start:stop] = np.matmul(lam[start:stop, None, :], jac)[:, 0]
-    adj_rows = (band_product(band[0], lam, transpose=True)
-                - tape.grid.stepsizes[:, None] * jt_lam)
-    adj_rows[-1] -= problem.criterion_gradient(tape.states[n])
-    grad_row = adjoints.gradient - gradient_wrt_initial(tape, lam)
-    adjoint = np.max(np.abs(np.vstack([grad_row, adj_rows])), axis=1)
+    rows = band_product(coefficient_band(tape), np.vstack([np.zeros(d), lam]),
+                        transpose=True)
+    rows[1:] -= tape.grid.stepsizes[:, None] * jt_lam
+    rows[n] -= problem.criterion_gradient(tape.states[n])
+    rows[0] += adjoints.gradient
+    adjoint = np.max(np.abs(rows), axis=1)
     adjoint_step = int(np.argmax(adjoint))   # a NaN wins
 
     coefficients = coefficient_defects(*stencil_table(tape))

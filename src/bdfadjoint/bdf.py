@@ -284,21 +284,20 @@ def stencil_table(tape):
 
 
 def coefficient_band(tape):
-    """(A, c) such that step n reads (A Y)_n + c_n y_0 = h_n f(t_{n+1}, y_{n+1})
-    for the row-major states Y = states[1:].  A, the N x N band with alpha_i^(n)
-    at (n, n - i), is held as its (N, MAX_ORDER + 1) table of alphas, zero before
-    y_1; c is nonzero only in the self-start rows, whose stencil reaches y_0."""
-    alphas = tape.grid.alphas
-    cols = np.arange(tape.n_steps)[:, None] - _LAGS
-    return np.where(cols >= 0, alphas, 0.0), np.where(cols == -1, alphas, 0.0).sum(axis=1)
+    """The (N + 1) x (N + 1) band A such that step n reads
+    (A Y)_{n+1} = h_n f(t_{n+1}, y_{n+1}) for the row-major states Y, y_0
+    included, held as its (N + 1, MAX_ORDER + 1) table of alpha_i^(n) at
+    (n + 1, n + 1 - i): row 0, y_0's, is zero, and no entry reaches before
+    y_0, since k_n <= n + 1."""
+    return np.vstack([np.zeros(MAX_ORDER + 1), tape.grid.alphas])
 
 
 def band_product(a, x, transpose=False):
-    """A x, or A^T x, for the band table a of coefficient_band and (N, d) x, as a
-    CSR band computes it: zero entries skipped, no floating-point warning, lags
-    summed highest first (a row's columns) or from 0 up (CSC columns of A^T)."""
+    """A x, or A^T x, for the band table a of coefficient_band and (N + 1, d) x,
+    as a CSR band computes it: zero entries skipped, no floating-point warning,
+    lags summed highest first (a row's columns) or from 0 up (CSC columns of A^T)."""
     out, n = np.zeros_like(x), len(x)
-    # a uniform grid's lags change only in their first 2k - 1 rows, the self-start
+    # a uniform grid's lags change only in their first 2k rows, y_0's and the self-start
     uniform = np.count_nonzero(a[1:, 0] != a[:-1, 0]) <= 2 * MAX_ORDER
     with np.errstate(all="ignore"):   # the CSR kernel warned of nothing, 0 * inf included
         for i in (range(a.shape[1]) if transpose else range(a.shape[1] - 1, -1, -1)):
@@ -319,14 +318,12 @@ def band_product(a, x, transpose=False):
     return out
 
 
-def step_residuals(problem, tape, band) -> np.ndarray:
-    """(N, d) residuals A Y + c y_0 - h F of the recorded steps, where
-    band = coefficient_band(tape) and F stacks f(t_{n+1}, y_{n+1}), from one
-    stacked rhs call."""
-    a, start = band
-    ys = tape.states
-    f = problem.stacked_rhs(tape.grid.nodes[1:], ys[1:])
-    return (band_product(a, ys[1:]) + start[:, None] * ys[0]
+def step_residuals(problem, tape) -> np.ndarray:
+    """(N, d) residuals (A Y)[1:] - h F of the recorded steps, with A the band
+    of coefficient_band and F stacking f(t_{n+1}, y_{n+1}) from one stacked
+    rhs call."""
+    f = problem.stacked_rhs(tape.grid.nodes[1:], tape.states[1:])
+    return (band_product(coefficient_band(tape), tape.states)[1:]
             - tape.grid.stepsizes[:, None] * f)
 
 
@@ -353,8 +350,7 @@ def jacobian_blocks(problem, tape):
 
 def tape_residuals(problem, tape) -> np.ndarray:
     """Max-norm BDF residual of every recorded step (should sit below tolerance)."""
-    rows = step_residuals(problem, tape, coefficient_band(tape))
-    return np.max(np.abs(rows), axis=1)
+    return np.max(np.abs(step_residuals(problem, tape)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +709,9 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     order moves within {k-1, k, k+1}, picking the candidate that allows the
     largest next step; increases are deferred until k+1 steps were taken at
     the current order.  Stepsize changes are limited to [0.2, 2.5] per step
-    with safety 0.9.  Stepsize underflow aborts.
+    with safety 0.9.  Stepsize underflow aborts, as do a non-finite
+    f(t_s, y_s), which the first stepsize divides by, and an interval so short
+    that a product of node differences underflows to 0.0.
     """
     rtol = float(rtol)
     atol = float(atol)
@@ -727,7 +725,11 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     span = tf - t0
 
     f0 = problem.rhs(t0, problem.initial_state)
-    h = span * min(1e-2, np.sqrt(rtol)) / (1.0 + np.linalg.norm(f0, 2))
+    f0_norm = np.linalg.norm(f0, 2)
+    if not np.isfinite(f0_norm):   # the first stepsize divides by it
+        raise SolverError(f"non-finite f(t_s, y_s) at t_s={t0} (2-norm {f0_norm}): "
+                          "no first stepsize")
+    h = span * min(1e-2, np.sqrt(rtol)) / (1.0 + f0_norm)
     h = min(h, span)
 
     nodes = [t0]
@@ -744,88 +746,92 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     t = t0
     n = 0
 
-    while t < tf:
-        floor = 1e3 * EPS * max(abs(t), abs(tf))
-        if not h >= floor:   # NaN fails too
-            raise SolverError(f"stepsize underflow at t={t} (h={h:.3e} below the floor "
-                              f"1e3 eps max(|t|, |t_f|) = {floor:.3e}) after step {n}")
-        t_new = tf if t + h >= tf else t + h
-        h_eff = t_new - t
+    try:
+        while t < tf:
+            floor = 1e3 * EPS * max(abs(t), abs(tf))
+            if not h >= floor:   # NaN fails too
+                raise SolverError(f"stepsize underflow at t={t} (h={h:.3e} below the floor "
+                                  f"1e3 eps max(|t|, |t_f|) = {floor:.3e}) after step {n}")
+            t_new = tf if t + h >= tf else t + h
+            h_eff = t_new - t
 
-        alphas = compute_coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
-        predictor = _predict(nodes, states, orders, n, t_new)
-        tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
-        try:
-            y_new, iterations, residual = _newton_iterate(
-                problem, t_new, h_eff, alphas, states[n::-1], predictor,
-                tol_newton, cache)
-        except _StepFailure:
-            h = h_eff / 2.0
-            cache.lu = None
-            steps_at_order = 0
-            rejects_in_a_row += 1
-            continue
-
-        if n == 0:
-            est_vec = 0.5 * (y_new - states[0] - h_eff * f0)
-            err = math.sqrt(est_vec.dot(est_vec))
-        else:   # when step n-1 had order k too, the predictor is the order-k fit
-            err = _error_estimate(nodes, states, t_new, y_new, k,
-                                  predictor if k == orders[-1] else None)
-        tol_acc = rtol * math.sqrt(y_new.dot(y_new)) + atol
-
-        if not np.isfinite(err) or err > tol_acc:
-            factor = SAFETY * (tol_acc / err) ** (1.0 / (k + 1)) if err > 0 else 1.0
-            h = h_eff * min(max(factor, MIN_FACTOR), 1.0)
-            rejects_in_a_row += 1
-            if rejects_in_a_row >= 3:
-                h = min(h, h_eff / 2.0)
-            steps_at_order = 0
-            continue
-
-        steps_at_order += 1
-        rejects_in_a_row = 0
-
-        # Order/stepsize selection for the next step: among k-1, k, k+1 pick
-        # the order whose estimate allows the largest stepsize (ties favor
-        # the lower order; increases deferred until k+1 steps at current k).
-        # The accepted step is appended afterwards, so every estimate reads
-        # the same prior points.
-        best_k = k
-        best_h = None
-        candidates = [k]
-        if k > 1:
-            candidates.append(k - 1)
-        if k < MAX_ORDER and steps_at_order >= k + 1:
-            candidates.append(k + 1)
-        for q in sorted(candidates):
-            if q == k:
-                est_q = err
-            elif q + 1 > len(states):   # needs q+1 prior points
+            alphas = compute_coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
+            predictor = _predict(nodes, states, orders, n, t_new)
+            tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
+            try:
+                y_new, iterations, residual = _newton_iterate(
+                    problem, t_new, h_eff, alphas, states[n::-1], predictor,
+                    tol_newton, cache)
+            except _StepFailure:
+                h = h_eff / 2.0
+                cache.lu = None
+                steps_at_order = 0
+                rejects_in_a_row += 1
                 continue
-            else:
-                est_q = _error_estimate(nodes, states, t_new, y_new, q)
-            if est_q > 0.0:
-                factor = SAFETY * (tol_acc / est_q) ** (1.0 / (q + 1))
-            else:
-                factor = MAX_FACTOR
-            h_q = h_eff * min(max(factor, MIN_FACTOR), MAX_FACTOR)
-            if best_h is None or h_q > best_h * (1.0 + 1e-10):
-                best_h = h_q
-                best_k = q
 
-        nodes.append(t_new)
-        states.append(y_new)
-        orders.append(k)
-        iters.append(iterations)
-        resid.append(residual)
-        estimates.append(err)
-        t = t_new
-        n += 1
-        if best_k != k:
-            steps_at_order = 0
-            k = best_k
-        h = best_h
+            if n == 0:
+                est_vec = 0.5 * (y_new - states[0] - h_eff * f0)
+                err = math.sqrt(est_vec.dot(est_vec))
+            else:   # when step n-1 had order k too, the predictor is the order-k fit
+                err = _error_estimate(nodes, states, t_new, y_new, k,
+                                      predictor if k == orders[-1] else None)
+            tol_acc = rtol * math.sqrt(y_new.dot(y_new)) + atol
+
+            if not np.isfinite(err) or err > tol_acc:
+                factor = SAFETY * (tol_acc / err) ** (1.0 / (k + 1)) if err > 0 else 1.0
+                h = h_eff * min(max(factor, MIN_FACTOR), 1.0)
+                rejects_in_a_row += 1
+                if rejects_in_a_row >= 3:
+                    h = min(h, h_eff / 2.0)
+                steps_at_order = 0
+                continue
+
+            steps_at_order += 1
+            rejects_in_a_row = 0
+
+            # Order/stepsize selection for the next step: among k-1, k, k+1 pick
+            # the order whose estimate allows the largest stepsize (ties favor
+            # the lower order; increases deferred until k+1 steps at current k).
+            # The accepted step is appended afterwards, so every estimate reads
+            # the same prior points.
+            best_k = k
+            best_h = None
+            candidates = [k]
+            if k > 1:
+                candidates.append(k - 1)
+            if k < MAX_ORDER and steps_at_order >= k + 1:
+                candidates.append(k + 1)
+            for q in sorted(candidates):
+                if q == k:
+                    est_q = err
+                elif q + 1 > len(states):   # needs q+1 prior points
+                    continue
+                else:
+                    est_q = _error_estimate(nodes, states, t_new, y_new, q)
+                if est_q > 0.0:
+                    factor = SAFETY * (tol_acc / est_q) ** (1.0 / (q + 1))
+                else:
+                    factor = MAX_FACTOR
+                h_q = h_eff * min(max(factor, MIN_FACTOR), MAX_FACTOR)
+                if best_h is None or h_q > best_h * (1.0 + 1e-10):
+                    best_h = h_q
+                    best_k = q
+
+            nodes.append(t_new)
+            states.append(y_new)
+            orders.append(k)
+            iters.append(iterations)
+            resid.append(residual)
+            estimates.append(err)
+            t = t_new
+            n += 1
+            if best_k != k:
+                steps_at_order = 0
+                k = best_k
+            h = best_h
+    except ZeroDivisionError as exc:   # the stencils' node arithmetic, on Python floats
+        raise SolverError(f"node spacing underflow at t={t} after step {n}: a product of "
+                          "node differences is 0.0 in float64") from exc
 
     grid = TimeGrid(nodes=np.array(nodes), orders=np.array(orders, dtype=int))
     return IntegrationTape(

@@ -197,6 +197,23 @@ class TestFailureModes:
         with pytest.raises(SolverError, match="underflow"):
             integrate_adaptive(blowup, 1e-6)
 
+    @pytest.mark.parametrize("tf", [1e-160, 1e-200])
+    def test_tiny_interval_is_refused(self, tf):
+        """On (0, t_f) with t_f = 1e-160 a product of two node differences
+        of the stencil arithmetic underflows to 0.0: a SolverError that
+        names it, where the division by it raised ZeroDivisionError."""
+        problem, _ = linear_test_problem(a=[[-1.0]], y_s=[1.0], t_s=0.0, t_f=tf)
+        with pytest.raises(SolverError, match="node spacing underflow at t="):
+            integrate_adaptive(problem, 1e-4)
+
+    def test_non_finite_initial_slope_is_named(self):
+        """The first stepsize divides by ||f(t_s, y_s)||, which overflows at
+        p = 1e308: refused under that name, not as a stepsize underflow."""
+        problem, _ = get_problem("catenary", p=1e308)
+        with np.errstate(over="ignore"), \
+                pytest.raises(SolverError, match=r"non-finite f\(t_s, y_s\) at t_s=0\.0"):
+            integrate_adaptive(problem, 1e-4)
+
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             integrate_adaptive(CATENARY, 0.0)

@@ -115,22 +115,26 @@ class TestBandProduct:
         states, multipliers and signed-zero data."""
         rng = np.random.default_rng(11)
         for tape, adj in _oracle_cases():
-            a, start = coefficient_band(tape)
-            assert not np.any(a[np.arange(tape.n_steps)[:, None]
-                                < np.arange(MAX_ORDER + 1)])   # before y_1
-            for x in (tape.states[1:], adj.lambdas,
-                      _with_signed_zeros(rng, adj.lambdas.shape)):
+            a = coefficient_band(tape)
+            assert not np.any(a[np.arange(tape.n_steps + 1)[:, None]
+                                < np.arange(MAX_ORDER + 1)])   # before y_0
+            lambdas = np.vstack([np.zeros(tape.dimension), adj.lambdas])
+            for x in (tape.states, lambdas, _with_signed_zeros(rng, lambdas.shape)):
                 self._assert_bit_equal(a, x)
 
     def test_self_start_column(self):
-        """c holds the y_0 coefficient of exactly the steps whose stencil
+        """Row 0, y_0's, is zero, and the y_0 column, entry (r, r) of the
+        table, holds the y_0 coefficient of exactly the steps whose stencil
         reaches y_0."""
         tape = integrate_nonadaptive(CATENARY, 6, 0.125)
-        _, start = coefficient_band(tape)
+        a = coefficient_band(tape)
+        assert not np.any(a[0])
+        column = a[np.arange(1, MAX_ORDER + 1), np.arange(1, MAX_ORDER + 1)]
         reach = np.arange(tape.n_steps) + 1 == tape.grid.orders
+        assert np.count_nonzero(reach) == MAX_ORDER
         np.testing.assert_array_equal(
-            start[reach], tape.grid.alphas[reach, np.flatnonzero(reach) + 1])
-        assert not np.any(start[~reach])
+            column, tape.grid.alphas[np.flatnonzero(reach), np.flatnonzero(reach) + 1])
+        assert np.all(column != 0.0)
 
     def test_random_grids(self):
         """Random grids of 1 to 40 steps at random admissible orders, on
@@ -142,30 +146,31 @@ class TestBandProduct:
             nodes = rng.uniform(-1e4, 1e4) + np.concatenate(([0.0], np.cumsum(gaps)))
             highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
             grid = TimeGrid(nodes=nodes, orders=rng.integers(1, highest + 1))
-            a, _ = coefficient_band(IntegrationTape(
+            a = coefficient_band(IntegrationTape(
                 problem_name="catenary", problem_params={}, dimension=1,
                 mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
                 newton_iterations=np.zeros(n_steps, dtype=int),
                 newton_residuals=np.zeros(n_steps)))
             self._assert_bit_equal(a, _with_signed_zeros(
-                rng, (n_steps, int(rng.integers(1, 4)))))
+                rng, (n_steps + 1, int(rng.integers(1, 4)))))
 
     def test_short_random_grids_with_non_finite_data(self):
-        """Grids of at most 13 steps count as uniform, so each lag's rows past
-        its last change are scaled at once; where those entries are zero, an
-        inf or NaN in the data must still be skipped."""
+        """Grids of at most 12 steps (13 rows, y_0's included) count as
+        uniform, so each lag's rows past its last change are scaled at once;
+        where those entries are zero, an inf or NaN in the data must still be
+        skipped."""
         rng = np.random.default_rng(8)
         for _ in range(100):
-            n_steps = int(rng.integers(1, 14))
+            n_steps = int(rng.integers(1, 13))
             nodes = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.0, n_steps))))
             highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
             grid = TimeGrid(nodes=nodes, orders=rng.integers(1, highest + 1))
-            a, _ = coefficient_band(IntegrationTape(
+            a = coefficient_band(IntegrationTape(
                 problem_name="catenary", problem_params={}, dimension=1,
                 mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
                 newton_iterations=np.zeros(n_steps, dtype=int),
                 newton_residuals=np.zeros(n_steps)))
-            x = rng.choice([1.0, -2.0, np.inf, -np.inf, np.nan], size=(n_steps, 2))
+            x = rng.choice([1.0, -2.0, np.inf, -np.inf, np.nan], size=(n_steps + 1, 2))
             band = _csr_band(a)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -179,9 +184,9 @@ class TestBandProduct:
         in, and no warning is raised.  Adaptive tapes change order, so zero
         entries sit inside the lags in use."""
         for tape, _ in _oracle_cases():
-            a, _ = coefficient_band(tape)
+            a = coefficient_band(tape)
             band = _csr_band(a)
-            x = np.ones((tape.n_steps, 2))
+            x = np.ones((tape.n_steps + 1, 2))
             x[::5, 0] = np.inf
             x[3::7, 1] = np.nan
             with warnings.catch_warnings():
@@ -216,10 +221,18 @@ class TestVerifyKkt:
         assert 6 - tape.grid.orders[5] <= adjoint.step <= 6
         assert adjoint.t == tape.grid.nodes[adjoint.step]
 
-    def test_detects_corrupted_gradient(self):
-        tape, adj = _tape_and_adjoints()
-        assert not _checks(CATENARY, tape, DiscreteAdjoints(
-            lambdas=adj.lambdas, gradient=adj.gradient + 1e-4))[1]
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_detects_corrupted_gradient(self, k):
+        """The y_0 row is row 0 of the transposed band product: one step
+        reaches y_0 at k = 2, four at k = 4, and either way a shifted
+        gradient fails adjoint_residual at step 0."""
+        tape = integrate_nonadaptive(CATENARY, k, 0.125)
+        adj = adjoint_sweep(CATENARY, tape)
+        checks, passed = _checks(CATENARY, tape, DiscreteAdjoints(
+            lambdas=adj.lambdas, gradient=adj.gradient + 1e-4))
+        assert not passed
+        assert not checks["adjoint_residual"].passed
+        assert checks["adjoint_residual"].step == 0
 
     def test_detects_corrupted_state(self):
         tape, adj = _tape_and_adjoints()

@@ -134,9 +134,10 @@ class TestIntegrate:
     def test_nonfinite_problem_input_fails_fast(self, tmp_path, args, config,
                                                 code):
         """Refused with one error line and no tape: a non-finite initial
-        state, end time or p at construction (exit 1), and the NaN first
-        step of a NaN matrix entry as a stepsize underflow (exit 2).  Each
-        runs in a fresh interpreter, so that a hang fails the test."""
+        state, end time or p at construction (exit 1), and the NaN
+        f(t_s, y_s) of a NaN matrix entry, which the first adaptive step
+        divides by, under that name (exit 2).  Each runs in a fresh
+        interpreter, so that a hang fails the test."""
         tape = tmp_path / "t.json"
         if config is not None:
             args = [*args, "--config",
@@ -148,7 +149,7 @@ class TestIntegrate:
             json.dumps(["integrate", *args, "--out", str(tape)]))
         message, rc = out.splitlines()
         assert int(rc) == code
-        assert message.startswith("solver failure: stepsize underflow"
+        assert message.startswith("solver failure: non-finite f(t_s, y_s)"
                                   if code == 2 else "error: ")
         assert not tape.exists()
 
@@ -176,6 +177,19 @@ class TestIntegrate:
         err = capsys.readouterr().err
         assert err == ("solver failure: stepsize underflow at t=0.0 (h=1.675e+08 below "
                        "the floor 1e3 eps max(|t|, |t_f|) = 2.621e+08) after step 0\n")
+        assert not tape.exists()
+
+    def test_tiny_interval_is_solver_failure(self, tmp_path):
+        """At t_f = 1e-200 a product of node differences underflows to 0.0
+        in the adaptive driver's stencil arithmetic: a fresh console run
+        exits 2 with one stderr line that names it, no traceback (a
+        ZeroDivisionError and exit 1 before), and no tape."""
+        tape = tmp_path / "t.json"
+        run = _fresh_process("-m", "bdfadjoint.cli", "integrate", "--mode", "adaptive",
+                             "--rtol", "1e-4", "--tf=1e-200", "--out", str(tape))
+        assert run.returncode == 2
+        assert run.stderr.startswith("solver failure: node spacing underflow at t=")
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
         assert not tape.exists()
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
