@@ -1,7 +1,7 @@
 """Variable-order, variable-stepsize BDF integration with discrete adjoints.
 
-The forward solver records every quantity needed to differentiate the
-computation exactly: nodes, stepsizes, orders, states and Newton effort.
+The forward solver records what differentiating the computation exactly
+needs, its nodes, orders and states, and each step's Newton iteration count.
 The adjoint sweep then runs the recorded recursion backwards, producing
 multipliers whose step-function interpolant approximates the continuous
 adjoint in a weak (dual, Riemann--Stieltjes) sense.

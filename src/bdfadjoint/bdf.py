@@ -8,10 +8,13 @@ where alpha_i^(n) = h_n * Ldot_i^(n)(t_{n+1}) comes from differentiating the
 Lagrange basis over the step's stencil.  Each implicit step is solved by a
 Newton iteration with matrix alpha_0 * I - h_n * f_y.  Completed runs are
 recorded on an immutable :class:`IntegrationTape`: nodes, orders and states,
-all that a backward (adjoint) sweep or a frozen re-solve needs, plus Newton
-statistics for observation.  Stepsizes, coefficients and Newton tolerances are
-not stored but derived: the coefficients by :attr:`TimeGrid.alphas`, the
-tolerances by :attr:`IntegrationTape.newton_tolerances`.
+all that a backward (adjoint) sweep or a frozen re-solve needs, plus each
+step's Newton iteration count, which nothing else determines.  What the nodes,
+orders and states determine is derived, not stored: the coefficients by
+:attr:`TimeGrid.alphas`, the Newton tolerances by
+:attr:`IntegrationTape.newton_tolerances`, the step residuals by
+:func:`tape_residuals` and the adaptive error estimates by
+:func:`_error_estimate`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy   # first, so that a wheel's _distributor_init sets up its library paths
@@ -214,7 +216,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class IntegrationTape:
-    """Frozen record of a forward integration, sufficient for adjoint replay."""
+    """Frozen record of a forward integration, sufficient for adjoint replay:
+    one layout for both drivers, whose mode and driver_params say how the
+    Newton tolerances are derived."""
 
     problem_name: str
     problem_params: dict
@@ -223,8 +227,6 @@ class IntegrationTape:
     grid: TimeGrid
     states: np.ndarray                       # (N+1, d)
     newton_iterations: np.ndarray            # (N,)
-    newton_residuals: np.ndarray             # (N,)
-    error_estimates: Optional[np.ndarray] = None   # (N,), adaptive runs only
     driver_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -235,14 +237,11 @@ class IntegrationTape:
                 f"states have shape {states.shape}, expected {(n + 1, self.dimension)}"
             )
         object.__setattr__(self, "states", states)
-        per_step = {"newton_iterations": int, "newton_residuals": float}
-        if self.error_estimates is not None:
-            per_step["error_estimates"] = float
-        for name, dtype in per_step.items():
-            value = np.asarray(getattr(self, name), dtype=dtype)
-            if value.shape != (n,):
-                raise ValueError(f"{name} has shape {value.shape}, expected ({n},)")
-            object.__setattr__(self, name, value)
+        iterations = np.asarray(self.newton_iterations, dtype=int)
+        if iterations.shape != (n,):
+            raise ValueError(f"newton_iterations has shape {iterations.shape}, "
+                             f"expected ({n},)")
+        object.__setattr__(self, "newton_iterations", iterations)
 
     @property
     def n_steps(self) -> int:
@@ -479,8 +478,7 @@ class _StepFailure(Exception):
 
 def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
                     cache: _FactorCache):
-    """Solve the implicit BDF equation for y_{n+1}: returns (y, iterations,
-    max-norm residual).
+    """Solve the implicit BDF equation for y_{n+1}: returns (y, iterations).
 
     `history` lists prior states newest first (y_n, y_{n-1}, ...), pairing
     with alphas[1:].  Each call takes at least one update, as SciPy's BDF
@@ -517,7 +515,7 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
             if not math.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
             if rnorm <= tol:
-                return y, total, rnorm
+                return y, total
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
                 cache.refactor(problem, t_new, y, h, alphas[0])
             prev_step_norm = step_norm
@@ -660,7 +658,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     states = np.empty((n_steps + 1, d))
     states[0] = problem.initial_state
     iters = np.zeros(n_steps, dtype=int)
-    resid = np.zeros(n_steps)
     cache = _FactorCache()
     weights, before = grid.predictor_weights, grid.orders_before.tolist()
 
@@ -669,7 +666,7 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         q = before[n]
         predictor = np.add.reduce(weights[n, :q + 1, None] * states[n - q:n + 1])
         try:
-            states[n + 1], iters[n], resid[n] = _newton_iterate(
+            states[n + 1], iters[n] = _newton_iterate(
                 problem, nodes[n + 1], nodes[n + 1] - nodes[n], alphas,
                 states[n::-1], predictor, NEWTON_TOL_NONADAPTIVE, cache)
         except _StepFailure as exc:
@@ -683,8 +680,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
         grid=grid,
         states=states,
         newton_iterations=iters,
-        newton_residuals=resid,
-        error_estimates=None,
         driver_params={"order": k, "h": h},
     )
 
@@ -736,8 +731,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
     states = [np.array(problem.initial_state, dtype=float)]
     orders = []
     iters = []
-    resid = []
-    estimates = []
 
     k = 1
     steps_at_order = 0
@@ -754,12 +747,15 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
                                   f"1e3 eps max(|t|, |t_f|) = {floor:.3e}) after step {n}")
             t_new = tf if t + h >= tf else t + h
             h_eff = t_new - t
+            if not h_eff > 0.0:   # on a subnormal interval h and the floor round to 0.0
+                raise SolverError(f"stepsize underflow at t={t} (h={h:.3e} does not "
+                                  f"advance t) after step {n}")
 
             alphas = compute_coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
             predictor = _predict(nodes, states, orders, n, t_new)
             tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
             try:
-                y_new, iterations, residual = _newton_iterate(
+                y_new, iterations = _newton_iterate(
                     problem, t_new, h_eff, alphas, states[n::-1], predictor,
                     tol_newton, cache)
             except _StepFailure:
@@ -821,8 +817,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
             states.append(y_new)
             orders.append(k)
             iters.append(iterations)
-            resid.append(residual)
-            estimates.append(err)
             t = t_new
             n += 1
             if best_k != k:
@@ -842,8 +836,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> Integration
         grid=grid,
         states=np.array(states),
         newton_iterations=np.array(iters, dtype=int),
-        newton_residuals=np.array(resid),
-        error_estimates=np.array(estimates),
         driver_params={"rtol": rtol, "atol": atol},
     )
 

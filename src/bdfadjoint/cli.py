@@ -164,8 +164,7 @@ def cmd_integrate(ns) -> int:
     print(f"problem={problem.name} mode={mode} steps N={tape.n_steps} "
           f"nodes={tape.grid.nodes.size}")
     print(f"orders in [{orders.min()}, {orders.max()}]; "
-          f"newton iterations total={int(tape.newton_iterations.sum())} "
-          f"max residual={tape.newton_residuals.max():.3e}")
+          f"newton iterations total={int(tape.newton_iterations.sum())}")
     print(f"tape written to {out}")
     return EXIT_OK
 

@@ -1,19 +1,22 @@
 """JSON/CSV serialization for tapes, adjoint results and verification reports.
 
 All documents are versioned and deterministic: single-line JSON with sorted
-keys, and nothing time- or environment-dependent is written.  Every array of
-a tape, and the adjoint document's multipliers, is written as its exact
-little-endian bytes in base64, {"dtype": "<f8" or "<i8", "shape": [...],
-"base64": "..."}, and read back as a read-only view of the decoded bytes, so
-NaN payloads, signed zeros and subnormals round-trip bit for bit.  orjson
-writes everything else, and the adjoint CSV, each float as the shortest
-decimal that round-trips (the digits of Python's repr, in orjson's notation:
-0.00001 for 1e-05, 1e16 for 1e+16).  Identical inputs therefore produce
-byte-identical files.  orjson alone reads every document and reproduces the
-exact binary floating-point values; it returns an integer beyond 64 bits as
-the equal float.  A document orjson refuses (NaN or Infinity tokens, a number
-beyond binary64, a lone surrogate) cannot be written by this package, and is
-refused with ValueError.
+keys, and nothing time- or environment-dependent is written.  A tape has one
+layout for both drivers: its nodes, orders, states and Newton iteration
+counts, with the problem, the mode and the driver's parameters; what those
+determine (coefficients, Newton tolerances, step residuals, error estimates)
+is derived on use, not written.  Every array of a tape, and the adjoint
+document's multipliers, is written as its exact little-endian bytes in base64,
+{"dtype": "<f8" or "<i8", "shape": [...], "base64": "..."}, and read back as a
+read-only view of the decoded bytes, so NaN payloads, signed zeros and
+subnormals round-trip bit for bit.  orjson writes everything else, and the
+adjoint CSV, each float as the shortest decimal that round-trips (the digits
+of Python's repr, in orjson's notation: 0.00001 for 1e-05, 1e16 for 1e+16).
+Identical inputs therefore produce byte-identical files.  orjson alone reads
+every document and reproduces the exact binary floating-point values; it
+returns an integer beyond 64 bits as the equal float.  A document orjson
+refuses (NaN or Infinity tokens, a number beyond binary64, a lone surrogate)
+cannot be written by this package, and is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FORMAT_VERSION = 2    # tapes, arrays in base64
+FORMAT_VERSION = 3    # tapes: one layout for both drivers, arrays in base64
 ADJOINT_VERSION = 3   # adjoint documents, bound to their tape by its digest
 KKT_VERSION = 2       # KKT reports, one record per check
 TAPE_FORMAT = "bdf-tape"
@@ -121,7 +124,7 @@ def _array(doc, name, dtype, ndim=1):
 
 
 def tape_to_dict(tape: IntegrationTape) -> dict:
-    doc = {
+    return {
         "format": TAPE_FORMAT,
         "version": FORMAT_VERSION,
         "problem": {
@@ -134,14 +137,8 @@ def tape_to_dict(tape: IntegrationTape) -> dict:
         "nodes": _encoded(tape.grid.nodes, "<f8"),
         "orders": _encoded(tape.grid.orders, "<i8"),
         "states": _encoded(tape.states, "<f8"),
-        "newton": {
-            "iterations": _encoded(tape.newton_iterations, "<i8"),
-            "residuals": _encoded(tape.newton_residuals, "<f8"),
-        },
+        "newton": {"iterations": _encoded(tape.newton_iterations, "<i8")},
     }
-    if tape.error_estimates is not None:
-        doc["error_estimates"] = _encoded(tape.error_estimates, "<f8")
-    return doc
 
 
 def save_tape(tape: IntegrationTape, path) -> None:
@@ -152,9 +149,8 @@ def load_tape(path, data=None) -> IntegrationTape:
     """Rebuild the tape of the file at path, whose bytes are data if the
     caller has read them already.  Its arrays are read-only views of the
     decoded bytes; the coefficients and the Newton tolerances are derived,
-    not read."""
+    not read, and keys the layout does not have are ignored."""
     doc = _load_checked(path, TAPE_FORMAT, FORMAT_VERSION, data)
-    newton = doc["newton"]
     # TimeGrid and IntegrationTape check the shapes against each other
     tape = IntegrationTape(
         problem_name=doc["problem"]["name"],
@@ -164,10 +160,7 @@ def load_tape(path, data=None) -> IntegrationTape:
         grid=TimeGrid(nodes=_array(doc, "nodes", "<f8"),
                       orders=_array(doc, "orders", "<i8")),
         states=_array(doc, "states", "<f8", ndim=2),
-        newton_iterations=_array(newton, "iterations", "<i8"),
-        newton_residuals=_array(newton, "residuals", "<f8"),
-        error_estimates=(_array(doc, "error_estimates", "<f8")
-                         if "error_estimates" in doc else None),
+        newton_iterations=_array(doc["newton"], "iterations", "<i8"),
         driver_params=doc.get("driver_params", {}),
     )
     # derived now, so that a tape whose driver's rule cannot be applied (an

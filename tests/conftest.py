@@ -1,6 +1,7 @@
 """Shared pytest glue: an always-visible acceptance-criteria summary, the
-Robertson test problem, and helpers that read and hand-edit the base64
-arrays of tape and adjoint documents.
+Robertson test problem, a record of the drivers' Newton solves, the adaptive
+error estimates derived from a tape, and helpers that read and hand-edit the
+base64 arrays of tape and adjoint documents.
 
 test_acceptance.py records one line per criterion through the
 `acceptance_log` fixture; the terminal-summary hook prints them after the
@@ -9,11 +10,12 @@ prints.
 """
 
 import base64
+import math
 
 import numpy as np
 import pytest
 
-from bdfadjoint import OdeProblem
+from bdfadjoint import OdeProblem, bdf
 
 _ACCEPTANCE_LINES = []
 
@@ -55,6 +57,36 @@ def robertson():
                       criterion_gradient=lambda y: np.array([0.0, 1.0, 0.0]),
                       initial_time=0.0, final_time=0.4,
                       initial_state=np.array([1.0, 0.0, 0.0]), name="robertson")
+
+
+@pytest.fixture
+def newton_record(monkeypatch):
+    """{t_new: (tolerance, max-norm step residual at the returned y)} of every
+    bdf._newton_iterate call, filled in as the drivers run; the last call at a
+    node is its accepted attempt."""
+    calls = {}
+    newton = bdf._newton_iterate
+
+    def recording(problem, t_new, h, alphas, history, predictor, tol, cache):
+        y, iterations = newton(problem, t_new, h, alphas, history, predictor, tol, cache)
+        r = bdf._step_residual(problem, t_new, h, alphas, bdf._history_sum(alphas, history), y)
+        calls[t_new] = tol, np.max(np.abs(r))
+        return y, iterations
+
+    monkeypatch.setattr(bdf, "_newton_iterate", recording)
+    return calls
+
+
+def error_estimates(problem, tape):
+    """(N,) error estimates of an adaptive tape's steps, derived from the tape
+    as the driver computes them: for step 0 half the 2-norm of its difference
+    from explicit Euler, y_1 - y_0 - h_0 f(t_0, y_0); for step n >= 1
+    bdf._error_estimate at the step's order."""
+    nodes, states, orders = tape.grid.nodes, tape.states, tape.grid.orders
+    euler = 0.5 * (states[1] - states[0] - (nodes[1] - nodes[0]) * problem.rhs(nodes[0], states[0]))
+    return np.array([math.sqrt(euler.dot(euler))] + [
+        bdf._error_estimate(nodes[:n + 1], states[:n + 1], nodes[n + 1], states[n + 1], orders[n])
+        for n in range(1, tape.n_steps)])
 
 
 def decode_array(field):

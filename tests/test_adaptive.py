@@ -15,6 +15,7 @@ import pytest
 from bdfadjoint import (OdeProblem, SolverError, bdf, get_problem,
                         integrate_adaptive, linear_test_problem, load_tape,
                         save_tape)
+from conftest import error_estimates
 
 CATENARY, CATENARY_REF = get_problem("catenary")
 MAX_GROWTH = 2.5
@@ -29,13 +30,14 @@ class TestBasicRun:
         assert np.all(np.diff(tape.grid.nodes) > 0)
 
     def test_estimates_respect_tolerance(self):
-        """Every accepted step: ||est||_2 <= rtol*||y||_2 + atol."""
+        """Every accepted step: ||est||_2 <= rtol*||y||_2 + atol, with est
+        derived from the tape."""
         rtol, atol = 1e-6, 1e-12
         tape = integrate_adaptive(CATENARY, rtol, atol)
-        assert tape.error_estimates is not None
+        estimates = error_estimates(CATENARY, tape)
         for n in range(tape.n_steps):
             bound = rtol * np.linalg.norm(tape.states[n + 1], 2) + atol
-            assert tape.error_estimates[n] <= bound
+            assert estimates[n] <= bound
 
     def test_order_startup_invariant(self):
         tape = integrate_adaptive(CATENARY, 1e-8)
@@ -59,27 +61,20 @@ class TestBasicRun:
         cap = span * min(1e-2, np.sqrt(rtol))
         assert tape.grid.stepsizes[0] <= cap * (1 + 1e-12)
 
-    def test_driver_params_recorded(self):
+    def test_driver_params_recorded(self, newton_record):
         tape = integrate_adaptive(CATENARY, 1e-4, 1e-10)
         assert tape.driver_params == {"rtol": 1e-4, "atol": 1e-10}
         assert tape.newton_tolerances.shape == (tape.n_steps,)
-        assert np.all(tape.newton_residuals <= tape.newton_tolerances)
+        residuals = [newton_record[t][1] for t in tape.grid.nodes[1:]]
+        assert np.all(residuals <= tape.newton_tolerances)
 
     @pytest.mark.parametrize("rtol", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
-    def test_derived_tolerances_are_the_drivers(self, rtol, monkeypatch,
+    def test_derived_tolerances_are_the_drivers(self, rtol, newton_record,
                                                 tmp_path):
         """The tape derives each step's Newton tolerance bit-equal to the one
         the driver solved that step to, also after a JSON round trip."""
-        used = {}
-        newton = bdf._newton_iterate
-
-        def recording(problem, t_new, h, alphas, history, predictor, tol, cache):
-            used[t_new] = tol   # the accepted attempt is the last at t_new
-            return newton(problem, t_new, h, alphas, history, predictor, tol, cache)
-
-        monkeypatch.setattr(bdf, "_newton_iterate", recording)
         tape = integrate_adaptive(CATENARY, rtol)
-        expected = [used[t] for t in tape.grid.nodes[1:]]
+        expected = [newton_record[t][0] for t in tape.grid.nodes[1:]]
         np.testing.assert_array_equal(tape.newton_tolerances, expected)
         save_tape(tape, tmp_path / "tape.json")
         np.testing.assert_array_equal(
@@ -103,6 +98,24 @@ class TestBasicRun:
             np.testing.assert_array_equal(tape.newton_tolerances, expected)
 
 
+def _driver_estimates(monkeypatch, rtol):
+    """The adaptive catenary tape at rtol, and for each step n >= 1 the
+    estimate the driver accepted it by, from a recording wrapper of its own
+    bdf._error_estimate calls: the last at step n's prior points, t_{n+1} and
+    order (the order selection asks only for the other orders)."""
+    calls = {}
+    estimate = bdf._error_estimate
+
+    def recording(nodes, states, t_new, y_new, q, fit=None):
+        calls[len(nodes), t_new, q] = value = estimate(nodes, states, t_new, y_new, q, fit)
+        return value
+
+    monkeypatch.setattr(bdf, "_error_estimate", recording)
+    tape = integrate_adaptive(CATENARY, rtol)
+    nodes, orders = tape.grid.nodes, tape.grid.orders
+    return tape, {n: calls[n + 1, nodes[n + 1], orders[n]] for n in range(1, tape.n_steps)}
+
+
 class TestErrorEstimate:
     """The estimate is the corrector minus the stencil interpolant through
     the q+1 trailing points, scaled by h_new / (t_new - t_{n-q})."""
@@ -123,10 +136,10 @@ class TestErrorEstimate:
         assert est == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("rtol", [1e-4, 1e-8])
-    def test_unchanged_order_is_scaled_predictor_difference(self, rtol):
-        """Where step n keeps step n-1's order k, the recorded estimate is
+    def test_unchanged_order_is_scaled_predictor_difference(self, rtol, monkeypatch):
+        """Where step n keeps step n-1's order k, the driver's estimate is
         ||y_{n+1} - predictor|| h_n / (t_{n+1} - t_{n-k}), bit for bit."""
-        tape = integrate_adaptive(CATENARY, rtol)
+        tape, driver = _driver_estimates(monkeypatch, rtol)
         nodes, states, orders = tape.grid.nodes, tape.states, tape.grid.orders
         kept = [n for n in range(1, tape.n_steps) if orders[n] == orders[n - 1]]
         assert kept
@@ -138,20 +151,20 @@ class TestErrorEstimate:
             est = bdf._error_estimate(nodes[:n + 1], states[:n + 1], t_new,
                                       states[n + 1], k)
             assert est == expected
-            assert tape.error_estimates[n] == expected
+            assert driver[n] == expected
 
 
     @pytest.mark.parametrize("rtol", [1e-4, 1e-8])
-    def test_changed_order_estimate_refits(self, rtol):
-        """Where step n changes order, the recorded estimate is the
+    def test_changed_order_estimate_refits(self, rtol, monkeypatch):
+        """Where step n changes order, the driver's estimate is the
         interpolant through its own q+1 trailing points, not the predictor
         through step n-1's stencil."""
-        tape = integrate_adaptive(CATENARY, rtol)
+        tape, driver = _driver_estimates(monkeypatch, rtol)
         nodes, states, orders = tape.grid.nodes, tape.states, tape.grid.orders
         changed = [n for n in range(1, tape.n_steps) if orders[n] != orders[n - 1]]
         assert changed
         for n in changed:
-            assert tape.error_estimates[n] == bdf._error_estimate(
+            assert driver[n] == bdf._error_estimate(
                 nodes[:n + 1], states[:n + 1], nodes[n + 1], states[n + 1], orders[n])
 
 

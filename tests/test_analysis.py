@@ -149,8 +149,7 @@ class TestBandProduct:
             a = coefficient_band(IntegrationTape(
                 problem_name="catenary", problem_params={}, dimension=1,
                 mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
-                newton_iterations=np.zeros(n_steps, dtype=int),
-                newton_residuals=np.zeros(n_steps)))
+                newton_iterations=np.zeros(n_steps, dtype=int)))
             self._assert_bit_equal(a, _with_signed_zeros(
                 rng, (n_steps + 1, int(rng.integers(1, 4)))))
 
@@ -168,8 +167,7 @@ class TestBandProduct:
             a = coefficient_band(IntegrationTape(
                 problem_name="catenary", problem_params={}, dimension=1,
                 mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
-                newton_iterations=np.zeros(n_steps, dtype=int),
-                newton_residuals=np.zeros(n_steps)))
+                newton_iterations=np.zeros(n_steps, dtype=int)))
             x = rng.choice([1.0, -2.0, np.inf, -np.inf, np.nan], size=(n_steps + 1, 2))
             band = _csr_band(a)
             with warnings.catch_warnings():

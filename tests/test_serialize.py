@@ -116,8 +116,19 @@ class TestTapeRoundTrip:
         save_tape(tape, path)
         back = load_tape(path)
         np.testing.assert_array_equal(back.states, tape.states)
-        np.testing.assert_array_equal(back.error_estimates,
-                                      tape.error_estimates)
+        np.testing.assert_array_equal(back.newton_iterations,
+                                      tape.newton_iterations)
+        assert back.driver_params == tape.driver_params
+
+    def test_one_layout_for_both_drivers(self, tape):
+        """A nonadaptive and an adaptive tape have the same keys, and their
+        Newton record holds only the iteration counts: step residuals and
+        error estimates are derived from the states, not written."""
+        docs = [tape_to_dict(t) for t in (tape, integrate_adaptive(CATENARY, 1e-6))]
+        assert set(docs[0]) == set(docs[1]) == {
+            "format", "version", "problem", "mode", "driver_params", "nodes",
+            "orders", "states", "newton"}
+        assert [set(doc["newton"]) for doc in docs] == [{"iterations"}] * 2
 
     def test_deterministic_bytes(self, tape, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -231,9 +242,8 @@ class TestFloatEncoding:
 
 
     def test_tape_round_trips_bit_exact(self, tmp_path):
-        """The corpus as nodes (sorted and distinct), states, Newton
-        residuals, error estimates and a problem parameter: load_tape
-        returns what save_tape was given, bit for bit."""
+        """The corpus as nodes (sorted and distinct), states and a problem
+        parameter: load_tape returns what save_tape was given, bit for bit."""
         corpus = _float_corpus()
         nodes = np.unique(corpus)
         n = nodes.size - 1
@@ -242,15 +252,12 @@ class TestFloatEncoding:
             dimension=2, mode="nonadaptive",
             grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
             states=np.resize(corpus, (n + 1, 2)),
-            newton_iterations=np.ones(n, dtype=int),
-            newton_residuals=np.resize(corpus[::-1], n),
-            error_estimates=np.resize(corpus, n))
+            newton_iterations=np.ones(n, dtype=int))
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         back = load_tape(path)
         _assert_bits_equal(back.grid.nodes, nodes)
-        for name in ("states", "newton_residuals", "error_estimates"):
-            _assert_bits_equal(getattr(back, name), getattr(tape, name))
+        _assert_bits_equal(back.states, tape.states)
         _assert_bits_equal(back.problem_params["c"], corpus)
 
     def test_adjoint_results_round_trip_bit_exact(self, tmp_path):
@@ -417,7 +424,7 @@ class TestBinaryArrays:
                           min_size=2, max_size=20, unique=True),
            d=st.integers(1, 3))
     def test_round_trip_bit_for_bit(self, bits, nodes, d):
-        """Any bit pattern in the states, Newton record, error estimates and
+        """Any bit pattern in the states, Newton iteration counts and
         multipliers, NaN payloads included, loads back bit for bit, and the
         loaded tape saves to the same bytes; the gradient and the jump sizes,
         JSON lists, carry the finite patterns, subnormals and -0.0 among them."""
@@ -430,9 +437,7 @@ class TestBinaryArrays:
             problem_name="catenary", problem_params={}, dimension=d, mode="nonadaptive",
             grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
             states=np.resize(values, (n + 1, d)),
-            newton_iterations=np.resize(raw.view(np.int64), n),
-            newton_residuals=np.resize(values[::-1], n),
-            error_estimates=np.resize(values, n))
+            newton_iterations=np.resize(raw.view(np.int64), n))
         adj = DiscreteAdjoints(lambdas=np.resize(values[::-1], (n, d)),
                                gradient=np.resize(finite, d))
         weak = SimpleNamespace(jump_sizes=np.resize(finite[::-1], (n, d)))
@@ -446,8 +451,6 @@ class TestBinaryArrays:
             save_adjoint_results("0" * 64, adj, weak, adj_path)
             adj_back = load_adjoint_results(adj_path)
         for got, want in ((back.grid.nodes, nodes), (back.states, tape.states),
-                          (back.newton_residuals, tape.newton_residuals),
-                          (back.error_estimates, tape.error_estimates),
                           (adj_back["adjoints"].lambdas, adj.lambdas),
                           (adj_back["adjoints"].gradient, adj.gradient),
                           (adj_back["jump_sizes"], weak.jump_sizes)):
@@ -581,6 +584,18 @@ class TestRejection:
         with pytest.raises(ValueError, match="version"):
             load_tape(path)
 
+    def test_version_2_tape_refused(self, tape, tmp_path):
+        """Version 2 also stored each step's Newton residual and, for adaptive
+        runs, its error estimate; such a tape is refused by its version."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        doc["newton"]["residuals"] = encode_array(np.zeros(tape.n_steps))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 3\)"):
+            load_tape(path)
+
     def test_empty_tape(self, tape, tmp_path):
         path = tmp_path / "tape.json"
         save_tape(tape, path)
@@ -588,8 +603,7 @@ class TestRejection:
         doc["nodes"] = encode_array([0.0])
         doc["orders"] = encode_array([], "<i8")
         doc["states"] = encode_array(decode_array(doc["states"])[:1])
-        doc["newton"] = {"iterations": encode_array([], "<i8"),
-                         "residuals": encode_array([])}
+        doc["newton"] = {"iterations": encode_array([], "<i8")}
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_tape(path)
@@ -626,7 +640,7 @@ class TestAdjointRoundTrip:
     def test_earlier_version_refused(self, tape, tmp_path):
         """Version 1 copied the tape's problem and nodes, version 2 wrote
         the multipliers as a JSON list; such a file is refused by its
-        version, and tapes are at version 2."""
+        version, and tapes are at version 3."""
         adj = adjoint_sweep(CATENARY, tape)
         path = tmp_path / "adjoint.json"
         save_adjoint_results("0" * 64, adj, assemble_weak_adjoint(tape, adj), path)
@@ -638,7 +652,7 @@ class TestAdjointRoundTrip:
                                match=rf"unsupported version {version} \(supported: 3\)"):
                 load_adjoint_results(path)
         save_tape(tape, tmp_path / "tape.json")
-        assert json.loads((tmp_path / "tape.json").read_text())["version"] == 2
+        assert json.loads((tmp_path / "tape.json").read_text())["version"] == 3
 
     def test_kkt_report(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
@@ -647,8 +661,8 @@ class TestAdjointRoundTrip:
         save_kkt_report(report, path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "bdf-kkt"
-        # the report has its own version; tapes are at version 2
-        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 2
+        # the report has its own version; tapes are at version 3
+        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 3
         assert set(doc) == {"format", "version", "checks", "passed"}
         checks = {c.name: c for c in report}
         assert list(checks) == ["nominal_residual", "adjoint_residual", "initial_residual",
