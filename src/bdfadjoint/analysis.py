@@ -24,6 +24,7 @@ __all__ = [
     "ConvergenceTable",
     "coefficient_defects",
     "criterion_defect",
+    "forward_checks",
     "jacobian_defects",
     "verify_kkt",
     "pointwise_error",
@@ -57,6 +58,34 @@ class Check:
     def passed(self) -> bool:
         return self.value <= self.threshold
 
+    def __str__(self):
+        """The report line, values as Python repr."""
+        return (f"{self.name}={self.value!r} (threshold {self.threshold!r}) "
+                f"worst at step {self.step}, t={self.t!r}")
+
+
+def forward_checks(problem, tape: IntegrationTape) -> tuple:
+    """The records of the forward system y_0 = y_s and the N BDF steps, the
+    CLI adjoint stage's tape gate: nominal_residual holds step n's max-norm
+    residual to RESIDUAL_GATE tol_n at the step of the largest ratio (a NaN
+    row wins), so it passes exactly when every step does; initial_residual
+    holds max|y_0 - y_s| to 1e-12 (1 + max|y_0|).  A residual that is not
+    finite is refused with a ValueError."""
+    y0 = tape.states[0]
+    nominal = tape_residuals(problem, tape)
+    tol = RESIDUAL_GATE * tape.newton_tolerances
+    row = int(np.argmax(nominal / tol))   # a NaN wins
+    return _checks(tape.grid.nodes, (
+        ("nominal_residual", nominal[row], tol[row], row + 1),
+        ("initial_residual", np.max(np.abs(y0 - problem.initial_state)),
+         1e-12 * (1.0 + np.max(np.abs(y0))), 0)))
+
+
+def _checks(nodes, rows):
+    """Check records of the rows (name, value, threshold, step), at nodes[step]."""
+    return tuple(Check(name, float(value), float(threshold), int(step), float(nodes[step]))
+                 for name, value, threshold, step in rows)
+
 
 def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tuple:
     """The optimality-system checks at the recorded data, as a tuple of
@@ -66,18 +95,16 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     all N + 1 states, and the row-major states Y and multipliers
     L = [0; lambda_1; ...; lambda_N] (both (N + 1) x d), the Kronecker
     operators act as (A (x) I) vec(Y) = vec(A Y), so no block matrix is
-    formed.  nominal_residual holds the max-norm of step n's row of
-    A Y - h F to RESIDUAL_GATE tol_n, the CLI adjoint stage's tape gate, and
-    reports the step of the largest ratio (a NaN row wins): it passes exactly
-    when every step does.  adjoint_residual is the max-norm of the rows of
+    formed.  The first and third records, nominal_residual and
+    initial_residual, are those of :func:`forward_checks`.
+    adjoint_residual is the max-norm of the rows of
     A^T L - h [0; J_n^T lambda_n] - e_N J'(y_N) + e_0 l, l the stored
     gradient, all from one transposed band product, y_0's row 0 included;
     the Jacobians enter only through the per-step products f_y^T lambda, one
     stacked product per block of bdf.jacobian_blocks.  An f_y that does not
     depend on the state takes one product L f_y for every row instead; either
     way the report is the same to the bit for every block size.
-    initial_residual compares y_0 with the problem's initial state, to
-    1e-12 (1 + max|y_0|).  coefficient_defect is held to COEFFICIENT_TOL.
+    coefficient_defect is held to COEFFICIENT_TOL.
     jacobian_defect checks f_y, which no residual can see (the adjoint and
     this check share it), at JACOBIAN_SAMPLES states, and criterion_defect
     J' at y_N, both held to JACOBIAN_TOL.  A value that is not finite, or a
@@ -92,9 +119,7 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
         )
     nodes = tape.grid.nodes
     lam = adjoints.lambdas
-    nominal = tape_residuals(problem, tape)
-    nominal_tol = RESIDUAL_GATE * tape.newton_tolerances
-    nominal_row = int(np.argmax(nominal / nominal_tol))   # a NaN wins
+    nominal, initial = forward_checks(problem, tape)
 
     jt_lam = np.empty((n, d))
     for start, stop, jac, constant in jacobian_blocks(problem, tape):
@@ -117,16 +142,13 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     defects = jacobian_defects(problem, nodes[samples], tape.states[samples])
     jacobian_row = int(np.argmax(defects))   # a NaN wins
 
-    return tuple(Check(name, float(value), float(threshold), int(step), float(nodes[step]))
-                 for name, value, threshold, step in (
-        ("nominal_residual", nominal[nominal_row], nominal_tol[nominal_row], nominal_row + 1),
+    checks = _checks(nodes, (
         ("adjoint_residual", adjoint[adjoint_step], 1e-9 * (1 + np.max(np.abs(lam))), adjoint_step),
-        ("initial_residual", np.max(np.abs(tape.states[0] - problem.initial_state)),
-         1e-12 * (1.0 + np.max(np.abs(tape.states[0]))), 0),
         ("coefficient_defect", coefficients[coefficient_row], COEFFICIENT_TOL,
          coefficient_row + 1),
         ("jacobian_defect", defects[jacobian_row], JACOBIAN_TOL, samples[jacobian_row]),
         ("criterion_defect", criterion_defect(problem, tape.states[n]), JACOBIAN_TOL, n)))
+    return (nominal, checks[0], initial, *checks[1:])
 
 
 def jacobian_defects(problem, t, ys) -> np.ndarray:

@@ -67,6 +67,7 @@ MAX_ORDER = 6
 MAX_STATE_VALUES = 10 ** 7       # (N + 1) * d of a nonadaptive tape, 80 MB of states
 NEWTON_MAXITER = 7
 NEWTON_TOL_NONADAPTIVE = 1e-12   # absolute residual, max-norm
+ADAPTIVE_ATOL = 1e-12            # the adaptive driver's default absolute tolerance
 RESIDUAL_GATE = 10.0             # a recorded step passes at residual <= this * its tolerance
 RATE_REFACTOR = 0.25             # refactor iteration matrix above this rate
 MIN_FACTOR = 0.2
@@ -358,10 +359,7 @@ def tape_residuals(problem, tape) -> np.ndarray:
 
 def _history_sum(alphas, history):
     """sum_{i >= 1} alpha_i y_{n+1-i} in ascending i; history is y_n, y_{n-1}, ..."""
-    back = np.zeros(np.shape(history[0]))
-    for i in range(1, len(alphas)):
-        back = back + alphas[i] * history[i - 1]
-    return back
+    return np.add.reduce(alphas[1:, None] * history[:len(alphas) - 1], initial=0.0)
 
 
 def _step_residual(problem, t, h, alphas, back, y):
@@ -695,7 +693,7 @@ def _adaptive_newton_tol(rtol, h, predictor):
     return max(tol, 1e2 * EPS) * (1.0 + math.sqrt(predictor.dot(predictor)))
 
 
-def integrate_adaptive(problem, rtol: float, atol: float = 1e-12) -> IntegrationTape:
+def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> IntegrationTape:
     """Integrate with adaptive order and stepsize from t_s to t_f (hit exactly).
 
     Every accepted step satisfies ||est||_2 <= rtol * ||y||_2 + atol, where

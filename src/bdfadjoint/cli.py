@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import adjoint_sweep, assemble_weak_adjoint
-from .analysis import ConvergenceTable, fit_order, pointwise_error, verify_kkt
-from .bdf import (MAX_ORDER, RESIDUAL_GATE, SolverError, integrate_adaptive,
-                  integrate_nonadaptive, tape_residuals)
+from .analysis import (ConvergenceTable, fit_order, forward_checks, pointwise_error,
+                       verify_kkt)
+from .bdf import (ADAPTIVE_ATOL, MAX_ORDER, SolverError, integrate_adaptive,
+                  integrate_nonadaptive)
 from .problems import get_problem
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
                         save_kkt_report, save_tape, tape_sha256,
@@ -144,7 +145,7 @@ def _integration_setup(settings):
             raise _UsageError("nonadaptive mode requires --order and --h")
         return mode, integrate_nonadaptive, {"k": order, "h": h}
     rtol = settings.get("rtol", cast=float)
-    atol = settings.get("atol", default=1e-12, cast=float)
+    atol = settings.get("atol", default=ADAPTIVE_ATOL, cast=float)
     if rtol is None:
         raise _UsageError("adaptive mode requires --rtol")
     return mode, integrate_adaptive, {"rtol": rtol, "atol": atol}
@@ -223,10 +224,12 @@ def cmd_adjoint(ns) -> int:
         raise _UsageError(f"--out {out} would be overwritten by the CSV {csv_path}")
     tape, digest = _load_input(settings, "tape", _read_tape, "tape")
     problem, _ = _problem_for_tape(tape, settings)
-    resid = tape_residuals(problem, tape)
-    # verify_kkt's nominal_residual rule; written so that a NaN residual fails too
-    if not np.all(resid <= RESIDUAL_GATE * tape.newton_tolerances):
-        raise _UsageError("tape failed residual validation against its problem")
+    try:   # verify's records of the forward system, y_0 = y_s and the N steps
+        failed = [check for check in forward_checks(problem, tape) if not check.passed]
+    except ValueError as exc:   # a residual is NaN or infinite
+        failed = [exc]
+    if failed:
+        raise _UsageError(f"tape failed validation against its problem: {failed[0]}")
     adjoints = adjoint_sweep(problem, tape)
     weak = assemble_weak_adjoint(tape, adjoints)
     _write(save_adjoint_results, digest, adjoints, weak, out)
@@ -263,7 +266,7 @@ def cmd_converge(ns) -> int:
         if not 1 <= setting <= MAX_ORDER:
             raise _UsageError(f"order must be in [1, {MAX_ORDER}], got {setting}")
     else:
-        setting = settings.get("atol", default=1e-12, cast=float)
+        setting = settings.get("atol", default=ADAPTIVE_ATOL, cast=float)
         if not 0.0 < setting < np.inf:   # NaN fails too
             raise _UsageError(f"tolerances must be positive and finite, got atol={setting}")
     if len(values) < 2:
@@ -386,9 +389,7 @@ def cmd_verify(ns) -> int:
 
     out = settings.get("out", default="kkt.json")
     _write(save_kkt_report, checks, out)
-    for check in checks:
-        print(f"{check.name}={check.value!r} (threshold {check.threshold!r}) "
-              f"worst at step {check.step}, t={check.t!r}")
+    print(*checks, sep="\n")
     print(f"report written to {out}")
     if failed:
         sys.stderr.write(f"verification failed: {failed[0]} above threshold\n")

@@ -136,6 +136,19 @@ class TestExactDerivative:
         rtol 1e-4 bound by more than 100 times)."""
         assert _fd_gap(robertson, integrate_adaptive(robertson, rtol)) <= bound
 
+    @pytest.mark.parametrize("k, n", [(3, 128), (5, 512)])
+    def test_robertson_nonadaptive_keeps_the_physical_root(self, k, n, robertson):
+        """The nonadaptive driver on a stiff nonlinear problem, at order k and
+        h = 0.4 / n: every state keeps y_2 >= 0 (a predictor extrapolated
+        through one more trailing point stops converging on these runs), the
+        certificate passes, and the gradient matches central differences of
+        the replay (gaps of 1.9e-7 and 3.0e-7)."""
+        tape = integrate_nonadaptive(robertson, k, 0.4 / n)
+        assert np.min(tape.states[:, 1]) >= 0.0
+        checks = verify_kkt(robertson, tape, adjoint_sweep(robertson, tape))
+        assert [check.name for check in checks if not check.passed] == []
+        assert _fd_gap(robertson, tape) <= 1e-6
+
     def test_finite_differences_catch_a_wrong_jacobian(self):
         """With f_y replaced by 0.8 f_y in both the replay and the sweep, the
         replay still solves the scheme, the sweep does not differentiate it,

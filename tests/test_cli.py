@@ -30,9 +30,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdfadjoint import (bdf, get_problem, integrate_nonadaptive, load_tape,
-                        save_tape)
-from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects
+from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint, bdf, get_problem,
+                        integrate_nonadaptive, load_tape, save_adjoint_results,
+                        save_tape, tape_sha256)
+from bdfadjoint.analysis import (COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects,
+                                 forward_checks)
 import bdfadjoint.cli as cli_module
 from bdfadjoint.cli import main
 from conftest import decode_array, edit_array, encode_array
@@ -582,7 +584,8 @@ class TestAdjointCommand:
             return
         assert main(argv) == 1
         err = capsys.readouterr().err
-        want = {"loosen": "error: tape failed residual validation",
+        want = {"loosen": "error: tape failed validation against its problem: "
+                          "nominal_residual=",
                 "unknown_mode": "error: cannot load tape: unknown integration mode 'fixed'",
                 "drop_driver_params": "error: cannot load tape: adaptive tape "
                                       "without driver_params.rtol\n"}[edit]
@@ -765,7 +768,10 @@ class TestAdjointCommand:
         out = tmp_path / "a.json"
         rc = main(["adjoint", "--tape", str(tape), "--out", str(out)])
         assert rc == 1
-        assert "residual validation" in capsys.readouterr().err
+        # step 10 produces y_10, the first row whose residual is NaN
+        assert capsys.readouterr().err == (
+            "error: tape failed validation against its problem: nominal_residual "
+            "must be finite and non-negative, got nan at step 10\n")
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
 
@@ -1044,15 +1050,27 @@ class TestVerifyCommand:
         assert f"worst at step 21, t={t_21!r}\n" in out
 
     def test_inconsistent_initial_state_fails_report(self, tmp_path, capsys):
-        """A tape integrated from y_0 + 1e-6 is consistent with itself, so
-        adjoint accepts it; verify refuses it, and kkt.json says so too."""
+        """A tape integrated from y_0 + 1e-6 solves its steps but not
+        y_0 = y_s: adjoint refuses it with exit 1 and no output, naming
+        initial_residual at step 0, and verify, given adjoints computed
+        through the library, fails it with exit 3, and kkt.json says so."""
         shifted = dataclasses.replace(
             CATENARY, initial_state=CATENARY.initial_state + 1e-6)
         tape = tmp_path / "tape.json"
         save_tape(integrate_nonadaptive(shifted, 2, 0.125), tape)
-        adj = tmp_path / "adjoint.json"
-        assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
+        out = tmp_path / "refused.json"
         capsys.readouterr()
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tape failed validation against its problem: "
+                              "initial_residual=")
+        assert err.endswith(" worst at step 0, t=0.0\n") and err.count("\n") == 1
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+        loaded = load_tape(tape)
+        adjoints = adjoint_sweep(CATENARY, loaded)
+        adj = tmp_path / "adjoint.json"
+        save_adjoint_results(tape_sha256(tape.read_bytes()), adjoints,
+                             assemble_weak_adjoint(loaded, adjoints), adj)
         report = tmp_path / "kkt.json"
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(report)])
@@ -1064,6 +1082,28 @@ class TestVerifyCommand:
         initial = doc["checks"]["initial_residual"]
         assert initial["value"] > initial["threshold"]
         assert initial["passed"] is False and initial["worst"]["step"] == 0
+        assert err.split(": ", 2)[2] == str(forward_checks(CATENARY, loaded)[1]) + "\n"
+
+    def test_edited_problem_parameter_is_refused(self, tmp_path, capsys):
+        """A catenary k = 2, h = 1/16 tape whose problem.params.A is edited to
+        -2.9 rebuilds a problem whose y_s is not the tape's y_0 (and whose
+        steps the states still solve): adjoint exits 1 with one stderr line,
+        verify's report line of initial_residual, and writes nothing."""
+        rc, tape = _integrate(tmp_path)
+        assert rc == 0
+        doc = json.loads(tape.read_text())
+        doc["problem"]["params"]["A"] = -2.9
+        tape.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "adjoint.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "error: tape failed validation against its problem: initial_residual="
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert captured.err.endswith(" worst at step 0, t=0.0\n")
+        assert float(captured.err[len(prefix):].split(" ")[0]) > 0.9
+        assert list(tmp_path.iterdir()) == [tape]
 
     @pytest.mark.parametrize("factor", [0.03, 3.0])
     def test_nominal_rule_is_the_adjoint_gate(self, tmp_path, capsys, factor):
@@ -1100,8 +1140,11 @@ class TestVerifyCommand:
             assert nominal["worst"]["step"] == 1 and not within[0]
             assert nominal["value"] > nominal["threshold"] == 10.0 * tol[0]
             assert nominal["value"] < 10.0 * np.max(moved.newton_tolerances)
-            assert capsys.readouterr().err == (
-                "error: tape failed residual validation against its problem\n"
+            captured = capsys.readouterr()   # adjoint printed nothing to stdout
+            line = captured.out.splitlines()[0]   # verify's nominal_residual record
+            assert line.startswith("nominal_residual=") and " worst at step 1, " in line
+            assert captured.err == (
+                f"error: tape failed validation against its problem: {line}\n"
                 "verification failed: nominal_residual above threshold\n")
             assert not out.exists()
 
@@ -1621,7 +1664,8 @@ def _catenary_tape_with_huge_p(tmp_path):
      2, "solver failure: step 0 failed: non-finite residual at t=0.0625\n"),
     (lambda tmp: ["integrate", "--mode", "adaptive", "--rtol", "1e-4", "--atol", "1e308",
                   "--out", str(tmp / "tape.json")], 0, ""),
-    (_catenary_tape_with_huge_p, 1, "error: tape failed residual validation against its problem\n"),
+    (_catenary_tape_with_huge_p, 1, "error: tape failed validation against its problem: "
+     "nominal_residual must be finite and non-negative, got inf at step 1\n"),
 ], ids=["integrate-p-1e308", "adaptive-atol-1e308", "adjoint-p-1e308"])
 def test_overflow_prints_no_numpy_warning(tmp_path, capsys, argv, code, err):
     """Values that overflow inside a stage: the catenary rhs at p = 1e308, in
@@ -1740,9 +1784,9 @@ def test_mutated_inputs_keep_the_exit_code_contract(data):
     not pass, a document with a token is refused at load, and a flag that
     the stage does not have is refused with argparse's usage block.  When
     adjoint accepts a mutated tape, verify on the tape and that adjoint
-    output exits 0 or 3 with nominal_residual passed; and a report's
-    nominal_residual passes exactly when every step's residual is within
-    10 tol_n, adjoint's tape gate."""
+    output exits 0 or 3 with nominal_residual and initial_residual passed;
+    and a report's nominal_residual passes exactly when every step's
+    residual is within 10 tol_n."""
     docs = dict(_fuzz_documents(data.draw(st.sampled_from(["nonadaptive", "adaptive"]))))
     target = data.draw(st.sampled_from(["tape", "adjoint", "flag"]))
     if target != "flag":
@@ -1781,7 +1825,7 @@ def test_mutated_inputs_keep_the_exit_code_contract(data):
         if kind == "token":
             assert rc_verify == 1 and err.startswith("error: cannot load")
             assert rc == 1 or target == "adjoint"
-        nominal = None
+        forward = {}
         if report.exists():
             kkt = json.loads(report.read_text())
             assert kkt["passed"] is (rc_verify == 0)
@@ -1789,13 +1833,15 @@ def test_mutated_inputs_keep_the_exit_code_contract(data):
             problem = cli_module._problem_for_tape(tape)[0]
             with np.errstate(all="ignore"):
                 within = bdf.tape_residuals(problem, tape) <= 10.0 * tape.newton_tolerances
-            nominal = kkt["checks"]["nominal_residual"]["passed"]
-            assert nominal is bool(np.all(within))
+            forward = {name: kkt["checks"][name]["passed"]
+                       for name in ("nominal_residual", "initial_residual")}
+            assert forward["nominal_residual"] is bool(np.all(within))
         else:
             assert rc_verify != 0
-        if target == "tape" and rc == 0:
+        if target == "tape" and rc == 0:   # adjoint's gate is verify's forward records
             assert rc_verify in (0, 3) and "nominal_residual" not in err
-            assert nominal is not False
+            assert "initial_residual" not in err
+            assert False not in forward.values()
 
 
 class TestConvergeCommand:

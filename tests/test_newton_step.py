@@ -102,6 +102,34 @@ class TestTwoStep:
         np.testing.assert_allclose(y, ref.nominal(2 * h), atol=2e-4)
 
 
+class TestHistorySum:
+    @staticmethod
+    def _loop(alphas, history):
+        """The sum as a loop from +0.0 in ascending i, one add per term."""
+        back = np.zeros(np.shape(history[0]))
+        for i in range(1, len(alphas)):
+            back = back + alphas[i] * history[i - 1]
+        return back
+
+    @pytest.mark.parametrize("k", range(1, bdf.MAX_ORDER + 1))
+    def test_one_reduce_is_the_loop_to_the_bit(self, k):
+        """On the nonadaptive driver's reversed view states[n::-1] and on the
+        adaptive driver's reversed list, with more history than the order
+        reads: column 0 holds zeros signed so that every term is -0.0, which
+        sums to +0.0 from the +0.0 start; the other columns mix magnitudes,
+        so a sum in another order would round differently."""
+        rng = np.random.default_rng(k)
+        nodes = np.cumsum(rng.uniform(0.5, 1.5, k + 1))
+        alphas = compute_coefficients(nodes, k)
+        n = k + 2
+        states = rng.standard_normal((n + 1, 16)) * 10.0 ** rng.uniform(-8, 8, 16)
+        states[n + 1 - np.arange(1, k + 1), 0] = np.copysign(0.0, -alphas[1:])
+        for history in (states[n::-1], list(states)[n::-1]):
+            back = bdf._history_sum(alphas, history)
+            assert back.tobytes() == self._loop(alphas, history).tobytes()
+            assert back[0] == 0.0 and not np.signbit(back[0])
+
+
 class TestFailures:
     def test_singular_iteration_matrix(self):
         """1 - h*a = 0 makes backward Euler singular: a one-step run must

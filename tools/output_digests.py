@@ -15,7 +15,10 @@ on a line ``<workload> <name>.bytes <sha256>``, so that a change to the bytes
 alone shows; CSV files and stdout are hashed as bytes.  The temporary
 directory's path is replaced by ``<workdir>`` in the stdout before hashing,
 so the lines of two checkouts can be compared with ``diff``.  Nothing under
-``benchmarks/`` is written.
+``benchmarks/`` is written.  BLAS and OpenMP run on one thread, as in the
+benchmark, unless the environment sets a count:
+``OPENBLAS_NUM_THREADS=2 python3 tools/output_digests.py --seed S`` shows
+which digests depend on it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import tempfile
 from pathlib import Path
 
 # The benchmark pins BLAS/OpenMP to one thread; do the same before NumPy loads
-# so that the digests are those of a benchmark pass.
-os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"})
+# so that the digests are those of a benchmark pass, unless the environment
+# sets a count, so that the digests' dependence on it can be shown.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
