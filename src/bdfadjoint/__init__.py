@@ -7,8 +7,7 @@ multipliers whose step-function interpolant approximates the continuous
 adjoint in a weak (dual, Riemann--Stieltjes) sense.
 """
 
-from .adjoint import (DiscreteAdjoints, WeakAdjoint, adjoint_sweep,
-                      assemble_weak_adjoint)
+from .adjoint import DiscreteAdjoints, adjoint_sweep
 from .analysis import (Check, ConvergenceTable, coefficient_defects, dual_norm_bound,
                        fit_order, pointwise_error, verify_kkt)
 from .bdf import (IntegrationTape, SolverError, TimeGrid, compute_coefficients,
@@ -31,9 +30,7 @@ __all__ = [
     "OdeProblem",
     "SolverError",
     "TimeGrid",
-    "WeakAdjoint",
     "adjoint_sweep",
-    "assemble_weak_adjoint",
     "catenary_problem",
     "coefficient_defects",
     "compute_coefficients",

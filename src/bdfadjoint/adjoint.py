@@ -14,9 +14,9 @@ and for n = N-2 .. 0
 
 with the convention alpha_i^(m) = 0 for i > k_m.  The gradient is what the
 same recursion leaves in y_0's row, - sum_n alpha_{n+1}^(n) lambda_{n+1} over
-the self-start steps, those with k_n = n + 1.  The weak adjoint is the
-right-continuous step function with jump h_{n-1} lambda_n at t_n, vanishing
-at t_s.
+the self-start steps, those with k_n = n + 1.  The result holds the grid too,
+and with it is the weak adjoint: the right-continuous step function with jump
+h_{n-1} lambda_n at t_n, vanishing at t_s.
 """
 
 from __future__ import annotations
@@ -28,28 +28,62 @@ import numpy as np
 from .bdf import (IntegrationTape, SolverError, _iteration_matrix,
                   jacobian_blocks, lu_factor, lu_solve)
 
-__all__ = [
-    "DiscreteAdjoints",
-    "WeakAdjoint",
-    "adjoint_sweep",
-    "assemble_weak_adjoint",
-]
+__all__ = ["DiscreteAdjoints", "adjoint_sweep"]
 
 
 @dataclass(frozen=True)
 class DiscreteAdjoints:
-    """Adjoint variables lambda_1..lambda_N (rows) and the gradient w.r.t. y_s."""
+    """Multipliers lambda_1..lambda_N on the grid t_0 < ... < t_N, the
+    gradient w.r.t. y_s, and the weak adjoint Lambda^h they fix.
 
+    Lambda^h is the right-continuous step function with jump h_{n-1} lambda_n
+    at t_n: Lambda^h(t_s) = 0, on (t_n, t_{n+1}) its value is the sum of the
+    jumps up to and including t_n, and evaluation at a jump node returns the
+    post-jump value.  Its jumps and values are derived, not stored.
+    """
+
+    nodes: np.ndarray     # (N+1,) t_0..t_N
     lambdas: np.ndarray   # (N, d); row n-1 holds lambda_n, i.e. the multiplier at t_n
     gradient: np.ndarray  # (d,)
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
-        object.__setattr__(self, "gradient", np.asarray(self.gradient, dtype=float))
+        nodes = np.asarray(self.nodes, dtype=float)
+        lambdas = np.asarray(self.lambdas, dtype=float)
+        gradient = np.asarray(self.gradient, dtype=float)
+        if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0):
+            raise ValueError("grid nodes must be at least two, strictly increasing")
+        if lambdas.ndim != 2 or lambdas.shape[0] != nodes.size - 1:
+            raise ValueError("need one multiplier per step of the grid")
+        if gradient.shape != lambdas.shape[1:]:
+            raise ValueError("the gradient must have the multipliers' dimension")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "gradient", gradient)
+
+    @property
+    def jump_sizes(self) -> np.ndarray:
+        """(N, d): h_{n-1} lambda_n in row n-1."""
+        return np.diff(self.nodes)[:, None] * self.lambdas
+
+    @property
+    def node_values(self) -> np.ndarray:
+        """(N+1, d): Lambda^h(t_0), ..., Lambda^h(t_N), the partial sums of the jumps."""
+        sums = np.cumsum(self.jump_sizes, axis=0)
+        return np.vstack([np.zeros((1, sums.shape[1])), sums])
+
+    def eval(self, t):
+        """Lambda^h at time t (scalar or array), right-continuous on (t_s, t_f)."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((self.nodes[0] <= t) & (t <= self.nodes[-1])):   # NaN fails too
+            raise ValueError(f"t outside [{self.nodes[0]}, {self.nodes[-1]}]")
+        out = self.node_values[np.searchsorted(self.nodes[1:], t, side="right")]
+        return out if t.ndim else out.reshape(-1)
+
+    __call__ = eval
 
 
 def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
-    """Backward sweep over a completed tape.
+    """Backward sweep over a completed tape, on its nodes themselves.
 
     Each lambda_j solves a d x d system with the transpose of the step
     matrix alpha_0^(j-1) I - h_{j-1} f_y(t_j, y_j) and then scatters
@@ -105,54 +139,5 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
     gradient = rhs[0].copy()   # a view would keep all of rhs alive
     if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(gradient))):
         raise SolverError("non-finite adjoint multipliers or gradient")
-    return DiscreteAdjoints(lambdas=lambdas[1:], gradient=gradient)
+    return DiscreteAdjoints(tape.grid.nodes, lambdas[1:], gradient)
 
-
-@dataclass(frozen=True)
-class WeakAdjoint:
-    """Right-continuous step function Lambda^h with jump h_{n-1} lambda_n at t_n.
-
-    A view of the grid and the multipliers, which fix it: the jump times
-    nodes[1:] and the jump sizes h * lambda are derived, not stored.
-    Lambda^h(t_s) = 0; on (t_n, t_{n+1}) the value is the accumulated sum of
-    the jumps up to and including t_n; evaluation at a jump node returns the
-    post-jump value.
-    """
-
-    nodes: np.ndarray     # (N+1,) t_0..t_N
-    lambdas: np.ndarray   # (N, d); row n-1 holds lambda_n
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        lambdas = np.asarray(self.lambdas, dtype=float)
-        if nodes.ndim != 1 or lambdas.ndim != 2 or lambdas.shape[0] != nodes.size - 1:
-            raise ValueError("need one multiplier per step of the grid")
-        if nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "lambdas", lambdas)
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        return self.nodes[1:]
-
-    @property
-    def jump_sizes(self) -> np.ndarray:
-        return np.diff(self.nodes)[:, None] * self.lambdas
-
-    def eval(self, t):
-        """Value at time t (scalar or array), right-continuous on (t_s, t_f)."""
-        t = np.asarray(t, dtype=float)
-        if not np.all((self.nodes[0] <= t) & (t <= self.nodes[-1])):   # NaN fails too
-            raise ValueError(f"t outside [{self.nodes[0]}, {self.nodes[-1]}]")
-        cum = np.vstack([np.zeros((1, self.lambdas.shape[1])),
-                         np.cumsum(self.jump_sizes, axis=0)])
-        out = cum[np.searchsorted(self.jump_times, t, side="right")]
-        return out if t.ndim else out.reshape(-1)
-
-    __call__ = eval
-
-
-def assemble_weak_adjoint(tape: IntegrationTape, adjoints: DiscreteAdjoints) -> WeakAdjoint:
-    """The weak-adjoint step function of a tape and its adjoints."""
-    return WeakAdjoint(tape.grid.nodes, adjoints.lambdas)

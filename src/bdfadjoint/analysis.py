@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import DiscreteAdjoints, WeakAdjoint
+from .adjoint import DiscreteAdjoints
 from .bdf import (EPS, RESIDUAL_GATE, IntegrationTape, band_product, coefficient_band,
                   jacobian_blocks, stencil_table, tape_residuals)
 
@@ -107,17 +107,15 @@ def verify_kkt(problem, tape: IntegrationTape, adjoints: DiscreteAdjoints) -> tu
     coefficient_defect is held to COEFFICIENT_TOL.
     jacobian_defect checks f_y, which no residual can see (the adjoint and
     this check share it), at JACOBIAN_SAMPLES states, and criterion_defect
-    J' at y_N, both held to JACOBIAN_TOL.  A value that is not finite, or a
-    problem whose rhs or jacobian does not take stacked states, is refused
-    with a ValueError.
+    J' at y_N, both held to JACOBIAN_TOL.  A value that is not finite, a
+    problem whose rhs or jacobian does not take stacked states, or adjoints
+    not on the tape's nodes or of its dimension, is refused with a ValueError.
     """
     n = tape.n_steps
     d = tape.dimension
-    if adjoints.lambdas.shape != (n, d):
-        raise ValueError(
-            f"adjoints have shape {adjoints.lambdas.shape}, tape expects {(n, d)}"
-        )
     nodes = tape.grid.nodes
+    if not np.array_equal(adjoints.nodes, nodes) or adjoints.lambdas.shape[1] != d:
+        raise ValueError("adjoints are not on the tape's nodes or of its dimension")
     lam = adjoints.lambdas
     nominal, initial = forward_checks(problem, tape)
 
@@ -213,10 +211,10 @@ def coefficient_defects(alphas, stencils) -> np.ndarray:
     return np.maximum(zero_sum, ident)
 
 
-def pointwise_error(weak_adjoint: WeakAdjoint, reference, t) -> float:
+def pointwise_error(adjoints: DiscreteAdjoints, reference, t) -> float:
     """|| Lambda(t) - Lambda^h(t) ||_2 against the analytic weak adjoint."""
     exact = np.asarray(reference.weak_adjoint(t), dtype=float)
-    return float(np.linalg.norm(exact - weak_adjoint.eval(t), 2))
+    return float(np.linalg.norm(exact - adjoints.eval(t), 2))
 
 
 def _uniform_main_stepsize(h_all, max_ramp=6, rel=1e-9):
@@ -236,18 +234,18 @@ def _uniform_main_stepsize(h_all, max_ramp=6, rel=1e-9):
     return float(h)
 
 
-def dual_norm_bound(weak_adjoint: WeakAdjoint, reference) -> float:
+def dual_norm_bound(adjoints: DiscreteAdjoints, reference) -> float:
     """Computable upper-bound surrogate for the total-variation-norm error.
 
     Per component: h * ( |lambda(t_0)| + sum_n |lambda(t_n) - lambda_n|
     + |lambda(t_N)| ), maximized over components, with the multipliers and
-    the grid of the weak adjoint.  The grid must be equidistant (short
+    the grid of the adjoints.  The grid must be equidistant (short
     self-start ramps of smaller steps are tolerated, h is the main stepsize).
     """
-    nodes = weak_adjoint.nodes
+    nodes = adjoints.nodes
     h = _uniform_main_stepsize(np.diff(nodes))
     exact = np.array([reference.classical_adjoint(t) for t in nodes], dtype=float)
-    bound = (np.abs(exact[0]) + np.sum(np.abs(exact[1:] - weak_adjoint.lambdas), axis=0)
+    bound = (np.abs(exact[0]) + np.sum(np.abs(exact[1:] - adjoints.lambdas), axis=0)
              + np.abs(exact[-1]))
     return float(np.max(h * bound))
 

@@ -754,7 +754,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
             tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
             try:
                 y_new, iterations = _newton_iterate(
-                    problem, t_new, h_eff, alphas, states[n::-1], predictor,
+                    problem, t_new, h_eff, alphas, states[:-k - 1:-1], predictor,
                     tol_newton, cache)
             except _StepFailure:
                 h = h_eff / 2.0

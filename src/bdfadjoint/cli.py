@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import adjoint_sweep, assemble_weak_adjoint
+from .adjoint import DiscreteAdjoints, adjoint_sweep
 from .analysis import (ConvergenceTable, fit_order, forward_checks, pointwise_error,
                        verify_kkt)
 from .bdf import (ADAPTIVE_ATOL, MAX_ORDER, SolverError, integrate_adaptive,
@@ -231,10 +231,9 @@ def cmd_adjoint(ns) -> int:
     if failed:
         raise _UsageError(f"tape failed validation against its problem: {failed[0]}")
     adjoints = adjoint_sweep(problem, tape)
-    weak = assemble_weak_adjoint(tape, adjoints)
-    _write(save_adjoint_results, digest, adjoints, weak, out)
+    _write(save_adjoint_results, digest, adjoints, out)
     try:
-        _write(write_adjoint_csv, tape, adjoints, weak, csv_path)
+        _write(write_adjoint_csv, adjoints, csv_path)
     except _UsageError:
         Path(out).unlink()   # both outputs or neither
         raise
@@ -283,8 +282,8 @@ def cmd_converge(ns) -> int:
         try:
             tape = (integrate_nonadaptive(problem, setting, values[i]) if parameter == "h"
                     else integrate_adaptive(problem, values[i], setting))
-            weak = assemble_weak_adjoint(tape, adjoint_sweep(problem, tape))
-            return [pointwise_error(weak, reference, t) for t in times], None
+            adjoints = adjoint_sweep(problem, tape)
+            return [pointwise_error(adjoints, reference, t) for t in times], None
         except (SolverError, ValueError) as exc:
             return [np.nan] * len(times), f"sweep point {parameter}={values[i]} failed: {exc}\n"
 
@@ -369,10 +368,12 @@ def cmd_verify(ns) -> int:
 
     if record["tape_sha256"] != digest:
         raise _UsageError("adjoint file does not belong to this tape")
-    adjoints = record["adjoints"]
-    if (adjoints.lambdas.shape != (tape.n_steps, tape.dimension)
-            or adjoints.gradient.shape != (tape.dimension,)):
+    if record["gradient"].shape != (tape.dimension,):
         raise _UsageError("adjoint file does not match the tape dimensions")
+    try:   # one multiplier per step of the tape's grid, of the gradient's length
+        adjoints = DiscreteAdjoints(tape.grid.nodes, record["lambdas"], record["gradient"])
+    except ValueError as exc:
+        raise _UsageError("adjoint file does not match the tape dimensions") from exc
 
     problem, _ = _problem_for_tape(tape, settings)
     try:
@@ -383,8 +384,7 @@ def cmd_verify(ns) -> int:
     failed = [check.name for check in checks if not check.passed]
     # Multipliers that fail a check are reported below (exit 3); a jump table
     # that is not h * lambda of multipliers that pass is a malformed file.
-    if not failed and not np.array_equal(
-            record["jump_sizes"], assemble_weak_adjoint(tape, adjoints).jump_sizes):
+    if not failed and not np.array_equal(record["jump_sizes"], adjoints.jump_sizes):
         raise _UsageError("adjoint file's jump table does not match its multipliers")
 
     out = settings.get("out", default="kkt.json")

@@ -177,7 +177,7 @@ def tape_sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints, weak) -> dict:
+def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints) -> dict:
     return {
         "format": ADJOINT_FORMAT,
         "version": ADJOINT_VERSION,
@@ -186,39 +186,37 @@ def adjoint_results_to_dict(digest, adjoints: DiscreteAdjoints, weak) -> dict:
         # lists, as before: benchmarks/pipeline.py reads the gradient and the
         # jump sizes with json, and benchmarks/test_smoke.py perturbs this line
         "gradient": adjoints.gradient.tolist(),
-        "jumps": {"sizes": weak.jump_sizes},
+        "jumps": {"sizes": adjoints.jump_sizes},
     }
 
 
-def save_adjoint_results(digest, adjoints, weak, path) -> None:
-    """Write the adjoints and weak adjoint of the tape whose file has the
-    SHA-256 `digest` (see :func:`tape_sha256`)."""
-    _dump(adjoint_results_to_dict(digest, adjoints, weak), path)
+def save_adjoint_results(digest, adjoints, path) -> None:
+    """Write the adjoints and weak-adjoint jumps of the tape whose file has
+    the SHA-256 `digest` (see :func:`tape_sha256`)."""
+    _dump(adjoint_results_to_dict(digest, adjoints), path)
 
 
 def load_adjoint_results(path) -> dict:
-    """Returns {"tape_sha256": str, "adjoints": DiscreteAdjoints,
-    "jump_sizes": ndarray} as stored, the multipliers a read-only view; the
-    grid comes from the tape."""
+    """Returns {"tape_sha256": str, "lambdas", "gradient", "jump_sizes":
+    ndarray} as stored, the multipliers a read-only view; the nodes are the
+    tape's, so the caller builds the DiscreteAdjoints."""
     doc = _load_checked(path, ADJOINT_FORMAT, ADJOINT_VERSION)
     return {
         "tape_sha256": doc["tape_sha256"],
-        "adjoints": DiscreteAdjoints(
-            lambdas=_array(doc, "lambdas", "<f8", ndim=2),
-            gradient=np.array(doc["gradient"], dtype=float),
-        ),
+        "lambdas": _array(doc, "lambdas", "<f8", ndim=2),
+        "gradient": np.array(doc["gradient"], dtype=float),
         "jump_sizes": np.array(doc["jumps"]["sizes"], dtype=float),
     }
 
 
-def write_adjoint_csv(tape, adjoints, weak, path) -> None:
+def write_adjoint_csv(adjoints, path) -> None:
     """Rows (t_n, lambda_n components, Lambda^h(t_n) components), n = 1..N."""
-    d = tape.dimension
+    d = adjoints.lambdas.shape[1]
     header = (["t"]
               + [f"lambda_{j + 1}" for j in range(d)]
               + [f"Lambda_{j + 1}" for j in range(d)])
-    block = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
-                             np.cumsum(weak.jump_sizes, axis=0)])
+    block = np.column_stack([adjoints.nodes[1:], adjoints.lambdas,
+                             adjoints.node_values[1:]])
     # the block's JSON [[row],[row]] with each "],[" a line break, less its
     # outer brackets, is its CSV body; \r\n as csv writes
     body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\r\n")

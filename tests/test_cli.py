@@ -30,9 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint, bdf, get_problem,
-                        integrate_nonadaptive, load_tape, save_adjoint_results,
-                        save_tape, tape_sha256)
+from bdfadjoint import (adjoint_sweep, bdf, get_problem, integrate_nonadaptive,
+                        load_tape, save_adjoint_results, save_tape, tape_sha256)
 from bdfadjoint.analysis import (COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defects,
                                  forward_checks)
 import bdfadjoint.cli as cli_module
@@ -1067,10 +1066,9 @@ class TestVerifyCommand:
         assert err.endswith(" worst at step 0, t=0.0\n") and err.count("\n") == 1
         assert not out.exists() and not out.with_suffix(".csv").exists()
         loaded = load_tape(tape)
-        adjoints = adjoint_sweep(CATENARY, loaded)
         adj = tmp_path / "adjoint.json"
-        save_adjoint_results(tape_sha256(tape.read_bytes()), adjoints,
-                             assemble_weak_adjoint(loaded, adjoints), adj)
+        save_adjoint_results(tape_sha256(tape.read_bytes()),
+                             adjoint_sweep(CATENARY, loaded), adj)
         report = tmp_path / "kkt.json"
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(report)])
@@ -1226,6 +1224,29 @@ class TestVerifyCommand:
         tape, adj = self._chain(tmp_path)
         doc = json.loads(adj.read_text())
         doc["gradient"] = gradient
+        adj.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "kkt.json"
+        rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: adjoint file does not match the tape dimensions\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resize", [
+        lambda lam, g: (lam[:-1], g),                                  # N - 1 rows
+        lambda lam, g: (np.hstack([lam, lam[:, :1]]), g),              # d + 1 columns
+        lambda lam, g: (np.hstack([lam, lam[:, :1]]), [*g, g[0]]),     # and gradient
+    ], ids=["rows", "columns", "columns-and-gradient"])
+    def test_multipliers_of_wrong_shape_refused(self, tmp_path, capsys, resize):
+        """A well-formed adjoint file whose multipliers have N - 1 rows or
+        d + 1 columns, their payload filling that shape, is refused as not
+        matching the tape, also with a gradient of d + 1 entries."""
+        tape, adj = self._chain(tmp_path)
+        doc = json.loads(adj.read_text())
+        lambdas, doc["gradient"] = resize(decode_array(doc["lambdas"]), doc["gradient"])
+        doc["lambdas"] = encode_array(lambdas)
         adj.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "kkt.json"

@@ -26,13 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdfadjoint import (adjoint_sweep, assemble_weak_adjoint,
-                        compute_coefficients, get_problem,
+from bdfadjoint import (adjoint_sweep, compute_coefficients, get_problem,
                         integrate_adaptive, integrate_nonadaptive,
                         linear_test_problem, load_adjoint_results, load_tape,
                         save_adjoint_results, save_kkt_report, save_tape,
                         verify_kkt)
-from bdfadjoint.adjoint import DiscreteAdjoints
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
 from bdfadjoint.serialize import (ADJOINT_VERSION, FORMAT_VERSION, KKT_VERSION, _dump,
@@ -204,12 +202,10 @@ class TestFloatEncoding:
         """The corpus in the t and lambda columns, and its reverse as the jump
         sizes whose cumulative sum fills the Lambda column."""
         corpus = _float_corpus()
-        tape = SimpleNamespace(
-            dimension=1, grid=SimpleNamespace(nodes=np.concatenate([[0.0], corpus])))
-        adj = SimpleNamespace(lambdas=corpus[:, None])
-        weak = SimpleNamespace(jump_sizes=corpus[::-1, None])
+        adj = _adjoints_like(np.concatenate([[0.0], corpus]), corpus[:, None],
+                             corpus[::-1, None])
         path = tmp_path / "adjoint.csv"
-        write_adjoint_csv(tape, adj, weak, path)
+        write_adjoint_csv(adj, path)
         raw = path.read_bytes()
         assert raw.count(b"\r\n") == 1 + corpus.size and raw.endswith(b"\r\n")
         with open(path, newline="") as fh:
@@ -230,13 +226,12 @@ class TestFloatEncoding:
         prob = _heat(100)
         tape = integrate_nonadaptive(prob, 2, 2.0 ** -6)
         adj = adjoint_sweep(prob, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         path = tmp_path / "adjoint.csv"
-        write_adjoint_csv(tape, adj, weak, path)
+        write_adjoint_csv(adj, path)
         with open(path, newline="") as fh:
             cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
         values = np.column_stack([tape.grid.nodes[1:], adj.lambdas,
-                                  np.cumsum(weak.jump_sizes, axis=0)])
+                                  np.cumsum(adj.jump_sizes, axis=0)])
         assert np.any((values != 0.0) & (np.abs(values) < 1e-4))
         _assert_cells_exact(cells, values)
 
@@ -266,16 +261,16 @@ class TestFloatEncoding:
         bit for bit, with the tape digest as written."""
         corpus = _float_corpus()
         n = corpus.size
-        adj = DiscreteAdjoints(lambdas=np.resize(corpus, (n, 2)), gradient=corpus)
-        weak = SimpleNamespace(jump_sizes=np.resize(corpus[::-1], (n, 2)))
+        adj = _adjoints_like(None, np.resize(corpus, (n, 2)),
+                             np.resize(corpus[::-1], (n, 2)), gradient=corpus)
         digest = hashlib.sha256(b"tape").hexdigest()
         path = tmp_path / "adjoint.json"
-        save_adjoint_results(digest, adj, weak, path)
+        save_adjoint_results(digest, adj, path)
         back = load_adjoint_results(path)
         assert back["tape_sha256"] == digest
-        _assert_bits_equal(back["adjoints"].lambdas, adj.lambdas)
-        _assert_bits_equal(back["adjoints"].gradient, corpus)
-        _assert_bits_equal(back["jump_sizes"], weak.jump_sizes)
+        _assert_bits_equal(back["lambdas"], adj.lambdas)
+        _assert_bits_equal(back["gradient"], corpus)
+        _assert_bits_equal(back["jump_sizes"], adj.jump_sizes)
 
 
 # the notation edges of orjson's float writer: signed zeros, subnormals, the
@@ -288,14 +283,24 @@ _FINITE_BITS = st.integers(0, 2 ** 64 - 1).map(
     lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
 
 
-def _per_row_adjoint_csv(tape, adjoints, weak, path):
+def _adjoints_like(nodes, lambdas, jump_sizes, gradient=None):
+    """A stand-in for DiscreteAdjoints whose nodes, multipliers and jump
+    sizes are any floats, not tied to each other; node_values are the
+    partial sums of the jumps, as DiscreteAdjoints forms them."""
+    sums = np.cumsum(jump_sizes, axis=0)
+    return SimpleNamespace(nodes=nodes, lambdas=lambdas, gradient=gradient,
+                           jump_sizes=jump_sizes,
+                           node_values=np.vstack([np.zeros((1, sums.shape[1])), sums]))
+
+
+def _per_row_adjoint_csv(adjoints, path):
     """The adjoint CSV writer before the block encode, frozen: one
     orjson.dumps per row of a .tolist() copy."""
-    d = tape.dimension
+    d = adjoints.lambdas.shape[1]
     header = (["t"] + [f"lambda_{j + 1}" for j in range(d)]
               + [f"Lambda_{j + 1}" for j in range(d)])
-    rows = np.column_stack([tape.grid.nodes[1:], adjoints.lambdas,
-                            np.cumsum(weak.jump_sizes, axis=0)]).tolist()
+    rows = np.column_stack([adjoints.nodes[1:], adjoints.lambdas,
+                            np.cumsum(adjoints.jump_sizes, axis=0)]).tolist()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         fh.writelines(orjson.dumps(row)[1:-1] + b"\r\n" for row in rows)
@@ -338,20 +343,18 @@ class TestArrayWriter:
         prob = _heat(d)
         tape = integrate_nonadaptive(prob, order, h)
         adj = adjoint_sweep(prob, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         assert tape.n_steps == steps
-        write_adjoint_csv(tape, adj, weak, tmp_path / "block.csv")
-        _per_row_adjoint_csv(tape, adj, weak, tmp_path / "rows.csv")
+        write_adjoint_csv(adj, tmp_path / "block.csv")
+        _per_row_adjoint_csv(adj, tmp_path / "rows.csv")
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_adjoint_csv_corpus_matches_row_writer(self, tmp_path):
         corpus = _float_corpus()
-        tape = SimpleNamespace(
-            dimension=2, grid=SimpleNamespace(nodes=np.concatenate([[0.0], corpus])))
-        adj = SimpleNamespace(lambdas=np.column_stack([corpus, corpus[::-1]]))
-        weak = SimpleNamespace(jump_sizes=np.column_stack([corpus[::-1], corpus]))
-        write_adjoint_csv(tape, adj, weak, tmp_path / "block.csv")
-        _per_row_adjoint_csv(tape, adj, weak, tmp_path / "rows.csv")
+        adj = _adjoints_like(np.concatenate([[0.0], corpus]),
+                             np.column_stack([corpus, corpus[::-1]]),
+                             np.column_stack([corpus[::-1], corpus]))
+        write_adjoint_csv(adj, tmp_path / "block.csv")
+        _per_row_adjoint_csv(adj, tmp_path / "rows.csv")
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_noncontiguous_states_save_same_bytes(self, tmp_path):
@@ -360,7 +363,6 @@ class TestArrayWriter:
         prob = _heat(3)
         tape = integrate_adaptive(prob, rtol=1e-4)
         adj = adjoint_sweep(prob, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         wide = np.zeros((tape.n_steps + 1, 2 * tape.dimension))
         wide[:, ::2] = tape.states
         lam = np.zeros((tape.n_steps, 2 * tape.dimension))
@@ -368,16 +370,14 @@ class TestArrayWriter:
         twins = [(np.asfortranarray(tape.states), np.asfortranarray(adj.lambdas)),
                  (wide[:, ::2], lam[:, ::2])]
         save_tape(tape, tmp_path / "c.json")
-        save_adjoint_results("0" * 64, adj, weak, tmp_path / "c-adj.json")
+        save_adjoint_results("0" * 64, adj, tmp_path / "c-adj.json")
         for i, (states, lambdas) in enumerate(twins):
             other = dataclasses.replace(tape, states=states)
-            other_adj = DiscreteAdjoints(lambdas=lambdas, gradient=adj.gradient)
+            other_adj = dataclasses.replace(adj, lambdas=lambdas)
             assert not (other.states.flags.c_contiguous
                         or other_adj.lambdas.flags.c_contiguous)
             save_tape(other, tmp_path / f"{i}.json")
-            save_adjoint_results("0" * 64, other_adj,
-                                 assemble_weak_adjoint(other, other_adj),
-                                 tmp_path / f"{i}-adj.json")
+            save_adjoint_results("0" * 64, other_adj, tmp_path / f"{i}-adj.json")
             assert (tmp_path / f"{i}.json").read_bytes() == (tmp_path / "c.json").read_bytes()
             assert ((tmp_path / f"{i}-adj.json").read_bytes()
                     == (tmp_path / "c-adj.json").read_bytes())
@@ -438,9 +438,8 @@ class TestBinaryArrays:
             grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
             states=np.resize(values, (n + 1, d)),
             newton_iterations=np.resize(raw.view(np.int64), n))
-        adj = DiscreteAdjoints(lambdas=np.resize(values[::-1], (n, d)),
-                               gradient=np.resize(finite, d))
-        weak = SimpleNamespace(jump_sizes=np.resize(finite[::-1], (n, d)))
+        adj = _adjoints_like(nodes, np.resize(values[::-1], (n, d)),
+                             np.resize(finite[::-1], (n, d)), gradient=np.resize(finite, d))
         with tempfile.TemporaryDirectory() as tmp:
             path, again, adj_path = (Path(tmp) / name for name in ("t.json", "u.json",
                                                                   "a.json"))
@@ -448,12 +447,12 @@ class TestBinaryArrays:
             back = load_tape(path)
             save_tape(back, again)
             assert again.read_bytes() == path.read_bytes()
-            save_adjoint_results("0" * 64, adj, weak, adj_path)
+            save_adjoint_results("0" * 64, adj, adj_path)
             adj_back = load_adjoint_results(adj_path)
         for got, want in ((back.grid.nodes, nodes), (back.states, tape.states),
-                          (adj_back["adjoints"].lambdas, adj.lambdas),
-                          (adj_back["adjoints"].gradient, adj.gradient),
-                          (adj_back["jump_sizes"], weak.jump_sizes)):
+                          (adj_back["lambdas"], adj.lambdas),
+                          (adj_back["gradient"], adj.gradient),
+                          (adj_back["jump_sizes"], adj.jump_sizes)):
             assert got.tobytes() == want.tobytes()
         assert back.newton_iterations.tobytes() == tape.newton_iterations.tobytes()
         assert back.grid.orders.tobytes() == tape.grid.orders.tobytes()
@@ -612,30 +611,29 @@ class TestRejection:
 class TestAdjointRoundTrip:
     def test_lossless(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         tape_path, path = tmp_path / "tape.json", tmp_path / "adjoint.json"
         save_tape(tape, tape_path)
-        save_adjoint_results(tape_sha256(tape_path.read_bytes()), adj, weak, path)
+        save_adjoint_results(tape_sha256(tape_path.read_bytes()), adj, path)
         back = load_adjoint_results(path)
         assert back["tape_sha256"] == hashlib.sha256(tape_path.read_bytes()).hexdigest()
-        np.testing.assert_array_equal(back["adjoints"].lambdas, adj.lambdas)
-        np.testing.assert_array_equal(back["adjoints"].gradient, adj.gradient)
-        np.testing.assert_array_equal(back["jump_sizes"], weak.jump_sizes)
+        np.testing.assert_array_equal(back["lambdas"], adj.lambdas)
+        np.testing.assert_array_equal(back["gradient"], adj.gradient)
+        np.testing.assert_array_equal(back["jump_sizes"], adj.jump_sizes)
 
     def test_jump_times_derived_not_stored(self, tape, tmp_path):
         """The document holds the tape's digest, the multipliers, the
         gradient and the jump sizes, and nothing the tape already holds: no
-        problem, no nodes, no jump times (nodes[1:])."""
+        problem, no nodes, no jump times (nodes[1:]): the adjoints hold the
+        tape's nodes themselves."""
         adj = adjoint_sweep(CATENARY, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         path = tmp_path / "adjoint.json"
-        save_adjoint_results("0" * 64, adj, weak, path)
+        save_adjoint_results("0" * 64, adj, path)
         doc = json.loads(path.read_text())
         assert sorted(doc) == ["format", "gradient", "jumps", "lambdas",
                                "tape_sha256", "version"]
         assert list(doc["jumps"]) == ["sizes"]
         assert doc["version"] == ADJOINT_VERSION == 3
-        np.testing.assert_array_equal(weak.jump_times, tape.grid.nodes[1:])
+        assert adj.nodes is tape.grid.nodes
 
     def test_earlier_version_refused(self, tape, tmp_path):
         """Version 1 copied the tape's problem and nodes, version 2 wrote
@@ -643,7 +641,7 @@ class TestAdjointRoundTrip:
         version, and tapes are at version 3."""
         adj = adjoint_sweep(CATENARY, tape)
         path = tmp_path / "adjoint.json"
-        save_adjoint_results("0" * 64, adj, assemble_weak_adjoint(tape, adj), path)
+        save_adjoint_results("0" * 64, adj, path)
         doc = json.loads(path.read_text())
         for version in (1, 2):
             doc["version"] = version
@@ -679,9 +677,8 @@ class TestAdjointRoundTrip:
 class TestCsv:
     def test_adjoint_csv_header_and_rows(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         path = tmp_path / "adjoint.csv"
-        write_adjoint_csv(tape, adj, weak, path)
+        write_adjoint_csv(adj, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "lambda_1", "lambda_2", "Lambda_1", "Lambda_2"]
@@ -692,7 +689,7 @@ class TestCsv:
         np.testing.assert_allclose(
             [float(rows[1][1]), float(rows[1][2])], adj.lambdas[0], rtol=1e-15)
         np.testing.assert_allclose(
-            [float(rows[1][3]), float(rows[1][4])], weak(t1), rtol=1e-15)
+            [float(rows[1][3]), float(rows[1][4])], adj(t1), rtol=1e-15)
         # floats round-trip exactly
         assert float(rows[-1][1]) == adj.lambdas[-1][0]
 
@@ -706,12 +703,11 @@ class TestCsv:
         prob, _ = get_problem(problem)
         tape = integrate_nonadaptive(prob, 3, 0.0625)
         adj = adjoint_sweep(prob, tape)
-        weak = assemble_weak_adjoint(tape, adj)
         path = tmp_path / "adjoint.csv"
-        write_adjoint_csv(tape, adj, weak, path)
+        write_adjoint_csv(adj, path)
 
         expected = tmp_path / "expected.csv"
-        cum = np.cumsum(weak.jump_sizes, axis=0)
+        cum = np.cumsum(adj.jump_sizes, axis=0)
         with open(expected, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "lambda_1", "lambda_2", "Lambda_1", "Lambda_2"])
