@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import (IntegrationTape, SolverError, _iteration_matrix,
+from .bdf import (IntegrationTape, SolverError, _increasing, _iteration_matrix,
                   jacobian_blocks, lu_factor, lu_solve)
 
 __all__ = ["DiscreteAdjoints", "adjoint_sweep"]
@@ -50,8 +50,8 @@ class DiscreteAdjoints:
         nodes = np.asarray(self.nodes, dtype=float)
         lambdas = np.asarray(self.lambdas, dtype=float)
         gradient = np.asarray(self.gradient, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0):
-            raise ValueError("grid nodes must be at least two, strictly increasing")
+        if nodes.ndim != 1 or nodes.size < 2 or not _increasing(nodes):
+            raise ValueError("grid nodes must be at least two, finite and strictly increasing")
         if lambdas.ndim != 2 or lambdas.shape[0] != nodes.size - 1:
             raise ValueError("need one multiplier per step of the grid")
         if gradient.shape != lambdas.shape[1:]:

@@ -106,10 +106,14 @@ def compute_coefficients(nodes, order: int) -> np.ndarray:
         raise ValueError(
             f"stencil for order {order} needs {order + 1} nodes, got {nodes.shape}"
         )
-    t = nodes.tolist()
-    if any(b <= a for a, b in zip(t, t[1:])):
-        raise ValueError("stencil nodes must be strictly increasing")
-    return _coefficients(t, order)
+    if not _increasing(nodes):
+        raise ValueError("stencil nodes must be finite and strictly increasing")
+    return _coefficients(nodes.tolist(), order)
+
+
+def _increasing(nodes) -> bool:
+    """The one node rule, of stencils, grids and adjoints: finite, strictly increasing."""
+    return bool((nodes[1:] > nodes[:-1]).all()) and -np.inf < nodes[0] and nodes[-1] < np.inf
 
 
 def _coefficients(t, order):
@@ -159,8 +163,8 @@ class TimeGrid:
             raise ValueError("grid needs at least two nodes")
         if orders.shape != (nodes.size - 1,):
             raise ValueError("need exactly one order per step")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
+        if not _increasing(nodes):
+            raise ValueError("grid nodes must be finite and strictly increasing")
         highest = np.minimum(np.arange(1, orders.size + 1), MAX_ORDER)
         bad = np.flatnonzero((orders < 1) | (orders > highest))
         if bad.size:
@@ -264,15 +268,8 @@ class IntegrationTape:
             rtol = float(self.driver_params["rtol"])
         except KeyError:
             raise ValueError("adaptive tape without driver_params.rtol") from None
-        # every step's predictor, bit-equal to _predict's, by order of the step before
-        weights, before = self.grid.predictor_weights, self.grid.orders_before
-        predictors = np.empty((self.n_steps, self.dimension))
-        for q in np.unique(before).tolist():
-            steps = np.flatnonzero(before == q)
-            stencils = self.states[steps - q + np.arange(q + 1)[:, None]]   # (q + 1, m, d)
-            predictors[steps] = np.add.reduce(weights[steps, :q + 1].T[:, :, None] * stencils)
-        return np.array([_adaptive_newton_tol(rtol, h, p)
-                         for h, p in zip(self.grid.stepsizes, predictors)])
+        return np.array([_adaptive_newton_tol(rtol, h, y)
+                         for h, y in zip(self.grid.stepsizes, self.states[:-1])])
 
 
 def stencil_table(tape):
@@ -686,11 +683,20 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
 # Adaptive driver
 # ---------------------------------------------------------------------------
 
-def _adaptive_newton_tol(rtol, h, predictor):
+def _adaptive_newton_tol(rtol, h, y):
+    """Newton tolerance of the step of size h from the state y = y_n."""
     tol = 1e-2 * min(rtol, h * h)
     # floor keeps clamped (very small) final steps solvable in float64.  The
     # step loops' 2-norms are math.sqrt(v.dot(v)), np.linalg.norm's own route.
-    return max(tol, 1e2 * EPS) * (1.0 + math.sqrt(predictor.dot(predictor)))
+    return max(tol, 1e2 * EPS) * (1.0 + math.sqrt(y.dot(y)))
+
+
+def _step_ratio(tol, est, q, most):
+    """SAFETY (tol / est)^(1 / (q + 1)), the stepsize factor an order-q estimate
+    allows, clamped to [MIN_FACTOR, most]; most for an estimate of 0 or NaN."""
+    if not est > 0.0:
+        return most
+    return min(max(SAFETY * (tol / est) ** (1.0 / (q + 1)), MIN_FACTOR), most)
 
 
 def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> IntegrationTape:
@@ -715,15 +721,13 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
     t0 = problem.initial_time
     tf = problem.final_time
     d = problem.dimension
-    span = tf - t0
 
     f0 = problem.rhs(t0, problem.initial_state)
     f0_norm = np.linalg.norm(f0, 2)
     if not np.isfinite(f0_norm):   # the first stepsize divides by it
         raise SolverError(f"non-finite f(t_s, y_s) at t_s={t0} (2-norm {f0_norm}): "
                           "no first stepsize")
-    h = span * min(1e-2, np.sqrt(rtol)) / (1.0 + f0_norm)
-    h = min(h, span)
+    h = (tf - t0) * min(1e-2, np.sqrt(rtol)) / (1.0 + f0_norm)
 
     nodes = [t0]
     states = [np.array(problem.initial_state, dtype=float)]
@@ -751,7 +755,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
 
             alphas = compute_coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
             predictor = _predict(nodes, states, orders, n, t_new)
-            tol_newton = _adaptive_newton_tol(rtol, h_eff, predictor)
+            tol_newton = _adaptive_newton_tol(rtol, h_eff, states[-1])
             try:
                 y_new, iterations = _newton_iterate(
                     problem, t_new, h_eff, alphas, states[:-k - 1:-1], predictor,
@@ -772,8 +776,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
             tol_acc = rtol * math.sqrt(y_new.dot(y_new)) + atol
 
             if not np.isfinite(err) or err > tol_acc:
-                factor = SAFETY * (tol_acc / err) ** (1.0 / (k + 1)) if err > 0 else 1.0
-                h = h_eff * min(max(factor, MIN_FACTOR), 1.0)
+                h = h_eff * _step_ratio(tol_acc, err, k, 1.0)
                 rejects_in_a_row += 1
                 if rejects_in_a_row >= 3:
                     h = min(h, h_eff / 2.0)
@@ -785,31 +788,16 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
 
             # Order/stepsize selection for the next step: among k-1, k, k+1 pick
             # the order whose estimate allows the largest stepsize (ties favor
-            # the lower order; increases deferred until k+1 steps at current k).
-            # The accepted step is appended afterwards, so every estimate reads
-            # the same prior points.
-            best_k = k
+            # the lower order; increases deferred until k+1 steps at current k,
+            # and k+1 needs k+2 prior points).  The accepted step is appended
+            # afterwards, so every estimate reads the same prior points.
+            top = k + 1 if k < MAX_ORDER and steps_at_order > k and len(states) > k + 1 else k
             best_h = None
-            candidates = [k]
-            if k > 1:
-                candidates.append(k - 1)
-            if k < MAX_ORDER and steps_at_order >= k + 1:
-                candidates.append(k + 1)
-            for q in sorted(candidates):
-                if q == k:
-                    est_q = err
-                elif q + 1 > len(states):   # needs q+1 prior points
-                    continue
-                else:
-                    est_q = _error_estimate(nodes, states, t_new, y_new, q)
-                if est_q > 0.0:
-                    factor = SAFETY * (tol_acc / est_q) ** (1.0 / (q + 1))
-                else:
-                    factor = MAX_FACTOR
-                h_q = h_eff * min(max(factor, MIN_FACTOR), MAX_FACTOR)
+            for q in range(max(k - 1, 1), top + 1):
+                est_q = err if q == k else _error_estimate(nodes, states, t_new, y_new, q)
+                h_q = h_eff * _step_ratio(tol_acc, est_q, q, MAX_FACTOR)
                 if best_h is None or h_q > best_h * (1.0 + 1e-10):
-                    best_h = h_q
-                    best_k = q
+                    best_h, best_k = h_q, q
 
             nodes.append(t_new)
             states.append(y_new)

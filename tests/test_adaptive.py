@@ -80,23 +80,29 @@ class TestBasicRun:
         np.testing.assert_array_equal(
             load_tape(tmp_path / "tape.json").newton_tolerances, expected)
 
-
-    def test_derived_tolerances_from_per_step_predictors(self):
-        """The tolerances, derived from the predictors of all steps at once,
-        are bit-equal to the ones from each step's own predictor, also for
-        states of odd length."""
+    def test_derived_tolerances_from_stored_states(self):
+        """The tolerances, derived from the stored rows y_0..y_{N-1} at once,
+        are bit-equal to the driver's rule on each step's own y_n as a vector
+        of its own, also for states of odd length."""
         problem, _ = linear_test_problem(
             a=[[-1.0, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]],
             y_s=[1.0, 2.0, 3.0], t_s=0.0, t_f=1.5)
         for tape in (integrate_adaptive(CATENARY, 1e-9),
                      integrate_adaptive(problem, 1e-7)):
-            nodes, orders = tape.grid.nodes, tape.grid.orders
+            nodes = tape.grid.nodes
             expected = [bdf._adaptive_newton_tol(
-                tape.driver_params["rtol"], nodes[n + 1] - nodes[n],
-                bdf._predict(nodes, tape.states, orders, n, nodes[n + 1]))
+                tape.driver_params["rtol"], nodes[n + 1] - nodes[n], tape.states[n].copy())
                 for n in range(tape.n_steps)]
             np.testing.assert_array_equal(tape.newton_tolerances, expected)
 
+    @pytest.mark.parametrize("rtol, n_steps", [
+        (1e-4, 36), (1e-5, 46), (1e-6, 60), (1e-7, 74), (1e-8, 101), (1e-9, 130),
+        (1e-10, 172), (1e-11, 227)])
+    def test_catenary_ladder_step_counts(self, rtol, n_steps):
+        """The catenary ladder's accepted steps, pinned: a change to the
+        step-ratio rule, the candidate orders or the Newton stop that moves
+        the grid shows here."""
+        assert integrate_adaptive(CATENARY, rtol).n_steps == n_steps
 
     def test_newton_history_is_the_stencil(self, monkeypatch):
         """Every attempt, rejected ones included, hands _newton_iterate the
@@ -184,6 +190,27 @@ class TestErrorEstimate:
         for n in changed:
             assert driver[n] == bdf._error_estimate(
                 nodes[:n + 1], states[:n + 1], nodes[n + 1], states[n + 1], orders[n])
+
+
+class TestStepRatio:
+    """_step_ratio(tol, est, q, most): SAFETY (tol / est)^(1 / (q + 1)),
+    clamped to [MIN_FACTOR, most], the one rule of rejection (most = 1) and
+    order selection (most = MAX_FACTOR)."""
+
+    @pytest.mark.parametrize("most", [1.0, bdf.MAX_FACTOR])
+    @pytest.mark.parametrize("est", [0.0, np.nan], ids=["zero", "nan"])
+    def test_no_estimate_allows_the_most(self, est, most):
+        assert bdf._step_ratio(1e-6, est, 3, most) == most
+
+    @pytest.mark.parametrize("most", [1.0, bdf.MAX_FACTOR])
+    def test_infinite_estimate_gives_the_least(self, most):
+        assert bdf._step_ratio(1e-6, np.inf, 3, most) == MIN_SHRINK
+
+    def test_ratio_inside_the_clamp(self):
+        """0.9 (25 / 9)^(1/2) = 1.5, below MAX_FACTOR but above 1, which
+        rejection caps."""
+        assert bdf._step_ratio(25.0, 9.0, 1, bdf.MAX_FACTOR) == pytest.approx(1.5, rel=1e-15)
+        assert bdf._step_ratio(25.0, 9.0, 1, 1.0) == 1.0
 
 
 class TestAccuracy:

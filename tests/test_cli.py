@@ -774,6 +774,23 @@ class TestAdjointCommand:
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
 
+    def test_nan_node_refused_at_load(self, tmp_path, capsys):
+        """A NaN grid node fails the one node rule when the tape is loaded,
+        with one line that names the grid nodes (the nominal residual's NaN
+        at step 5 before), and nothing is written."""
+        _, tape = _integrate(tmp_path)
+        doc = json.loads(tape.read_text())
+        nodes = decode_array(doc["nodes"])
+        nodes[5] = np.nan
+        doc["nodes"] = encode_array(nodes)
+        tape.write_text(json.dumps(doc))
+        out = tmp_path / "a.json"
+        assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot load tape: grid nodes must be finite and strictly increasing\n")
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
+
 
 class TestVerifyCommand:
     def _chain(self, tmp_path):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdfadjoint import (TimeGrid, compute_coefficients, get_problem,
-                        integrate_adaptive, integrate_nonadaptive)
+from bdfadjoint import (DiscreteAdjoints, TimeGrid, compute_coefficients,
+                        get_problem, integrate_adaptive, integrate_nonadaptive)
 from bdfadjoint.bdf import MAX_ORDER
 
 RNG = np.random.default_rng(0)
@@ -177,6 +177,21 @@ class TestValidation:
     def test_rejects_nonincreasing_nodes(self):
         with pytest.raises(ValueError):
             compute_coefficients(np.array([0.0, 1.0, 1.0]), 2)
+
+    @pytest.mark.parametrize("nodes", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf]],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("build", [
+        lambda nodes: compute_coefficients(nodes, 2),
+        lambda nodes: TimeGrid(nodes=nodes, orders=[1, 1]),
+        lambda nodes: DiscreteAdjoints(nodes=nodes, lambdas=np.ones((2, 1)),
+                                       gradient=np.zeros(1)),
+    ], ids=["stencil", "grid", "adjoint"])
+    def test_one_node_rule(self, build, nodes):
+        """Stencils, grids and adjoint results hold their nodes to one rule,
+        finite and strictly increasing: a NaN node or an infinite one is
+        refused, not turned into NaN coefficients or jumps."""
+        with pytest.raises(ValueError, match="nodes must be .*finite and strictly increasing"):
+            build(np.array(nodes))
 
     def test_rejects_order_out_of_range(self):
         with pytest.raises(ValueError):
