@@ -437,7 +437,8 @@ def lu_solve(factors, b):
 
 
 class _FactorCache:
-    """LU factorization of alpha_0*I - h*f_y, reused across steps while valid."""
+    """LU factorization of alpha_0*I - h*f_y, reused across steps while (h, alpha_0)
+    match, and refactored at the solution of a step that took more than one update."""
 
     def __init__(self):
         self.lu = None
@@ -478,11 +479,14 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
     `history` lists prior states newest first (y_n, y_{n-1}, ...), pairing
     with alphas[1:].  Each call takes at least one update, as SciPy's BDF
     does, so no adaptive error estimate (corrector minus predictor) is 0 by
-    construction.  The matrix is refactored only when (h, alpha_0) changed
-    since the cached factorization or the contraction rate exceeds
-    RATE_REFACTOR; convergence is tested on the max-norm residual.  If the
-    budget runs out (typically a matrix reused over many steps has drifted),
-    it is refactored at the current iterate and the iteration gets one more.
+    construction.  The matrix is refactored when (h, alpha_0) changed since
+    the cached factorization or the contraction rate exceeds RATE_REFACTOR;
+    convergence is tested on the max-norm residual.  If the budget runs out
+    (typically a matrix reused over many steps has drifted), it is refactored
+    at the current iterate and the iteration gets one more.  A step that
+    converges after more than one update refactors at its own solution, so
+    the next step starts from f_y at the last accepted state; a singular
+    matrix there empties the cache instead of failing the converged step.
     """
     back = _history_sum(alphas, history)
     y = np.array(predictor, dtype=float)
@@ -510,6 +514,11 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
             if not math.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
             if rnorm <= tol:
+                if total > 1:
+                    try:
+                        cache.refactor(problem, t_new, y, h, alphas[0])
+                    except _StepFailure:
+                        cache.lu = None
                 return y, total
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
                 cache.refactor(problem, t_new, y, h, alphas[0])
@@ -729,7 +738,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
                           "no first stepsize")
     h = (tf - t0) * min(1e-2, np.sqrt(rtol)) / (1.0 + f0_norm)
 
-    nodes = [t0]
+    nodes = [float(t0)]   # Python floats: a 0.0 node product raises ZeroDivisionError
     states = [np.array(problem.initial_state, dtype=float)]
     orders = []
     iters = []
@@ -747,13 +756,13 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
             if not h >= floor:   # NaN fails too
                 raise SolverError(f"stepsize underflow at t={t} (h={h:.3e} below the floor "
                                   f"1e3 eps max(|t|, |t_f|) = {floor:.3e}) after step {n}")
-            t_new = tf if t + h >= tf else t + h
+            t_new = float(tf if t + h >= tf else t + h)
             h_eff = t_new - t
             if not h_eff > 0.0:   # on a subnormal interval h and the floor round to 0.0
                 raise SolverError(f"stepsize underflow at t={t} (h={h:.3e} does not "
                                   f"advance t) after step {n}")
 
-            alphas = compute_coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
+            alphas = _coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
             predictor = _predict(nodes, states, orders, n, t_new)
             tol_newton = _adaptive_newton_tol(rtol, h_eff, states[-1])
             try:

@@ -161,6 +161,87 @@ class TestFailures:
                   predictor=np.array([1e8]))
 
 
+def _counting_jacobian(problem):
+    """(problem, calls): problem with its jacobian counted in calls[0]."""
+    calls = [0]
+
+    def jacobian(t, y):
+        calls[0] += 1
+        return problem.jacobian(t, y)
+
+    return dataclasses.replace(problem, jacobian=jacobian), calls
+
+
+class TestFactorRefresh:
+    """A step that converges after more than one update refactors the Newton
+    matrix at its own solution, with its own (h, alpha_0)."""
+
+    def test_catenary_halves_the_updates(self):
+        """Catenary k = 2, h = 2^-10, whose f_y[1, 1] drifts from -2.99 to
+        +2.99: the next step starts from f_y at the last accepted state, so
+        about one update per step instead of 4621 with 3 factorizations."""
+        problem, calls = _counting_jacobian(CATENARY)
+        tape = integrate_nonadaptive(problem, 2, 2.0 ** -10)
+        assert tape.n_steps == 2049
+        assert tape.newton_iterations.sum() <= 2400
+        assert calls[0] <= 300
+
+    def test_linear_problem_costs_nothing(self):
+        """The 3 x 3 linear problem converges in one update per step, so the
+        matrix is factored once per run of equal (h, alpha_0) and no more."""
+        problem, _ = linear_test_problem(
+            a=[[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]],
+            y_s=[1.0, 0.3, -0.7], t_s=0.0, t_f=1.0)
+        problem, calls = _counting_jacobian(problem)
+        tape = integrate_nonadaptive(problem, 2, 2.0 ** -6)
+        assert (tape.newton_iterations == 1).all()
+        runs, cache = 0, bdf._FactorCache()
+        for h, alpha0 in zip(np.diff(tape.grid.nodes), tape.grid.alphas[:, 0]):
+            if not cache.matches(h, alpha0):
+                cache.lu, cache.h, cache.alpha0 = (), h, alpha0
+                runs += 1
+        assert calls[0] == runs == 3
+
+    def test_refactors_at_the_solution(self):
+        """From a cache factored at a distant state with the step's (h,
+        alpha_0), the step takes more than one update and leaves the cache
+        holding the factors of its own matrix at the returned y, bit for bit."""
+        tape = integrate_nonadaptive(CATENARY, 2, 2.0 ** -6)
+        n = tape.n_steps - 1
+        t_new, h = tape.grid.nodes[n + 1], tape.grid.nodes[n + 1] - tape.grid.nodes[n]
+        alphas = tape.grid.alphas[n, :3]
+        cache = bdf._FactorCache()
+        cache.refactor(CATENARY, t_new, tape.states[2], h, alphas[0])
+        y, iterations = bdf._newton_iterate(
+            CATENARY, t_new, h, alphas, tape.states[n::-1], tape.states[n],
+            bdf.NEWTON_TOL_NONADAPTIVE, cache)
+        assert iterations > 1
+        assert (cache.h, cache.alpha0) == (h, alphas[0])
+        lu, piv, band = lu_factor(bdf._iteration_matrix(CATENARY.jacobian(t_new, y), h, alphas[0]))
+        assert cache.lu[0].tobytes() == lu.tobytes() and (cache.lu[1] == piv).all()
+        assert cache.lu[2] is band is None
+
+    def test_singular_refresh_keeps_the_converged_step(self):
+        """y' = -y by backward Euler, h = 1, from y_n = 1 (solution 1/2), with
+        a stated f_y of -0.99 away from the solution and 1 near it, where
+        1 - h f_y is singular: the step converges in several updates, returns
+        its y and leaves the cache empty."""
+        from bdfadjoint import OdeProblem
+        problem = OdeProblem(
+            name="lying-jacobian", dimension=1, initial_time=0.0, final_time=1.0,
+            initial_state=np.array([1.0]), rhs=lambda t, y: -y,
+            jacobian=lambda t, y: np.array([[1.0 if abs(y[0] - 0.5) < 1e-3 else -0.99]]),
+            criterion=lambda y: float(y[0]), criterion_gradient=lambda y: np.array([1.0]))
+        coeffs = compute_coefficients(np.array([0.0, 1.0]), 1)
+        cache = bdf._FactorCache()
+        y, iterations = bdf._newton_iterate(problem, 1.0, 1.0, coeffs, [np.array([1.0])],
+                                            np.array([1.0]), bdf.NEWTON_TOL_NONADAPTIVE, cache)
+        assert iterations > 1
+        assert abs(2.0 * y[0] - 1.0) <= bdf.NEWTON_TOL_NONADAPTIVE
+        assert lu_factor(bdf._iteration_matrix(problem.jacobian(1.0, y), 1.0, coeffs[0])) is None
+        assert cache.lu is None
+
+
 class TestLuFactor:
     def test_refuses_exactly_the_singular_or_non_finite(self):
         """lu_factor returns None exactly when the LU has a non-finite entry
