@@ -133,8 +133,8 @@ def adjoint_sweep(problem, tape: IntegrationTape) -> DiscreteAdjoints:
                 i -= 1
                 factors = lus[i], pivs[i], band
             j, k = step + 1, orders[step]
-            lambdas[j] = lu_solve(factors, rhs[j])
-            rhs[j - k:j] -= alphas[step, k:0:-1, None] * lambdas[j]
+            lam = lambdas[j] = lu_solve(factors, rhs[j])
+            rhs[j - k:j] -= alphas[step, k:0:-1, None] * lam
 
     gradient = rhs[0].copy()   # a view would keep all of rhs alive
     if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(gradient))):

@@ -73,7 +73,7 @@ RATE_REFACTOR = 0.25             # refactor iteration matrix above this rate
 MIN_FACTOR = 0.2
 MAX_FACTOR = 2.5
 SAFETY = 0.9
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)   # a float: the step loops' scalar tests stay off NumPy
 JACOBIAN_BLOCK = 2 ** 20         # Jacobian entries per block of jacobian_blocks, at least two states
 _LAGS = np.arange(MAX_ORDER + 1)   # stencil offsets i of alpha_i
 
@@ -200,7 +200,7 @@ class TimeGrid:
         the Lagrange weights at t_{n+1} of step n-1's stencil t_{n-q}..t_n,
         ascending, q the order of step n-1 (q = 0 and weight 1 for step 0),
         zero past q.  Summed with y_{n-q}..y_n in ascending order, row n gives
-        step n's predictor, bit-equal to _predict's."""
+        step n's predictor, bit-equal to _interpolate's on that stencil."""
         table = np.zeros((self.n_steps, MAX_ORDER + 1))
         before = self.orders_before
         for q in np.unique(before).tolist():   # one kernel call per order
@@ -354,14 +354,15 @@ def tape_residuals(problem, tape) -> np.ndarray:
 # Newton iteration for one implicit step
 # ---------------------------------------------------------------------------
 
-def _history_sum(alphas, history):
-    """sum_{i >= 1} alpha_i y_{n+1-i} in ascending i; history is y_n, y_{n-1}, ..."""
-    return np.add.reduce(alphas[1:, None] * history[:len(alphas) - 1], initial=0.0)
+def _history_sum(columns, history):
+    """sum_{i >= 1} alpha_i y_{n+1-i} in ascending i: columns is the (k, 1)
+    column alpha_1..alpha_k, history is y_n, y_{n-1}, ..."""
+    return np.add.reduce(columns * history[:len(columns)], initial=0.0)
 
 
-def _step_residual(problem, t, h, alphas, back, y):
+def _step_residual(problem, t, h, alpha0, back, y):
     """BDF step residual alpha_0 y + back - h f(t, y), back from _history_sum."""
-    return alphas[0] * y + back - h * problem.rhs(t, y)
+    return alpha0 * y + back - h * problem.rhs(t, y)
 
 
 def _iteration_matrix(jac, h, alpha0, band=None):
@@ -369,19 +370,21 @@ def _iteration_matrix(jac, h, alpha0, band=None):
     f_y^T): dense for band None, else in LAPACK band storage for the
     bandwidths band = (kl, ku) of jac, read from its kl + ku + 1 diagonals.
     On a stack jac (m, d, d), with h and alpha0 of shape (m, 1, 1), the
-    (m, d, d) or (m, 2 kl + ku + 1, d) stack of the m matrices."""
+    (m, d, d) or (m, 2 kl + ku + 1, d) stack of the m matrices.  Each
+    matrix is in Fortran order, as LAPACK takes it, so that lu_factor
+    factors a stack in place."""
     # Entrywise alpha_0 - h J_ii and 0.0 - h J_ij, not -h*f_y with alpha_0
     # added to the diagonal afterwards: that would turn off-diagonal +0.0
     # into -0.0.
     d = jac.shape[-1]
-    if band is None:
+    if band is None:   # built as its C-ordered transpose
         m = alpha0 * np.eye(d)
-        m -= h * jac   # in place: one temporary fewer on a stack
-        return m
+        m -= h * jac.swapaxes(-1, -2)   # in place: one temporary fewer on a stack
+        return m.swapaxes(-1, -2)
     kl, ku = band
     # entry (i, i + k) goes to ab[kl + ku - k, i + k]; the first kl rows
     # stay zero for dgbtrf's fill-in
-    ab = np.zeros(jac.shape[:-2] + (2 * kl + ku + 1, d))
+    ab = np.zeros(jac.shape[:-2] + (d, 2 * kl + ku + 1)).swapaxes(-1, -2)
     if jac.ndim == 3:   # (m, 1) factors against the (m, d - |k|) diagonals
         h, alpha0 = h[:, 0], alpha0[:, 0]
     for k in range(-kl, ku + 1):
@@ -403,7 +406,9 @@ def lu_factor(m, band=None):
     when m is singular to working precision (a pivot at most 1e3 eps of the
     largest, or of 1) or not finite.  For a stack m (k, rows, d), the stacked
     factors (lu, piv, band), tested all at once, and the (k,) mask of the
-    matrices that pass: (lu[i], piv[i], band) are the factors of m[i]."""
+    matrices that pass: (lu[i], piv[i], band) are the factors of m[i], and
+    lu is m itself, each matrix factored in place in the Fortran order that
+    _iteration_matrix builds."""
     # LAPACK directly: SciPy's wrappers cost over ten times the d = 2
     # factorization, and exact singularity is caught by the pivot test, which
     # for one matrix runs on Python floats because NumPy's min and max cost
@@ -417,15 +422,15 @@ def lu_factor(m, band=None):
             pivots = lu[sum(band)]   # U's diagonal row
         diag = np.abs(pivots).tolist()
         return (lu, piv, band) if _regular(np.isfinite(lu).all(), min(diag), max(diag)) else None
-    k, rows, d = m.shape
-    # each matrix in Fortran order, as LAPACK returns it, so lu_solve copies none
-    lu = np.empty((k, d, rows)).transpose(0, 2, 1)
-    piv = np.empty((k, d), dtype=np.intc)
+    if not m.swapaxes(1, 2).flags.c_contiguous:   # f2py would factor a copy
+        raise ValueError("a stack to factor in place holds each matrix in Fortran order")
+    piv = np.empty(m.shape[::2], dtype=np.intc)
     for i, a in enumerate(m):
-        lu[i], piv[i], _ = dgetrf(a) if band is None else dgbtrf(a, *band)
-    diag = np.abs(lu.diagonal(0, -2, -1) if band is None else lu[:, sum(band)])
-    return (lu, piv, band), _regular(np.isfinite(lu).all(axis=(1, 2)),
-                                     diag.min(axis=1), diag.max(axis=1))
+        piv[i] = (dgetrf(a, overwrite_a=1) if band is None
+                  else dgbtrf(a, *band, overwrite_ab=1))[1]
+    diag = np.abs(m.diagonal(0, -2, -1) if band is None else m[:, sum(band)])
+    return (m, piv, band), _regular(np.isfinite(m).all(axis=(1, 2)),
+                                    diag.min(axis=1), diag.max(axis=1))
 
 
 def lu_solve(factors, b):
@@ -438,66 +443,77 @@ def lu_solve(factors, b):
 
 class _FactorCache:
     """LU factorization of alpha_0*I - h*f_y, reused across steps while (h, alpha_0)
-    match, and refactored at the solution of a step that took more than one update."""
+    match.  A step that took more than one update leaves its solution in `at`
+    with its (h, alpha_0), and the matrix there is factored on use: by the
+    next step whose (h, alpha_0) match, while any other refactors at its
+    predictor."""
 
     def __init__(self):
-        self.lu = None
-        self.h = None
-        self.alpha0 = None
+        self.lu = self.h = self.alpha0 = self.at = None
 
     def matches(self, h, alpha0):
         # The iteration matrix depends on the stencil only through alpha0, so
         # a stencil change that moves alpha0 (e.g. startup ramp -> uniform
         # run) invalidates the LU even at fixed h.
-        return (self.lu is not None and abs(self.h - h) <= 4.0 * EPS * abs(h)
+        return (self.h is not None and abs(self.h - h) <= 4.0 * EPS * abs(h)
                 and abs(self.alpha0 - alpha0) <= 4.0 * EPS * abs(alpha0))
+
+    def prepare(self, problem, t_new, y, h, alpha0):
+        """Factors for the step (h, alpha0) from its predictor y: those held,
+        those at the refresh point, or, where neither serves, those at y."""
+        if self.matches(h, alpha0):
+            if self.at is None:
+                return
+            try:
+                self.refactor(problem, *self.at, self.h, self.alpha0)
+                return
+            except _StepFailure:   # singular there: at y, as if no refresh was made
+                pass
+        self.refactor(problem, t_new, y, h, alpha0)
 
     def refactor(self, problem, t_new, y, h, alpha0):
         jac = problem.jacobian(t_new, y)
         band = problem.band
-        # the entries _iteration_matrix reads: all of f_y, or the band's diagonals
-        read = [jac] if band is None else [jac.diagonal(k) for k in range(-band[0], band[1] + 1)]
-        if not all(np.isfinite(entries).all() for entries in read):
-            # fatal, not a step failure: a smaller step does not mend f_y
-            raise SolverError(f"singular or non-finite Newton matrix at t={t_new}: non-finite f_y")
         lu = lu_factor(_iteration_matrix(jac, h, alpha0, band), band)
-        if lu is None:
+        if lu is None:   # a non-finite f_y entry that it reads makes the LU non-finite
+            read = ([jac] if band is None
+                    else [jac.diagonal(k) for k in range(-band[0], band[1] + 1)])
+            if not all(np.isfinite(entries).all() for entries in read):
+                # fatal, not a step failure: a smaller step does not mend f_y
+                raise SolverError(
+                    f"singular or non-finite Newton matrix at t={t_new}: non-finite f_y")
             raise _StepFailure(f"singular or non-finite Newton iteration matrix at t={t_new}")
-        self.lu = lu
-        self.h = h
-        self.alpha0 = alpha0
+        self.lu, self.h, self.alpha0, self.at = lu, h, alpha0, None
 
 
 class _StepFailure(Exception):
     """Internal: one implicit step failed (adaptive driver retries, others abort)."""
 
 
-def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
+def _newton_iterate(problem, t_new, h, alpha0, back, predictor, tol,
                     cache: _FactorCache):
-    """Solve the implicit BDF equation for y_{n+1}: returns (y, iterations).
+    """Solve the implicit BDF equation alpha_0 y + back = h f(t_new, y) for
+    y_{n+1}, back = _history_sum(...) of the step's prior states, from the
+    predictor: returns (y, iterations).  t_new, h and alpha0 are Python floats.
 
-    `history` lists prior states newest first (y_n, y_{n-1}, ...), pairing
-    with alphas[1:].  Each call takes at least one update, as SciPy's BDF
-    does, so no adaptive error estimate (corrector minus predictor) is 0 by
-    construction.  The matrix is refactored when (h, alpha_0) changed since
-    the cached factorization or the contraction rate exceeds RATE_REFACTOR;
-    convergence is tested on the max-norm residual.  If the budget runs out
-    (typically a matrix reused over many steps has drifted), it is refactored
-    at the current iterate and the iteration gets one more.  A step that
-    converges after more than one update refactors at its own solution, so
-    the next step starts from f_y at the last accepted state; a singular
-    matrix there empties the cache instead of failing the converged step.
+    Each call takes at least one update, as SciPy's BDF does, so no adaptive
+    error estimate (corrector minus predictor) is 0 by construction.  The
+    matrix is refactored when (h, alpha_0) changed since the cached
+    factorization or the contraction rate exceeds RATE_REFACTOR; convergence
+    is tested on the max-norm residual.  If the budget runs out (typically a
+    matrix reused over many steps has drifted), it is refactored at the
+    current iterate and the iteration gets one more.  A step that converges
+    after more than one update leaves its solution to the cache, so the next
+    step with its (h, alpha_0) starts from f_y at the last accepted state;
+    a singular matrix there makes that step refactor at its predictor.
     """
-    back = _history_sum(alphas, history)
-    y = np.array(predictor, dtype=float)
-    r = _step_residual(problem, t_new, h, alphas, back, y)
+    y = predictor
+    r = _step_residual(problem, t_new, h, alpha0, back, y)
     # one max-abs reduction per vector; it is NaN or inf exactly when an entry is
     rnorm = float(np.maximum.reduce(abs(r)))
     if not math.isfinite(rnorm):
         raise _StepFailure(f"non-finite residual at t={t_new}")
-
-    if not cache.matches(h, alphas[0]):
-        cache.refactor(problem, t_new, y, h, alphas[0])
+    cache.prepare(problem, t_new, y, h, alpha0)
 
     total = 0
     for attempt in range(2):
@@ -505,26 +521,23 @@ def _newton_iterate(problem, t_new, h, alphas, history, predictor, tol,
         for _ in range(NEWTON_MAXITER):
             total += 1
             delta = lu_solve(cache.lu, -r)
+            y = y + delta
+            r = _step_residual(problem, t_new, h, alpha0, back, y)
+            rnorm = float(np.maximum.reduce(abs(r)))
+            if rnorm <= tol:   # so r, and with it the update, is finite
+                if total > 1:
+                    cache.at, cache.h, cache.alpha0 = (t_new, y), h, alpha0
+                return y, total
             step_norm = float(np.maximum.reduce(abs(delta)))
             if not math.isfinite(step_norm):
                 raise _StepFailure(f"Newton update diverged at t={t_new}")
-            y = y + delta
-            r = _step_residual(problem, t_new, h, alphas, back, y)
-            rnorm = float(np.maximum.reduce(abs(r)))
             if not math.isfinite(rnorm):
                 raise _StepFailure(f"non-finite residual at t={t_new}")
-            if rnorm <= tol:
-                if total > 1:
-                    try:
-                        cache.refactor(problem, t_new, y, h, alphas[0])
-                    except _StepFailure:
-                        cache.lu = None
-                return y, total
             if prev_step_norm is not None and step_norm > RATE_REFACTOR * prev_step_norm:
-                cache.refactor(problem, t_new, y, h, alphas[0])
+                cache.refactor(problem, t_new, y, h, alpha0)
             prev_step_norm = step_norm
         if attempt == 0:
-            cache.refactor(problem, t_new, y, h, alphas[0])
+            cache.refactor(problem, t_new, y, h, alpha0)
     raise _StepFailure(
         f"Newton did not converge within {total} iterations at t={t_new} "
         f"(residual {rnorm:.3e}, tolerance {tol:.3e})"
@@ -561,17 +574,6 @@ def _interpolate(ts, ys, t):
     return np.add.reduce(weights * ys)
 
 
-def _predict(nodes, states, orders, n, t_new):
-    """Value at t_new of the Lagrange polynomial through step n-1's stencil:
-    the predictor of step n extrapolates it, dense output interpolates."""
-    if n == 0:
-        return np.array(states[0], dtype=float)
-    first = n - orders[n - 1]
-    # node arithmetic on Python floats: IEEE-equal to NumPy scalars, and faster
-    return _interpolate([float(t) for t in nodes[first:n + 1]], states[first:n + 1],
-                        float(t_new))
-
-
 def _error_estimate(nodes, states, t_new, y_new, q, fit=None):
     """Local error estimate for order q of the step to (t_new, y_new) from
     the prior points (nodes, states): the corrector minus the polynomial
@@ -586,7 +588,7 @@ def _error_estimate(nodes, states, t_new, y_new, q, fit=None):
     if q + 1 > n_hist:
         raise ValueError(f"order-{q} estimate needs {q + 1} prior points, have {n_hist}")
     first = n_hist - 1 - q
-    if fit is None:   # node arithmetic on Python floats, as in _predict
+    if fit is None:   # node arithmetic on Python floats: IEEE-equal to NumPy scalars, faster
         fit = _interpolate([float(t) for t in nodes[first:]], states[first:], float(t_new))
     diff = y_new - fit
     h_new = t_new - nodes[-1]
@@ -596,6 +598,17 @@ def _error_estimate(nodes, states, t_new, y_new, q, fit=None):
 # ---------------------------------------------------------------------------
 # Non-adaptive driver
 # ---------------------------------------------------------------------------
+
+def _step_constants(grid):
+    """Each step's constants once per grid, as the step loops take them:
+    t_{n+1}, h_n and alpha_0 as memoryviews, whose items are Python floats
+    (and which, unlike lists of them, hold no object per step), and the
+    (N, MAX_ORDER, 1) columns alpha_1..alpha_6 whose first k_n rows
+    _history_sum takes."""
+    alphas = grid.alphas
+    return (memoryview(grid.nodes[1:]), memoryview(grid.stepsizes), memoryview(alphas[:, 0]),
+            alphas[:, 1:, None])
+
 
 def _nonadaptive_plan(k, n_main):
     """Per-step (node fraction, order) plan; fractions are multiples of h.
@@ -663,16 +676,15 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     states[0] = problem.initial_state
     iters = np.zeros(n_steps, dtype=int)
     cache = _FactorCache()
-    weights, before = grid.predictor_weights, grid.orders_before.tolist()
+    ts, hs, alpha0s, columns = _step_constants(grid)
+    weights = grid.predictor_weights[:, :, None]
 
-    for n in range(n_steps):
-        alphas = grid.alphas[n, :orders[n] + 1]
-        q = before[n]
-        predictor = np.add.reduce(weights[n, :q + 1, None] * states[n - q:n + 1])
+    for n, (k, q) in enumerate(zip(grid.orders.tolist(), grid.orders_before.tolist())):
+        predictor = np.add.reduce(weights[n, :q + 1] * states[n - q:n + 1])
         try:
             states[n + 1], iters[n] = _newton_iterate(
-                problem, nodes[n + 1], nodes[n + 1] - nodes[n], alphas,
-                states[n::-1], predictor, NEWTON_TOL_NONADAPTIVE, cache)
+                problem, ts[n], hs[n], alpha0s[n], _history_sum(columns[n, :k], states[n::-1]),
+                predictor, NEWTON_TOL_NONADAPTIVE, cache)
         except _StepFailure as exc:
             raise SolverError(f"step {n} failed: {exc}") from exc
 
@@ -763,15 +775,17 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
                                   f"advance t) after step {n}")
 
             alphas = _coefficients(nodes[n + 1 - k:n + 1] + [t_new], k)
-            predictor = _predict(nodes, states, orders, n, t_new)
+            q = orders[-1] if n else 0   # the predictor extrapolates step n-1's stencil
+            predictor = _interpolate(nodes[n - q:], states[n - q:], t_new)
             tol_newton = _adaptive_newton_tol(rtol, h_eff, states[-1])
             try:
                 y_new, iterations = _newton_iterate(
-                    problem, t_new, h_eff, alphas, states[:-k - 1:-1], predictor,
+                    problem, t_new, h_eff, float(alphas[0]),
+                    _history_sum(alphas[1:, None], states[:-k - 1:-1]), predictor,
                     tol_newton, cache)
             except _StepFailure:
                 h = h_eff / 2.0
-                cache.lu = None
+                cache = _FactorCache()
                 steps_at_order = 0
                 rejects_in_a_row += 1
                 continue
@@ -784,7 +798,7 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
                                       predictor if k == orders[-1] else None)
             tol_acc = rtol * math.sqrt(y_new.dot(y_new)) + atol
 
-            if not np.isfinite(err) or err > tol_acc:
+            if not math.isfinite(err) or err > tol_acc:
                 h = h_eff * _step_ratio(tol_acc, err, k, 1.0)
                 rejects_in_a_row += 1
                 if rejects_in_a_row >= 3:
@@ -855,8 +869,9 @@ def dense_eval(tape: IntegrationTape, t: float) -> np.ndarray:
     idx = int(np.searchsorted(nodes, t, side="left"))
     if nodes[idx] == t:
         return tape.states[idx].copy()
-    # t lies in (t_{idx-1}, t_idx), the interval of step idx-1
-    return _predict(nodes, tape.states, tape.grid.orders, idx, t)
+    # t lies in (t_{idx-1}, t_idx): step idx-1's stencil, its node arithmetic on floats
+    first = idx - tape.grid.orders[idx - 1]
+    return _interpolate(nodes[first:idx + 1].tolist(), tape.states[first:idx + 1], t)
 
 
 # ---------------------------------------------------------------------------
@@ -878,13 +893,13 @@ def replay_integration(problem, tape: IntegrationTape, y_start=None) -> np.ndarr
     """
     states = np.empty((tape.n_steps + 1, tape.dimension))
     states[0] = tape.states[0] if y_start is None else np.asarray(y_start, dtype=float)
-    for n in range(tape.n_steps):
-        alphas = tape.grid.alphas[n, :tape.grid.orders[n] + 1]
-        t_new = tape.grid.nodes[n + 1]
+    ts, hs, alpha0s, columns = _step_constants(tape.grid)
+    tols = memoryview(tape.newton_tolerances)
+    for n, k in enumerate(tape.grid.orders.tolist()):
         try:   # a fresh cache per step: an earlier step's f_y is not the sweep's
             states[n + 1] = _newton_iterate(
-                problem, t_new, t_new - tape.grid.nodes[n], alphas, states[n::-1],
-                tape.states[n + 1], tape.newton_tolerances[n], _FactorCache())[0]
+                problem, ts[n], hs[n], alpha0s[n], _history_sum(columns[n, :k], states[n::-1]),
+                tape.states[n + 1], tols[n], _FactorCache())[0]
         except _StepFailure as exc:
             raise SolverError(f"replay step {n} failed: {exc}") from exc
     return states

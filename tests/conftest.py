@@ -67,9 +67,9 @@ def newton_record(monkeypatch):
     calls = {}
     newton = bdf._newton_iterate
 
-    def recording(problem, t_new, h, alphas, history, predictor, tol, cache):
-        y, iterations = newton(problem, t_new, h, alphas, history, predictor, tol, cache)
-        r = bdf._step_residual(problem, t_new, h, alphas, bdf._history_sum(alphas, history), y)
+    def recording(problem, t_new, h, alpha0, back, predictor, tol, cache):
+        y, iterations = newton(problem, t_new, h, alpha0, back, predictor, tol, cache)
+        r = bdf._step_residual(problem, t_new, h, alpha0, back, y)
         calls[t_new] = tol, np.max(np.abs(r))
         return y, iterations
 

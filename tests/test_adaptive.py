@@ -105,17 +105,17 @@ class TestBasicRun:
         assert integrate_adaptive(CATENARY, rtol).n_steps == n_steps
 
     def test_newton_history_is_the_stencil(self, monkeypatch):
-        """Every attempt, rejected ones included, hands _newton_iterate the
-        k states its history sum reads, y_n .. y_{n+1-k}, not all of them,
-        so a run of N steps does not copy O(N^2) entries."""
+        """Every attempt, rejected ones included, hands _history_sum the k
+        states it reads, y_n .. y_{n+1-k}, not all of them, so a run of N
+        steps does not copy O(N^2) entries."""
         lengths = []
-        newton = bdf._newton_iterate
+        history_sum = bdf._history_sum
 
-        def recording(problem, t_new, h, alphas, history, predictor, tol, cache):
-            lengths.append((len(history), len(alphas) - 1))
-            return newton(problem, t_new, h, alphas, history, predictor, tol, cache)
+        def recording(columns, history):
+            lengths.append((len(history), len(columns)))
+            return history_sum(columns, history)
 
-        monkeypatch.setattr(bdf, "_newton_iterate", recording)
+        monkeypatch.setattr(bdf, "_history_sum", recording)
         tape = integrate_adaptive(CATENARY, 1e-9)
         assert len(lengths) >= tape.n_steps > 100
         assert max(k for _, k in lengths) == 6
@@ -169,7 +169,8 @@ class TestErrorEstimate:
         assert kept
         for n in kept:
             k, t_new = orders[n], nodes[n + 1]
-            predictor = bdf._predict(nodes, states, orders, n, t_new)
+            predictor = bdf._interpolate(nodes[n - k:n + 1].tolist(), states[n - k:n + 1],
+                                         float(t_new))
             expected = float(np.linalg.norm(states[n + 1] - predictor, 2)
                              * (t_new - nodes[n]) / (t_new - nodes[n - k]))
             est = bdf._error_estimate(nodes[:n + 1], states[:n + 1], t_new,

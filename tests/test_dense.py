@@ -133,7 +133,8 @@ def test_split_interpolant_bit_equal_to_sequential_sum(k):
 def test_tabulated_predictors_bit_equal_to_predict(name, k):
     """At every step of a nonadaptive grid, the predictor summed from
     TimeGrid.predictor_weights, as integrate_nonadaptive sums it, has the
-    bits of _predict's."""
+    bits of _interpolate's on step n-1's stencil, as the adaptive driver
+    and dense output take it: its nodes as Python floats."""
     problem, _ = (get_problem("catenary") if name == "catenary" else linear_test_problem(
         a=[[-1.0, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]],
         y_s=[1.0, 2.0, 3.0], t_s=0.0, t_f=1.5))
@@ -146,8 +147,8 @@ def test_tabulated_predictors_bit_equal_to_predict(name, k):
         q = before[n]
         assert not np.any(table[n, q + 1:])
         predictor = np.add.reduce(table[n, :q + 1, None] * states[n - q:n + 1])
-        np.testing.assert_array_equal(
-            predictor, bdf._predict(grid.nodes, states, grid.orders, n, grid.nodes[n + 1]))
+        np.testing.assert_array_equal(predictor, bdf._interpolate(
+            grid.nodes[n - q:n + 1].tolist(), states[n - q:n + 1], float(grid.nodes[n + 1])))
 
 
 class TestDomain:

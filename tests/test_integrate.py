@@ -137,7 +137,8 @@ class TestConvergence:
                 coeffs = compute_coefficients(nodes[n + 1 - k:n + 2], k)
                 hist = [states[n - i] for i in range(k)]
                 y, _ = bdf._newton_iterate(
-                    CATENARY, nodes[n + 1], h, coeffs, hist, states[n],
+                    CATENARY, float(nodes[n + 1]), h, float(coeffs[0]),
+                    bdf._history_sum(coeffs[1:, None], hist), states[n],
                     bdf.NEWTON_TOL_NONADAPTIVE, bdf._FactorCache())
                 states.append(y)
             errs.append(np.linalg.norm(states[-1] - CATENARY_REF.nominal(1.0)))

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dgetrf
 
 from bdfadjoint import (SolverError, adjoint_sweep, bdf, compute_coefficients,
                         get_problem, integrate_adaptive, integrate_nonadaptive,
-                        linear_test_problem, verify_kkt)
+                        linear_test_problem, replay_integration, verify_kkt)
 from bdfadjoint.bdf import EPS, lu_factor, lu_solve
 
 CATENARY, _ = get_problem("catenary")
@@ -27,7 +27,8 @@ CATENARY, _ = get_problem("catenary")
 def _step(problem, history, alphas, t_next, h, predictor):
     """(y, iterations) of one implicit step solved to the nonadaptive
     tolerance; history lists the prior states newest first."""
-    return bdf._newton_iterate(problem, t_next, h, alphas, history, predictor,
+    return bdf._newton_iterate(problem, t_next, h, float(alphas[0]),
+                               bdf._history_sum(alphas[1:, None], history), predictor,
                                bdf.NEWTON_TOL_NONADAPTIVE, bdf._FactorCache())
 
 
@@ -45,8 +46,8 @@ class TestBackwardEuler:
         history = [np.array([1.0])]
         y, _ = _step(problem, history, coeffs, h, h, predictor=np.array([1.0]))
         np.testing.assert_allclose(y, [1.0 / (1.0 - h * a)], rtol=1e-14)
-        back = bdf._history_sum(coeffs, history)
-        assert np.max(np.abs(bdf._step_residual(problem, h, h, coeffs, back, y))) <= 1e-12
+        back = bdf._history_sum(coeffs[1:, None], history)
+        assert np.max(np.abs(bdf._step_residual(problem, h, h, coeffs[0], back, y))) <= 1e-12
 
     def test_linear_converges_in_one_iteration(self):
         """For affine f the first Newton update already solves the system."""
@@ -94,8 +95,8 @@ class TestTwoStep:
         r = (al[0] * y + al[1] * history[0] + al[2] * history[1]
              - h * problem.rhs(2 * h, y))
         assert np.max(np.abs(r)) <= 1e-12
-        back = bdf._history_sum(coeffs, history)
-        np.testing.assert_allclose(bdf._step_residual(problem, 2 * h, h, coeffs, back, y),
+        back = bdf._history_sum(coeffs[1:, None], history)
+        np.testing.assert_allclose(bdf._step_residual(problem, 2 * h, h, coeffs[0], back, y),
                                    r, atol=1e-15)
         # the converged step stays within the local truncation error,
         # which is O(h^3 y''') ~ 1e-4 here (y''' is ~270 near t=0)
@@ -125,7 +126,7 @@ class TestHistorySum:
         states = rng.standard_normal((n + 1, 16)) * 10.0 ** rng.uniform(-8, 8, 16)
         states[n + 1 - np.arange(1, k + 1), 0] = np.copysign(0.0, -alphas[1:])
         for history in (states[n::-1], list(states)[n::-1]):
-            back = bdf._history_sum(alphas, history)
+            back = bdf._history_sum(alphas[1:, None], history)
             assert back.tobytes() == self._loop(alphas, history).tobytes()
             assert back[0] == 0.0 and not np.signbit(back[0])
 
@@ -160,6 +161,61 @@ class TestFailures:
             _step(cubic, [np.array([1.0])], coeffs, 1.0, 1.0,
                   predictor=np.array([1e8]))
 
+    def test_non_finite_update_fails_the_step(self):
+        """A finite residual whose update overflows, through a Newton matrix
+        of about 1e-12 (regular by lu_factor's test): the step fails as a
+        diverged update, though the update's norm is taken only after the
+        residual at the new iterate shows the iteration goes on."""
+        from bdfadjoint import OdeProblem
+        problem = OdeProblem(
+            name="flat", dimension=1, initial_time=0.0, final_time=1.0,
+            initial_state=np.array([0.0]), rhs=lambda t, y: np.zeros_like(y),
+            jacobian=lambda t, y: np.array([[1.0 - 1e-12]]),
+            criterion=lambda y: float(y[0]), criterion_gradient=lambda y: np.array([1.0]))
+        coeffs = compute_coefficients(np.array([0.0, 1.0]), 1)
+        with pytest.raises(bdf._StepFailure, match="Newton update diverged at t=1.0"):
+            _step(problem, [np.array([0.0])], coeffs, 1.0, 1.0, predictor=np.array([1e300]))
+
+
+class TestStepLoopCounts:
+    """What the step loops evaluate: one rhs call per attempt, at its
+    predictor, and one per Newton update; one jacobian call per single
+    matrix lu_factor call, each factorization's own."""
+
+    @pytest.mark.parametrize("run", [
+        ("nonadaptive", 1), ("nonadaptive", 2),
+        *[("adaptive", rtol) for rtol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11)]])
+    def test_calls_per_attempt_and_update(self, run, monkeypatch):
+        counts = {"rhs": 0, "jacobian": 0, "attempts": 0, "updates": 0, "factors": 0}
+
+        def counted(name, function):
+            def call(*args):
+                counts[name] += 1
+                return function(*args)
+            return call
+
+        def factor(m, band=None, lu_factor=bdf.lu_factor):
+            counts["factors"] += m.ndim == 2
+            return lu_factor(m, band)
+
+        problem = dataclasses.replace(CATENARY, rhs=counted("rhs", CATENARY.rhs),
+                                      jacobian=counted("jacobian", CATENARY.jacobian))
+        monkeypatch.setattr(bdf, "_newton_iterate", counted("attempts", bdf._newton_iterate))
+        monkeypatch.setattr(bdf, "lu_solve", counted("updates", bdf.lu_solve))
+        monkeypatch.setattr(bdf, "lu_factor", factor)
+        mode, value = run
+        if mode == "nonadaptive":
+            tape = integrate_nonadaptive(problem, value, 2.0 ** -10)
+            assert counts["attempts"] == tape.n_steps
+            assert counts["updates"] == tape.newton_iterations.sum()
+        else:
+            tape = integrate_adaptive(problem, value)
+            assert counts["attempts"] >= tape.n_steps
+            assert counts["updates"] >= tape.newton_iterations.sum()
+        start = mode == "adaptive"   # the adaptive driver's f(t_s, y_s)
+        assert counts["rhs"] == start + counts["attempts"] + counts["updates"]
+        assert 0 < counts["jacobian"] == counts["factors"]
+
 
 def _counting_jacobian(problem):
     """(problem, calls): problem with its jacobian counted in calls[0]."""
@@ -173,8 +229,10 @@ def _counting_jacobian(problem):
 
 
 class TestFactorRefresh:
-    """A step that converges after more than one update refactors the Newton
-    matrix at its own solution, with its own (h, alpha_0)."""
+    """A step that converges after more than one update leaves its solution
+    to the cache, and the Newton matrix there, with that step's (h,
+    alpha_0), is factored on use: by the next step whose (h, alpha_0)
+    match."""
 
     def test_catenary_halves_the_updates(self):
         """Catenary k = 2, h = 2^-10, whose f_y[1, 1] drifts from -2.99 to
@@ -202,47 +260,130 @@ class TestFactorRefresh:
                 runs += 1
         assert calls[0] == runs == 3
 
-    def test_refactors_at_the_solution(self):
-        """From a cache factored at a distant state with the step's (h,
-        alpha_0), the step takes more than one update and leaves the cache
-        holding the factors of its own matrix at the returned y, bit for bit."""
-        tape = integrate_nonadaptive(CATENARY, 2, 2.0 ** -6)
-        n = tape.n_steps - 1
-        t_new, h = tape.grid.nodes[n + 1], tape.grid.nodes[n + 1] - tape.grid.nodes[n]
-        alphas = tape.grid.alphas[n, :3]
-        cache = bdf._FactorCache()
-        cache.refactor(CATENARY, t_new, tape.states[2], h, alphas[0])
-        y, iterations = bdf._newton_iterate(
-            CATENARY, t_new, h, alphas, tape.states[n::-1], tape.states[n],
-            bdf.NEWTON_TOL_NONADAPTIVE, cache)
-        assert iterations > 1
-        assert (cache.h, cache.alpha0) == (h, alphas[0])
-        lu, piv, band = lu_factor(bdf._iteration_matrix(CATENARY.jacobian(t_new, y), h, alphas[0]))
-        assert cache.lu[0].tobytes() == lu.tobytes() and (cache.lu[1] == piv).all()
-        assert cache.lu[2] is band is None
+    @staticmethod
+    def _recording_solves(monkeypatch):
+        """The factors of every bdf.lu_solve call, in order."""
+        used = []
+        solve = bdf.lu_solve
+        monkeypatch.setattr(bdf, "lu_solve", lambda factors, b: used.append(factors)
+                            or solve(factors, b))
+        return used
 
-    def test_singular_refresh_keeps_the_converged_step(self):
+    def test_refactors_at_the_solution(self, monkeypatch):
+        """From a cache factored at a distant state with the step's (h,
+        alpha_0), a mid-run step takes more than one update; the next step,
+        whose (h, alpha_0) match, solves with the factors of the matrix at
+        the returned y, bit for bit."""
+        tape = integrate_nonadaptive(CATENARY, 2, 2.0 ** -6)
+        ts, hs, alpha0s, columns = bdf._step_constants(tape.grid)
+        n, tol = tape.n_steps // 2, bdf.NEWTON_TOL_NONADAPTIVE
+        h, alpha0 = hs[n], alpha0s[n]
+        assert (hs[n + 1], alpha0s[n + 1]) == (h, alpha0)
+        states = tape.states.copy()
+        cache = bdf._FactorCache()
+        cache.refactor(CATENARY, ts[n], states[2], h, alpha0)
+        y, iterations = bdf._newton_iterate(
+            CATENARY, ts[n], h, alpha0, bdf._history_sum(columns[n, :2], states[n::-1]),
+            states[n], tol, cache)
+        assert iterations > 1
+        states[n + 1] = y
+        used = self._recording_solves(monkeypatch)
+        bdf._newton_iterate(
+            CATENARY, ts[n + 1], h, alpha0, bdf._history_sum(columns[n + 1, :2], states[n + 1::-1]),
+            y, tol, cache)
+        lu, piv, band = lu_factor(bdf._iteration_matrix(CATENARY.jacobian(ts[n], y), h, alpha0))
+        assert used[0][0].tobytes() == lu.tobytes() and (used[0][1] == piv).all()
+        assert used[0][2] is band is None
+
+    def test_singular_refresh_keeps_the_converged_step(self, monkeypatch):
         """y' = -y by backward Euler, h = 1, from y_n = 1 (solution 1/2), with
         a stated f_y of -0.99 away from the solution and 1 near it, where
-        1 - h f_y is singular: the step converges in several updates, returns
-        its y and leaves the cache empty."""
+        1 - h f_y is singular: the step converges in several updates and
+        returns its y, and the next step, whose (h, alpha_0) match, finds
+        the matrix at that y singular and solves with the one at its own
+        predictor."""
         from bdfadjoint import OdeProblem
+        asked = []
+
+        def jacobian(t, y):
+            asked.append((t, y[0]))
+            return np.array([[1.0 if abs(y[0] - 0.5) < 1e-3 else -0.99]])
+
         problem = OdeProblem(
-            name="lying-jacobian", dimension=1, initial_time=0.0, final_time=1.0,
-            initial_state=np.array([1.0]), rhs=lambda t, y: -y,
-            jacobian=lambda t, y: np.array([[1.0 if abs(y[0] - 0.5) < 1e-3 else -0.99]]),
+            name="lying-jacobian", dimension=1, initial_time=0.0, final_time=2.0,
+            initial_state=np.array([1.0]), rhs=lambda t, y: -y, jacobian=jacobian,
             criterion=lambda y: float(y[0]), criterion_gradient=lambda y: np.array([1.0]))
         coeffs = compute_coefficients(np.array([0.0, 1.0]), 1)
+        alpha0, column, tol = float(coeffs[0]), coeffs[1:, None], bdf.NEWTON_TOL_NONADAPTIVE
         cache = bdf._FactorCache()
-        y, iterations = bdf._newton_iterate(problem, 1.0, 1.0, coeffs, [np.array([1.0])],
-                                            np.array([1.0]), bdf.NEWTON_TOL_NONADAPTIVE, cache)
+        y, iterations = bdf._newton_iterate(problem, 1.0, 1.0, alpha0,
+                                            bdf._history_sum(column, [np.array([1.0])]),
+                                            np.array([1.0]), tol, cache)
         assert iterations > 1
-        assert abs(2.0 * y[0] - 1.0) <= bdf.NEWTON_TOL_NONADAPTIVE
-        assert lu_factor(bdf._iteration_matrix(problem.jacobian(1.0, y), 1.0, coeffs[0])) is None
-        assert cache.lu is None
+        assert abs(2.0 * y[0] - 1.0) <= tol
+        assert lu_factor(bdf._iteration_matrix(problem.jacobian(1.0, y), 1.0, alpha0)) is None
+        asked.clear()
+        used = self._recording_solves(monkeypatch)
+        predictor = np.array([1.0])
+        z, _ = bdf._newton_iterate(problem, 2.0, 1.0, alpha0, bdf._history_sum(column, [y]),
+                                   predictor, tol, cache)
+        assert asked[:2] == [(1.0, y[0]), (2.0, 1.0)]
+        lu, piv, _ = lu_factor(bdf._iteration_matrix(problem.jacobian(2.0, predictor), 1.0, alpha0))
+        assert used[0][0].tobytes() == lu.tobytes() and (used[0][1] == piv).all()
+        assert abs(2.0 * z[0] - y[0]) <= tol
+
+    @pytest.mark.parametrize("rtol, before", [(1e-4, 56), (1e-5, 29), (1e-6, 42), (1e-7, 46),
+                                              (1e-8, 65), (1e-9, 85), (1e-10, 106)])
+    def test_adaptive_refresh_costs_no_jacobian(self, robertson, rtol, before):
+        """On Robertson, where h changes on nearly every attempt, a refresh
+        is factored only where a step uses it: no more jacobian calls than
+        the before counts, those of factoring every refresh at once."""
+        problem, calls = _counting_jacobian(robertson)
+        integrate_adaptive(problem, rtol)
+        assert calls[0] <= before
+
+    def test_replay_factors_once_per_step(self):
+        """A replay's fresh per-step cache never uses a refresh, so it
+        factors none: from a perturbed start, where its steps take two
+        updates, catenary k = 2, h = 2^-6 factors N matrices, not 2N."""
+        problem, calls = _counting_jacobian(CATENARY)
+        tape = integrate_nonadaptive(problem, 2, 2.0 ** -6)
+        calls[0] = 0
+        replay_integration(problem, tape, tape.states[0] * (1.0 + 1e-4))
+        assert calls[0] == tape.n_steps
 
 
 class TestLuFactor:
+    @pytest.mark.parametrize("band", [None, (2, 1)])
+    def test_stack_factored_in_place_as_one_by_one(self, band):
+        """A stack built by _iteration_matrix, regular, singular and
+        non-finite matrices in it, is factored in place: the factors are
+        the stack itself, and they, the pivots and the mask are bit-equal
+        to dgetrf/dgbtrf and lu_factor on each matrix alone."""
+        rng = np.random.default_rng(11)
+        m, d = 9, 6
+        jac = rng.standard_normal((m, d, d))
+        jac[2] = np.eye(d) / 0.5            # alpha_0 - h f_y = 0 on the diagonal
+        jac[5, 3, 2 if band else 0] = np.nan
+        jac[7, 1, 1] = np.inf
+        h, alpha0 = np.full(m, 0.5), np.ones(m)
+        alpha0[2] = 1.0
+        stack = bdf._iteration_matrix(jac, h[:, None, None], alpha0[:, None, None], band)
+        singles = [bdf._iteration_matrix(jac[i], h[i], alpha0[i], band) for i in range(m)]
+        (lu, piv, got_band), regular = lu_factor(stack, band)
+        assert lu is stack and got_band == band
+        for i, single in enumerate(singles):
+            want = dgetrf(single) if band is None else lapack.dgbtrf(single, *band)
+            assert lu[i].tobytes() == want[0].tobytes() and (piv[i] == want[1]).all()
+            assert regular[i] == (lu_factor(single, band) is not None)
+        assert regular.tolist() == [i not in (2, 5, 7) for i in range(m)]
+
+    def test_stack_in_c_order_refused(self):
+        """A stack whose matrices are not in Fortran order would be factored
+        in copies, so it is refused."""
+        with pytest.raises(ValueError, match="Fortran order"):
+            lu_factor(np.tile(np.eye(3), (2, 1, 1)) + np.triu(np.ones((3, 3)), 1))
+
     def test_refuses_exactly_the_singular_or_non_finite(self):
         """lu_factor returns None exactly when the LU has a non-finite entry
         or a pivot at most 1e3 eps of max(largest pivot, 1), on random,
