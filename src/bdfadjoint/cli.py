@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adj = sub.add_parser("adjoint", help="adjoint sweep over a recorded tape")
     _add_common(p_adj)
-    p_adj.add_argument("--tape", help="tape JSON produced by 'integrate'")
+    p_adj.add_argument("--tape", help="tape file produced by 'integrate'")
     p_adj.set_defaults(func=cmd_adjoint)
 
     p_con = sub.add_parser("converge", help="error sweep over h or rtol")
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="check optimality-system residuals")
     _add_common(p_ver)
-    p_ver.add_argument("--tape", help="tape JSON")
+    p_ver.add_argument("--tape", help="tape file")
     p_ver.add_argument("--adjoint-file", dest="adjoint_file",
                        help="adjoint JSON produced by 'adjoint'")
     p_ver.set_defaults(func=cmd_verify)

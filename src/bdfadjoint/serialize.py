@@ -1,14 +1,19 @@
 """JSON/CSV serialization for tapes, adjoint results and verification reports.
 
 All documents are versioned and deterministic: single-line JSON with sorted
-keys, and nothing time- or environment-dependent is written.  A tape has one
-layout for both drivers: its nodes, orders, states and Newton iteration
-counts, with the problem, the mode and the driver's parameters; what those
-determine (coefficients, Newton tolerances, step residuals, error estimates)
-is derived on use, not written.  Every array of a tape, and the adjoint
-document's multipliers, is written as its exact little-endian bytes in base64,
-{"dtype": "<f8" or "<i8", "shape": [...], "base64": "..."}, and read back as a
-read-only view of the decoded bytes, so NaN payloads, signed zeros and
+keys (a tape's being its header line), and nothing time- or
+environment-dependent is written.  A tape has one layout for both drivers:
+its nodes, orders, states and Newton iteration counts, with the problem, the
+mode and the driver's parameters; what those determine (coefficients, Newton
+tolerances, step residuals, error estimates) is derived on use, not written.
+A tape file is its header line, space-padded so that what follows its
+newline starts 8-byte aligned, then the payload: the arrays' exact
+little-endian C-ordered bytes back to back, each described in the header by
+{"dtype": "<f8" or "<i8", "shape": [...], "offset": ..., "nbytes": ...},
+offsets counted from the payload's start (NumPy's .npy idea for several
+arrays).  The adjoint document's multipliers are their bytes in base64,
+{"dtype", "shape", "base64"}.  Either way an array is read back as a
+read-only view of the file's bytes, so NaN payloads, signed zeros and
 subnormals round-trip bit for bit.  orjson writes everything else, and the
 adjoint CSV, each float as the shortest decimal that round-trips (the digits
 of Python's repr, in orjson's notation: 0.00001 for 1e-05, 1e16 for 1e+16).
@@ -46,7 +51,7 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-FORMAT_VERSION = 3    # tapes: one layout for both drivers, arrays in base64
+FORMAT_VERSION = 4    # tapes: a JSON header line, then the arrays' raw bytes
 ADJOINT_VERSION = 3   # adjoint documents, bound to their tape by its digest
 KKT_VERSION = 2       # KKT reports, one record per check
 TAPE_FORMAT = "bdf-tape"
@@ -61,22 +66,24 @@ def _contiguous(obj):
     raise TypeError(f"type {type(obj).__name__} is not JSON serializable")
 
 
-def _dump(doc, path):
-    """Write doc as one line of sorted-key JSON.  A value orjson cannot
-    encode (an integer beyond 64 bits) raises ValueError before the file is
-    opened."""
+def _dump(doc, path, payload=()):
+    """Write doc as one line of sorted-key JSON, then the arrays of payload
+    as their bytes, the line space-padded so that they start 8-byte aligned.
+    A value orjson cannot encode (an integer beyond 64 bits) raises
+    ValueError before the file is opened."""
     try:
         data = orjson.dumps(doc, default=_contiguous, option=orjson.OPT_SORT_KEYS
-                            | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY)
+                            | orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError as exc:
         raise ValueError(f"cannot encode {path}: {exc}") from exc
+    pad = b" " * (-(len(data) + 1) % 8) if payload else b""
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines([data, pad + b"\n", *payload])
 
 
 def _load_checked(path, expected_format, version=FORMAT_VERSION, data=None):
-    """The document of the file at path, whose bytes are data if the caller
-    has read them already, checked for its format and version."""
+    """The document of the file at path, whose JSON is data if the caller
+    has read it already, checked for its format and version."""
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -102,11 +109,12 @@ def _encoded(values, dtype):
             "base64": binascii.b2a_base64(array, newline=False).decode("ascii")}
 
 
-def _array(doc, name, dtype, ndim=1):
-    """The array that doc[name] encodes (see :func:`_encoded`), a read-only
-    view of its decoded bytes.  A field of another dtype, a shape that is not
-    ndim non-negative integers, or a payload of another length than the shape
-    needs is refused with ValueError."""
+def _array(doc, name, dtype, ndim=1, payload=None):
+    """The array of doc[name], a read-only view of the bytes its "base64"
+    encodes (see :func:`_encoded`) or, with a payload, of the payload's at
+    its "offset" and "nbytes".  Another dtype, a shape that is not ndim
+    non-negative integers, an offset or nbytes that is not one, and bytes of
+    another length than the shape needs are refused with ValueError."""
     field = doc[name]
     if not isinstance(field, dict) or field.get("dtype") != dtype:
         raise ValueError(f"{name}: not an array of dtype {dtype}")
@@ -114,53 +122,75 @@ def _array(doc, name, dtype, ndim=1):
     if (not isinstance(shape, list) or len(shape) != ndim
             or not all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"{name}: shape {shape!r} is not {ndim} non-negative integers")
-    try:
-        data = binascii.a2b_base64(field["base64"])
-    except binascii.Error as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    if payload is None:
+        try:
+            data = binascii.a2b_base64(field["base64"])
+        except binascii.Error as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    else:
+        start, size = field.get("offset"), field.get("nbytes")
+        if not (type(start) is type(size) is int and min(start, size) >= 0):
+            raise ValueError(f"{name}: offset {start!r} or nbytes {size!r} is not an integer >= 0")
+        data = payload[start:start + size]
     if len(data) != math.prod(shape) * np.dtype(dtype).itemsize:
         raise ValueError(f"{name}: {len(data)} bytes do not fill shape {shape}")
     return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
-def tape_to_dict(tape: IntegrationTape) -> dict:
-    return {
+def save_tape(tape: IntegrationTape, path) -> None:
+    payload = [np.ascontiguousarray(tape.grid.nodes, "<f8"),
+               np.ascontiguousarray(tape.grid.orders, "<i8"),
+               np.ascontiguousarray(tape.states, "<f8"),
+               np.ascontiguousarray(tape.newton_iterations, "<i8")]
+    offsets = np.cumsum([0] + [a.nbytes for a in payload]).tolist()
+    nodes, orders, states, iterations = (
+        {"dtype": a.dtype.str, "shape": a.shape, "offset": offset, "nbytes": a.nbytes}
+        for a, offset in zip(payload, offsets))
+    _dump({
         "format": TAPE_FORMAT,
         "version": FORMAT_VERSION,
-        "problem": {
-            "name": tape.problem_name,
-            "params": tape.problem_params,
-            "dimension": tape.dimension,
-        },
+        "problem": {"name": tape.problem_name, "params": tape.problem_params,
+                    "dimension": tape.dimension},
         "mode": tape.mode,
         "driver_params": tape.driver_params,
-        "nodes": _encoded(tape.grid.nodes, "<f8"),
-        "orders": _encoded(tape.grid.orders, "<i8"),
-        "states": _encoded(tape.states, "<f8"),
-        "newton": {"iterations": _encoded(tape.newton_iterations, "<i8")},
-    }
-
-
-def save_tape(tape: IntegrationTape, path) -> None:
-    _dump(tape_to_dict(tape), path)
+        "nodes": nodes, "orders": orders, "states": states,
+        "newton": {"iterations": iterations},
+    }, path, payload)
 
 
 def load_tape(path, data=None) -> IntegrationTape:
     """Rebuild the tape of the file at path, whose bytes are data if the
-    caller has read them already.  Its arrays are read-only views of the
-    decoded bytes; the coefficients and the Newton tolerances are derived,
-    not read, and keys the layout does not have are ignored."""
-    doc = _load_checked(path, TAPE_FORMAT, FORMAT_VERSION, data)
+    caller has read them already.  Its arrays are read-only views of those
+    bytes, which they must cover exactly; the coefficients and the Newton
+    tolerances are derived, not read, and keys the layout does not have are
+    ignored."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    end = data.find(b"\n") + 1 or len(data)   # past the header line
+    doc = _load_checked(path, TAPE_FORMAT, FORMAT_VERSION, memoryview(data)[:end])
+    if data[end - 1:end] != b"\n":   # after the version: an older tape is one document
+        raise ValueError(f"{path}: no header line")
+    payload = memoryview(data)[end:]
+    fields = ((doc, "nodes", "<f8", 1), (doc, "orders", "<i8", 1),
+              (doc, "states", "<f8", 2), (doc["newton"], "iterations", "<i8", 1))
+    nodes, orders, states, iterations = (_array(*field, payload) for field in fields)
+    position = 0   # the arrays, in order of offset, then the payload's end
+    for start, size in [*sorted((part[name]["offset"], part[name]["nbytes"])
+                                for part, name, *_ in fields), (len(payload), 0)]:
+        if start != position:   # a gap, an overlap, trailing bytes or an overrun
+            raise ValueError(f"{path}: payload byte {min(start, position)} is not in "
+                             "exactly one array")
+        position = start + size
     # TimeGrid and IntegrationTape check the shapes against each other
     tape = IntegrationTape(
         problem_name=doc["problem"]["name"],
         problem_params=doc["problem"]["params"],
         dimension=int(doc["problem"]["dimension"]),
         mode=doc["mode"],
-        grid=TimeGrid(nodes=_array(doc, "nodes", "<f8"),
-                      orders=_array(doc, "orders", "<i8")),
-        states=_array(doc, "states", "<f8", ndim=2),
-        newton_iterations=_array(doc["newton"], "iterations", "<i8"),
+        grid=TimeGrid(nodes=nodes, orders=orders),
+        states=states,
+        newton_iterations=iterations,
         driver_params=doc.get("driver_params", {}),
     )
     # derived now, so that a tape whose driver's rule cannot be applied (an
@@ -217,12 +247,17 @@ def write_adjoint_csv(adjoints, path) -> None:
               + [f"Lambda_{j + 1}" for j in range(d)])
     block = np.column_stack([adjoints.nodes[1:], adjoints.lambdas,
                              adjoints.node_values[1:]])
-    # the block's JSON [[row],[row]] with each "],[" a line break, less its
-    # outer brackets, is its CSV body; \r\n as csv writes
-    body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\r\n")
+    # each row of the block's JSON [[row],[row]], between its brackets, is a
+    # CSV row; \r\n as csv writes
+    body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    rows, start = memoryview(body), 2
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        fh.writelines([memoryview(body)[2:-2], b"\r\n"])
+        for _ in range(len(block)):
+            end = body.find(b"]", start)
+            fh.write(rows[start:end])
+            fh.write(b"\r\n")
+            start = end + 3
 
 
 def kkt_report_to_dict(checks) -> dict:

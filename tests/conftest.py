@@ -1,7 +1,8 @@
 """Shared pytest glue: an always-visible acceptance-criteria summary, the
 Robertson test problem, a record of the drivers' Newton solves, the adaptive
-error estimates derived from a tape, and helpers that read and hand-edit the
-base64 arrays of tape and adjoint documents.
+error estimates derived from a tape, and helpers that read and hand-edit
+tape files (a JSON header line and the arrays' raw bytes) and the base64
+arrays of adjoint documents, independently of the package.
 
 test_acceptance.py records one line per criterion through the
 `acceptance_log` fixture; the terminal-summary hook prints them after the
@@ -10,7 +11,9 @@ prints.
 """
 
 import base64
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,3 +113,82 @@ def edit_array(field, edit):
     values = decode_array(field)
     edited = edit(values)
     return encode_array(values if edited is None else edited, field["dtype"])
+
+
+TAPE_ARRAYS = ("nodes", "orders", "states", "newton.iterations")
+
+
+def tape_field(header, name):
+    """The field of a tape header that a dotted name such as
+    "newton.iterations" names."""
+    for key in name.split("."):
+        header = header[key]
+    return header
+
+
+def tape_bytes(header, payload=b""):
+    """The bytes of a tape file: header as one line of sorted-key JSON (json
+    writes NaN and Infinity tokens as they are), space-padded so that the
+    payload after its newline starts 8-byte aligned, then the payload."""
+    line = json.dumps(header, sort_keys=True).encode()
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n" + bytes(payload)
+
+
+def split_tape(path):
+    """(header, payload) of the tape file at path: the JSON of its first
+    line, and the bytes after that line."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    return json.loads(line), payload
+
+
+def read_tape(path):
+    """(header, arrays) of the tape file at path, read with json and
+    np.frombuffer: arrays maps each name of TAPE_ARRAYS to a writable copy
+    of the array its header field lays out in the payload."""
+    header, payload = split_tape(path)
+    arrays = {}
+    for name in TAPE_ARRAYS:
+        field = tape_field(header, name)
+        arrays[name] = np.frombuffer(payload, dtype=field["dtype"],
+                                     count=math.prod(field["shape"]),
+                                     offset=field["offset"]).reshape(field["shape"]).copy()
+    return header, arrays
+
+
+def write_tape(path, header, arrays):
+    """Write a tape file of header and arrays ({name: array}, names as in
+    TAPE_ARRAYS): the arrays laid out back to back in the order given, each
+    one's header field set to its dtype, shape, offset and nbytes."""
+    payload, offset = [], 0
+    for name, values in arrays.items():
+        array = np.ascontiguousarray(values)
+        tape_field(header, name).update(dtype=array.dtype.str, shape=list(array.shape),
+                                        offset=offset, nbytes=array.nbytes)
+        payload.append(array.tobytes())
+        offset += array.nbytes
+    Path(path).write_bytes(tape_bytes(header, b"".join(payload)))
+
+
+def edit_tape(path, edit):
+    """Rewrite the tape file at path with edit applied: edit gets its header
+    and writable arrays (see read_tape) and changes them in place."""
+    header, arrays = read_tape(path)
+    edit(header, arrays)
+    write_tape(path, header, arrays)
+
+
+def earlier_tape_bytes(header, arrays, version):
+    """The bytes of a tape in the one-line JSON layout of version 1, 2 or 3,
+    holding header's document and arrays (see read_tape): version 3 wrote
+    each array as its base64 field, version 2 also each step's Newton
+    residual, and version 1 each array as a JSON list."""
+    doc = json.loads(json.dumps(header))
+    encode = ((lambda values: values.tolist()) if version == 1
+              else (lambda values: encode_array(values, values.dtype.str)))
+    for name, values in arrays.items():
+        parent, _, key = name.rpartition(".")
+        (tape_field(doc, parent) if parent else doc)[key] = encode(values)
+    if version < 3:
+        doc["newton"]["residuals"] = encode(np.zeros(len(arrays["orders"])))
+    doc["version"] = version
+    return (json.dumps(doc, sort_keys=True) + "\n").encode()

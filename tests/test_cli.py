@@ -36,7 +36,8 @@ from bdfadjoint.analysis import (COEFFICIENT_TOL, JACOBIAN_TOL, coefficient_defe
                                  forward_checks)
 import bdfadjoint.cli as cli_module
 from bdfadjoint.cli import main
-from conftest import decode_array, edit_array, encode_array
+from conftest import (decode_array, earlier_tape_bytes, edit_array, edit_tape, encode_array,
+                      read_tape, split_tape, tape_bytes, tape_field, write_tape)
 
 CATENARY, _ = get_problem("catenary")
 
@@ -79,7 +80,7 @@ class TestIntegrate:
         rc = main(["integrate", "--mode", "adaptive", "--rtol", "1e-6",
                    "--out", str(tape)])
         assert rc == 0
-        assert json.loads(tape.read_text())["mode"] == "adaptive"
+        assert split_tape(tape)[0]["mode"] == "adaptive"
 
     def test_missing_stepsize_is_usage_error(self, tmp_path):
         rc = main(["integrate", "--order", "2",
@@ -420,7 +421,7 @@ class TestConfig:
         tape = tmp_path / "tape.json"
         rc = main(["integrate", "--config", str(cfg), "--out", str(tape)])
         assert rc == 0
-        doc = json.loads(tape.read_text())
+        doc, _ = split_tape(tape)
         assert doc["driver_params"] == {"order": 2, "h": 0.25}
 
     def test_flags_override_config(self, tmp_path):
@@ -430,7 +431,7 @@ class TestConfig:
         rc = main(["integrate", "--config", str(cfg), "--h", "0.125",
                    "--out", str(tape)])
         assert rc == 0
-        assert json.loads(tape.read_text())["driver_params"]["h"] == 0.125
+        assert split_tape(tape)[0]["driver_params"]["h"] == 0.125
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["integrate", "--config", str(tmp_path / "nope.cfg")])
@@ -472,9 +473,8 @@ class TestAdjointCommand:
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        doc = json.loads(tape.read_text())
-        doc["newton"][field] = edit_array(doc["newton"][field], lambda v: v[:-3])
-        tape.write_text(json.dumps(doc))
+        edit_tape(tape, lambda header, arrays: arrays.update(
+            {f"newton.{field}": arrays[f"newton.{field}"][:-3]}))
         capsys.readouterr()
         out = tmp_path / "out.json"
         argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
@@ -495,9 +495,9 @@ class TestAdjointCommand:
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         doc[key] = value
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         capsys.readouterr()
         out = tmp_path / "out.json"
         argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
@@ -530,10 +530,10 @@ class TestAdjointCommand:
         assert not tape.exists()
 
         assert main(["integrate", "--config", config("0 -8; -8 -7"), *run]) == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         assert doc["problem"]["params"]["a"]["values"] == [-8.0, -8.0, -7.0]
         doc["problem"]["params"]["a"]["values"] = [-8.0, -8.0, -8e-15]
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         capsys.readouterr()
         assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 2
         assert ("singular or non-finite adjoint matrix at t=0.125"
@@ -559,17 +559,15 @@ class TestAdjointCommand:
                else ["--mode", "adaptive", "--rtol", "1e-6"])
         assert main(["integrate", *run, "--out", str(tape)]) == 0
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        doc = json.loads(tape.read_text())
+        doc, arrays = read_tape(tape)
         if edit == "loosen":
             doc["newton"]["tolerances"] = [1.0] * doc["newton"]["iterations"]["shape"][0]
-            states = decode_array(doc["states"])
-            states[5, 1] += 0.1
-            doc["states"] = encode_array(states)
+            arrays["states"][5, 1] += 0.1
         elif edit == "unknown_mode":
             doc["mode"] = "fixed"
         else:
             del doc["driver_params"]
-        tape.write_text(json.dumps(doc))
+        write_tape(tape, doc, arrays)
         _rebind(adj, tape)
         capsys.readouterr()
         out = tmp_path / "out.json"
@@ -601,9 +599,9 @@ class TestAdjointCommand:
         tape = tmp_path / "tape.json"
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         doc["problem"]["params"]["c"] = [c0, 0.0]
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         capsys.readouterr()
         out = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 2
@@ -619,12 +617,12 @@ class TestAdjointCommand:
         tape = tmp_path / "tape.json"
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         results = {}
         for name, c in (("int", [2 ** 70, 0]), ("float", [2.0 ** 70, 0.0])):
             doc["problem"]["params"]["c"] = c
             edited, out = tmp_path / f"{name}.json", tmp_path / f"adj_{name}.json"
-            edited.write_text(json.dumps(doc))
+            edited.write_bytes(tape_bytes(doc, payload))
             assert main(["adjoint", "--tape", str(edited), "--out", str(out)]) == 0
             results[name] = json.loads(out.read_text())
         np.testing.assert_array_equal(np.array(results["int"]["gradient"]).view(np.uint64),
@@ -640,9 +638,9 @@ class TestAdjointCommand:
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         doc["problem"]["params"]["c"] = [10 ** 400, 0]
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         _rebind(adj, tape)
         out = tmp_path / "out.json"
         args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
@@ -665,13 +663,16 @@ class TestAdjointCommand:
         assert main(["integrate", "--problem", "linear", "--order", "2",
                      "--h", "0.125", "--out", str(tape)]) == 0
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        path = tape if target == "tape" else adj
-        doc = json.loads(path.read_text())
-        (doc["problem"]["params"]["c"] if target == "tape" else doc["gradient"])[0] = float("nan")
-        path.write_text(json.dumps(doc))
-        assert "NaN" in path.read_text()
         if target == "tape":
+            doc, payload = split_tape(tape)
+            doc["problem"]["params"]["c"][0] = float("nan")
+            tape.write_bytes(tape_bytes(doc, payload))
             _rebind(adj, tape)
+        else:
+            doc = json.loads(adj.read_text())
+            doc["gradient"][0] = float("nan")
+            adj.write_text(json.dumps(doc))
+        assert b"NaN" in (tape if target == "tape" else adj).read_bytes().partition(b"\n")[0]
         out = tmp_path / "out.json"
         args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
                 ["verify", "--tape", str(tape), "--adjoint-file", str(adj)])
@@ -692,9 +693,9 @@ class TestAdjointCommand:
         rc, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert rc == 0 and main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         doc["problem"]["params"]["A"] = 1e300
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         _rebind(adj, tape)
         out = tmp_path / "out.json"
         args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
@@ -708,20 +709,22 @@ class TestAdjointCommand:
     @pytest.mark.parametrize("nan", [False, True], ids=["plain", "nan-token"])
     @pytest.mark.parametrize("stage", ["adjoint", "verify"])
     def test_truncated_tape_refused(self, tmp_path, capsys, stage, nan):
-        """A tape cut off halfway, or right after a NaN token in its problem
-        parameters: orjson does not read it, so it is one line of usage
-        error at load."""
+        """A tape cut off halfway, inside its payload, or right after a NaN
+        token in its problem parameters, inside its header line: one line of
+        usage error at load, which says that an array has fewer bytes than
+        its shape needs or that the header is not JSON."""
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         if nan:
-            doc = json.loads(tape.read_text())
+            doc, payload = split_tape(tape)
             doc["problem"]["params"]["A"] = float("nan")
-            text = json.dumps(doc)
-            tape.write_text(text[:text.index("NaN") + 3])
+            data = tape_bytes(doc, payload)
+            tape.write_bytes(data[:data.index(b"NaN") + 3])
         else:
-            text = tape.read_text()
-            tape.write_text(text[:len(text) // 2])
+            data = tape.read_bytes()
+            assert data.index(b"\n") < len(data) // 2
+            tape.write_bytes(data[:len(data) // 2])
         capsys.readouterr()
         out = tmp_path / "out.json"
         argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
@@ -730,20 +733,21 @@ class TestAdjointCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load tape:") and err.count("\n") == 1
+        assert ("invalid JSON" if nan else "bytes do not fill shape") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["tape", "adjoint"])
     def test_unparsable_document_names_its_path(self, tmp_path, capsys, target):
-        """A tape holding a NaN token, or an adjoint file cut off halfway:
-        orjson parses neither, and verify exits 1 with one line that names
+        """A tape whose header holds a NaN token, or an adjoint file cut off
+        halfway: orjson parses neither, and verify exits 1 with one line that names
         the file, as the other load refusals do."""
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         if target == "tape":
-            doc = json.loads(tape.read_text())
+            doc, payload = split_tape(tape)
             doc["problem"]["params"]["A"] = float("nan")
-            tape.write_text(json.dumps(doc))
+            tape.write_bytes(tape_bytes(doc, payload))
         else:
             text = adj.read_text()
             adj.write_text(text[:len(text) // 2])
@@ -759,11 +763,7 @@ class TestAdjointCommand:
 
     def test_nan_state_refused(self, tmp_path, capsys):
         _, tape = _integrate(tmp_path)
-        doc = json.loads(tape.read_text())
-        states = decode_array(doc["states"])
-        states[10, 0] = np.nan
-        doc["states"] = encode_array(states)
-        tape.write_text(json.dumps(doc))
+        edit_tape(tape, lambda header, arrays: arrays["states"].__setitem__((10, 0), np.nan))
         out = tmp_path / "a.json"
         rc = main(["adjoint", "--tape", str(tape), "--out", str(out)])
         assert rc == 1
@@ -779,11 +779,7 @@ class TestAdjointCommand:
         with one line that names the grid nodes (the nominal residual's NaN
         at step 5 before), and nothing is written."""
         _, tape = _integrate(tmp_path)
-        doc = json.loads(tape.read_text())
-        nodes = decode_array(doc["nodes"])
-        nodes[5] = np.nan
-        doc["nodes"] = encode_array(nodes)
-        tape.write_text(json.dumps(doc))
+        edit_tape(tape, lambda header, arrays: arrays["nodes"].__setitem__(5, np.nan))
         out = tmp_path / "a.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
@@ -864,7 +860,7 @@ class TestVerifyCommand:
         assert rc == 3
         checks = json.loads(report.read_text())["checks"]
         worst = {name: c["worst"] for name, c in checks.items()}
-        nodes = decode_array(json.loads(tape.read_text())["nodes"]).tolist()
+        nodes = read_tape(tape)[1]["nodes"].tolist()
         assert 3 <= worst["adjoint_residual"]["step"] <= 5
         assert worst["adjoint_residual"]["t"] == nodes[worst["adjoint_residual"]["step"]]
         assert 1 <= worst["nominal_residual"]["step"] <= len(nodes) - 1
@@ -899,7 +895,7 @@ class TestVerifyCommand:
         assert jacobian["value"] > jacobian["threshold"] == JACOBIAN_TOL
         assert jacobian["passed"] is False
         worst = jacobian["worst"]
-        assert worst["t"] == decode_array(json.loads(tape.read_text())["nodes"])[worst["step"]]
+        assert worst["t"] == read_tape(tape)[1]["nodes"][worst["step"]]
         assert (f"jacobian_defect={jacobian['value']!r} (threshold {JACOBIAN_TOL!r}) "
                 f"worst at step {worst['step']}, t={worst['t']!r}\n") in out
 
@@ -924,7 +920,7 @@ class TestVerifyCommand:
             "criterion_defect"]
         criterion = doc["checks"]["criterion_defect"]
         assert criterion["value"] > criterion["threshold"] == JACOBIAN_TOL
-        nodes = decode_array(json.loads(tape.read_text())["nodes"]).tolist()
+        nodes = read_tape(tape)[1]["nodes"].tolist()
         assert criterion["worst"] == {"step": len(nodes) - 1, "t": nodes[-1]}
         assert (f"criterion_defect={criterion['value']!r} (threshold {JACOBIAN_TOL!r}) "
                 f"worst at step {len(nodes) - 1}, t={nodes[-1]!r}\n") in out
@@ -1020,14 +1016,14 @@ class TestVerifyCommand:
     def test_nan_input_is_verification_failure(self, tmp_path, capsys, target):
         tape, adj = self._chain(tmp_path)
         capsys.readouterr()
-        path, key = (tape, "states") if target == "tape" else (adj, "lambdas")
-        doc = json.loads(path.read_text())
-        values = decode_array(doc[key])
-        values[10, 0] = np.nan
-        doc[key] = encode_array(values)
-        path.write_text(json.dumps(doc))
         if target == "tape":
+            edit_tape(tape, lambda header, arrays: arrays["states"].__setitem__((10, 0), np.nan))
             _rebind(adj, tape)
+        else:
+            doc = json.loads(adj.read_text())
+            doc["lambdas"] = edit_array(doc["lambdas"],
+                                        lambda values: values.__setitem__((10, 0), np.nan))
+            adj.write_text(json.dumps(doc))
         rc = main(["verify", "--tape", str(tape), "--adjoint-file", str(adj),
                    "--out", str(tmp_path / "kkt.json")])
         assert rc == 3
@@ -1040,7 +1036,7 @@ class TestVerifyCommand:
         """Row 20 of the grid's derived alpha table, as verify derives it
         from the loaded nodes, is off by a relative 1e-10 in alpha_2."""
         tape, adj = self._chain(tmp_path)
-        t_21 = decode_array(json.loads(tape.read_text())["nodes"]).tolist()[21]
+        t_21 = read_tape(tape)[1]["nodes"].tolist()[21]
         exact = bdf._coefficients
 
         def perturbed(t, order):
@@ -1106,9 +1102,9 @@ class TestVerifyCommand:
         verify's report line of initial_residual, and writes nothing."""
         rc, tape = _integrate(tmp_path)
         assert rc == 0
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         doc["problem"]["params"]["A"] = -2.9
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         capsys.readouterr()
         out = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(out)]) == 1
@@ -1134,11 +1130,9 @@ class TestVerifyCommand:
                      "--out", str(tape)]) == 0
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         tol = load_tape(tape).newton_tolerances
-        doc = json.loads(tape.read_text())
-        states = decode_array(doc["states"])
-        states[1, 0] += factor * 10.0 * tol[0]
-        doc["states"] = encode_array(states)
-        tape.write_text(json.dumps(doc))
+        doc, arrays = read_tape(tape)
+        arrays["states"][1, 0] += factor * 10.0 * tol[0]
+        write_tape(tape, doc, arrays)
         _rebind(adj, tape)
         moved = load_tape(tape)
         within = (bdf.tape_residuals(CATENARY, moved)
@@ -1219,9 +1213,10 @@ class TestVerifyCommand:
         error; the fix is to run adjoint on its tape again."""
         tape, adj = self._chain(tmp_path)
         doc = json.loads(adj.read_text())
-        tape_doc = json.loads(tape.read_text())
+        tape_doc, tape_arrays = read_tape(tape)
         del doc["tape_sha256"]
-        doc.update(version=1, problem=tape_doc["problem"], nodes=tape_doc["nodes"])
+        doc.update(version=1, problem=tape_doc["problem"],
+                   nodes=tape_arrays["nodes"].tolist())
         adj.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "kkt.json"
@@ -1302,10 +1297,12 @@ def _as_lists(doc):
 
 
 class TestBinaryArrays:
-    """Tape arrays and multipliers are base64 fields of their exact bytes.
-    A document of an earlier version, or with a field of another dtype,
-    another rank or a payload that does not fill its shape, is one line of
-    usage error in adjoint and verify, with no output."""
+    """Tape arrays are the raw bytes of the payload after its header line,
+    multipliers base64 fields of their exact bytes.  A document of an
+    earlier version (for a tape, version 3's one-line JSON with base64
+    fields), or with a field of another dtype, another rank or bytes that do
+    not fill its shape, is one line of usage error in adjoint and verify,
+    with no output."""
 
     _EDITS = {
         "earlier version": lambda doc, key: {**_as_lists(doc), "version": doc["version"] - 1},
@@ -1323,12 +1320,17 @@ class TestBinaryArrays:
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        path, key = (tape, "states") if target == "tape" else (adj, "lambdas")
-        doc = json.loads(path.read_text())
-        version = doc["version"]
-        path.write_text(json.dumps(self._EDITS[edit](doc, key)))
         if target == "tape":
+            key, (doc, payload) = "states", split_tape(tape)
+            version = doc["version"]
+            tape.write_bytes(earlier_tape_bytes(*read_tape(tape), version=version - 1)
+                             if edit == "earlier version"
+                             else tape_bytes(self._EDITS[edit](doc, key), payload))
             _rebind(adj, tape)
+        else:
+            key, doc = "lambdas", json.loads(adj.read_text())
+            version = doc["version"]
+            adj.write_text(json.dumps(self._EDITS[edit](doc, key)))
         out = tmp_path / "out.json"
         argv = {"adjoint": ["adjoint", "--tape", str(tape), "--out", str(out)],
                 "verify": ["verify", "--tape", str(tape), "--adjoint-file", str(adj),
@@ -1348,21 +1350,22 @@ class TestBinaryArrays:
         assert captured.out == "" and not out.exists()
 
     def test_arrays_are_exact_bytes(self, tmp_path):
-        """Every array of the tape, and the multipliers, decode to the values
-        the package holds bit for bit; the gradient and the jump sizes stay
-        JSON lists."""
+        """Every array of the tape, and the multipliers, read back to the
+        values the package holds bit for bit; the gradient and the jump sizes
+        stay JSON lists."""
         _, tape = _integrate(tmp_path)
         adj = tmp_path / "adjoint.json"
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        doc, adj_doc = json.loads(tape.read_text()), json.loads(adj.read_text())
+        (doc, arrays), adj_doc = read_tape(tape), json.loads(adj.read_text())
         back = load_tape(tape)
-        assert (doc["version"], adj_doc["version"]) == (3, 3)
-        for field, value in ((doc["nodes"], back.grid.nodes), (doc["orders"], back.grid.orders),
-                             (doc["states"], back.states),
-                             (doc["newton"]["iterations"], back.newton_iterations)):
+        assert (doc["version"], adj_doc["version"]) == (4, 3)
+        for name, value in (("nodes", back.grid.nodes), ("orders", back.grid.orders),
+                            ("states", back.states),
+                            ("newton.iterations", back.newton_iterations)):
+            field = tape_field(doc, name)
             assert field["dtype"] == value.dtype.str and field["shape"] == list(value.shape)
-            assert decode_array(field).tobytes() == value.tobytes()
-            assert not value.flags.writeable   # a view of the decoded bytes
+            assert arrays[name].tobytes() == value.tobytes()
+            assert not value.flags.writeable   # a view of the file's bytes
         assert decode_array(adj_doc["lambdas"]).shape == (back.n_steps, 2)
         assert isinstance(adj_doc["gradient"], list)
         assert isinstance(adj_doc["jumps"]["sizes"], list)
@@ -1381,9 +1384,9 @@ class TestProblemShapes:
             cfg = _write_config(tmp_path, "problem = linear", *system, "c = 1 0")
             assert main(["integrate", "--config", str(cfg), "--order", "1",
                          "--h", "0.25", "--out", str(tape)]) == 0
-            doc = json.loads(tape.read_text())
+            doc, payload = split_tape(tape)
             doc["problem"]["params"]["c"] = [1.0, 0.0, 0.0]
-            tape.write_text(json.dumps(doc))
+            tape.write_bytes(tape_bytes(doc, payload))
             args = ["adjoint", "--tape", str(tape)]
         else:
             cfg = _write_config(tmp_path, "problem = linear", *system,
@@ -1406,9 +1409,9 @@ class TestProblemShapes:
         assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
         params = {"a": (-np.eye(3)).tolist(), "y0": [1.0, 1.0, 1.0],
                   "t0": 0.0, "tf": 1.0, "c": [1.0, 0.0, 0.0]}
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         doc["problem"]["params"] = params
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         _rebind(adj, tape)
         out = tmp_path / "out.json"
         args = (["adjoint", "--tape", str(tape)] if stage == "adjoint" else
@@ -1451,7 +1454,7 @@ class TestLinearMatrix:
 
     def test_tape_holds_nonzero_entries(self, tmp_path):
         tape, _ = self._chain(tmp_path, *_TRIDIAGONAL)
-        assert json.loads(tape.read_text())["problem"]["params"]["a"] == {
+        assert split_tape(tape)[0]["problem"]["params"]["a"] == {
             "size": 3, "rows": [0, 0, 1, 1, 1, 2, 2], "cols": [0, 1, 0, 1, 2, 1, 2],
             "values": [-2.0, 1.0, 1.0, -2.0, 1.0, 1.0, -2.0]}
 
@@ -1478,9 +1481,9 @@ class TestLinearMatrix:
     def test_malformed_entries_refused(self, tmp_path, capsys, stage, edit):
         """One line of usage error, no traceback and no output."""
         tape, adj = self._chain(tmp_path, *_TRIDIAGONAL)
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         edit(doc["problem"]["params"]["a"])
-        tape.write_text(json.dumps(doc))
+        tape.write_bytes(tape_bytes(doc, payload))
         _rebind(adj, tape)
         out = tmp_path / "out.json"
         capsys.readouterr()
@@ -1495,13 +1498,13 @@ class TestLinearMatrix:
         adjoint and verify to exit 0, with multipliers bit-equal to those of
         the tape that stores the entries."""
         tape, adj = self._chain(tmp_path, *_TRIDIAGONAL)
-        doc = json.loads(tape.read_text())
+        doc, payload = split_tape(tape)
         entries = doc["problem"]["params"]["a"]
         dense = np.zeros((3, 3))
         dense[entries["rows"], entries["cols"]] = entries["values"]
         doc["problem"]["params"]["a"] = dense.tolist()
         old, old_adj = tmp_path / "old.json", tmp_path / "old-adjoint.json"
-        old.write_text(json.dumps(doc))
+        old.write_bytes(tape_bytes(doc, payload))
         assert main(["adjoint", "--tape", str(old), "--out", str(old_adj)]) == 0
         assert main(["verify", "--tape", str(old), "--adjoint-file", str(old_adj),
                      "--out", str(tmp_path / "kkt.json")]) == 0
@@ -1642,8 +1645,9 @@ class TestOutputPath:
 
 @functools.lru_cache(maxsize=None)
 def _fuzz_documents(mode="nonadaptive"):
-    """A small valid tape and adjoint document of the catenary, nonadaptive
-    (k=2, h=1/4) or adaptive (rtol 1e-4)."""
+    """({"tape": header, "adjoint": document}, payload): a small valid tape,
+    as its header and its payload's bytes, and its adjoint document, of the
+    catenary, nonadaptive (k=2, h=1/4) or adaptive (rtol 1e-4)."""
     run = (["--order", "2", "--h", "0.25"] if mode == "nonadaptive"
            else ["--mode", "adaptive", "--rtol", "1e-4"])
     with tempfile.TemporaryDirectory() as tmp:
@@ -1651,13 +1655,22 @@ def _fuzz_documents(mode="nonadaptive"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["integrate", *run, "--out", str(tape)]) == 0
             assert main(["adjoint", "--tape", str(tape), "--out", str(adj)]) == 0
-        docs = {"tape": json.loads(tape.read_text()),
-                "adjoint": json.loads(adj.read_text())}
+        header, payload = split_tape(tape)
+        docs = {"tape": header, "adjoint": json.loads(adj.read_text())}
     # bound to the tape as the test writes it, so that a mutated adjoint
     # document reaches verify's checks
     docs["adjoint"]["tape_sha256"] = hashlib.sha256(
-        json.dumps(docs["tape"]).encode()).hexdigest()
-    return docs
+        tape_bytes(docs["tape"], payload)).hexdigest()
+    return docs, payload
+
+
+def _write_documents(tmp, docs, payload):
+    """{name: path} of the tape and adjoint document written under tmp, the
+    tape as its header and payload."""
+    files = {name: Path(tmp) / f"{name}.json" for name in docs}
+    files["tape"].write_bytes(tape_bytes(docs["tape"], payload))
+    files["adjoint"].write_text(json.dumps(docs["adjoint"]))
+    return files
 
 
 def _json_paths(value, prefix=()):
@@ -1690,9 +1703,9 @@ _JSON_VALUES = st.recursive(
 
 def _catenary_tape_with_huge_p(tmp_path):
     _, tape = _integrate(tmp_path)
-    doc = json.loads(tape.read_text())
+    doc, payload = split_tape(tape)
     doc["problem"]["params"]["p"] = 1e308
-    tape.write_text(json.dumps(doc))
+    tape.write_bytes(tape_bytes(doc, payload))
     return ["adjoint", "--tape", str(tape), "--out", str(tmp_path / "adjoint.json")]
 
 
@@ -1756,14 +1769,13 @@ def test_mutated_documents_get_documented_exit_codes(data):
     """One value of the tape or adjoint document, at a random path, replaced
     by a random JSON value: adjoint and verify keep the exit-code contract
     of _run_under_contract."""
-    docs = dict(_fuzz_documents())
+    docs, payload = _fuzz_documents()
+    docs = dict(docs)
     which = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(_json_paths(docs[which]))))
     docs[which] = _replaced(docs[which], path, data.draw(_JSON_VALUES))
     with tempfile.TemporaryDirectory() as tmp:
-        files = {name: Path(tmp) / f"{name}.json" for name in docs}
-        for name, doc in docs.items():
-            files[name].write_text(json.dumps(doc))
+        files = _write_documents(tmp, docs, payload)
         _run_under_contract(["adjoint", "--tape", str(files["tape"]),
                              "--out", str(Path(tmp) / "out.json")])
         _run_under_contract(["verify", "--tape", str(files["tape"]), "--adjoint-file",
@@ -1779,25 +1791,33 @@ def _deleted(doc, path):
     return doc
 
 
-def _mutated(data, doc):
-    """(kind, doc with one field deleted, one byte of a base64 payload
-    flipped, or one value replaced by a NaN or infinite token)."""
+def _flipped(data, raw):
+    """raw with one of its bytes, if it has any, xor-ed with 1..255."""
+    raw = bytearray(raw)
+    if raw:
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    return bytes(raw)
+
+
+def _mutated(data, doc, payload=None):
+    """(kind, doc, payload) with one field of doc deleted, one value replaced
+    by a NaN or infinite token, or one byte flipped: of a tape's payload
+    bytes, or of a base64 array of an adjoint document (payload None)."""
     kind = data.draw(st.sampled_from(["delete", "flip", "token"]))
     paths = list(_json_paths(doc))[1:]
     if kind == "delete":
-        return kind, _deleted(doc, data.draw(st.sampled_from(paths)))
+        return kind, _deleted(doc, data.draw(st.sampled_from(paths))), payload
     if kind == "token":
         return kind, _replaced(doc, data.draw(st.sampled_from(paths)),
-                               data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
-    payloads = [p for p in paths if p[-1] == "base64"]
-    path = data.draw(st.sampled_from(payloads))
+                               data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))), payload
+    if payload is not None:
+        return kind, doc, _flipped(data, payload)
+    path = data.draw(st.sampled_from([p for p in paths if p[-1] == "base64"]))
     field = doc
     for key in path:
         field = field[key]
-    raw = bytearray(base64.b64decode(field))
-    if raw:
-        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
-    return kind, _replaced(doc, path, base64.b64encode(bytes(raw)).decode())
+    raw = _flipped(data, base64.b64decode(field))
+    return kind, _replaced(doc, path, base64.b64encode(raw).decode()), payload
 
 
 _EXTREME_VALUES = ["1e308", "-1e308", "0", "-1", "nan", "inf", "-inf", "5e-324",
@@ -1816,8 +1836,9 @@ _STRAY_FLAGS = {"integrate": [["--ord", "3"], ["--rt", "1e-6"], ["--prob", "cate
 @given(data=st.data())
 def test_mutated_inputs_keep_the_exit_code_contract(data):
     """A nonadaptive or adaptive catenary tape or its adjoint document with
-    one field deleted, one base64 byte flipped or one NaN/Infinity token, or
-    a stage run with one extreme or abbreviated flag: every run keeps the
+    one field deleted, one byte flipped (of the tape's payload or of a
+    base64 array) or one NaN/Infinity token, or a stage run with one
+    extreme or abbreviated flag: every run keeps the
     contract of _run_under_contract, a report written on exit 3 says it did
     not pass, a document with a token is refused at load, and a flag that
     the stage does not have is refused with argparse's usage block.  When
@@ -1825,15 +1846,16 @@ def test_mutated_inputs_keep_the_exit_code_contract(data):
     output exits 0 or 3 with nominal_residual and initial_residual passed;
     and a report's nominal_residual passes exactly when every step's
     residual is within 10 tol_n."""
-    docs = dict(_fuzz_documents(data.draw(st.sampled_from(["nonadaptive", "adaptive"]))))
+    docs, payload = _fuzz_documents(data.draw(st.sampled_from(["nonadaptive", "adaptive"])))
+    docs = dict(docs)
     target = data.draw(st.sampled_from(["tape", "adjoint", "flag"]))
-    if target != "flag":
-        kind, docs[target] = _mutated(data, docs[target])
+    if target == "tape":
+        kind, docs["tape"], payload = _mutated(data, docs["tape"], payload)
+    elif target == "adjoint":
+        kind, docs["adjoint"], _ = _mutated(data, docs["adjoint"])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        files = {name: tmp / f"{name}.json" for name in docs}
-        for name, doc in docs.items():
-            files[name].write_text(json.dumps(doc))
+        files = _write_documents(tmp, docs, payload)
         argvs = {"integrate": ["integrate", "--order", "2", "--h", "0.25"],
                  "adjoint": ["adjoint", "--tape", str(files["tape"])],
                  "verify": ["verify", "--tape", str(files["tape"]),

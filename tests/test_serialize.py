@@ -1,14 +1,16 @@
 """
 Tests for the on-disk formats: versioned JSON documents and CSV exports.
 
-Round trips must be lossless (arrays of tapes and multipliers are their
-exact bytes in base64; other floats are written as the shortest decimal
-that round-trips binary64 exactly: repr's digits in orjson's notation),
+Round trips must be lossless (a tape's arrays are its payload's raw bytes
+after a JSON header line, the multipliers their exact bytes in base64; other
+floats are written as the shortest decimal that round-trips binary64
+exactly: repr's digits in orjson's notation),
 repeated saves must be byte-identical, and foreign, earlier or
 future-versioned files and malformed arrays must be rejected with clear
 errors.
 """
 
+import base64
 import csv
 import dataclasses
 import hashlib
@@ -34,9 +36,10 @@ from bdfadjoint import (adjoint_sweep, compute_coefficients, get_problem,
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
 from bdfadjoint.serialize import (ADJOINT_VERSION, FORMAT_VERSION, KKT_VERSION, _dump,
-                                  _load_checked, tape_sha256, tape_to_dict,
-                                  write_adjoint_csv, write_convergence_csv)
-from conftest import decode_array, encode_array
+                                  _load_checked, tape_sha256, write_adjoint_csv,
+                                  write_convergence_csv)
+from conftest import (decode_array, earlier_tape_bytes, encode_array, read_tape,
+                      split_tape, tape_bytes, write_tape)
 
 CATENARY, _ = get_problem("catenary")
 
@@ -75,7 +78,7 @@ class TestTapeRoundTrip:
         table is the kernel's output on the loaded nodes."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        raw = json.loads(path.read_text())
+        raw, _ = split_tape(path)
         assert "coefficients" not in raw
         assert "alphas" not in json.dumps(raw)
         grid = load_tape(path).grid
@@ -90,7 +93,7 @@ class TestTapeRoundTrip:
         bit-equal to the tape's."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
+        doc, _ = split_tape(path)
         assert "stepsizes" not in doc
         back = load_tape(path)
         np.testing.assert_array_equal(back.grid.nodes, tape.grid.nodes)
@@ -103,7 +106,7 @@ class TestTapeRoundTrip:
         tape = integrate_adaptive(CATENARY, 1e-6)
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
+        doc, _ = split_tape(path)
         assert "tolerances" not in doc["newton"]
         np.testing.assert_array_equal(load_tape(path).newton_tolerances,
                                       tape.newton_tolerances)
@@ -118,11 +121,14 @@ class TestTapeRoundTrip:
                                       tape.newton_iterations)
         assert back.driver_params == tape.driver_params
 
-    def test_one_layout_for_both_drivers(self, tape):
+    def test_one_layout_for_both_drivers(self, tape, tmp_path):
         """A nonadaptive and an adaptive tape have the same keys, and their
         Newton record holds only the iteration counts: step residuals and
         error estimates are derived from the states, not written."""
-        docs = [tape_to_dict(t) for t in (tape, integrate_adaptive(CATENARY, 1e-6))]
+        docs = []
+        for t in (tape, integrate_adaptive(CATENARY, 1e-6)):
+            save_tape(t, tmp_path / "tape.json")
+            docs.append(split_tape(tmp_path / "tape.json")[0])
         assert set(docs[0]) == set(docs[1]) == {
             "format", "version", "problem", "mode", "driver_params", "nodes",
             "orders", "states", "newton"}
@@ -135,17 +141,20 @@ class TestTapeRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_single_line_same_document_as_indented(self, tape, tmp_path):
-        """One line of sorted-key JSON that parses to the document the earlier
-        indent=2 layout held; a tape in that layout still loads."""
-        doc = tape_to_dict(tape)
+        """The header is one line of sorted-key JSON, space-padded so that
+        the payload starts 8-byte aligned, that parses to the document json's
+        indent=2 layout of it holds; a header in json's spaced layout,
+        unpadded, still loads, since offsets count from the payload's start."""
         path = tmp_path / "tape.json"
-        _dump(doc, path)
-        text = path.read_text()
-        assert text.endswith("}\n") and text.count("\n") == 1
-        indented = json.dumps(doc, sort_keys=True, indent=2,
-                              default=np.ndarray.tolist) + "\n"
-        assert json.loads(text) == json.loads(indented)
-        path.write_text(indented)
+        save_tape(tape, path)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        doc = json.loads(line)
+        assert line.rstrip(b" ") == json.dumps(doc, sort_keys=True,
+                                               separators=(",", ":")).encode()
+        assert (len(line) + 1) % 8 == 0 and len(line) - len(line.rstrip(b" ")) < 8
+        indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert json.loads(line) == json.loads(indented)
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
         np.testing.assert_array_equal(load_tape(path).states, tape.states)
 
 
@@ -416,7 +425,8 @@ _ANY_BITS = st.integers(0, 2 ** 64 - 1) | st.sampled_from(_EDGE_BITS)
 
 
 class TestBinaryArrays:
-    """Tape arrays and multipliers are written as their bytes in base64."""
+    """Tape arrays are written as their raw bytes after the header line,
+    the multipliers as their bytes in base64."""
 
     @settings(max_examples=100, deadline=None)
     @given(bits=st.lists(_ANY_BITS, min_size=1, max_size=40),
@@ -459,27 +469,75 @@ class TestBinaryArrays:
 
     def test_reader_refuses_malformed_fields(self, tape, tmp_path):
         """Another dtype, another rank, a shape that is not non-negative
-        integers, a payload longer or shorter than its shape, and one cut
-        inside its padding are each refused with ValueError naming the
-        field."""
+        integers, an extent shorter or longer than its shape needs, and an
+        offset or extent that is not a non-negative integer or leaves the
+        payload are each refused with ValueError naming the field."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
+        doc, payload = split_tape(path)
         states = doc["states"]
         rows, d = states["shape"]
-        payload = decode_array(states)
+        start, size = states["offset"], states["nbytes"]
         for field in ({**states, "dtype": "<i8"}, {**states, "dtype": ">f8"},
                       {**states, "shape": [rows * d]}, {**states, "shape": [rows, d, 1]},
                       {**states, "shape": [rows, -d]}, {**states, "shape": [rows, 2.0]},
                       {**states, "shape": [rows, True]}, {**states, "shape": "[1, 2]"},
                       {**states, "shape": [rows + 1, d]},
-                      {**states, "base64": encode_array(payload[:-1])["base64"]},
-                      {**states, "base64": encode_array(np.vstack([payload, payload[:1]]))[
-                          "base64"]},
-                      {**states, "base64": states["base64"][:-1]}):
-            path.write_text(json.dumps({**doc, "states": field}))
+                      {**states, "nbytes": size - 8}, {**states, "nbytes": size + 8},
+                      {**states, "offset": -8}, {**states, "offset": float(start)},
+                      {**states, "offset": True}, {**states, "nbytes": str(size)},
+                      {**states, "offset": len(payload) - size + 8},
+                      {**states, "nbytes": len(payload) - start + 8},
+                      {key: value for key, value in states.items() if key != "offset"}):
+            path.write_bytes(tape_bytes({**doc, "states": field}, payload))
             with pytest.raises(ValueError, match="^states: "):
                 load_tape(path)
+
+    def test_adjoint_reader_refuses_malformed_base64(self, tape, tmp_path):
+        """The multipliers' base64 holding one row too few or too many, one
+        byte too few, or cut inside its padding is refused with ValueError
+        naming the field."""
+        path = tmp_path / "adjoint.json"
+        save_adjoint_results("0" * 64, adjoint_sweep(CATENARY, tape), path)
+        doc = json.loads(path.read_text())
+        lambdas = doc["lambdas"]
+        values = decode_array(lambdas)
+        assert lambdas["base64"].endswith("=")
+        for text in (encode_array(values[:-1])["base64"],
+                     encode_array(np.vstack([values, values[:1]]))["base64"],
+                     base64.b64encode(values.tobytes()[:-1]).decode(),
+                     lambdas["base64"][:-1]):
+            path.write_text(json.dumps({**doc, "lambdas": {**lambdas, "base64": text}}))
+            with pytest.raises(ValueError, match="^lambdas: "):
+                load_adjoint_results(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.lists(st.sampled_from(_EDGE_BITS[:4] + _EDGE_BITS[6:])
+                         | st.integers(0, 2 ** 52 - 1)
+                         | st.integers(0, 2 ** 52 - 1).map(lambda m: m | 2 ** 63)
+                         | st.integers(1, 2 ** 52 - 1).map(lambda m: m | 0x7FF << 52)
+                         | st.integers(1, 2 ** 52 - 1).map(lambda m: m | 0xFFF << 52),
+                         min_size=2, max_size=40))
+    def test_payload_agrees_with_an_independent_reader(self, bits):
+        """States of NaNs with payloads, +-0.0 and subnormals: the payload
+        save_tape writes reads back bit for bit with json and np.frombuffer
+        alone, and a tape written that way loads bit for bit."""
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        n = values.size - 1
+        tape = IntegrationTape(
+            problem_name="catenary", problem_params={}, dimension=1, mode="nonadaptive",
+            grid=TimeGrid(nodes=np.arange(n + 1.0), orders=np.ones(n, dtype=int)),
+            states=values[:, None], newton_iterations=np.ones(n, dtype=int))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.json"
+            save_tape(tape, path)
+            header, arrays = read_tape(path)
+            assert arrays["states"].tobytes() == values.tobytes()
+            arrays["states"] = arrays["states"][::-1]
+            write_tape(path, header, dict(reversed(arrays.items())))
+            back = load_tape(path)
+        assert back.states.tobytes() == values[::-1].tobytes()
+        assert not back.states.flags.writeable
 
 
 def _canonical(value, big_ints_as_floats):
@@ -568,18 +626,18 @@ class TestRejection:
     def test_wrong_format_field(self, tape, tmp_path):
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
+        doc, payload = split_tape(path)
         doc["format"] = "something-else"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(tape_bytes(doc, payload))
         with pytest.raises(ValueError, match="format"):
             load_tape(path)
 
     def test_future_version(self, tape, tmp_path):
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
+        doc, payload = split_tape(path)
         doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        path.write_bytes(tape_bytes(doc, payload))
         with pytest.raises(ValueError, match="version"):
             load_tape(path)
 
@@ -588,23 +646,89 @@ class TestRejection:
         runs, its error estimate; such a tape is refused by its version."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 2
-        doc["newton"]["residuals"] = encode_array(np.zeros(tape.n_steps))
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 3\)"):
+        path.write_bytes(earlier_tape_bytes(*read_tape(path), version=2))
+        with pytest.raises(ValueError, match=r"unsupported version 2 \(supported: 4\)"):
             load_tape(path)
+
+    def test_version_3_tape_refused(self, tape, tmp_path):
+        """Version 3 wrote the arrays as base64 fields of one JSON line; such
+        a tape is refused by its version, also without its final newline."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        data = earlier_tape_bytes(*read_tape(path), version=3)
+        for old in (data, data.rstrip(b"\n")):
+            path.write_bytes(old)
+            with pytest.raises(ValueError, match=r"unsupported version 3 \(supported: 4\)"):
+                load_tape(path)
 
     def test_empty_tape(self, tape, tmp_path):
         path = tmp_path / "tape.json"
         save_tape(tape, path)
-        doc = json.loads(path.read_text())
-        doc["nodes"] = encode_array([0.0])
-        doc["orders"] = encode_array([], "<i8")
-        doc["states"] = encode_array(decode_array(doc["states"])[:1])
-        doc["newton"] = {"iterations": encode_array([], "<i8")}
-        path.write_text(json.dumps(doc))
+        header, arrays = read_tape(path)
+        write_tape(path, header, {"nodes": [0.0], "orders": np.array([], dtype="<i8"),
+                                  "states": arrays["states"][:1],
+                                  "newton.iterations": np.array([], dtype="<i8")})
         with pytest.raises(ValueError):
+            load_tape(path)
+
+    def test_missing_header_line(self, tape, tmp_path):
+        """A file without a newline has no header line: a version-4 header
+        alone, padded or not, is refused as such, and an empty file as
+        invalid JSON."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        line = path.read_bytes().partition(b"\n")[0]
+        for data, want in ((line, "no header line"), (line.rstrip(b" "), "no header line"),
+                           (b"", "invalid JSON")):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=want):
+                load_tape(path)
+
+    def test_truncated_payload(self, tape, tmp_path):
+        """A payload cut short, by one byte or inside an earlier array, is
+        refused: an array whose extent leaves the payload has fewer bytes
+        than its shape needs."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        data = path.read_bytes()
+        payload_start = data.index(b"\n") + 1
+        for end in (len(data) - 1, len(data) - 8, payload_start + 100, payload_start):
+            path.write_bytes(data[:end])
+            with pytest.raises(ValueError, match="bytes do not fill shape"):
+                load_tape(path)
+
+    @pytest.mark.parametrize("where", ["overlap", "gap", "trailing", "leading", "overrun"])
+    def test_payload_must_be_covered_once(self, tape, tmp_path, where):
+        """Arrays that overlap (orders moved onto the nodes' last bytes),
+        that leave a gap between them or bytes before the first or after the
+        last, or an extent past the payload's end whose bytes there fill its
+        shape (nbytes 8 more than the last array's) are refused, naming the
+        first payload byte at fault."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        doc, payload = split_tape(path)
+        nodes, orders = doc["nodes"], doc["orders"]
+        if where == "overlap":
+            orders["offset"] -= 8
+            want = f"payload byte {orders['offset']} is not in exactly one array"
+        elif where == "gap":
+            payload = payload[:orders["offset"]] + bytes(8) + payload[orders["offset"]:]
+            for field in (orders, doc["states"], doc["newton"]["iterations"]):
+                field["offset"] += 8
+            want = f"payload byte {nodes['nbytes']} is not in exactly one array"
+        elif where == "trailing":
+            want = f"payload byte {len(payload)} is not in exactly one array"
+            payload += bytes(8)
+        elif where == "overrun":
+            doc["newton"]["iterations"]["nbytes"] += 8
+            want = f"payload byte {len(payload)} is not in exactly one array"
+        else:
+            payload = bytes(8) + payload
+            for field in (nodes, orders, doc["states"], doc["newton"]["iterations"]):
+                field["offset"] += 8
+            want = "payload byte 0 is not in exactly one array"
+        path.write_bytes(tape_bytes(doc, payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {want}")):
             load_tape(path)
 
 
@@ -638,7 +762,7 @@ class TestAdjointRoundTrip:
     def test_earlier_version_refused(self, tape, tmp_path):
         """Version 1 copied the tape's problem and nodes, version 2 wrote
         the multipliers as a JSON list; such a file is refused by its
-        version, and tapes are at version 3."""
+        version, and tapes are at version 4."""
         adj = adjoint_sweep(CATENARY, tape)
         path = tmp_path / "adjoint.json"
         save_adjoint_results("0" * 64, adj, path)
@@ -650,7 +774,7 @@ class TestAdjointRoundTrip:
                                match=rf"unsupported version {version} \(supported: 3\)"):
                 load_adjoint_results(path)
         save_tape(tape, tmp_path / "tape.json")
-        assert json.loads((tmp_path / "tape.json").read_text())["version"] == 3
+        assert split_tape(tmp_path / "tape.json")[0]["version"] == 4
 
     def test_kkt_report(self, tape, tmp_path):
         adj = adjoint_sweep(CATENARY, tape)
@@ -659,8 +783,8 @@ class TestAdjointRoundTrip:
         save_kkt_report(report, path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "bdf-kkt"
-        # the report has its own version; tapes are at version 3
-        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 3
+        # the report has its own version; tapes are at version 4
+        assert doc["version"] == KKT_VERSION == 2 and FORMAT_VERSION == 4
         assert set(doc) == {"format", "version", "checks", "passed"}
         checks = {c.name: c for c in report}
         assert list(checks) == ["nominal_residual", "adjoint_residual", "initial_residual",

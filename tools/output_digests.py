@@ -8,11 +8,13 @@ For each workload of ``benchmarks/workloads.py`` the inputs for seed S are
 built in a temporary directory, and the stages run in this process through
 ``bdfadjoint.cli.main``, from the ``src/`` next to this script.  One line is
 printed per output file and per stage: ``<workload> <name> <sha256>``, where a
-stage's line also carries its exit code.  A JSON output is hashed by its
-parsed content, re-encoded as ``json.dumps(json.loads(text), sort_keys=True)``,
-so that a change to the layout alone compares equal, and once more as bytes,
-on a line ``<workload> <name>.bytes <sha256>``, so that a change to the bytes
-alone shows; CSV files and stdout are hashed as bytes.  The temporary
+stage's line also carries its exit code.  A ``.json`` output is hashed by its
+parsed content: its first line re-encoded as
+``json.dumps(json.loads(line), sort_keys=True)``, followed by the bytes after
+that line (a tape's payload of raw arrays; nothing for a one-line JSON
+document), so that a change to the JSON layout alone compares equal; and once
+more as bytes, on a line ``<workload> <name>.bytes <sha256>``, so that a
+change to the bytes alone shows.  CSV files and stdout are hashed as bytes.  The temporary
 directory's path is replaced by ``<workdir>`` in the stdout before hashing,
 so the lines of two checkouts can be compared with ``diff``.  Nothing under
 ``benchmarks/`` is written.  BLAS and OpenMP run on one thread, as in the
@@ -51,15 +53,16 @@ def _sha256(data: bytes) -> str:
 
 
 def _file_digests(path):
-    """[(name, digest)] of one output file: a JSON file's parsed content and
-    its bytes, another file's bytes."""
+    """[(name, digest)] of one output file: a JSON file's parsed header line
+    with the payload after it, and its bytes; another file's bytes."""
     if not path.is_file():
         return [(path.name, "missing")]
-    raw = _sha256(path.read_bytes())
+    data = path.read_bytes()
     if path.suffix != ".json":
-        return [(path.name, raw)]
-    parsed = json.dumps(json.loads(path.read_text()), sort_keys=True).encode()
-    return [(path.name, _sha256(parsed)), (f"{path.name}.bytes", raw)]
+        return [(path.name, _sha256(data))]
+    header, _, payload = data.partition(b"\n")
+    parsed = json.dumps(json.loads(header), sort_keys=True).encode() + payload
+    return [(path.name, _sha256(parsed)), (f"{path.name}.bytes", _sha256(data))]
 
 
 def workload_digests(name, seed):
