@@ -227,7 +227,6 @@ class IntegrationTape:
 
     problem_name: str
     problem_params: dict
-    dimension: int
     mode: str
     grid: TimeGrid
     states: np.ndarray                       # (N+1, d)
@@ -237,10 +236,8 @@ class IntegrationTape:
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         n = self.grid.n_steps
-        if states.shape != (n + 1, self.dimension):
-            raise ValueError(
-                f"states have shape {states.shape}, expected {(n + 1, self.dimension)}"
-            )
+        if states.ndim != 2 or len(states) != n + 1:
+            raise ValueError(f"states have shape {states.shape}, expected ({n + 1}, d)")
         object.__setattr__(self, "states", states)
         iterations = np.asarray(self.newton_iterations, dtype=int)
         if iterations.shape != (n,):
@@ -251,6 +248,10 @@ class IntegrationTape:
     @property
     def n_steps(self) -> int:
         return self.grid.n_steps
+
+    @property
+    def dimension(self) -> int:
+        return self.states.shape[1]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -671,8 +672,7 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     grid = TimeGrid(nodes=nodes, orders=orders)
 
     n_steps = grid.n_steps
-    d = problem.dimension
-    states = np.empty((n_steps + 1, d))
+    states = np.empty((n_steps + 1, problem.dimension))
     states[0] = problem.initial_state
     iters = np.zeros(n_steps, dtype=int)
     cache = _FactorCache()
@@ -691,7 +691,6 @@ def integrate_nonadaptive(problem, k: int, h: float) -> IntegrationTape:
     return IntegrationTape(
         problem_name=problem.name,
         problem_params=dict(problem.params),
-        dimension=d,
         mode="nonadaptive",
         grid=grid,
         states=states,
@@ -741,7 +740,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
 
     t0 = problem.initial_time
     tf = problem.final_time
-    d = problem.dimension
 
     f0 = problem.rhs(t0, problem.initial_state)
     f0_norm = np.linalg.norm(f0, 2)
@@ -840,7 +838,6 @@ def integrate_adaptive(problem, rtol: float, atol: float = ADAPTIVE_ATOL) -> Int
     return IntegrationTape(
         problem_name=problem.name,
         problem_params=dict(problem.params),
-        dimension=d,
         mode="adaptive",
         grid=grid,
         states=np.array(states),

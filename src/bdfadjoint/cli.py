@@ -151,11 +151,30 @@ def _integration_setup(settings):
     return mode, integrate_adaptive, {"rtol": rtol, "atol": atol}
 
 
+def _outputs(settings, default, inputs=(), csv=False):
+    """--out (else default) and, with csv, its .csv sibling, refused before
+    anything is read or written if one resolves to the file of --config, of
+    a setting named in inputs or of the other output."""
+    out = settings.get("out", default=default)
+    outputs = [("--out", out)] + [("the CSV", str(Path(out).with_suffix(".csv")))] * csv
+    files = {}
+    for label, path in [(f"--{key.replace('_', '-')}", settings.get(key))
+                        for key in ("config", *inputs) if settings.get(key)] + outputs:
+        try:
+            real = os.path.realpath(path)
+        except ValueError as exc:   # an embedded NUL
+            raise _UsageError(f"bad path {path!r}: {exc}") from exc
+        if real in files and (label, path) in outputs:
+            raise _UsageError(f"{files[real]} would be overwritten by {label} {path}")
+        files.setdefault(real, f"{label} {path}")
+    return [path for _, path in outputs]
+
+
 def cmd_integrate(ns) -> int:
     settings = _Settings(ns)
+    [out] = _outputs(settings, "tape.json")
     problem, _ = _build_problem(settings)
     mode, driver, kwargs = _integration_setup(settings)
-    out = settings.get("out", default="tape.json")
     try:
         tape = driver(problem, **kwargs)
     except ValueError as exc:
@@ -218,10 +237,7 @@ def _problem_for_tape(tape, settings=None):
 
 def cmd_adjoint(ns) -> int:
     settings = _Settings(ns)
-    out = settings.get("out", default="adjoint.json")
-    csv_path = str(Path(out).with_suffix(".csv"))
-    if Path(csv_path) == Path(out):
-        raise _UsageError(f"--out {out} would be overwritten by the CSV {csv_path}")
+    out, csv_path = _outputs(settings, "adjoint.json", ["tape"], csv=True)
     tape, digest = _load_input(settings, "tape", _read_tape, "tape")
     problem, _ = _problem_for_tape(tape, settings)
     try:   # verify's records of the forward system, y_0 = y_s and the N steps
@@ -248,6 +264,7 @@ def cmd_adjoint(ns) -> int:
 
 def cmd_converge(ns) -> int:
     settings = _Settings(ns)
+    [out] = _outputs(settings, "convergence.csv")
     problem, reference = _build_problem(settings)
     mode = settings.get("mode", default="nonadaptive")
     probes = settings.get_list("probe")
@@ -300,7 +317,6 @@ def cmd_converge(ns) -> int:
                       for i in range(len(probes))]
     table = ConvergenceTable(parameter=parameter, values=np.array(values), errors={
         name: np.array([e[j] for e, _ in points]) for j, name in enumerate(names)})
-    out = settings.get("out", default="convergence.csv")
     _write(write_convergence_csv, table, out)
     with warnings.catch_warnings(record=True) as caught:   # fit_order warns of excluded rows
         warnings.simplefilter("always")
@@ -362,6 +378,7 @@ def _map_forked(func, costs):
 
 def cmd_verify(ns) -> int:
     settings = _Settings(ns)
+    [out] = _outputs(settings, "kkt.json", ["tape", "adjoint_file"])
     tape, digest = _load_input(settings, "tape", _read_tape, "tape")
     record = _load_input(settings, "adjoint_file", load_adjoint_results,
                          "adjoint results")
@@ -387,7 +404,6 @@ def cmd_verify(ns) -> int:
     if not failed and not np.array_equal(record["jump_sizes"], adjoints.jump_sizes):
         raise _UsageError("adjoint file's jump table does not match its multipliers")
 
-    out = settings.get("out", default="kkt.json")
     _write(save_kkt_report, checks, out)
     print(*checks, sep="\n")
     print(f"report written to {out}")

@@ -6,22 +6,22 @@ environment-dependent is written.  A tape has one layout for both drivers:
 its nodes, orders, states and Newton iteration counts, with the problem, the
 mode and the driver's parameters; what those determine (coefficients, Newton
 tolerances, step residuals, error estimates) is derived on use, not written.
-A tape file is its header line, space-padded so that what follows its
-newline starts 8-byte aligned, then the payload: the arrays' exact
-little-endian C-ordered bytes back to back, each described in the header by
-{"dtype": "<f8" or "<i8", "shape": [...], "offset": ..., "nbytes": ...},
-offsets counted from the payload's start (NumPy's .npy idea for several
-arrays).  The adjoint document's multipliers are their bytes in base64,
-{"dtype", "shape", "base64"}.  Either way an array is read back as a
-read-only view of the file's bytes, so NaN payloads, signed zeros and
-subnormals round-trip bit for bit.  orjson writes everything else, and the
-adjoint CSV, each float as the shortest decimal that round-trips (the digits
-of Python's repr, in orjson's notation: 0.00001 for 1e-05, 1e16 for 1e+16).
-Identical inputs therefore produce byte-identical files.  orjson alone reads
-every document and reproduces the exact binary floating-point values; it
-returns an integer beyond 64 bits as the equal float.  A document orjson
-refuses (NaN or Infinity tokens, a number beyond binary64, a lone surrogate)
-cannot be written by this package, and is refused with ValueError.
+A tape file is its header line, space-padded so that the payload after its
+newline starts 8-byte aligned: the exact little-endian C-ordered bytes of
+the nodes, orders, states and Newton iteration counts, back to back in that
+order, each described in the header by {"dtype": "<f8" or "<i8", "shape"}
+alone (NumPy's .npy idea for several arrays).  The adjoint document's
+multipliers are their bytes in base64, {"dtype", "shape", "base64"}.  Either
+way an array is read back as a read-only view of the file's bytes, so NaN
+payloads, signed zeros and subnormals round-trip bit for bit.  orjson writes
+everything else, and the adjoint CSV, each float as the shortest decimal that
+round-trips (the digits of Python's repr, in orjson's notation: 0.00001 for
+1e-05, 1e16 for 1e+16).  Identical inputs therefore produce byte-identical
+files.  orjson alone reads every document and reproduces the exact binary
+floating-point values; it returns an integer beyond 64 bits as the equal
+float.  A document orjson refuses (NaN or Infinity tokens, a number beyond
+binary64, a lone surrogate) cannot be written by this package, and is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ def _encoded(values, dtype):
 
 def _array(doc, name, dtype, ndim=1, payload=None):
     """The array of doc[name], a read-only view of the bytes its "base64"
-    encodes (see :func:`_encoded`) or, with a payload, of the payload's at
-    its "offset" and "nbytes".  Another dtype, a shape that is not ndim
-    non-negative integers, an offset or nbytes that is not one, and bytes of
-    another length than the shape needs are refused with ValueError."""
+    encodes (see :func:`_encoded`) or, with a payload, of the payload's
+    first bytes, as many as its shape needs.  Another dtype, a shape that is
+    not ndim non-negative integers, and bytes of another length than the
+    shape needs are refused with ValueError."""
     field = doc[name]
     if not isinstance(field, dict) or field.get("dtype") != dtype:
         raise ValueError(f"{name}: not an array of dtype {dtype}")
@@ -122,35 +122,29 @@ def _array(doc, name, dtype, ndim=1, payload=None):
     if (not isinstance(shape, list) or len(shape) != ndim
             or not all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"{name}: shape {shape!r} is not {ndim} non-negative integers")
+    size = math.prod(shape) * np.dtype(dtype).itemsize
     if payload is None:
         try:
             data = binascii.a2b_base64(field["base64"])
         except binascii.Error as exc:
             raise ValueError(f"{name}: {exc}") from exc
     else:
-        start, size = field.get("offset"), field.get("nbytes")
-        if not (type(start) is type(size) is int and min(start, size) >= 0):
-            raise ValueError(f"{name}: offset {start!r} or nbytes {size!r} is not an integer >= 0")
-        data = payload[start:start + size]
-    if len(data) != math.prod(shape) * np.dtype(dtype).itemsize:
+        data = payload[:size]
+    if len(data) != size:
         raise ValueError(f"{name}: {len(data)} bytes do not fill shape {shape}")
     return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 def save_tape(tape: IntegrationTape, path) -> None:
-    payload = [np.ascontiguousarray(tape.grid.nodes, "<f8"),
-               np.ascontiguousarray(tape.grid.orders, "<i8"),
-               np.ascontiguousarray(tape.states, "<f8"),
-               np.ascontiguousarray(tape.newton_iterations, "<i8")]
-    offsets = np.cumsum([0] + [a.nbytes for a in payload]).tolist()
-    nodes, orders, states, iterations = (
-        {"dtype": a.dtype.str, "shape": a.shape, "offset": offset, "nbytes": a.nbytes}
-        for a, offset in zip(payload, offsets))
+    payload = [np.ascontiguousarray(a, dtype) for a, dtype in (
+        (tape.grid.nodes, "<f8"), (tape.grid.orders, "<i8"), (tape.states, "<f8"),
+        (tape.newton_iterations, "<i8"))]
+    nodes, orders, states, iterations = ({"dtype": a.dtype.str, "shape": a.shape}
+                                         for a in payload)
     _dump({
         "format": TAPE_FORMAT,
         "version": FORMAT_VERSION,
-        "problem": {"name": tape.problem_name, "params": tape.problem_params,
-                    "dimension": tape.dimension},
+        "problem": {"name": tape.problem_name, "params": tape.problem_params},
         "mode": tape.mode,
         "driver_params": tape.driver_params,
         "nodes": nodes, "orders": orders, "states": states,
@@ -161,9 +155,9 @@ def save_tape(tape: IntegrationTape, path) -> None:
 def load_tape(path, data=None) -> IntegrationTape:
     """Rebuild the tape of the file at path, whose bytes are data if the
     caller has read them already.  Its arrays are read-only views of those
-    bytes, which they must cover exactly; the coefficients and the Newton
-    tolerances are derived, not read, and keys the layout does not have are
-    ignored."""
+    bytes, in save_tape's order, which they must fill exactly; the dimension,
+    the coefficients and the Newton tolerances are derived, not read, and
+    keys the layout does not have are ignored."""
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -171,28 +165,19 @@ def load_tape(path, data=None) -> IntegrationTape:
     doc = _load_checked(path, TAPE_FORMAT, FORMAT_VERSION, memoryview(data)[:end])
     if data[end - 1:end] != b"\n":   # after the version: an older tape is one document
         raise ValueError(f"{path}: no header line")
-    payload = memoryview(data)[end:]
-    fields = ((doc, "nodes", "<f8", 1), (doc, "orders", "<i8", 1),
-              (doc, "states", "<f8", 2), (doc["newton"], "iterations", "<i8", 1))
-    nodes, orders, states, iterations = (_array(*field, payload) for field in fields)
-    position = 0   # the arrays, in order of offset, then the payload's end
-    for start, size in [*sorted((part[name]["offset"], part[name]["nbytes"])
-                                for part, name, *_ in fields), (len(payload), 0)]:
-        if start != position:   # a gap, an overlap, trailing bytes or an overrun
-            raise ValueError(f"{path}: payload byte {min(start, position)} is not in "
-                             "exactly one array")
-        position = start + size
+    payload, arrays = memoryview(data)[end:], []
+    for field in ((doc, "nodes", "<f8", 1), (doc, "orders", "<i8", 1),
+                  (doc, "states", "<f8", 2), (doc["newton"], "iterations", "<i8", 1)):
+        arrays.append(_array(*field, payload))
+        payload = payload[arrays[-1].nbytes:]
+    if len(payload):
+        raise ValueError(f"{path}: {len(payload)} payload bytes after the last array")
+    nodes, orders, states, iterations = arrays
     # TimeGrid and IntegrationTape check the shapes against each other
     tape = IntegrationTape(
-        problem_name=doc["problem"]["name"],
-        problem_params=doc["problem"]["params"],
-        dimension=int(doc["problem"]["dimension"]),
-        mode=doc["mode"],
-        grid=TimeGrid(nodes=nodes, orders=orders),
-        states=states,
-        newton_iterations=iterations,
-        driver_params=doc.get("driver_params", {}),
-    )
+        problem_name=doc["problem"]["name"], problem_params=doc["problem"]["params"],
+        mode=doc["mode"], grid=TimeGrid(nodes=nodes, orders=orders), states=states,
+        newton_iterations=iterations, driver_params=doc.get("driver_params", {}))
     # derived now, so that a tape whose driver's rule cannot be applied (an
     # unknown mode, an adaptive run without rtol) is refused at load
     tape.newton_tolerances

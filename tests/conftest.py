@@ -144,28 +144,28 @@ def split_tape(path):
 def read_tape(path):
     """(header, arrays) of the tape file at path, read with json and
     np.frombuffer: arrays maps each name of TAPE_ARRAYS to a writable copy
-    of the array its header field lays out in the payload."""
+    of its array, the arrays lying back to back in the payload in that
+    order, each as many bytes as its header field's shape needs."""
     header, payload = split_tape(path)
-    arrays = {}
+    arrays, offset = {}, 0
     for name in TAPE_ARRAYS:
         field = tape_field(header, name)
         arrays[name] = np.frombuffer(payload, dtype=field["dtype"],
                                      count=math.prod(field["shape"]),
-                                     offset=field["offset"]).reshape(field["shape"]).copy()
+                                     offset=offset).reshape(field["shape"]).copy()
+        offset += arrays[name].nbytes
     return header, arrays
 
 
 def write_tape(path, header, arrays):
     """Write a tape file of header and arrays ({name: array}, names as in
-    TAPE_ARRAYS): the arrays laid out back to back in the order given, each
-    one's header field set to its dtype, shape, offset and nbytes."""
-    payload, offset = [], 0
-    for name, values in arrays.items():
-        array = np.ascontiguousarray(values)
-        tape_field(header, name).update(dtype=array.dtype.str, shape=list(array.shape),
-                                        offset=offset, nbytes=array.nbytes)
+    TAPE_ARRAYS): the arrays back to back in the order of TAPE_ARRAYS, each
+    one's header field set to its dtype and shape."""
+    payload = []
+    for name in TAPE_ARRAYS:
+        array = np.ascontiguousarray(arrays[name])
+        tape_field(header, name).update(dtype=array.dtype.str, shape=list(array.shape))
         payload.append(array.tobytes())
-        offset += array.nbytes
     Path(path).write_bytes(tape_bytes(header, b"".join(payload)))
 
 

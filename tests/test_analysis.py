@@ -146,7 +146,7 @@ class TestBandProduct:
             highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
             grid = TimeGrid(nodes=nodes, orders=rng.integers(1, highest + 1))
             a = coefficient_band(IntegrationTape(
-                problem_name="catenary", problem_params={}, dimension=1,
+                problem_name="catenary", problem_params={},
                 mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
                 newton_iterations=np.zeros(n_steps, dtype=int)))
             self._assert_bit_equal(a, _with_signed_zeros(
@@ -164,7 +164,7 @@ class TestBandProduct:
             highest = np.minimum(np.arange(1, n_steps + 1), MAX_ORDER)
             grid = TimeGrid(nodes=nodes, orders=rng.integers(1, highest + 1))
             a = coefficient_band(IntegrationTape(
-                problem_name="catenary", problem_params={}, dimension=1,
+                problem_name="catenary", problem_params={},
                 mode="nonadaptive", grid=grid, states=np.zeros((n_steps + 1, 1)),
                 newton_iterations=np.zeros(n_steps, dtype=int)))
             x = rng.choice([1.0, -2.0, np.inf, -np.inf, np.nan], size=(n_steps + 1, 2))

@@ -38,8 +38,8 @@ from bdfadjoint.bdf import IntegrationTape, TimeGrid
 from bdfadjoint.serialize import (ADJOINT_VERSION, FORMAT_VERSION, KKT_VERSION, _dump,
                                   _load_checked, tape_sha256, write_adjoint_csv,
                                   write_convergence_csv)
-from conftest import (decode_array, earlier_tape_bytes, encode_array, read_tape,
-                      split_tape, tape_bytes, write_tape)
+from conftest import (TAPE_ARRAYS, decode_array, earlier_tape_bytes, encode_array,
+                      read_tape, split_tape, tape_bytes, tape_field, write_tape)
 
 CATENARY, _ = get_problem("catenary")
 
@@ -144,7 +144,7 @@ class TestTapeRoundTrip:
         """The header is one line of sorted-key JSON, space-padded so that
         the payload starts 8-byte aligned, that parses to the document json's
         indent=2 layout of it holds; a header in json's spaced layout,
-        unpadded, still loads, since offsets count from the payload's start."""
+        unpadded, still loads, since the payload starts after its newline."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         line, _, payload = path.read_bytes().partition(b"\n")
@@ -253,7 +253,7 @@ class TestFloatEncoding:
         n = nodes.size - 1
         tape = IntegrationTape(
             problem_name="linear", problem_params={"c": corpus.tolist()},
-            dimension=2, mode="nonadaptive",
+            mode="nonadaptive",
             grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
             states=np.resize(corpus, (n + 1, 2)),
             newton_iterations=np.ones(n, dtype=int))
@@ -444,7 +444,7 @@ class TestBinaryArrays:
         nodes = np.sort(nodes)
         n = nodes.size - 1
         tape = IntegrationTape(
-            problem_name="catenary", problem_params={}, dimension=d, mode="nonadaptive",
+            problem_name="catenary", problem_params={}, mode="nonadaptive",
             grid=TimeGrid(nodes=nodes, orders=np.ones(n, dtype=int)),
             states=np.resize(values, (n + 1, d)),
             newton_iterations=np.resize(raw.view(np.int64), n))
@@ -468,30 +468,27 @@ class TestBinaryArrays:
         assert back.grid.orders.tobytes() == tape.grid.orders.tobytes()
 
     def test_reader_refuses_malformed_fields(self, tape, tmp_path):
-        """Another dtype, another rank, a shape that is not non-negative
-        integers, an extent shorter or longer than its shape needs, and an
-        offset or extent that is not a non-negative integer or leaves the
-        payload are each refused with ValueError naming the field."""
+        """Another dtype, another rank and a shape that is not non-negative
+        integers are each refused with ValueError naming the field; a shape
+        of one row more than the payload holds is refused naming the array
+        whose bytes then run short, the last."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         doc, payload = split_tape(path)
         states = doc["states"]
         rows, d = states["shape"]
-        start, size = states["offset"], states["nbytes"]
         for field in ({**states, "dtype": "<i8"}, {**states, "dtype": ">f8"},
                       {**states, "shape": [rows * d]}, {**states, "shape": [rows, d, 1]},
                       {**states, "shape": [rows, -d]}, {**states, "shape": [rows, 2.0]},
-                      {**states, "shape": [rows, True]}, {**states, "shape": "[1, 2]"},
-                      {**states, "shape": [rows + 1, d]},
-                      {**states, "nbytes": size - 8}, {**states, "nbytes": size + 8},
-                      {**states, "offset": -8}, {**states, "offset": float(start)},
-                      {**states, "offset": True}, {**states, "nbytes": str(size)},
-                      {**states, "offset": len(payload) - size + 8},
-                      {**states, "nbytes": len(payload) - start + 8},
-                      {key: value for key, value in states.items() if key != "offset"}):
+                      {**states, "shape": [rows, True]}, {**states, "shape": "[1, 2]"}):
             path.write_bytes(tape_bytes({**doc, "states": field}, payload))
             with pytest.raises(ValueError, match="^states: "):
                 load_tape(path)
+        path.write_bytes(tape_bytes({**doc, "states": {**states, "shape": [rows + 1, d]}},
+                                    payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"iterations: {8 * (rows - 1 - d)} bytes do not fill shape [{rows - 1}]")):
+            load_tape(path)
 
     def test_adjoint_reader_refuses_malformed_base64(self, tape, tmp_path):
         """The multipliers' base64 holding one row too few or too many, one
@@ -525,7 +522,7 @@ class TestBinaryArrays:
         values = np.array(bits, dtype=np.uint64).view(np.float64)
         n = values.size - 1
         tape = IntegrationTape(
-            problem_name="catenary", problem_params={}, dimension=1, mode="nonadaptive",
+            problem_name="catenary", problem_params={}, mode="nonadaptive",
             grid=TimeGrid(nodes=np.arange(n + 1.0), orders=np.ones(n, dtype=int)),
             states=values[:, None], newton_iterations=np.ones(n, dtype=int))
         with tempfile.TemporaryDirectory() as tmp:
@@ -534,7 +531,7 @@ class TestBinaryArrays:
             header, arrays = read_tape(path)
             assert arrays["states"].tobytes() == values.tobytes()
             arrays["states"] = arrays["states"][::-1]
-            write_tape(path, header, dict(reversed(arrays.items())))
+            write_tape(path, header, arrays)
             back = load_tape(path)
         assert back.states.tobytes() == values[::-1].tobytes()
         assert not back.states.flags.writeable
@@ -686,8 +683,8 @@ class TestRejection:
 
     def test_truncated_payload(self, tape, tmp_path):
         """A payload cut short, by one byte or inside an earlier array, is
-        refused: an array whose extent leaves the payload has fewer bytes
-        than its shape needs."""
+        refused: the array whose bytes run short has fewer than its shape
+        needs."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         data = path.read_bytes()
@@ -697,39 +694,50 @@ class TestRejection:
             with pytest.raises(ValueError, match="bytes do not fill shape"):
                 load_tape(path)
 
-    @pytest.mark.parametrize("where", ["overlap", "gap", "trailing", "leading", "overrun"])
+    @pytest.mark.parametrize("where", ["trailing", "fewer"])
     def test_payload_must_be_covered_once(self, tape, tmp_path, where):
-        """Arrays that overlap (orders moved onto the nodes' last bytes),
-        that leave a gap between them or bytes before the first or after the
-        last, or an extent past the payload's end whose bytes there fill its
-        shape (nbytes 8 more than the last array's) are refused, naming the
-        first payload byte at fault."""
+        """Bytes after the last array, appended or left over by shapes that
+        need fewer bytes than the payload holds (one Newton iteration count
+        fewer), are refused, with their count."""
         path = tmp_path / "tape.json"
         save_tape(tape, path)
         doc, payload = split_tape(path)
-        nodes, orders = doc["nodes"], doc["orders"]
-        if where == "overlap":
-            orders["offset"] -= 8
-            want = f"payload byte {orders['offset']} is not in exactly one array"
-        elif where == "gap":
-            payload = payload[:orders["offset"]] + bytes(8) + payload[orders["offset"]:]
-            for field in (orders, doc["states"], doc["newton"]["iterations"]):
-                field["offset"] += 8
-            want = f"payload byte {nodes['nbytes']} is not in exactly one array"
-        elif where == "trailing":
-            want = f"payload byte {len(payload)} is not in exactly one array"
+        if where == "trailing":
             payload += bytes(8)
-        elif where == "overrun":
-            doc["newton"]["iterations"]["nbytes"] += 8
-            want = f"payload byte {len(payload)} is not in exactly one array"
         else:
-            payload = bytes(8) + payload
-            for field in (nodes, orders, doc["states"], doc["newton"]["iterations"]):
-                field["offset"] += 8
-            want = "payload byte 0 is not in exactly one array"
+            doc["newton"]["iterations"]["shape"][0] -= 1
         path.write_bytes(tape_bytes(doc, payload))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {want}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: 8 payload bytes after the last array")):
             load_tape(path)
+
+    def test_header_with_offsets_and_dimension_loads(self, tape, tmp_path):
+        """A header that also holds each array's offset and nbytes and the
+        problem's dimension, as the first version-4 tapes were written, with
+        the arrays in the same order, loads to a bit-identical tape: the
+        extra keys are ignored."""
+        path = tmp_path / "tape.json"
+        save_tape(tape, path)
+        doc, payload = split_tape(path)
+        offset = 0
+        for name in TAPE_ARRAYS:
+            field = tape_field(doc, name)
+            field["nbytes"] = math.prod(field["shape"]) * 8
+            field["offset"], offset = offset, offset + field["nbytes"]
+        assert offset == len(payload)
+        doc["problem"]["dimension"] = tape.dimension
+        older = tmp_path / "older.json"
+        older.write_bytes(tape_bytes(doc, payload))
+        back, want = load_tape(older), load_tape(path)
+        for got, expected in ((back.grid.nodes, want.grid.nodes),
+                              (back.grid.orders, want.grid.orders),
+                              (back.states, want.states),
+                              (back.newton_iterations, want.newton_iterations)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert (back.problem_name, back.problem_params, back.mode, back.driver_params) == (
+            want.problem_name, want.problem_params, want.mode, want.driver_params)
+        assert back.dimension == tape.dimension == 2
 
 
 class TestAdjointRoundTrip:
