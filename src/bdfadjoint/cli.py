@@ -28,7 +28,7 @@ from .bdf import (ADAPTIVE_ATOL, MAX_ORDER, SolverError, integrate_adaptive,
                   integrate_nonadaptive)
 from .problems import get_problem
 from .serialize import (load_adjoint_results, load_tape, save_adjoint_results,
-                        save_kkt_report, save_tape, tape_sha256,
+                        save_kkt_report, save_tape, staged, tape_sha256,
                         write_adjoint_csv, write_convergence_csv)
 
 EXIT_OK = 0
@@ -179,7 +179,7 @@ def cmd_integrate(ns) -> int:
         tape = driver(problem, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _write(save_tape, tape, out)
+    _write((save_tape, tape, out))
     orders = tape.grid.orders
     print(f"problem={problem.name} mode={mode} steps N={tape.n_steps} "
           f"nodes={tape.grid.nodes.size}")
@@ -189,13 +189,20 @@ def cmd_integrate(ns) -> int:
     return EXIT_OK
 
 
-def _write(save, *args):
-    """save(*args), whose last argument is the output path; a path that
-    cannot be opened for writing, a directory among them, is a usage error."""
+def _write(*saves):
+    """save(*args, part) for each (save, *args, path) of saves, part the
+    stand-in of the output path (see serialize.staged; the writer stages
+    its own file onto it): the outputs are replaced only once every save
+    has returned, so that a stage refused on one of them leaves all as they
+    were.  A path that cannot be written, a directory among them, is a
+    usage error that names it."""
+    path = saves[0][-1]
     try:
-        save(*args)
+        with staged(*(save[-1] for save in saves)) as parts:
+            for (save, *args, path), part in zip(saves, parts):   # path: for the error
+                save(*args, part)
     except OSError as exc:
-        raise _UsageError(f"cannot write {args[-1]}: {exc.strerror or exc}") from exc
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_input(settings, key, load, what):
@@ -247,12 +254,8 @@ def cmd_adjoint(ns) -> int:
     if failed:
         raise _UsageError(f"tape failed validation against its problem: {failed[0]}")
     adjoints = adjoint_sweep(problem, tape)
-    _write(save_adjoint_results, digest, adjoints, out)
-    try:
-        _write(write_adjoint_csv, adjoints, csv_path)
-    except _UsageError:
-        Path(out).unlink()   # both outputs or neither
-        raise
+    _write((save_adjoint_results, digest, adjoints, out),
+           (write_adjoint_csv, adjoints, csv_path))   # both outputs or neither
     grad = ", ".join(repr(float(v)) for v in adjoints.gradient)
     lam_n = ", ".join(repr(float(v)) for v in adjoints.lambdas[-1])
     print(f"adjoint sweep over N={tape.n_steps} steps")
@@ -317,7 +320,7 @@ def cmd_converge(ns) -> int:
                       for i in range(len(probes))]
     table = ConvergenceTable(parameter=parameter, values=np.array(values), errors={
         name: np.array([e[j] for e, _ in points]) for j, name in enumerate(names)})
-    _write(write_convergence_csv, table, out)
+    _write((write_convergence_csv, table, out))
     with warnings.catch_warnings(record=True) as caught:   # fit_order warns of excluded rows
         warnings.simplefilter("always")
         for name in names:
@@ -404,7 +407,7 @@ def cmd_verify(ns) -> int:
     if not failed and not np.array_equal(record["jump_sizes"], adjoints.jump_sizes):
         raise _UsageError("adjoint file's jump table does not match its multipliers")
 
-    _write(save_kkt_report, checks, out)
+    _write((save_kkt_report, checks, out))
     print(*checks, sep="\n")
     print(f"report written to {out}")
     if failed:

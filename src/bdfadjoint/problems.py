@@ -376,25 +376,42 @@ def linear_test_problem(a, y_s, t_s: float, t_f: float, c=None):
         band=band,
     )
 
-    # expm is imported on evaluation, so that only converge loads scipy.linalg
     def nominal(t):
-        from scipy.linalg import expm
-        return expm(a * (t - t_s)) @ y_s
+        return _expm(a * (t - t_s)) @ y_s
 
     def classical_adjoint(t):
-        from scipy.linalg import expm
-        return expm(a.T * (t_f - t)) @ c
+        return _expm(a.T * (t_f - t)) @ c
 
     def weak_adjoint(t):
-        from scipy.linalg import expm
         augmented = np.zeros((d + 1, d + 1))
         augmented[:d, :d] = a.T
         augmented[:d, d] = c
-        phi = expm(augmented * (t - t_s))[:d, d]
-        return expm(a.T * (t_f - t)) @ phi
+        phi = _expm(augmented * (t - t_s))[:d, d]
+        return _expm(a.T * (t_f - t)) @ phi
 
     reference = AnalyticReference(nominal, classical_adjoint, weak_adjoint)
     return problem, reference
+
+
+def _expm(m):
+    """exp(m) by scaling and squaring (Moler & Van Loan, SIAM Rev. 2003): the
+    degree-18 Taylor polynomial of m / 2^s, 2^s the least power of two above
+    the 1-norm of m, by Horner's rule, then squared s times, holding three
+    d x d arrays (m, the polynomial and a product).  Like scipy.linalg.expm,
+    a diagonal m gives exp of its diagonal, and a non-finite or overflowing
+    m non-finite entries, without raising."""
+    if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        return np.diag(np.exp(m.diagonal()))
+    s = max(int(np.frexp(np.linalg.norm(m, 1))[1]), 0)   # 0 for a NaN or inf norm
+    r = m * (2.0 ** -s / 18)
+    r.flat[::len(m) + 1] += 1
+    for k in range(17, 0, -1):
+        r = m @ r
+        r *= 2.0 ** -s / k
+        r.flat[::len(m) + 1] += 1
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _from_entries(entries, n):

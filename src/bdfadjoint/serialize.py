@@ -21,14 +21,20 @@ files.  orjson alone reads every document and reproduces the exact binary
 floating-point values; it returns an integer beyond 64 bits as the equal
 float.  A document orjson refuses (NaN or Infinity tokens, a number beyond
 binary64, a lone surrogate) cannot be written by this package, and is
-refused with ValueError.
+refused with ValueError.  Every writer writes a stand-in beside its output
+and replaces the output with it only once it is complete (:func:`staged`),
+so that a writer that fails or is killed leaves the output as it was.
 """
 
 from __future__ import annotations
 
 import binascii
+import contextlib
 import csv
 import math
+import os
+import stat
+import tempfile
 
 import numpy as np
 import orjson
@@ -49,6 +55,7 @@ __all__ = [
     "write_adjoint_csv",
     "save_kkt_report",
     "write_convergence_csv",
+    "staged",
 ]
 
 FORMAT_VERSION = 4    # tapes: a JSON header line, then the arrays' raw bytes
@@ -66,18 +73,57 @@ def _contiguous(obj):
     raise TypeError(f"type {type(obj).__name__} is not JSON serializable")
 
 
+@contextlib.contextmanager
+def staged(*paths):
+    """Stand-ins for the output paths, symlinks followed: each a new file
+    in its output's directory, with the mode open(path, "w") leaves the
+    output with (an existing file's own, else 0o666 less the umask), or,
+    where the output exists and is not a regular file (/dev/null, a FIFO, a
+    directory, which opening then refuses), the output itself, written in
+    place.  When the body returns, the stand-ins replace their outputs in
+    turn; whatever raises removes the stand-ins that are left, so that the
+    outputs keep their bytes.  Nothing is synced to disk: the guarantee
+    covers a failed or killed writer, not a power loss."""
+    umask = os.umask(0)
+    os.umask(umask)
+    parts, pending = [], []
+    try:
+        for path in map(os.path.realpath, paths):
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = stat.S_IFREG | 0o666 & ~umask
+            if not stat.S_ISREG(mode):
+                parts.append(path)
+                continue
+            fd, part = tempfile.mkstemp(dir=os.path.dirname(path),
+                                        prefix=f".{os.path.basename(path)}.")
+            os.close(fd)
+            pending.append((part, path))
+            os.chmod(part, stat.S_IMODE(mode))
+            parts.append(part)
+        yield parts
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
+    finally:
+        for part, _ in pending:
+            with contextlib.suppress(OSError):   # not to hide what raised
+                os.unlink(part)
+
+
 def _dump(doc, path, payload=()):
     """Write doc as one line of sorted-key JSON, then the arrays of payload
     as their bytes, the line space-padded so that they start 8-byte aligned.
     A value orjson cannot encode (an integer beyond 64 bits) raises
-    ValueError before the file is opened."""
+    ValueError before anything is written."""
     try:
         data = orjson.dumps(doc, default=_contiguous, option=orjson.OPT_SORT_KEYS
                             | orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError as exc:
         raise ValueError(f"cannot encode {path}: {exc}") from exc
     pad = b" " * (-(len(data) + 1) % 8) if payload else b""
-    with open(path, "wb") as fh:
+    with staged(path) as [part], open(part, "wb") as fh:
         fh.writelines([data, pad + b"\n", *payload])
 
 
@@ -236,7 +282,7 @@ def write_adjoint_csv(adjoints, path) -> None:
     # CSV row; \r\n as csv writes
     body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
     rows, start = memoryview(body), 2
-    with open(path, "wb") as fh:
+    with staged(path) as [part], open(part, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for _ in range(len(block)):
             end = body.find(b"]", start)
@@ -268,7 +314,7 @@ def write_convergence_csv(table: ConvergenceTable, path) -> None:
     for name in names:
         header += [f"error_{name}", f"order_{name}"]
     orders = {name: table.orders(name) for name in names}
-    with open(path, "w", newline="") as fh:
+    with staged(path) as [part], open(part, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, v in enumerate(table.values):

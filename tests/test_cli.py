@@ -18,6 +18,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -297,13 +298,15 @@ class TestIntegrate:
         params = load_tape(tmp_path / "heat.json").problem_params
         assert get_problem("linear", **params)[0].band == (1, 1)
 
-    def test_converge_on_linear_loads_its_reference(self, tmp_path):
-        """converge evaluates the linear reference's matrix exponentials, so
-        it is the one stage that imports scipy.linalg, and it still runs."""
+    def test_converge_on_linear_leaves_linalg_and_sparse_unloaded(self, tmp_path):
+        """converge evaluates the linear reference's matrix exponentials by
+        the package's own NumPy kernel, so it too imports none of
+        scipy.linalg, scipy.sparse and scipy.integrate."""
         argv = ["converge", "--config", str(_heat_config(tmp_path, 8)),
                 "--order", "2", "--h", "0.25,0.125",
                 "--out", str(tmp_path / "convergence.csv")]
-        _fresh_python(_STAGES_THEN_CHECK, json.dumps([argv]), "")
+        _fresh_python(_STAGES_THEN_CHECK, json.dumps([argv]),
+                      "scipy.linalg,scipy.sparse,scipy.integrate")
 
     def test_scipy_linalg_imports_after_bdf(self):
         """Loading SciPy's LAPACK extension first leaves scipy.linalg
@@ -1680,7 +1683,7 @@ class TestOutputPath:
 
     def test_adjoint_unwritable_csv_leaves_no_json(self, tmp_path, capsys):
         """adjoint writes both of its outputs or neither: a directory in the
-        CSV's place fails it after the JSON was written, which is removed."""
+        CSV's place fails it after the JSON was staged, which is removed."""
         args = self._args(tmp_path, "adjoint")
         out, csv_path = tmp_path / "q.json", tmp_path / "q.csv"
         csv_path.mkdir()
@@ -1691,6 +1694,108 @@ class TestOutputPath:
         assert captured.err == f"error: cannot write {csv_path}: Is a directory\n"
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_adjoint_refused_on_its_csv_keeps_the_earlier_json(self, tmp_path, capsys):
+        """An a.json that an earlier run wrote keeps its bytes when the next
+        run is refused on a.csv, a directory now, and so does every file."""
+        args = self._args(tmp_path, "adjoint")
+        out, csv_path = tmp_path / "a.json", tmp_path / "a.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        csv_path.unlink()
+        csv_path.mkdir()
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {csv_path}: Is a directory\n"
+        assert _tree(tmp_path) == before
+
+    def test_out_hard_linked_to_the_tape_leaves_the_tape(self, tmp_path):
+        """A hard link is not refused, as a symlink is, but --out h.json,
+        a hard link to the tape t.json, gets a file of its own: t.json keeps
+        the tape's bytes, and h.json and h.csv hold the adjoint outputs."""
+        tape, link = tmp_path / "t.json", tmp_path / "h.json"
+        assert main(["integrate", "--order", "2", "--h", "0.25", "--out", str(tape)]) == 0
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        assert main(["adjoint", "--tape", str(tape), "--out", str(ref / "h.json")]) == 0
+        tape_bytes = tape.read_bytes()
+        os.link(tape, link)
+        assert main(["adjoint", "--tape", str(tape), "--out", str(link)]) == 0
+        assert _tree(tmp_path) == {
+            "t.json": tape_bytes, "ref": None,
+            **{name: (ref / name).read_bytes() for name in ("h.json", "h.csv")},
+            **{f"ref/{name}": (ref / name).read_bytes() for name in ("h.json", "h.csv")}}
+
+    def test_writer_failing_halfway_keeps_earlier_outputs(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A CSV writer that raises after writing part of its file, as on a
+        full disk, leaves both outputs of the earlier run byte-identical and
+        no stand-in behind."""
+        args = self._args(tmp_path, "adjoint")
+        out = tmp_path / "a.json"
+        assert main([*args, "--out", str(out)]) == 0
+        before = _tree(tmp_path)
+
+        def half_written(adjoints, path):
+            Path(path).write_bytes(b"t,lambda_1\r\n0.25,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_module, "write_adjoint_csv", half_written)
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot write {out.with_suffix('.csv')}: "
+                                           "No space left on device\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("stage", ["integrate", "adjoint", "verify", "converge"])
+    def test_out_dev_null(self, tmp_path, capsys, stage):
+        """An output that exists and is not a regular file is written in
+        place: --out /dev/null, or for adjoint, whose CSV /dev/null.csv
+        would be a new file, an --out symlinked to it."""
+        args = self._args(tmp_path, stage)
+        out = "/dev/null"
+        if stage == "adjoint":
+            out = str(tmp_path / "null.json")
+            os.symlink("/dev/null", out)
+        assert main([*args, "--out", out]) == 0
+        assert stat.S_ISCHR(os.stat(out).st_mode)
+        if stage == "adjoint":
+            assert os.readlink(out) == "/dev/null"
+            assert (tmp_path / "null.csv").read_bytes().startswith(b"t,lambda_1,")
+        assert not any(p.name.startswith(".") for p in tmp_path.iterdir())
+
+    def test_outputs_get_the_mode_of_open(self, tmp_path):
+        """The stand-in that becomes an output has the mode open() leaves
+        it with, not mkstemp's 0o600: a new output's is the process's
+        umask applied to 0o666, and an existing output keeps its own."""
+        old = tmp_path / "old.json"
+        old.touch(mode=0o604)
+        previous = os.umask(0o027)
+        try:
+            (tmp_path / "plain").touch()
+            for out in ("new.json", "old.json"):
+                assert main(["integrate", "--order", "2", "--h", "0.25",
+                             "--out", str(tmp_path / out)]) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"plain": 0o640, "new.json": 0o640, "old.json": 0o604}
+
+    def test_out_through_a_symlink_updates_its_target(self, tmp_path):
+        """An --out that is a symlink stays one, and its target is the file
+        that gets the new bytes."""
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"old")
+        os.symlink(target, link)
+        assert main(["integrate", "--order", "2", "--h", "0.25", "--out", str(link)]) == 0
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes().startswith(b'{"driver_params"')
+
+
+def _tree(root):
+    """{relative path: bytes, or None for a directory} of everything under root."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from bdfadjoint import (OdeProblem, adjoint_sweep, catenary_problem, get_problem,
                         integrate_nonadaptive, linear_test_problem, tape_residuals,
                         verify_kkt)
+from bdfadjoint.problems import _expm
 
 
 def _central_derivative(fn, t, eps=1e-6):
@@ -95,6 +96,73 @@ class TestCatenary:
             catenary_problem(p=0.0, A=-3.0, t_f=2.0)
         with pytest.raises(ValueError):
             catenary_problem(p=3.0, A=-3.0, t_f=0.0)
+
+
+def _relative_1norm(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+class TestExpm:
+    """The references' matrix exponential against scipy.linalg.expm, the
+    oracle here only, and the eigendecomposition of a symmetric matrix."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
+    def test_random_matrices_match_scipy(self, scale):
+        """Entries N(0, scale^2 / 50), so that the spectral radius is near
+        scale and exp(m) stays finite: within 1e-12 in the relative 1-norm."""
+        from scipy.linalg import expm
+        rng = np.random.default_rng(20261021)
+        for _ in range(3):
+            m = scale / np.sqrt(50) * rng.standard_normal((50, 50))
+            assert _relative_1norm(_expm(m), expm(m)) <= 1e-12
+
+    def test_heat_adjoint_matches_scipy_and_eigh(self):
+        """lambda(t_s) = exp(a^T / 2) c of the d = 400 heat matrix, whose
+        1-norm of 3.2e4 takes 15 squarings: within 1e-11 of scipy's and of
+        the closed form V exp(w / 2) V^T c."""
+        from scipy.linalg import expm
+        d = 400
+        dx = 1.0 / (d + 1)
+        a = (0.1 / dx ** 2) * (np.diag(np.full(d, -2.0)) + np.diag(np.ones(d - 1), 1)
+                               + np.diag(np.ones(d - 1), -1))
+        c = np.full(d, dx)
+        w, v = np.linalg.eigh(a)
+        got = _expm(a.T * 0.5) @ c
+        for want in (expm(a.T * 0.5) @ c, v @ (np.exp(0.5 * w) * (v.T @ c))):
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_zero_matrix_gives_the_identity(self):
+        """exp(0) = I exactly, so at t_s the flow is y_s and the weak
+        adjoint zero, bit for bit."""
+        assert _expm(np.zeros((3, 3))).tolist() == np.eye(3).tolist()
+        a = [[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]]
+        y_s = np.array([0.3, -1.7, 2.0 ** -40])
+        _, ref = linear_test_problem(a, y_s=y_s, t_s=0.25, t_f=1.0, c=[1.0, 0.5, 0.25])
+        assert ref.nominal(0.25).tolist() == y_s.tolist()
+        assert ref.weak_adjoint(0.25).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("m, want", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, np.e]]),
+        ([[np.inf, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, np.e]]),
+        ([[1e308, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, np.e]]),
+        ([[1.0, np.nan], [2.0, 1.0]], np.full((2, 2), np.nan)),
+        ([[1.0, 2.0], [np.inf, 1.0]], None),
+        ([[1e308, 1e308], [-1e308, 1.0]], None),
+    ])
+    def test_non_finite_input_gives_non_finite_output(self, m, want):
+        """Without raising: a diagonal m gives exp of its diagonal, as
+        scipy's does, and a NaN elsewhere NaN everywhere; an inf or a
+        1-norm beyond the floats (whose guard would take log2 of inf)
+        leaves no entry finite."""
+        from scipy.linalg import expm
+        m = np.array(m)
+        with np.errstate(all="ignore"):
+            got, oracle = _expm(m), expm(m)
+        if want is None:
+            assert not np.isfinite(got).any() and not np.isfinite(oracle).any()
+        else:
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(oracle, want)
 
 
 class TestLinear:

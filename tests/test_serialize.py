@@ -16,9 +16,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +38,7 @@ from bdfadjoint import (adjoint_sweep, compute_coefficients, get_problem,
 from bdfadjoint.analysis import COEFFICIENT_TOL, JACOBIAN_TOL, ConvergenceTable
 from bdfadjoint.bdf import IntegrationTape, TimeGrid
 from bdfadjoint.serialize import (ADJOINT_VERSION, FORMAT_VERSION, KKT_VERSION, _dump,
-                                  _load_checked, tape_sha256, write_adjoint_csv,
+                                  _load_checked, staged, tape_sha256, write_adjoint_csv,
                                   write_convergence_csv)
 from conftest import (TAPE_ARRAYS, decode_array, earlier_tape_bytes, encode_array,
                       read_tape, split_tape, tape_bytes, tape_field, write_tape)
@@ -864,3 +866,70 @@ class TestCsv:
         assert rows[1][2] == ""  # no order for the first sweep point
         assert float(rows[2][2]) == pytest.approx(2.0, abs=1e-12)
         assert float(rows[3][4]) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStaged:
+    """Every writer writes a stand-in beside its output and replaces the
+    output with it once complete."""
+
+    def _table(self):
+        hs = np.array([0.25, 0.125, 0.0625])
+        return ConvergenceTable(parameter="h", values=hs, errors={"tf": hs ** 2})
+
+    def test_writer_raising_halfway_keeps_the_output(self, tmp_path, monkeypatch):
+        """A convergence CSV whose third row raises, after two rows were
+        written, leaves the earlier file byte-identical and alone in its
+        directory."""
+        path = tmp_path / "conv.csv"
+        write_convergence_csv(self._table(), path)
+        before = path.read_bytes()
+        writer = csv.writer
+
+        def failing(fh):
+            rows, written = writer(fh), []
+
+            def writerow(row):
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+                written.append(rows.writerow(row))
+            return SimpleNamespace(writerow=writerow)
+
+        monkeypatch.setattr(csv, "writer", failing)
+        with pytest.raises(OSError, match="No space left"):
+            write_convergence_csv(self._table(), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["conv.csv"]
+
+    def test_outputs_replaced_together_or_not_at_all(self, tmp_path):
+        """Two outputs: a body that raises leaves both as they were; one that
+        returns replaces both, and no stand-in is left."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old a")
+        with pytest.raises(RuntimeError):
+            with staged(a, b) as parts:
+                for part in parts:
+                    Path(part).write_bytes(b"new")
+                raise RuntimeError
+        assert os.listdir(tmp_path) == ["a"] and a.read_bytes() == b"old a"
+        with staged(a, b) as parts:
+            assert [Path(part).parent for part in parts] == [tmp_path] * 2
+            for part, text in zip(parts, (b"new a", b"new b")):
+                Path(part).write_bytes(text)
+            assert a.read_bytes() == b"old a"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+        assert (a.read_bytes(), b.read_bytes()) == (b"new a", b"new b")
+
+    def test_fifo_is_written_in_place(self, tape, tmp_path):
+        """A FIFO output is no regular file: its reader gets the report's
+        bytes, and the FIFO stays."""
+        report = verify_kkt(CATENARY, tape, adjoint_sweep(CATENARY, tape))
+        save_kkt_report(report, tmp_path / "kkt.json")
+        fifo, received = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        save_kkt_report(report, fifo)
+        reader.join(timeout=60)
+        assert received == [(tmp_path / "kkt.json").read_bytes()]
+        assert os.path.exists(fifo) and not os.path.isfile(fifo)
