@@ -295,20 +295,12 @@ def band_product(a, x, transpose=False):
     as a CSR band computes it: zero entries skipped, no floating-point warning,
     lags summed highest first (a row's columns) or from 0 up (CSC columns of A^T)."""
     out, n = np.zeros_like(x), len(x)
-    # a uniform grid's lags change only in their first 2k rows, y_0's and the self-start
-    uniform = np.count_nonzero(a[1:, 0] != a[:-1, 0]) <= 2 * MAX_ORDER
     with np.errstate(all="ignore"):   # the CSR kernel warned of nothing, 0 * inf included
         for i in (range(a.shape[1]) if transpose else range(a.shape[1] - 1, -1, -1)):
             alpha = a[i:, i]
             if not np.count_nonzero(alpha):   # an all-zero lag adds nothing
                 continue
             dst, src = (out[:n - i], x[i:]) if transpose else (out[i:], x[:n - i])
-            if uniform:   # the rows past the lag's last change: one scalar product
-                differ = np.flatnonzero(alpha != alpha[-1])
-                head = differ[-1] + 1 if len(differ) else 0
-                if alpha[-1] != 0.0:
-                    dst[head:] += alpha[-1] * src[head:]
-                alpha, dst, src = alpha[:head], dst[:head], src[:head]
             prod = alpha[:, None] * src
             # a zero entry adds +0.0, as if skipped: a sum that starts at +0.0 is never -0.0
             prod[alpha == 0.0] = 0.0

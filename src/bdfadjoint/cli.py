@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
 import os
 import pickle
 import signal
@@ -61,7 +60,7 @@ def _parse_matrix(text):
     rows = text.replace(",", " ").replace("\n", " ").split(";")
     if not all(row.strip() for row in rows):
         raise ValueError("matrix has an empty row")
-    return np.loadtxt(io.StringIO("\n".join(rows)), ndmin=2, comments=None)
+    return np.loadtxt(rows, ndmin=2, comments=None)
 
 
 class _Settings:
@@ -256,8 +255,8 @@ def cmd_adjoint(ns) -> int:
     adjoints = adjoint_sweep(problem, tape)
     _write((save_adjoint_results, digest, adjoints, out),
            (write_adjoint_csv, adjoints, csv_path))   # both outputs or neither
-    grad = ", ".join(repr(float(v)) for v in adjoints.gradient)
-    lam_n = ", ".join(repr(float(v)) for v in adjoints.lambdas[-1])
+    grad = ", ".join(map(repr, adjoints.gradient.tolist()))
+    lam_n = ", ".join(map(repr, adjoints.lambdas[-1].tolist()))
     print(f"adjoint sweep over N={tape.n_steps} steps")
     print(f"gradient=[{grad}]")
     print(f"lambda_N=[{lam_n}]")

@@ -34,7 +34,6 @@ import csv
 import math
 import os
 import stat
-import tempfile
 
 import numpy as np
 import orjson
@@ -84,23 +83,25 @@ def staged(*paths):
     turn; whatever raises removes the stand-ins that are left, so that the
     outputs keep their bytes.  Nothing is synced to disk: the guarantee
     covers a failed or killed writer, not a power loss."""
-    umask = os.umask(0)
-    os.umask(umask)
     parts, pending = [], []
     try:
         for path in map(os.path.realpath, paths):
             try:
                 mode = os.stat(path).st_mode
             except FileNotFoundError:
-                mode = stat.S_IFREG | 0o666 & ~umask
-            if not stat.S_ISREG(mode):
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
                 parts.append(path)
                 continue
-            fd, part = tempfile.mkstemp(dir=os.path.dirname(path),
-                                        prefix=f".{os.path.basename(path)}.")
-            os.close(fd)
+            head, tail = os.path.split(path)
+            while True:   # a fresh name, as mkstemp picks one; the kernel applies the umask
+                part = os.path.join(head, f".{tail}.{os.urandom(8).hex()}")
+                with contextlib.suppress(FileExistsError):
+                    os.close(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    break
             pending.append((part, path))
-            os.chmod(part, stat.S_IMODE(mode))
+            if mode is not None:
+                os.chmod(part, stat.S_IMODE(mode))
             parts.append(part)
         yield parts
         while pending:

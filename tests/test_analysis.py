@@ -72,11 +72,16 @@ def _dense_kkt_oracle(problem, tape, adjoints):
     return nominal.reshape(n, d), np.vstack([grad_row, adjoint.reshape(n, d)])
 
 
-def _oracle_cases():
+def _oracle_cases(long_uniform=False):
     """Adaptive tapes up to order 6 and a k=4 tape whose self-start ramp
-    has nonzero y_0 coefficients."""
+    has nonzero y_0 coefficients; with long_uniform, also the k=2,
+    h = 2^-10 tape (N = 2049), whose lags are constant past their first
+    rows, too long for the dense oracle."""
     tapes = [integrate_adaptive(CATENARY, rtol) for rtol in (1e-6, 1e-9)]
     tapes.append(integrate_nonadaptive(CATENARY, 4, 0.125))
+    if long_uniform:
+        tapes.append(integrate_nonadaptive(CATENARY, 2, 2.0 ** -10))
+        assert tapes[-1].n_steps == 2049
     assert max(t.grid.orders.max() for t in tapes) == 6
     return [(tape, adjoint_sweep(CATENARY, tape)) for tape in tapes]
 
@@ -110,10 +115,10 @@ class TestBandProduct:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_tapes_up_to_order_six(self):
-        """Adaptive catenary tapes and a k=4 self-start ramp, on their
-        states, multipliers and signed-zero data."""
+        """Adaptive catenary tapes, a k=4 self-start ramp and a long uniform
+        k=2 grid, on their states, multipliers and signed-zero data."""
         rng = np.random.default_rng(11)
-        for tape, adj in _oracle_cases():
+        for tape, adj in _oracle_cases(long_uniform=True):
             a = coefficient_band(tape)
             assert not np.any(a[np.arange(tape.n_steps + 1)[:, None]
                                 < np.arange(MAX_ORDER + 1)])   # before y_0
@@ -153,10 +158,9 @@ class TestBandProduct:
                 rng, (n_steps + 1, int(rng.integers(1, 4)))))
 
     def test_short_random_grids_with_non_finite_data(self):
-        """Grids of at most 12 steps (13 rows, y_0's included) count as
-        uniform, so each lag's rows past its last change are scaled at once;
-        where those entries are zero, an inf or NaN in the data must still be
-        skipped."""
+        """Grids of at most 12 steps at random orders, on data of 1, -2, +-inf
+        and NaN: where an entry is zero, the inf or NaN it meets is skipped,
+        and no warning is raised."""
         rng = np.random.default_rng(8)
         for _ in range(100):
             n_steps = int(rng.integers(1, 13))
@@ -179,8 +183,9 @@ class TestBandProduct:
         """As in the CSR band, an entry past a step's order never meets the
         data, so an inf or NaN reaches only the rows it has a coefficient
         in, and no warning is raised.  Adaptive tapes change order, so zero
-        entries sit inside the lags in use."""
-        for tape, _ in _oracle_cases():
+        entries sit inside the lags in use; the long uniform grid's lags are
+        constant past their first rows."""
+        for tape, _ in _oracle_cases(long_uniform=True):
             a = coefficient_band(tape)
             band = _csr_band(a)
             x = np.ones((tape.n_steps + 1, 2))

@@ -919,6 +919,31 @@ class TestStaged:
         assert sorted(os.listdir(tmp_path)) == ["a", "b"]
         assert (a.read_bytes(), b.read_bytes()) == (b"new a", b"new b")
 
+    def test_staging_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        """Neither a new output nor a replaced one reads the umask by setting
+        it, which would let every thread of the process create files with
+        the value set in between."""
+        calls = []
+        monkeypatch.setattr(os, "umask", calls.append)
+        a = tmp_path / "a"
+        for text in (b"new", b"replaced"):
+            with staged(a) as [part]:
+                Path(part).write_bytes(text)
+        assert calls == [] and a.read_bytes() == b"replaced"
+
+    def test_stand_in_name_taken_draws_another(self, tmp_path, monkeypatch):
+        """A stand-in name that exists already is left alone, and a new one
+        is drawn."""
+        draws = iter([b"\0" * 8, b"\1" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        taken = tmp_path / f".a.{'00' * 8}"
+        taken.write_bytes(b"someone else's")
+        with staged(tmp_path / "a") as [part]:
+            assert part == str(tmp_path / f".a.{'01' * 8}")
+            Path(part).write_bytes(b"new")
+        assert taken.read_bytes() == b"someone else's"
+        assert (tmp_path / "a").read_bytes() == b"new"
+
     def test_fifo_is_written_in_place(self, tape, tmp_path):
         """A FIFO output is no regular file: its reader gets the report's
         bytes, and the FIFO stays."""
